@@ -4,10 +4,13 @@ A scheme is direct-space dimension d, an internal space H, and lattice
 generator columns (g, h) indexed by free integer coordinates.  Enumeration
 works on a lifted square presentation: twisted extensions are unrolled into
 their base plus an explicit carry generator, so every continuous coordinate
-of a lattice point is linear in the lifted integer coordinates and a
-rigorous interval inverse yields exhaustive candidate boxes.  Compact factor
-coordinates (finite residues, torus positions) never affect boundedness and
-are handled by exact membership filtering.
+of a lattice point is linear in the lifted integer coordinates.  The lifted
+coordinates are enumerated triangularly, in the manner of Fincke-Pohst with
+the box and the window slab in place of an ellipsoid: once the outer
+coordinates are fixed, a rigorous interval inverse of a square sub-block
+bounds the next one, so about one candidate is examined per accepted point.
+Compact factor coordinates (finite residues, torus positions) never affect
+boundedness and are handled by exact membership filtering.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .scalars import Scalar
 from .windows import Window
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
+_PLAN_DIGITS = 25  # decimal scale of the enumeration's integer enclosures
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -237,6 +241,7 @@ class CutProjectScheme:
         self._id = None
         self._density_heuristic = None
         self._inverse_rows_cache = {}
+        self._enum_plan = None
 
     # -- lifted presentation -------------------------------------------------
 
@@ -376,9 +381,8 @@ class CutProjectScheme:
     ) -> Patch:
         """All projected lattice points inside ``box`` with star inside ``window``.
 
-        Window pieces are independent; with CUTPROJECT_THREADS > 1 they are
-        evaluated on a thread pool and merged in piece order, so the result
-        is deterministic either way.
+        Window pieces are enumerated one after another and merged in piece
+        order, so the result is deterministic.
         """
         if box.dim != self.d:
             raise SchemeError("box dimension mismatch")
@@ -386,31 +390,21 @@ class CutProjectScheme:
             raise SpaceMismatchError("window lives in a different internal space")
         if not window.properties().precompact:
             raise SchemeError("window closure is not compact")
-        pieces = window.enum_pieces()
-        threads = _thread_budget()
-        if threads > 1 and len(pieces) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(
-                    pool.map(
-                        lambda p: self._enumerate_piece(box, window, p, max_candidates),
-                        pieces,
-                    )
-                )
-        else:
-            partials = [
-                self._enumerate_piece(box, window, p, max_candidates) for p in pieces
-            ]
         found: dict[tuple[int, ...], tuple] = {}
-        for part in partials:
-            for n, direct in part.items():
+        for piece in window.enum_pieces():
+            for n, direct in self._enumerate_piece(box, window, piece, max_candidates).items():
                 found.setdefault(n, direct)
         return Patch(
             list(found.values()), box, self.scheme_id, coords=list(found.keys())
         )
 
     def _enumerate_piece(self, box, window, piece, max_candidates):
+        """Triangular walk over the lifted coordinates of one window piece.
+
+        The budget bounds the volume of the interval-inverse candidate box,
+        which the walk never leaves.  Every level only drops constraints, so
+        the walk is exhaustive; its leaves still pass the exact checks.
+        """
         rhs = self._piece_rhs(box, piece)
         ranges = self._candidate_ranges(rhs)
         count = 1
@@ -423,10 +417,15 @@ class CutProjectScheme:
         found: dict[tuple[int, ...], tuple] = {}
         if count == 0:
             return found
-        prefilter = self._row_prefilter(rhs)
-        for lifted in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
-            if not prefilter(lifted):
-                continue
+        scale = 10 ** _PLAN_DIGITS
+        slack = 10 ** (_PLAN_DIGITS - 9)
+        targets = [
+            ((lo.numerator * scale) // lo.denominator - slack,
+             -((-hi.numerator * scale) // hi.denominator) + slack)
+            for lo, hi in rhs
+        ]
+        zero = [0] * self.lift_size
+        for lifted in _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero):
             n = lifted[: self.rank]
             if n in found:
                 continue
@@ -436,44 +435,6 @@ class CutProjectScheme:
             if window.contains(self.star(n)):
                 found[n] = direct
         return found
-
-    def _row_prefilter(self, rhs):
-        """Cheap rigorous rejection: row enclosures outside the rhs box.
-
-        Works in scaled integers; candidates that survive still go through
-        the exact membership checks, so this only trims work.
-        """
-        digits = 25
-        scale = 10 ** digits
-        slack = 10 ** (digits - 9)
-        enc = []
-        for row in self.matrix:
-            enc.append([_scaled_enclosure(v, digits) for v in row])
-        targets = []
-        for lo, hi in rhs:
-            targets.append(
-                (
-                    (lo.numerator * scale) // lo.denominator - slack,
-                    -((-hi.numerator * scale) // hi.denominator) + slack,
-                )
-            )
-
-        def keep(lifted):
-            for i, row in enumerate(enc):
-                lo = hi = 0
-                for nj, (alo, ahi) in zip(lifted, row):
-                    if nj > 0:
-                        lo += nj * alo
-                        hi += nj * ahi
-                    elif nj < 0:
-                        lo += nj * ahi
-                        hi += nj * alo
-                tlo, thi = targets[i]
-                if hi < tlo or lo > thi:
-                    return False
-            return True
-
-        return keep
 
     def _piece_rhs(self, box: Box, piece) -> list[tuple[Fraction, Fraction]]:
         margin = Fraction(1, 10 ** 9)
@@ -501,33 +462,59 @@ class CutProjectScheme:
         return rhs
 
     def _inverse_enclosure(self, digits: int = 25):
-        """Interval enclosure of the inverse coordinate matrix, cached.
-
-        Exact inversion is used when the entries are algebraic; otherwise a
-        rigorous interval elimination per unit column.
-        """
+        """Interval enclosure of the inverse coordinate matrix, cached."""
         cached = self._inverse_rows_cache.get(digits)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._inverse_rows_cache[digits] = _inverse_rows(self.matrix, digits)
+        return cached
+
+    def _enumeration_plan(self):
+        """Per-level data of the triangular walk, built once per scheme.
+
+        Level k fixes lifted column k.  Its range comes from the interval
+        inverse of a nonsingular square sub-block over the still-free columns,
+        with internal (window) rows preferred over direct (box) rows because
+        windows are narrow; the outermost level uses the full inverse through
+        ``_candidate_ranges`` instead.  Each row is also intersected, at the
+        level of its last nonzero column, as soon as the fixed coordinates
+        determine it.  Entries are integer enclosures at scale
+        10**_PLAN_DIGITS: one ``(inverse, checks, updates)`` per column, with
+        ``inverse`` and ``checks`` as ``(row, lo, hi)`` triples and
+        ``updates`` the column's nonzero entries for the row partial sums.
+        """
+        if self._enum_plan is not None:
+            return self._enum_plan
         size = self.lift_size
-        try:
-            cols = [
-                linalg.solve_exact(self.matrix, [Scalar(1 if i == k else 0) for i in range(size)])
-                for k in range(size)
-            ]
-            rows = [[cols[j][i].bounds(digits) for j in range(size)] for i in range(size)]
-        except Exception:
-            unit = [
-                linalg.interval_solve(
-                    self.matrix,
-                    [(Fraction(1 if i == k else 0), Fraction(1 if i == k else 0)) for i in range(size)],
-                    digits,
+        scale = 10 ** _PLAN_DIGITS
+        enc = [[_scaled_enclosure(v, _PLAN_DIGITS) for v in row] for row in self.matrix]
+        preferred = list(range(self.d, size)) + list(range(self.d))
+        plan = []
+        for col in range(size):
+            free = range(col, size)
+            checks = tuple(
+                (i, *enc[i][col])
+                for i in range(size)
+                if (enc[i][col][0] > 0 or enc[i][col][1] < 0)
+                and all(enc[i][j] == (0, 0) for j in free[1:])
+            )
+            inverse = ()
+            if col > 0 and not (len(free) == 1 and checks):
+                blocks = (
+                    (rows, [[self.matrix[i][j] for j in free] for i in rows])
+                    for rows in itertools.combinations(preferred, len(free))
                 )
-                for k in range(size)
-            ]
-            rows = [[unit[j][i] for j in range(size)] for i in range(size)]
-        self._inverse_rows_cache[digits] = rows
-        return rows
+                rows, sub = next((r, b) for r, b in blocks if not linalg.det(b).is_zero())
+                inverse = tuple(
+                    (i, math.floor(lo * scale), math.ceil(hi * scale))
+                    for i, (lo, hi) in zip(rows, _inverse_rows(sub, _PLAN_DIGITS)[0])
+                    if lo or hi
+                )
+            updates = tuple(
+                (i, *enc[i][col]) for i in range(size) if enc[i][col] != (0, 0)
+            ) if col < size - 1 else ()
+            plan.append((inverse, checks, updates))
+        self._enum_plan = plan
+        return plan
 
     def _candidate_ranges(self, rhs) -> list[tuple[int, int]]:
         if self.lift_size == 0:
@@ -807,19 +794,69 @@ def _monomial_system(rows, rhs) -> tuple[list[list[Fraction]], list[Fraction]]:
     return mat, vec
 
 
-def _thread_budget() -> int:
-    import os
+def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
+    """Yield the lifted vectors a level plan admits, outermost coordinate first.
 
-    raw = os.environ.get("CUTPROJECT_THREADS", "").strip()
-    if not raw:
-        return 1
+    ``targets`` are the scaled rhs enclosures per row, ``p_lo``/``p_hi`` the
+    scaled enclosures of each row's partial sum over the fixed ``prefix``.
+    """
+    k = len(prefix)
+    if k == len(levels):
+        yield prefix
+        return
+    inverse, checks, updates = levels[k]
+    lo, hi = ranges[k]
+    if inverse:
+        s_lo = s_hi = 0
+        for i, a_lo, a_hi in inverse:
+            y_lo = targets[i][0] - p_hi[i]
+            y_hi = targets[i][1] - p_lo[i]
+            products = (a_lo * y_lo, a_lo * y_hi, a_hi * y_lo, a_hi * y_hi)
+            s_lo += min(products)
+            s_hi += max(products)
+        square = 10 ** (2 * _PLAN_DIGITS)
+        lo = max(lo, -((-s_lo) // square))
+        hi = min(hi, s_hi // square)
+    for i, a_lo, a_hi in checks:
+        y_lo = targets[i][0] - p_hi[i]
+        y_hi = targets[i][1] - p_lo[i]
+        if a_lo < 0:  # negate the row: coefficient enclosure in (0, inf)
+            a_lo, a_hi, y_lo, y_hi = -a_hi, -a_lo, -y_hi, -y_lo
+        lo = max(lo, -((-y_lo) // (a_hi if y_lo >= 0 else a_lo)))
+        hi = min(hi, y_hi // (a_lo if y_hi >= 0 else a_hi))
+    for v in range(lo, hi + 1):
+        c_lo, c_hi = p_lo, p_hi
+        if updates:
+            c_lo, c_hi = list(p_lo), list(p_hi)
+            for i, a_lo, a_hi in updates:
+                c_lo[i] += v * (a_lo if v >= 0 else a_hi)
+                c_hi[i] += v * (a_hi if v >= 0 else a_lo)
+        yield from _triangular_walk(levels, ranges, targets, prefix + (v,), c_lo, c_hi)
+
+
+def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
+    """Interval enclosure of the rows of a nonsingular square matrix's inverse.
+
+    Exact inversion is used when the entries are algebraic; otherwise a
+    rigorous interval elimination per unit column.
+    """
+    size = len(matrix)
     try:
-        n = int(raw)
-    except ValueError as exc:
-        raise SchemeError(f"CUTPROJECT_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise SchemeError("CUTPROJECT_THREADS must be at least 1")
-    return n
+        cols = [
+            linalg.solve_exact(matrix, [Scalar(1 if i == k else 0) for i in range(size)])
+            for k in range(size)
+        ]
+        return [[cols[j][i].bounds(digits) for j in range(size)] for i in range(size)]
+    except Exception:
+        unit = [
+            linalg.interval_solve(
+                matrix,
+                [(Fraction(1 if i == k else 0), Fraction(1 if i == k else 0)) for i in range(size)],
+                digits,
+            )
+            for k in range(size)
+        ]
+        return [[unit[j][i] for j in range(size)] for i in range(size)]
 
 
 def _scaled_enclosure(v: Scalar, digits: int) -> tuple[int, int]:

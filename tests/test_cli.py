@@ -1,13 +1,16 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from cutproject.cli import main
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_substitution, fibonacci_window
 from cutproject.hull import AlmostModelSetWitness, GammaRule
+from cutproject.scalars import GOLDEN
 from cutproject.scheme import Box, CutProjectScheme
 from cutproject.substitution import fixed_point_patch
+from cutproject.windows import UnionWindow, interval_window
 
 
 def run(argv):
@@ -399,18 +402,27 @@ def test_generate_float_mode(tmp_path):
         assert float(fl.split(",")[0]) == pytest.approx(float(el.split(",")[0]), abs=1e-6)
 
 
-def test_threads_env_determinism(tmp_path, monkeypatch):
+def test_generate_deterministic_union_window(tmp_path):
+    # several window pieces, merged in piece order: byte-identical reruns
+    space = fibonacci_scheme().space
+    window = UnionWindow(
+        space,
+        [
+            interval_window(space, -1, Fraction(-1, 4)),
+            interval_window(space, Fraction(1, 4), GOLDEN - 1),
+        ],
+    )
+    assert len(window.enum_pieces()) == 2
+    window_file = tmp_path / "union.json"
+    window_file.write_text(json.dumps(window.to_obj(), sort_keys=True))
     argv = [
         "generate",
         "--scheme", "builtin:fibonacci",
-        "--window", "builtin:fibonacci",
+        "--window", str(window_file),
         "--box=-15:15",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.delenv("CUTPROJECT_THREADS", raising=False)
     assert run(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("CUTPROJECT_THREADS", "3")
     assert run(argv + ["--out", str(b)]) == 0
     assert read(a) == read(b)
-    monkeypatch.setenv("CUTPROJECT_THREADS", "bogus")
-    assert run(argv + ["--out", str(tmp_path / "c.csv")]) == 2
+    assert len(read(a).splitlines()) > 10

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from cutproject.scheme import (
     Patch,
     SchemeError,
 )
+from cutproject.transforms import lift_window, translate_cps
 from cutproject.windows import (
     IntervalSet,
     ProductWindow,
@@ -27,6 +29,7 @@ from cutproject.windows import (
     ResidueRegion,
     TorusRegion,
     TwistedRegion,
+    UnionWindow,
     empty_window,
     interval_window,
 )
@@ -389,8 +392,8 @@ def test_internal_density_heuristic():
     assert sparse.internal_density_heuristic(bound=6) is False
 
 
-def test_two_dimensional_direct_space():
-    # product of two golden-ring embeddings: d = 2, H = R^2, rank 4
+def golden_square_scheme():
+    """Product of two golden-ring embeddings: d = 2, H = R^2, rank 4."""
     space = InternalSpace([RealFactor(2)])
     z = Scalar(0)
     gens = [
@@ -400,11 +403,16 @@ def test_two_dimensional_direct_space():
         ((z, GOLDEN), space.point((z, GOLDEN_CONJ))),
     ]
     scheme = CutProjectScheme(2, space, gens)
-    assert scheme.covolume() == SQRT5 * SQRT5
     w = ProductWindow(
         space,
         (RealRegion((IntervalSet.single(-1, GOLDEN - 1, False, True),) * 2),),
     )
+    return scheme, w
+
+
+def test_two_dimensional_direct_space():
+    scheme, w = golden_square_scheme()
+    assert scheme.covolume() == SQRT5 * SQRT5
     box = Box([-8, -8], [8, 8])
     patch = scheme.project_points(box, w)
     # the patch is the cartesian product of the one-dimensional patches
@@ -427,6 +435,70 @@ def test_union_window_enumeration():
     p1 = scheme.project_points(box, w1)
     p2 = scheme.project_points(box, w2)
     assert patch.point_set() == p1.point_set() | p2.point_set()
+
+
+def cube_scan(scheme, box, window, bound):
+    """Every lattice point with coordinates in [-bound, bound]^rank, filtered."""
+    out = set()
+    for n in itertools.product(range(-bound, bound + 1), repeat=scheme.rank):
+        d, s = scheme.point_of(n)
+        if box.contains(d) and window.contains(s):
+            out.add(n)
+    return out
+
+
+def test_exhaustiveness_at_rank_three_and_four():
+    # inner levels with two or more free columns, against a coordinate cube;
+    # points in these boxes have every coordinate within +-4
+    fib = fibonacci_scheme()
+    base = interval_window(LINE, -1, GOLDEN - 1)
+    ext = translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme
+    box = Box.interval(-5, 6)
+    for k in (-1, 0, 1):
+        w = lift_window(base, k, ext)
+        patch = ext.project_points(box, w)
+        assert len(patch) > 0
+        assert set(patch.coords) == cube_scan(ext, box, w, 6)
+    union = UnionWindow(
+        LINE,
+        [
+            interval_window(LINE, -1, Fraction(-1, 3)),
+            interval_window(LINE, Fraction(1, 5), GOLDEN - 1, False, True),
+        ],
+    )
+    w = lift_window(union, 1, ext)
+    patch = ext.project_points(box, w)
+    assert len(patch) > 0
+    assert set(patch.coords) == cube_scan(ext, box, w, 6)
+    square, w = golden_square_scheme()
+    box = Box([-2, -3], [3, 2])
+    patch = square.project_points(box, w)
+    assert len(patch) > 0
+    assert set(patch.coords) == cube_scan(square, box, w, 4)
+
+
+def test_enumeration_work_bound(monkeypatch):
+    # at most two exact direct-space evaluations per accepted point
+    calls = 0
+    direct = CutProjectScheme.direct
+
+    def counted(self, n):
+        nonlocal calls
+        calls += 1
+        return direct(self, n)
+
+    monkeypatch.setattr(CutProjectScheme, "direct", counted)
+    fib = fibonacci_scheme()
+    base = interval_window(LINE, -1, GOLDEN - 1)
+    cases = [(fib, Box.symmetric(800), base)]
+    twisted = translate_cps(fib, (GOLDEN / 3,), 100).scheme
+    assert isinstance(twisted.space.factors[0], TwistedExtensionFactor)
+    cases += [(twisted, Box.symmetric(100), lift_window(base, k, twisted)) for k in (-1, 0, 1)]
+    for scheme, box, w in cases:
+        calls = 0
+        patch = scheme.project_points(box, w)
+        assert len(patch) > 100
+        assert calls <= 2 * len(patch)
 
 
 def test_lattice_coords_float_mode():
