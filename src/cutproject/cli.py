@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from . import analysis, hull, transforms
+from . import analysis, hull, scalars, transforms
 from .fibonacci import fibonacci_scheme, fibonacci_window
 from .scalars import Scalar, parse_scalar, set_float_tolerance
 from .scheme import Box, CutProjectScheme, EnumerationOverflowError
@@ -371,6 +371,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    eps = scalars.FLOAT_EPS
     try:
         return args.func(args)
     except InputError as exc:
@@ -393,6 +394,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        # --tol holds for its own command only
+        set_float_tolerance(eps)
 
 
 if __name__ == "__main__":

@@ -45,10 +45,10 @@ def ring_coordinates(x: Scalar) -> tuple[int, int]:
 
     from .scalars import SQRT5
 
-    if x._terms is None:
+    if not x.is_exact:
         raise ValueError("ring coordinates need an exact value")
-    (root_mono,) = SQRT5._terms.keys()
-    terms = dict(x._terms)
+    (root_mono,) = SQRT5.terms()
+    terms = x.terms()
     u = terms.pop(((), ()), Fraction(0))
     v = terms.pop(root_mono, Fraction(0))
     if terms:

@@ -44,12 +44,9 @@ def exact_relation(values: list[Scalar]) -> list[int] | None:
     """A nonzero integer relation among exact values, or None if independent."""
     if not all(v.is_exact for v in values):
         raise ValueError("exact_relation needs exact scalars")
-    monos = set()
-    for v in values:
-        monos.update(v._terms.keys())
-    rows = [
-        [v._terms.get(mono, Fraction(0)) for v in values] for mono in sorted(monos)
-    ]
+    terms = [v.terms() for v in values]
+    monos = set().union(*terms)
+    rows = [[t.get(mono, Fraction(0)) for t in terms] for mono in sorted(monos)]
     for vec in ratmath.kernel(rows):
         ints = ratmath.clear_denominators(vec)
         if any(ints):

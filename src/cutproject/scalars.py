@@ -5,8 +5,26 @@ is a product of prime powers with fractional exponents in (0, 1) (for example
 ``5^(1/2)`` or ``2^(2/3)``) optionally multiplied by an integer power of a
 single named constant (``pi`` or ``e``).  Distinct monomials of this kind are
 linearly independent over the rationals, so the representation is a normal
-form: equality is a dictionary comparison and a nonzero value stays provably
-nonzero, which makes sign determination by interval refinement terminate.
+form, and a nonzero value stays provably nonzero, which makes sign
+determination by interval refinement terminate.
+
+Monomials are interned: each distinct monomial gets a small integer id in a
+module-level table, id 0 being the unit monomial.  The product of two ids is
+cached as ``(id, carry)``; the carry is the positive integer made of the
+primes whose exponents passed 1.  An exact scalar stores integer numerators
+keyed by monomial id over one positive common denominator, reduced so that
+the numerators and the denominator share no factor (the order-basis
+representation of Cohen, *A Course in Computational Algebraic Number Theory*,
+1993, §4.2).  Sums, differences and products are integer operations, and
+equality is one integer comparison plus one dictionary comparison.
+``Scalar.terms()`` gives the value back as ``{monomial: Fraction}``.
+
+Each exact scalar computes an integer enclosure of itself at 12 decimal
+digits once, as one dot product of its numerators with cached per-monomial
+integer enclosures followed by one division, and keeps it.  ``<``, ``<=``,
+``>`` and ``>=`` answer equal operands exactly; otherwise two disjoint
+enclosures decide the order, and only when they overlap is the sign of the
+difference refined along the digit ladder.  Each step is a rigorous decision.
 
 A scalar may instead carry a plain float; float scalars are contagious and
 compare with a global tolerance.  Exact mode is authoritative everywhere.
@@ -15,6 +33,7 @@ compare with a global tolerance.  Exact mode is authoritative everywhere.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -26,6 +45,7 @@ Mono = tuple[Rad, Sym]
 
 _UNIT: Mono = ((), ())
 _DIGITS_LADDER = (12, 24, 48, 96, 192, 384, 768, 1536)
+_ENCLOSURE_DIGITS = _DIGITS_LADDER[0]
 
 FLOAT_EPS = 1e-9
 
@@ -41,9 +61,9 @@ class ExactnessError(ArithmeticError):
     """Raised when an operation cannot be carried out exactly."""
 
 
-def _mono_mul(a: Mono, b: Mono) -> tuple[Mono, Fraction]:
-    """Product of two monomials, returning (monomial, rational carry)."""
-    carry = Fraction(1)
+def _mono_mul(a: Mono, b: Mono) -> tuple[Mono, int]:
+    """Product of two monomials, returning (monomial, integer carry)."""
+    carry = 1
     exps: dict[int, Fraction] = dict(a[0])
     for p, e in b[0]:
         exps[p] = exps.get(p, Fraction(0)) + e
@@ -53,7 +73,7 @@ def _mono_mul(a: Mono, b: Mono) -> tuple[Mono, Fraction]:
         k = e.numerator // e.denominator
         e -= k
         if k:
-            carry *= Fraction(p) ** k
+            carry *= p ** k
         if e:
             rad.append((p, e))
     syms: dict[str, int] = dict(a[1])
@@ -63,15 +83,84 @@ def _mono_mul(a: Mono, b: Mono) -> tuple[Mono, Fraction]:
     return (tuple(rad), sym), carry
 
 
-def _mono_inv(m: Mono) -> tuple[Mono, Fraction]:
-    carry = Fraction(1)
+def _mono_inv(m: Mono) -> tuple[Mono, int]:
+    """``m**-1`` as (monomial, integer divisor)."""
+    divisor = 1
     rad = []
     for p, e in m[0]:
         # p^-e = p^(1-e) / p
-        carry /= p
+        divisor *= p
         rad.append((p, 1 - e))
     sym = tuple((s, -k) for s, k in m[1])
-    return (tuple(rad), sym), carry
+    return (tuple(rad), sym), divisor
+
+
+# ---------------------------------------------------------------------------
+# The monomial table: id -> monomial, its constant, cached products
+
+
+class _MonoHash:
+    """Stands for a monomial inside a hashed tuple: it hashes as the monomial."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, mono: Mono):
+        self.value = hash(mono)
+
+    def __hash__(self):
+        return self.value
+
+
+_MONOS: list[Mono] = [_UNIT]
+_MONO_IDS: dict[Mono, int] = {_UNIT: 0}
+_MONO_SYMS: list[str | None] = [None]
+_MONO_HASHES: list[_MonoHash] = [_MonoHash(_UNIT)]
+_MONO_PRODUCTS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _intern(m: Mono) -> int:
+    i = _MONO_IDS.get(m)
+    if i is None:
+        names = sorted({s for s, _ in m[1]})
+        if len(names) > 1:
+            raise ExactnessError(f"cannot mix constants {names} in one value")
+        i = len(_MONOS)
+        _MONOS.append(m)
+        _MONO_SYMS.append(names[0] if names else None)
+        _MONO_HASHES.append(_MonoHash(m))
+        _MONO_IDS[m] = i
+    return i
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _coefficient_hash(n: int, d: int) -> int:
+    """``hash(Fraction(n, d))`` for ``d > 0`` without building the Fraction.
+
+    This is the numeric hash of the Python reference, ``|n| * d**-1 mod P``
+    with the sign of ``n``; the result lies strictly between -P and P and is
+    never -1, so an int holding it hashes to itself.
+    """
+    if d == 1:
+        return hash(n)
+    try:
+        dinv = pow(d, -1, _HASH_MODULUS)
+    except ValueError:
+        return hash(Fraction(n, d))
+    h = hash(hash(abs(n)) * dinv)
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _mono_product(i: int, j: int) -> tuple[int, int]:
+    key = (i, j)
+    out = _MONO_PRODUCTS.get(key)
+    if out is None:
+        m, carry = _mono_mul(_MONOS[i], _MONOS[j])
+        out = (_intern(m), carry)
+        _MONO_PRODUCTS[key] = _MONO_PRODUCTS[(j, i)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +235,15 @@ def _mono_bounds(m: Mono, digits: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-_MONO_INT: dict[tuple, tuple[int, int]] = {}
+_MONO_INT: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _mono_int_bounds(m: Mono, digits: int) -> tuple[int, int]:
-    """Integer enclosure of a monomial at scale 10**digits."""
-    key = (m, digits)
+def _mono_int_bounds(i: int, digits: int) -> tuple[int, int]:
+    """Integer enclosure of monomial ``i`` at scale 10**digits."""
+    key = (i, digits)
     out = _MONO_INT.get(key)
     if out is None:
-        lo, hi = _mono_bounds(m, digits)
+        lo, hi = _mono_bounds(_MONOS[i], digits)
         scale = 10 ** digits
         out = (
             (lo.numerator * scale) // lo.denominator,
@@ -167,31 +256,85 @@ def _mono_int_bounds(m: Mono, digits: int) -> tuple[int, int]:
 Number = Union[int, Fraction, "Scalar"]
 
 
+def _symbol(num: dict[int, int]) -> str | None:
+    """The named constant occurring in ``num``, if any."""
+    for i in num:
+        s = _MONO_SYMS[i]
+        if s is not None:
+            return s
+    return None
+
+
+def _joint_symbol(a: "Scalar", b: "Scalar") -> str | None:
+    """The constant of a sum or product of ``a`` and ``b``; refuses two."""
+    if a._sym is not None and b._sym is not None and a._sym != b._sym:
+        names = sorted((a._sym, b._sym))
+        raise ExactnessError(f"cannot mix constants {names} in one value")
+    return a._sym or b._sym
+
+
+_object_new = object.__new__
+
+
+def _new(num: dict[int, int], den: int, sym: str | None) -> "Scalar":
+    """An exact scalar from reduced parts; ``num`` holds no zero."""
+    s = _object_new(Scalar)
+    s._num = num
+    s._den = den
+    s._float = None
+    s._hash = None
+    s._enc = None
+    s._sym = sym
+    return s
+
+
+def _reduced(num: dict[int, int], den: int, sym: str | None) -> "Scalar":
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {i: c // g for i, c in num.items()}
+            den //= g
+    return _new(num, den, sym)
+
+
 class Scalar:
-    __slots__ = ("_terms", "_float", "_hash")
+    # exact: _num {monomial id: int numerator}, _den positive int, _sym the
+    # constant name or None, _enc the cached 12-digit enclosure;
+    # float: _num is None and _float holds the value
+    __slots__ = ("_num", "_den", "_float", "_hash", "_enc", "_sym")
 
     def __init__(self, value: int | float | Fraction = 0):
-        if isinstance(value, float):
-            self._terms = None
+        self._hash = None
+        self._enc = None
+        self._sym = None
+        if type(value) is int:
+            self._num = {0: value} if value else {}
+            self._den = 1
+            self._float = None
+        elif isinstance(value, float):
+            self._num = None
+            self._den = 1
             self._float = value
         else:
             v = Fraction(value)
-            self._terms = {_UNIT: v} if v else {}
+            self._num = {0: v.numerator} if v else {}
+            self._den = v.denominator
             self._float = None
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def _make(cls, terms: dict[Mono, Fraction]) -> "Scalar":
-        s = cls.__new__(cls)
-        s._terms = {m: c for m, c in terms.items() if c}
-        s._float = None
-        s._hash = None
-        symbols = {name for m in s._terms for name, _ in m[1]}
-        if len(symbols) > 1:
-            raise ExactnessError(f"cannot mix constants {sorted(symbols)} in one value")
-        return s
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        num = {
+            _intern(m): c.numerator * (den // c.denominator)
+            for m, c in terms.items()
+            if c
+        }
+        names = sorted({_MONO_SYMS[i] for i in num} - {None})
+        if len(names) > 1:
+            raise ExactnessError(f"cannot mix constants {names} in one value")
+        return _reduced(num, den, names[0] if names else None)
 
     @classmethod
     def from_float(cls, value: float) -> "Scalar":
@@ -211,20 +354,19 @@ class Scalar:
             raise ValueError("radicand must be positive")
         if index == 1:
             return cls(radicand)
-        terms = {_UNIT: Fraction(1)}
-        out = cls._make(terms)
+        out = cls(1)
         for n, top in ((radicand.numerator, True), (radicand.denominator, False)):
             exps: dict[int, Fraction] = {}
-            carry = Fraction(1)
+            carry = 1
             for p, k in factorize(n).items():
                 e = Fraction(k, index)
                 w = e.numerator // e.denominator
                 e -= w
-                carry *= Fraction(p) ** w
+                carry *= p ** w
                 if e:
                     exps[p] = e
             mono: Mono = (tuple(sorted(exps.items())), ())
-            piece = cls._make({mono: carry})
+            piece = cls._make({mono: Fraction(carry)})
             out = out * piece if top else out / piece
         return out
 
@@ -246,28 +388,36 @@ class Scalar:
             return cls.from_float(value)
         return cls(Fraction(value))
 
-    # -- predicates ----------------------------------------------------
+    # -- predicates and the monomial view ------------------------------
 
     @property
     def is_exact(self) -> bool:
-        return self._terms is not None
+        return self._num is not None
 
     @property
     def is_rational(self) -> bool:
-        return self._terms is not None and all(m == _UNIT for m in self._terms)
+        num = self._num
+        return num is not None and (not num or (len(num) == 1 and 0 in num))
 
     @property
     def is_algebraic(self) -> bool:
-        return self._terms is not None and all(not m[1] for m in self._terms)
+        return self._num is not None and self._sym is None
+
+    def terms(self) -> dict[Mono, Fraction]:
+        """A fresh ``{monomial: nonzero rational coefficient}`` of an exact value."""
+        if self._num is None:
+            raise ExactnessError("a float scalar has no monomial terms")
+        den = self._den
+        return {_MONOS[i]: Fraction(c, den) for i, c in self._num.items()}
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ExactnessError(f"{self} is not rational")
-        return self._terms.get(_UNIT, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def is_zero(self) -> bool:
-        if self._terms is not None:
-            return not self._terms
+        if self._num is not None:
+            return not self._num
         return abs(self._float) <= FLOAT_EPS
 
     # -- arithmetic ----------------------------------------------------
@@ -279,48 +429,123 @@ class Scalar:
             return Scalar(other)
         return None
 
+    def _add_int(self, k: int) -> "Scalar":
+        """``self + k`` for an exact ``self``; the sum stays reduced."""
+        if not k:
+            return self
+        den = self._den
+        num = dict(self._num)
+        c = num.get(0, 0) + k * den
+        if c:
+            num[0] = c
+        else:
+            del num[0]
+        return _new(num, den, self._sym)
+
+    def _combine(self, o: "Scalar", k: int) -> "Scalar":
+        """``self + k*o`` for exact operands and ``k`` = 1 or -1."""
+        a, b = self._num, o._num
+        if not b:
+            return self
+        if not a:
+            return o if k == 1 else -o
+        sym = None
+        if self._sym is not None or o._sym is not None:
+            sym = _joint_symbol(self, o)
+        da, db = self._den, o._den
+        if da == db:
+            den, fb = da, k
+            num = dict(a)
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g * k
+            den = da * fa
+            num = {i: c * fa for i, c in a.items()}
+        for i, c in b.items():
+            c = num.get(i, 0) + c * fb
+            if c:
+                num[i] = c
+            else:
+                del num[i]
+        if sym is not None:
+            sym = _symbol(num)
+        return _reduced(num, den, sym)
+
     def __add__(self, other):
+        if type(other) is int and self._num is not None:
+            return self._add_int(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._terms is None or o._terms is None:
+        if self._num is None or o._num is None:
             return Scalar.from_float(self.to_float() + o.to_float())
-        terms = dict(self._terms)
-        for m, c in o._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Scalar._make(terms)
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._terms is None:
+        if self._num is None:
             return Scalar.from_float(-self._float)
-        return Scalar._make({m: -c for m, c in self._terms.items()})
+        return _new({i: -c for i, c in self._num.items()}, self._den, self._sym)
 
     def __sub__(self, other):
+        if type(other) is int and self._num is not None:
+            return self._add_int(-other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if self._num is None or o._num is None:
+            return self + (-o)
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        if self._num is None or o._num is None:
+            return o + (-self)
+        return o._combine(self, -1)
+
+    def _mul_int(self, k: int) -> "Scalar":
+        """``self * k`` for an exact ``self``."""
+        if not k or not self._num:
+            return Scalar(0)
+        den = self._den
+        if den != 1:
+            g = math.gcd(k, den)
+            if g != 1:
+                k //= g
+                den //= g
+        return _new({i: c * k for i, c in self._num.items()}, den, self._sym)
 
     def __mul__(self, other):
+        if type(other) is int and self._num is not None:
+            return self._mul_int(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._terms is None or o._terms is None:
+        a, b = self._num, o._num
+        if a is None or b is None:
             return Scalar.from_float(self.to_float() * o.to_float())
-        terms: dict[Mono, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                m, carry = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2 * carry
-        return Scalar._make(terms)
+        if not a or not b:
+            return Scalar(0)
+        sym = None
+        if self._sym is not None or o._sym is not None:
+            sym = _joint_symbol(self, o)
+        num: dict[int, int] = {}
+        for i, ci in a.items():
+            for j, cj in b.items():
+                if not i:
+                    m, carry = j, 1
+                elif not j:
+                    m, carry = i, 1
+                else:
+                    m, carry = _MONO_PRODUCTS.get((i, j)) or _mono_product(i, j)
+                num[m] = num.get(m, 0) + ci * cj * carry
+        num = {m: c for m, c in num.items() if c}
+        if sym is not None:
+            sym = _symbol(num)
+        return _reduced(num, self._den * o._den, sym)
 
     __rmul__ = __mul__
 
@@ -328,7 +553,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._terms is None or o._terms is None:
+        if self._num is None or o._num is None:
             return Scalar.from_float(self.to_float() / o.to_float())
         return self * o.inverse()
 
@@ -353,21 +578,26 @@ class Scalar:
         return out
 
     def inverse(self) -> "Scalar":
-        if self._terms is None:
+        num = self._num
+        if num is None:
             return Scalar.from_float(1.0 / self._float)
-        if not self._terms:
+        if not num:
             raise ZeroDivisionError("scalar division by zero")
-        if len(self._terms) == 1:
-            ((m, c),) = self._terms.items()
-            mi, carry = _mono_inv(m)
-            return Scalar._make({mi: carry / c})
+        if len(num) == 1:
+            # (c/den * m)^-1 = den/c * m' / divisor
+            ((i, c),) = num.items()
+            m, divisor = _mono_inv(_MONOS[i])
+            j = _intern(m)
+            out = {j: self._den if c > 0 else -self._den}
+            return _reduced(out, abs(c) * divisor, _MONO_SYMS[j])
         if not self.is_algebraic:
             raise ExactnessError("cannot invert a sum involving pi or e exactly")
         return self._algebraic_inverse()
 
     def _algebraic_inverse(self) -> "Scalar":
+        terms = self.terms()
         orders: dict[int, int] = {}
-        for m in self._terms:
+        for m in terms:
             for p, e in m[0]:
                 orders[p] = math.lcm(orders.get(p, 1), e.denominator)
         primes = sorted(orders)
@@ -390,7 +620,7 @@ class Scalar:
         build(0, [])
         mat = [[Fraction(0)] * dim for _ in range(dim)]
         for j, bj in enumerate(basis):
-            for m, c in self._terms.items():
+            for m, c in terms.items():
                 mm, carry = _mono_mul(m, bj)
                 mat[index[mm]][j] += c * carry
         rhs = [Fraction(0)] * dim
@@ -406,59 +636,104 @@ class Scalar:
     # -- order, sign, floor ---------------------------------------------
 
     def _bounds_scaled(self, digits: int) -> tuple[int, int]:
-        """Integer enclosure at scale 10**digits; rigorous and allocation-light."""
+        """Integer enclosure at scale 10**digits: one dot product, one division."""
         lo = 0
         hi = 0
-        for m, c in self._terms.items():
-            mlo, mhi = _mono_int_bounds(m, digits)
-            p, q = c.numerator, c.denominator
-            if p >= 0:
-                a, b = p * mlo, p * mhi
+        for i, c in self._num.items():
+            mlo, mhi = _MONO_INT.get((i, digits)) or _mono_int_bounds(i, digits)
+            if c > 0:
+                lo += c * mlo
+                hi += c * mhi
             else:
-                a, b = p * mhi, p * mlo
-            lo += a // q
-            hi += -((-b) // q)
+                lo += c * mhi
+                hi += c * mlo
+        den = self._den
+        return lo // den, -((-hi) // den)
+
+    def _enclosure(self) -> tuple[int, int]:
+        """The 12-digit enclosure, computed once per scalar."""
+        enc = self._enc
+        if enc is None:
+            enc = self._enc = self._bounds_scaled(_ENCLOSURE_DIGITS)
+        return enc
+
+    def _bounds_per_term(self, digits: int) -> tuple[int, int]:
+        """Integer enclosure at scale 10**digits, each term rounded on its own.
+
+        This rounding fixes the values ``bounds()`` and ``float()`` return.
+        """
+        lo = 0
+        hi = 0
+        den = self._den
+        for i, c in self._num.items():
+            mlo, mhi = _mono_int_bounds(i, digits)
+            if c >= 0:
+                a, b = c * mlo, c * mhi
+            else:
+                a, b = c * mhi, c * mlo
+            lo += a // den
+            hi += -((-b) // den)
         return lo, hi
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """A rigorous rational enclosure, roughly ``digits`` decimals wide."""
-        if self._terms is None:
+        if self._num is None:
             v = Fraction(self._float)
             return v, v
-        lo, hi = self._bounds_scaled(digits)
+        lo, hi = self._bounds_per_term(digits)
         scale = 10 ** digits
         return Fraction(lo, scale), Fraction(hi, scale)
 
     def sign(self) -> int:
-        if self._terms is None:
+        num = self._num
+        if num is None:
             if abs(self._float) <= FLOAT_EPS:
                 return 0
             return 1 if self._float > 0 else -1
-        if not self._terms:
+        if not num:
             return 0
-        if len(self._terms) == 1:
-            ((_, c),) = self._terms.items()
+        if len(num) == 1:
+            (c,) = num.values()
             return 1 if c > 0 else -1
         for digits in _DIGITS_LADDER:
-            lo, hi = self._bounds_scaled(digits)
+            if digits == _ENCLOSURE_DIGITS:
+                lo, hi = self._enclosure()
+            else:
+                lo, hi = self._bounds_scaled(digits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
         raise ExactnessError(f"sign undecided for {self!r}")
 
+    def _compare(self, o: "Scalar") -> int:
+        """Sign of ``self - o`` for exact operands, deciding on enclosures first."""
+        if self._den == o._den and self._num == o._num:
+            return 0
+        if self._sym is not None and o._sym is not None:
+            _joint_symbol(self, o)  # the difference of pi and e values is refused
+        alo, ahi = self._enc or self._enclosure()
+        blo, bhi = o._enc or o._enclosure()
+        if ahi < blo:
+            return -1
+        if alo > bhi:
+            return 1
+        return self._combine(o, -1).sign()
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self._terms is not None and o._terms is not None:
-            return self._terms == o._terms
+        if self._num is not None and o._num is not None:
+            return self._den == o._den and self._num == o._num
         return abs(self.to_float() - o.to_float()) <= FLOAT_EPS
 
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._num is not None and o._num is not None:
+            return self._compare(o) < 0
         if self == o:
             return False
         return (self - o).sign() < 0
@@ -467,6 +742,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._num is not None and o._num is not None:
+            return self._compare(o) <= 0
         return self == o or (self - o).sign() < 0
 
     def __gt__(self, other):
@@ -483,21 +760,32 @@ class Scalar:
 
     def __hash__(self):
         if self._hash is None:
-            if self._terms is None:
+            if self._num is None:
                 self._hash = hash(("float", self._float))
             elif self.is_rational:
-                self._hash = hash(self._terms.get(_UNIT, Fraction(0)))
+                self._hash = hash(self.as_fraction())
             else:
-                self._hash = hash(frozenset(self._terms.items()))
+                # the hash of frozenset(self.terms().items()), from cached
+                # monomial hashes and without building a Fraction
+                den = self._den
+                self._hash = hash(
+                    frozenset(
+                        (_MONO_HASHES[i], _coefficient_hash(c, den))
+                        for i, c in self._num.items()
+                    )
+                )
         return self._hash
 
     def floor(self) -> int:
-        if self._terms is None:
+        if self._num is None:
             return math.floor(self._float)
         if self.is_rational:
-            return math.floor(self.as_fraction())
+            return self._num.get(0, 0) // self._den
         for digits in _DIGITS_LADDER:
-            lo, hi = self._bounds_scaled(digits)
+            if digits == _ENCLOSURE_DIGITS:
+                lo, hi = self._enclosure()
+            else:
+                lo, hi = self._bounds_scaled(digits)
             scale = 10 ** digits
             flo, fhi = lo // scale, hi // scale
             if flo == fhi:
@@ -507,22 +795,22 @@ class Scalar:
     __floor__ = floor
 
     def to_float(self) -> float:
-        if self._terms is None:
+        if self._num is None:
             return self._float
-        lo, hi = self.bounds(18)
-        return float((lo + hi) / 2)
+        lo, hi = self._bounds_per_term(18)
+        return (lo + hi) / (2 * 10 ** 18)
 
     __float__ = to_float
 
     # -- presentation & serialization -----------------------------------
 
     def __repr__(self):
-        if self._terms is None:
+        if self._num is None:
             return f"Scalar.from_float({self._float!r})"
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for m, c in sorted(self._terms.items(), key=lambda kv: (kv[0] != _UNIT, kv[0])):
+        for m, c in sorted(self.terms().items(), key=lambda kv: (kv[0] != _UNIT, kv[0])):
             factors = [str(c)] if (c != 1 or m == _UNIT) else []
             for p, e in m[0]:
                 factors.append(f"{p}^({e})")
@@ -533,12 +821,12 @@ class Scalar:
 
     def _as_quad(self) -> tuple[int, Fraction, Fraction] | None:
         """Decompose as a + b*sqrt(D) when possible (D squarefree > 1)."""
-        if self._terms is None or not self._terms:
+        if self._num is None or not self._num:
             return None
         a = Fraction(0)
         b = None
         d = None
-        for m, c in self._terms.items():
+        for m, c in self.terms().items():
             if m == _UNIT:
                 a = c
             elif not m[1] and all(e == Fraction(1, 2) for _, e in m[0]):
@@ -553,7 +841,7 @@ class Scalar:
         return d, a, b
 
     def to_obj(self):
-        if self._terms is None:
+        if self._num is None:
             return {"type": "float", "value": self._float}
         if self.is_rational:
             return {"type": "rat", "v": str(self.as_fraction())}
@@ -562,7 +850,7 @@ class Scalar:
             d, a, b = quad
             return {"type": "quad", "d": d, "a": str(a), "b": str(b)}
         terms = []
-        for m, c in sorted(self._terms.items()):
+        for m, c in sorted(self.terms().items()):
             terms.append(
                 {
                     "c": str(c),

@@ -778,19 +778,15 @@ def _monomial_system(rows, rhs) -> tuple[list[list[Fraction]], list[Fraction]]:
     Each scalar equation splits into one rational equation per monomial
     appearing anywhere on either side; unknowns are rational.
     """
-    monos = set()
-    for row in rows:
-        for v in row:
-            monos.update(v._terms.keys())
-    for v in rhs:
-        monos.update(v._terms.keys())
-    monos = sorted(monos)
+    row_terms = [[v.terms() for v in row] for row in rows]
+    rhs_terms = [v.terms() for v in rhs]
+    monos = sorted(set().union(*rhs_terms, *(t for row in row_terms for t in row)))
     mat = []
     vec = []
-    for row, rv in zip(rows, rhs):
+    for row, rv in zip(row_terms, rhs_terms):
         for mono in monos:
-            mat.append([v._terms.get(mono, Fraction(0)) for v in row])
-            vec.append(rv._terms.get(mono, Fraction(0)))
+            mat.append([t.get(mono, Fraction(0)) for t in row])
+            vec.append(rv.get(mono, Fraction(0)))
     return mat, vec
 
 
@@ -860,9 +856,10 @@ def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
 
 
 def _scaled_enclosure(v: Scalar, digits: int) -> tuple[int, int]:
-    if v._terms is not None:
-        return v._bounds_scaled(digits)
     scale = 10 ** digits
+    if v.is_exact:
+        lo, hi = v.bounds(digits)
+        return int(lo * scale), int(hi * scale)
     center = int(v._float * scale)
     pad = int(1e-9 * scale) + 1
     return (center - pad, center + pad)

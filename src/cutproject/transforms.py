@@ -386,7 +386,7 @@ def _span_values(points) -> list[Scalar]:
             if not v.is_exact:
                 flat = [Scalar.from_float(float(x)) for q in points for x in q]
                 return [Scalar(1)] + flat
-            for mono in v._terms:
+            for mono in v.terms():
                 if mono not in values:
                     values[mono] = Scalar._make({mono: Fraction(1)})
     return list(values.values())

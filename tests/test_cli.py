@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from cutproject import scalars
 from cutproject.cli import main
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_substitution, fibonacci_window
 from cutproject.hull import AlmostModelSetWitness, GammaRule
@@ -426,3 +429,29 @@ def test_generate_deterministic_union_window(tmp_path):
     assert run(argv + ["--out", str(b)]) == 0
     assert read(a) == read(b)
     assert len(read(a).splitlines()) > 10
+
+
+def test_tol_does_not_leak_into_later_commands(tmp_path):
+    # the star of x = 2205.9995... lies within 1e-3 of the window boundary, so
+    # the float-mode patch on this box depends on the tolerance
+    argv = [
+        "generate",
+        "--scheme", "builtin:fibonacci",
+        "--window", "builtin:fibonacci",
+        "--box", "2200:2210",
+        "--mode", "float",
+    ]
+    src = os.path.dirname(os.path.dirname(scalars.__file__))
+    fresh = tmp_path / "fresh.csv"
+    subprocess.run(
+        [sys.executable, "-m", "cutproject.cli", *argv, "--out", str(fresh)],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    loose = tmp_path / "loose.csv"
+    assert run(argv + ["--tol", "1e-3", "--out", str(loose)]) == 0
+    assert read(loose) != read(fresh)
+    assert scalars.FLOAT_EPS == 1e-9
+    after = tmp_path / "after.csv"
+    assert run(argv + ["--out", str(after)]) == 0
+    assert read(after) == read(fresh)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -169,3 +170,199 @@ def test_zero_handling():
     assert z.sign() == 0
     with pytest.raises(ZeroDivisionError):
         z.inverse()
+
+
+# -- differential test against a {monomial: Fraction} reference ----------------
+
+_REF_UNIT = ((), ())
+
+
+def _ref_mono_mul(a, b):
+    exps = dict(a[0])
+    for p, e in b[0]:
+        exps[p] = exps.get(p, Fraction(0)) + e
+    carry = 1
+    rad = []
+    for p in sorted(exps):
+        whole, e = divmod(exps[p], 1)
+        carry *= p ** int(whole)
+        if e:
+            rad.append((p, e))
+    return (tuple(rad), ()), carry
+
+
+def _ref_add(a, b, k=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + k * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m, carry = _ref_mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2 * carry
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_decimal(ref):
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 90
+        total = Decimal(0)
+        for (rad, _), c in ref.items():
+            v = Decimal(c.numerator) / Decimal(c.denominator)
+            for p, e in rad:
+                v *= Decimal(p) ** (Decimal(e.numerator) / Decimal(e.denominator))
+            total += v
+        return total
+
+
+def _ref_sign(ref):
+    if not ref:
+        return 0
+    return 1 if _ref_decimal(ref) > 0 else -1
+
+
+def _ref_floor(ref):
+    if set(ref) <= {_REF_UNIT}:
+        return math.floor(ref.get(_REF_UNIT, Fraction(0)))
+    return math.floor(_ref_decimal(ref))
+
+
+_ATOMS = (
+    (Scalar(1), {_REF_UNIT: Fraction(1)}),
+    (GOLDEN, {_REF_UNIT: Fraction(1, 2), (((5, Fraction(1, 2)),), ()): Fraction(1, 2)}),
+    (Scalar.sqrt(2), {(((2, Fraction(1, 2)),), ()): Fraction(1)}),
+    (Scalar.root(2, 3), {(((2, Fraction(1, 3)),), ()): Fraction(1)}),
+)
+
+
+def _random_pair(rng, depth):
+    """A random expression as (Scalar, reference) built from the atoms."""
+    if depth == 0:
+        x, ref = _ATOMS[rng.randrange(len(_ATOMS))]
+        c = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        return x * c, _ref_mul(ref, {_REF_UNIT: c}) if c else {}
+    a, ra = _random_pair(rng, depth - 1)
+    b, rb = _random_pair(rng, rng.randrange(depth))
+    op = rng.randrange(4)
+    if op == 0:
+        return a + b, _ref_add(ra, rb)
+    if op == 1:
+        return a - b, _ref_add(ra, rb, -1)
+    if op == 2:
+        return a * b, _ref_mul(ra, rb)
+    k = rng.randint(-7, 7)
+    return a * k, _ref_mul(ra, {_REF_UNIT: Fraction(k)}) if k else {}
+
+
+def _check_against_reference(x, rx, y, ry):
+    assert x.terms() == rx
+    assert x.sign() == _ref_sign(rx)
+    assert x.floor() == _ref_floor(rx)
+    assert (x == y) == (rx == ry)
+    diff = 0 if rx == ry else _ref_sign(_ref_add(rx, ry, -1))
+    assert (x < y) == (diff < 0)
+    assert (x <= y) == (diff <= 0)
+    assert (x > y) == (diff > 0)
+    assert (x >= y) == (diff >= 0)
+
+
+def test_differential_against_fraction_reference():
+    import random
+
+    rng = random.Random(20240611)
+    pairs = [_random_pair(rng, rng.randrange(4)) for _ in range(300)]
+    for (x, rx), (y, ry) in zip(pairs, pairs[1:] + pairs[:1]):
+        _check_against_reference(x, rx, y, ry)
+        _check_against_reference(x, rx, x + 1 - 1, dict(rx))
+
+
+def test_near_ties_fall_back_to_the_sign_ladder():
+    fib = [0, 1]
+    while len(fib) < 32:
+        fib.append(fib[-1] + fib[-2])
+    golden_ref = _ATOMS[1][1]
+    ratio = Fraction(fib[31], fib[30])  # above golden by about 6.5e-13
+    x = Scalar(1) + Scalar.sqrt(2) * 3 - Scalar.root(2, 3)
+    rx = _ref_add(_ref_add({_REF_UNIT: Fraction(1)}, _ATOMS[2][1], 3), _ATOMS[3][1], -1)
+    tiny = Fraction(1, 10 ** 20)
+    ties = [
+        (Scalar(ratio), {_REF_UNIT: ratio}, GOLDEN, golden_ref),
+        (x, rx, x + tiny, _ref_add(rx, {_REF_UNIT: tiny})),
+    ]
+    for a, ra, b, rb in ties:
+        # the 12-digit enclosures overlap, so only the ladder can decide
+        alo, ahi = a._enclosure()
+        blo, bhi = b._enclosure()
+        assert alo <= bhi and blo <= ahi
+        _check_against_reference(a, ra, b, rb)
+        _check_against_reference(b, rb, a, ra)
+    assert Scalar(ratio) > GOLDEN
+    assert x < x + tiny
+
+
+# -- fixed encodings ---------------------------------------------------------------
+
+
+def test_encodings_are_pinned():
+    pi = Scalar.const("pi")
+    cases = [
+        (
+            Scalar(Fraction(-22, 7)),
+            '{"type": "rat", "v": "-22/7"}',
+            "-22/7",
+            -3.142857142857143,
+        ),
+        (
+            GOLDEN * 3 - Fraction(1, 4),
+            '{"type": "quad", "d": 5, "a": "5/4", "b": "3/2"}',
+            "5/4 + 3/2*5^(1/2)",
+            4.604101966249685,
+        ),
+        (
+            Scalar.root(2, 3) * 5 - Fraction(1, 2),
+            '{"type": "alg", "terms": [{"c": "-1/2", "rad": [], "sym": []}, '
+            '{"c": "5", "rad": [[2, "1/3"]], "sym": []}]}',
+            "-1/2 + 5*2^(1/3)",
+            5.799605249474366,
+        ),
+        (
+            Scalar.sqrt(2) + Scalar.sqrt(3),
+            '{"type": "alg", "terms": [{"c": "1", "rad": [[2, "1/2"]], "sym": []}, '
+            '{"c": "1", "rad": [[3, "1/2"]], "sym": []}]}',
+            "2^(1/2) + 3^(1/2)",
+            3.1462643699419726,
+        ),
+        (
+            Scalar(1) / pi + pi * Fraction(2, 3),
+            '{"type": "alg", "terms": [{"c": "1", "rad": [], "sym": [["pi", -1]]}, '
+            '{"c": "2/3", "rad": [], "sym": [["pi", 1]]}]}',
+            "pi^-1 + 2/3*pi",
+            2.4127049885769862,
+        ),
+    ]
+    for x, encoded, text, value in cases:
+        assert json.dumps(x.to_obj()) == encoded
+        assert repr(x) == text
+        assert float(x) == value
+        assert Scalar.from_obj(json.loads(encoded)) == x
+
+
+def test_hashes_are_pinned():
+    assert hash(Scalar(3)) == hash(3)
+    assert hash(Scalar(Fraction(1, 3))) == hash(Fraction(1, 3))
+    x = Scalar.sqrt(2) * Fraction(-5, 6) + Scalar.root(2, 3) + 7
+    assert hash(x) == hash(frozenset(x.terms().items()))
+
+
+def test_mixing_pi_and_e_is_refused():
+    pi, e = Scalar.const("pi"), Scalar.const("e")
+    with pytest.raises(ExactnessError):
+        _ = pi + e
+    with pytest.raises(ExactnessError):
+        _ = pi * e
