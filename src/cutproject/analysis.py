@@ -12,12 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .internal_space import (
-    FiniteCyclicFactor,
-    InternalSpace,
-    TorusFactor,
-    TwistedExtensionFactor,
-)
+from .internal_space import InternalSpace
 from .scalars import Scalar
 from .scheme import Box, CutProjectScheme, Patch
 from .windows import Window
@@ -85,25 +80,15 @@ def annihilator_projection(scheme: CutProjectScheme, count: int) -> list[tuple[S
     fractional shift generator each.  Only the base factor family (real,
     integer, finite cyclic) is supported.
     """
-    for f in scheme.space.factors:
-        if isinstance(f, (TorusFactor, TwistedExtensionFactor)):
-            raise ValueError("annihilator projection needs the base factor family")
+    shifts = [
+        target
+        for idx, f in enumerate(scheme.space.factors)
+        for target in f.annihilator_shifts([h.coords[idx] for _, h in scheme.generators])
+    ]
     size = scheme.lift_size
     transpose = [[scheme.matrix[j][i] for j in range(size)] for i in range(size)]
-    gens: list[tuple[Scalar, ...]] = []
-    for k in range(size):
-        e_k = [Scalar(1 if i == k else 0) for i in range(size)]
-        u = linalg.solve_exact(transpose, e_k)
-        gens.append(tuple(u[: scheme.d]))
-    # one fractional shift per finite cyclic factor
-    for idx, f in enumerate(scheme.space.factors):
-        if isinstance(f, FiniteCyclicFactor):
-            target = [
-                -Scalar(h.coords[idx]) / f.modulus for _, h in scheme.generators
-            ]
-            u = linalg.solve_exact(transpose, target)
-            gens.append(tuple(u[: scheme.d]))
-    return gens[:count]
+    units = [[Scalar(1 if i == k else 0) for i in range(size)] for k in range(size)]
+    return [tuple(linalg.solve_exact(transpose, t)[: scheme.d]) for t in (units + shifts)[:count]]
 
 
 def empirical_density(scheme: CutProjectScheme, window: Window, n_values) -> DensityReport:
@@ -172,7 +157,7 @@ def equidistribution_check(
     """
     torus_idx = None
     for idx, f in enumerate(scheme.space.factors):
-        if isinstance(f, TorusFactor):
+        if f.kind == "torus":
             torus_idx = idx
     if torus_idx is None:
         raise ValueError("scheme has no torus factor")

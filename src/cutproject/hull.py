@@ -9,15 +9,16 @@ truncation, which is where the limit collapses to a single model set.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import transforms
-from .internal_space import HPoint, InternalSpace, RealFactor
+from .internal_space import HPoint, InternalSpace
 from .scalars import Scalar
 from .scheme import Box, CutProjectScheme, Patch
-from .windows import ProductWindow, Window
+from .windows import AugmentedWindow, ProductWindow, Window, point_window
 
 LADDER = (
     lambda: Scalar(1) / Scalar.const("pi"),
@@ -198,49 +199,8 @@ class LimitPatchReport:
 
 
 def _star_distance(h: HPoint, target: HPoint) -> float:
-    total = 0.0
-    for f, a, b in zip(h.space.factors, h.coords, target.coords):
-        if isinstance(f, RealFactor):
-            total += sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
-        elif a != b:
-            total += 1.0
-    return total ** 0.5
-
-
-def _neighborhood_window(space: InternalSpace, t: HPoint, delta) -> Window:
-    """A small product window around a point: +-delta on continuous axes."""
-    from .internal_space import FiniteCyclicFactor, IntegerRankFactor, TorusFactor
-    from .windows import (
-        IntervalSet,
-        IntSetRegion,
-        ProductWindow,
-        RealRegion,
-        ResidueRegion,
-        TorusRegion,
-        TwistedRegion,
-    )
-
-    delta = Scalar.of(delta)
-    regions = []
-    for f, c in zip(space.factors, t.coords):
-        if isinstance(f, RealFactor):
-            regions.append(
-                RealRegion(tuple(IntervalSet.single(x - delta, x + delta, True, True) for x in c))
-            )
-        elif isinstance(f, IntegerRankFactor):
-            regions.append(IntSetRegion(f.rank, {tuple(c)}))
-        elif isinstance(f, FiniteCyclicFactor):
-            regions.append(ResidueRegion(f.modulus, {c}))
-        elif isinstance(f, TorusFactor):
-            axes = []
-            for x in c:
-                lo, hi = x - delta, x + delta
-                axes.append(IntervalSet.single(lo, hi, True, True))
-            regions.append(TorusRegion(f, tuple(axes)))
-        else:
-            base = _neighborhood_window(f.base, c[0], delta)
-            regions.append(TwistedRegion(f, {c[1]: base}))
-    return ProductWindow(space, regions)
+    pairs = zip(h.space.factors, h.coords, target.coords)
+    return sum(f.distance_sq(a, b) for f, a, b in pairs) ** 0.5
 
 
 def limit_patch_check(
@@ -287,7 +247,7 @@ def limit_patch_check(
             [max(v, Scalar.from_float(-cap)) for v in s_lo],
             [min(v, Scalar.from_float(cap)) for v in s_hi],
         )
-        nbhd = _neighborhood_window(scheme.space, t_target, delta)
+        nbhd = point_window(scheme.space, t_target, Scalar.of(delta))
         improved = False
         for n in scheme.project_points(cap_box, nbhd).coords:
             dist = _star_distance(scheme.star(n), t_target)
@@ -344,7 +304,7 @@ def window_difference_points(lower: Window, upper: Window) -> list[HPoint]:
     candidates: set[HPoint] = set()
     for member in upper_cl.members():
         candidates.update(_member_corner_points(space, member))
-    if isinstance(lower, ProductWindow) or hasattr(lower, "members_"):
+    if not isinstance(lower, AugmentedWindow):
         for member in lower.members():
             candidates.update(_member_corner_points(space, member))
     out = []
@@ -356,20 +316,8 @@ def window_difference_points(lower: Window, upper: Window) -> list[HPoint]:
 
 def _member_corner_points(space: InternalSpace, member: ProductWindow) -> list[HPoint]:
     """Endpoint combinations of a product window's per-factor regions."""
-    import itertools as _it
-
-    per_factor = []
-    for f, r in zip(space.factors, member.regions):
-        if isinstance(f, RealFactor):
-            axes = [list(dict.fromkeys(a.endpoints())) for a in r.axes]
-            per_factor.append([tuple(c) for c in _it.product(*axes)])
-        elif hasattr(r, "points"):
-            per_factor.append(sorted(r.points))
-        elif hasattr(r, "residues"):
-            per_factor.append(sorted(r.residues))
-        else:
-            raise ValueError("difference points support real and discrete factors only")
-    return [space.point(*combo) for combo in _it.product(*per_factor)]
+    per_factor = [r.corner_coords() for r in member.regions]
+    return [space.point(*combo) for combo in itertools.product(*per_factor)]
 
 
 def check_shift_avoidance(
@@ -420,14 +368,7 @@ def generic_shift(
 
 def shift_point(space: InternalSpace, value: Scalar) -> HPoint:
     """A point with the given value on every real axis and zeros elsewhere."""
-    coords = []
-    for f in space.factors:
-        if isinstance(f, RealFactor):
-            coords.append(tuple(value for _ in range(f.dim)))
-        else:
-            zero = InternalSpace([f]).zero()
-            coords.append(zero.coords[0])
-    return HPoint(space, tuple(coords))
+    return HPoint(space, tuple(f.real_constant(value) for f in space.factors))
 
 
 @dataclass

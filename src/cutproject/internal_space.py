@@ -5,10 +5,16 @@ torus quotients of R^d by a nonsingular lattice basis, and cyclic extensions
 of a base space twisted by a carry element.  Points carry canonical
 coordinates (reduced residues, fundamental-domain torus representatives), so
 equality of points is plain structural comparison.
+
+Each factor kind is one class with the method set of ``Factor``; spaces,
+points, windows and schemes loop over factors through those methods, and a
+twisted extension recurses into its base space.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -19,44 +25,227 @@ class SpaceMismatchError(ValueError):
     pass
 
 
+def _as_tuple(c):
+    return c if isinstance(c, (tuple, list)) else (c,)
+
+
+class Factor:
+    """One factor kind of an internal space.
+
+    A coordinate is a factor's part of a point.  ``zero``, ``canonical``,
+    ``add`` and ``scale`` are the group law on canonical coordinates;
+    ``to_obj``/``from_obj`` and ``coord_to_obj``/``coord_from_obj`` the JSON
+    encodings of the factor and of its coordinates; ``kind`` names both the
+    factor's encoding and the window region that fits it.
+
+    A scheme reads coordinates through two linear systems.  Lifted rows
+    (``lift_values``) are the coordinates that bound lattice enumeration;
+    ``lift_relations`` are coordinates whose lifted rows become extra
+    columns, so that the rows are linear in the lifted integer coordinates.
+    Kernel rows (``kernel_values``) are all coordinates; ``kernel_relations``
+    are coordinates whose kernel rows span the congruences under which a
+    point is zero.  The defaults describe a factor with none of these.
+    """
+
+    __slots__ = ()
+    kind = ""
+    real_dim = 0
+    continuous_dim = 0
+    integer_rank = 0
+
+    def covolume_factor(self):
+        """What the factor multiplies the lattice covolume by."""
+        return 1
+
+    def lift_values(self, c) -> list[Scalar]:
+        return []
+
+    def lift_relations(self) -> list:
+        return []
+
+    def kernel_values(self, c) -> list[Scalar]:
+        return self.lift_values(c)
+
+    def kernel_relations(self) -> list:
+        return []
+
+    def continuous_values(self, c):
+        return ()
+
+    def real_constant(self, value):
+        """The coordinate with ``value`` on every real axis, zero elsewhere."""
+        return self.zero()
+
+    def distance_sq(self, a, b) -> float:
+        """Squared distance of two coordinates; 1 for any discrete mismatch."""
+        return 0.0 if a == b else 1.0
+
+    def annihilator_shifts(self, coords) -> list:
+        """Targets of the fractional dual-lattice shifts the factor adds,
+        given the generators' coordinates."""
+        return []
+
+
+class _VectorFactor(Factor):
+    """Coordinates are tuples under componentwise addition."""
+
+    __slots__ = ()
+
+    def add(self, a, b):
+        return tuple(map(operator.add, a, b))
+
+    def scale(self, a, k):
+        return tuple([v * k for v in a])
+
+
 @dataclass(frozen=True)
-class RealFactor:
+class RealFactor(_VectorFactor):
     dim: int
+    kind = "real"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("real factor needs dim >= 1")
 
+    @property
+    def real_dim(self):
+        return self.dim
+
+    continuous_dim = real_dim
+
+    def zero(self):
+        return tuple(Scalar(0) for _ in range(self.dim))
+
+    def canonical(self, c):
+        vec = tuple(Scalar.of(v) for v in _as_tuple(c))
+        if len(vec) != self.dim:
+            raise SpaceMismatchError("real coordinate arity mismatch")
+        return vec
+
+    def to_obj(self):
+        return {"factor": self.kind, "dim": self.dim}
+
+    @classmethod
+    def from_obj(cls, obj):
+        return cls(obj["dim"])
+
+    def coord_to_obj(self, c):
+        return [v.to_obj() for v in c]
+
+    def coord_from_obj(self, obj):
+        return tuple(Scalar.from_obj(v) for v in obj)
+
+    def lift_values(self, c):
+        return list(c)
+
+    def continuous_values(self, c):
+        return c
+
+    def real_constant(self, value):
+        return tuple(value for _ in range(self.dim))
+
+    def distance_sq(self, a, b):
+        return sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
+
 
 @dataclass(frozen=True)
-class IntegerRankFactor:
+class IntegerRankFactor(_VectorFactor):
     rank: int
+    kind = "integer"
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("integer factor needs rank >= 1")
 
+    @property
+    def integer_rank(self):
+        return self.rank
+
+    def zero(self):
+        return (0,) * self.rank
+
+    def canonical(self, c):
+        vec = tuple(int(v) for v in _as_tuple(c))
+        if len(vec) != self.rank:
+            raise SpaceMismatchError("integer coordinate arity mismatch")
+        return vec
+
+    def to_obj(self):
+        return {"factor": self.kind, "rank": self.rank}
+
+    @classmethod
+    def from_obj(cls, obj):
+        return cls(obj["rank"])
+
+    def coord_to_obj(self, c):
+        return list(c)
+
+    def coord_from_obj(self, obj):
+        return tuple(int(v) for v in obj)
+
+    def lift_values(self, c):
+        return [Scalar(v) for v in c]
+
 
 @dataclass(frozen=True)
-class FiniteCyclicFactor:
+class FiniteCyclicFactor(Factor):
     modulus: int
+    kind = "cyclic"
 
     def __post_init__(self):
         if self.modulus < 2:
             raise ValueError("cyclic factor needs modulus >= 2")
 
+    def zero(self):
+        return 0
 
-class TorusFactor:
+    def canonical(self, c):
+        return int(c) % self.modulus
+
+    def add(self, a, b):
+        return (a + b) % self.modulus
+
+    def scale(self, a, k):
+        return (a * k) % self.modulus
+
+    def to_obj(self):
+        return {"factor": self.kind, "modulus": self.modulus}
+
+    @classmethod
+    def from_obj(cls, obj):
+        return cls(obj["modulus"])
+
+    def coord_to_obj(self, c):
+        return c
+
+    def coord_from_obj(self, obj):
+        return int(obj)
+
+    def covolume_factor(self):
+        return self.modulus
+
+    def kernel_values(self, c):
+        return [Scalar(c)]
+
+    def kernel_relations(self):
+        return [-self.modulus]
+
+    def annihilator_shifts(self, coords):
+        return [[-Scalar(c) / self.modulus for c in coords]]
+
+
+class TorusFactor(Factor):
     """R^dim modulo the lattice spanned by the rows of ``basis``.
 
     Point coordinates are fractional (basis coefficients in [0, 1)); the
     ambient representative in the fundamental parallelepiped is derived.
     """
 
-    __slots__ = ("dim", "basis", "_hash")
+    __slots__ = ("dim", "basis", "_hash", "continuous_dim")
+    kind = "torus"
 
     def __init__(self, dim: int, basis: tuple[tuple[Scalar, ...], ...]):
-        self.dim = dim
+        self.dim = self.continuous_dim = dim
         self.basis = tuple(tuple(Scalar.of(v) for v in row) for row in basis)
         if len(self.basis) != dim or any(len(r) != dim for r in self.basis):
             raise ValueError("torus basis must be a square matrix")
@@ -90,6 +279,64 @@ class TorusFactor:
             out.append(acc)
         return tuple(out)
 
+    def zero(self):
+        return tuple(Scalar(0) for _ in range(self.dim))
+
+    def canonical(self, c):
+        vec = tuple(Scalar.of(v) for v in _as_tuple(c))
+        if len(vec) != self.dim:
+            raise SpaceMismatchError("torus coordinate arity mismatch")
+        return self.fractional(vec)
+
+    def add(self, a, b):
+        summed = []
+        for u, v in zip(a, b):
+            s = u + v
+            if s >= 1:
+                s = s - 1
+            summed.append(s)
+        return tuple(summed)
+
+    def scale(self, a, k):
+        scaled = []
+        for v in a:
+            s = v * k
+            scaled.append(s - s.floor())
+        return tuple(scaled)
+
+    def to_obj(self):
+        return {
+            "factor": self.kind,
+            "dim": self.dim,
+            "basis": [[v.to_obj() for v in row] for row in self.basis],
+        }
+
+    @classmethod
+    def from_obj(cls, obj):
+        basis = tuple(tuple(Scalar.from_obj(v) for v in row) for row in obj["basis"])
+        return cls(obj["dim"], basis)
+
+    def coord_to_obj(self, c):
+        return [v.to_obj() for v in self.ambient(c)]
+
+    def coord_from_obj(self, obj):
+        return tuple(Scalar.from_obj(v) for v in obj)
+
+    def covolume_factor(self):
+        return self.mass()
+
+    def kernel_values(self, c):
+        return list(c)
+
+    def kernel_relations(self):
+        return [tuple(-v for v in row) for row in self.basis]
+
+    def continuous_values(self, c):
+        return c
+
+    def annihilator_shifts(self, coords):
+        raise ValueError("annihilator projection needs the base factor family")
+
     def __eq__(self, other):
         return (
             isinstance(other, TorusFactor)
@@ -106,14 +353,18 @@ class TorusFactor:
         return f"TorusFactor({self.dim}, {self.basis!r})"
 
 
-class TwistedExtensionFactor:
+class TwistedExtensionFactor(Factor):
     """Cyclic extension of ``base`` with carry element ``twist``.
 
     Points are pairs (h, r) with h in the base and r in [0, modulus); adding
-    residues past the modulus folds the carry back in via ``twist``.
+    residues past the modulus folds the carry back in via ``twist``.  Every
+    method recurses into the base space; the residue adds one lifted and
+    one kernel row, and the carry relation m * (0, 1) = (twist, 0) one
+    column to each system.
     """
 
-    __slots__ = ("base", "modulus", "twist", "_hash")
+    __slots__ = ("base", "modulus", "twist", "_hash", "real_dim", "continuous_dim", "integer_rank")
+    kind = "twisted"
 
     def __init__(self, base: "InternalSpace", modulus: int, twist: "HPoint"):
         if modulus < 1:
@@ -126,6 +377,79 @@ class TwistedExtensionFactor:
         self.modulus = modulus
         self.twist = twist
         self._hash = None
+        self.real_dim = base.real_dim
+        self.continuous_dim = base.continuous_dim
+        self.integer_rank = base.integer_rank
+
+    def zero(self):
+        return (self.base.zero(), 0)
+
+    def canonical(self, c):
+        h, r = c
+        if h.space != self.base:
+            raise SpaceMismatchError("twisted base coordinate mismatch")
+        return self._reduce(h, int(r))
+
+    def _reduce(self, h: "HPoint", r: int) -> tuple:
+        s = r // self.modulus
+        r -= s * self.modulus
+        if s:
+            h = self.base.add(h, self.base.scale(self.twist, s))
+        return (h, r)
+
+    def add(self, a, b):
+        h1, r1 = a
+        h2, r2 = b
+        h = self.base.add(h1, h2)
+        r = r1 + r2
+        if r >= self.modulus:
+            h = self.base.add(h, self.twist)
+            r -= self.modulus
+        return (h, r)
+
+    def scale(self, a, k):
+        h, r = a
+        return self._reduce(self.base.scale(h, k), r * k)
+
+    def to_obj(self):
+        return {
+            "factor": self.kind,
+            "modulus": self.modulus,
+            "base": self.base.to_obj(),
+            "twist": self.twist.to_obj(),
+        }
+
+    @classmethod
+    def from_obj(cls, obj):
+        base = InternalSpace.from_obj(obj["base"])
+        return cls(base, obj["modulus"], HPoint.from_obj(base, obj["twist"]))
+
+    def coord_to_obj(self, c):
+        return {"base": c[0].to_obj(), "r": c[1]}
+
+    def coord_from_obj(self, obj):
+        return (HPoint.from_obj(self.base, obj["base"]), int(obj["r"]))
+
+    def covolume_factor(self):
+        return math.prod(f.covolume_factor() for f in self.base.factors)
+
+    def lift_values(self, c):
+        return self.base.lift_values(c[0]) + [Scalar(c[1])]
+
+    def lift_relations(self):
+        return [(self.twist, -self.modulus)]
+
+    def kernel_values(self, c):
+        return self.base.kernel_values(c[0]) + [Scalar(c[1])]
+
+    def kernel_relations(self):
+        return [(h, 0) for h in self.base.kernel_relations()] + [(self.twist, -self.modulus)]
+
+    def continuous_values(self, c):
+        return self.base.continuous_values(c[0])
+
+    def annihilator_shifts(self, coords):
+        raise ValueError("annihilator projection needs the base factor family")
 
     def __eq__(self, other):
         return (
@@ -144,15 +468,21 @@ class TwistedExtensionFactor:
         return f"TwistedExtensionFactor({self.base!r}, {self.modulus}, {self.twist!r})"
 
 
-Factor = RealFactor | IntegerRankFactor | FiniteCyclicFactor | TorusFactor | TwistedExtensionFactor
+_FACTOR_KINDS = {
+    cls.kind: cls
+    for cls in (RealFactor, IntegerRankFactor, FiniteCyclicFactor, TorusFactor, TwistedExtensionFactor)
+}
 
 
 class InternalSpace:
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "_hash", "_zero", "_adds", "_scales")
 
     def __init__(self, factors=()):
         self.factors = tuple(factors)
-        self._hash = None
+        self._hash = self._zero = None
+        # bound once per space: add and scale are the package's hottest calls
+        self._adds = tuple(f.add for f in self.factors)
+        self._scales = tuple(f.scale for f in self.factors)
 
     def __eq__(self, other):
         if self is other:
@@ -172,56 +502,50 @@ class InternalSpace:
     @property
     def continuous_dim(self) -> int:
         """Total real dimension (real, torus and twisted-base directions)."""
-        total = 0
-        for f in self.factors:
-            if isinstance(f, RealFactor):
-                total += f.dim
-            elif isinstance(f, TorusFactor):
-                total += f.dim
-            elif isinstance(f, TwistedExtensionFactor):
-                total += f.base.continuous_dim
-        return total
+        return sum(f.continuous_dim for f in self.factors)
 
     @property
     def real_dim(self) -> int:
-        total = 0
-        for f in self.factors:
-            if isinstance(f, RealFactor):
-                total += f.dim
-            elif isinstance(f, TwistedExtensionFactor):
-                total += f.base.real_dim
-        return total
+        return sum(f.real_dim for f in self.factors)
 
     @property
     def integer_rank(self) -> int:
-        total = 0
-        for f in self.factors:
-            if isinstance(f, IntegerRankFactor):
-                total += f.rank
-            elif isinstance(f, TwistedExtensionFactor):
-                total += f.base.integer_rank
-        return total
+        return sum(f.integer_rank for f in self.factors)
 
     def point_mass(self) -> Scalar:
         """Haar measure of a single point (1 on fully discrete spaces)."""
         return Scalar(0) if self.continuous_dim > 0 else Scalar(1)
 
+    def lift_values(self, h: "HPoint") -> list[Scalar]:
+        return [v for f, c in zip(self.factors, h.coords) for v in f.lift_values(c)]
+
+    def kernel_values(self, h: "HPoint") -> list[Scalar]:
+        return [v for f, c in zip(self.factors, h.coords) for v in f.kernel_values(c)]
+
+    def continuous_values(self, h: "HPoint") -> list[Scalar]:
+        return [v for f, c in zip(self.factors, h.coords) for v in f.continuous_values(c)]
+
+    def lift_relations(self) -> list["HPoint"]:
+        return self._embed_relations(lambda f: f.lift_relations())
+
+    def kernel_relations(self) -> list["HPoint"]:
+        return self._embed_relations(lambda f: f.kernel_relations())
+
+    def _embed_relations(self, relations_of) -> list["HPoint"]:
+        """Each factor's relation coordinates as (uncanonical) points, zero elsewhere."""
+        zero = self.zero().coords
+        return [
+            HPoint(self, zero[:i] + (rel,) + zero[i + 1:])
+            for i, f in enumerate(self.factors)
+            for rel in relations_of(f)
+        ]
+
     # -- point construction ------------------------------------------------
 
     def zero(self) -> "HPoint":
-        coords = []
-        for f in self.factors:
-            if isinstance(f, RealFactor):
-                coords.append(tuple(Scalar(0) for _ in range(f.dim)))
-            elif isinstance(f, IntegerRankFactor):
-                coords.append((0,) * f.rank)
-            elif isinstance(f, FiniteCyclicFactor):
-                coords.append(0)
-            elif isinstance(f, TorusFactor):
-                coords.append(tuple(Scalar(0) for _ in range(f.dim)))
-            else:
-                coords.append((f.base.zero(), 0))
-        return HPoint(self, tuple(coords))
+        if self._zero is None:
+            self._zero = HPoint(self, tuple(f.zero() for f in self.factors))
+        return self._zero
 
     def point(self, *coords) -> "HPoint":
         """Build a point, canonicalizing residues and torus representatives."""
@@ -229,63 +553,15 @@ class InternalSpace:
             raise SpaceMismatchError(
                 f"expected {len(self.factors)} factor coordinates, got {len(coords)}"
             )
-        out = []
-        for f, c in zip(self.factors, coords):
-            if isinstance(f, RealFactor):
-                vec = tuple(Scalar.of(v) for v in (c if isinstance(c, (tuple, list)) else (c,)))
-                if len(vec) != f.dim:
-                    raise SpaceMismatchError("real coordinate arity mismatch")
-                out.append(vec)
-            elif isinstance(f, IntegerRankFactor):
-                vec_i = tuple(int(v) for v in (c if isinstance(c, (tuple, list)) else (c,)))
-                if len(vec_i) != f.rank:
-                    raise SpaceMismatchError("integer coordinate arity mismatch")
-                out.append(vec_i)
-            elif isinstance(f, FiniteCyclicFactor):
-                out.append(int(c) % f.modulus)
-            elif isinstance(f, TorusFactor):
-                vec = tuple(Scalar.of(v) for v in (c if isinstance(c, (tuple, list)) else (c,)))
-                if len(vec) != f.dim:
-                    raise SpaceMismatchError("torus coordinate arity mismatch")
-                out.append(f.fractional(vec))
-            else:
-                h, r = c
-                if h.space != f.base:
-                    raise SpaceMismatchError("twisted base coordinate mismatch")
-                out.append(_twist_reduce(f, h, int(r)))
-        return HPoint(self, tuple(out))
+        return HPoint(self, tuple(f.canonical(c) for f, c in zip(self.factors, coords)))
 
     # -- group operations ---------------------------------------------------
 
     def add(self, x: "HPoint", y: "HPoint") -> "HPoint":
         if x.space != self or y.space != self:
             raise SpaceMismatchError("operands from a different space")
-        coords = []
-        for f, a, b in zip(self.factors, x.coords, y.coords):
-            if isinstance(f, RealFactor):
-                coords.append(tuple(u + v for u, v in zip(a, b)))
-            elif isinstance(f, IntegerRankFactor):
-                coords.append(tuple(u + v for u, v in zip(a, b)))
-            elif isinstance(f, FiniteCyclicFactor):
-                coords.append((a + b) % f.modulus)
-            elif isinstance(f, TorusFactor):
-                summed = []
-                for u, v in zip(a, b):
-                    s = u + v
-                    if s >= 1:
-                        s = s - 1
-                    summed.append(s)
-                coords.append(tuple(summed))
-            else:
-                h1, r1 = a
-                h2, r2 = b
-                h = f.base.add(h1, h2)
-                r = r1 + r2
-                if r >= f.modulus:
-                    h = f.base.add(h, f.twist)
-                    r -= f.modulus
-                coords.append((h, r))
-        return HPoint(self, tuple(coords))
+        ops = zip(self._adds, x.coords, y.coords)
+        return HPoint(self, tuple([add(a, b) for add, a, b in ops]))
 
     def negate(self, x: "HPoint") -> "HPoint":
         return self.scale(x, -1)
@@ -293,77 +569,21 @@ class InternalSpace:
     def scale(self, x: "HPoint", k: int) -> "HPoint":
         if x.space != self:
             raise SpaceMismatchError("operand from a different space")
-        coords = []
-        for f, a in zip(self.factors, x.coords):
-            if isinstance(f, RealFactor):
-                coords.append(tuple(v * k for v in a))
-            elif isinstance(f, IntegerRankFactor):
-                coords.append(tuple(v * k for v in a))
-            elif isinstance(f, FiniteCyclicFactor):
-                coords.append((a * k) % f.modulus)
-            elif isinstance(f, TorusFactor):
-                scaled = []
-                for v in a:
-                    s = v * k
-                    scaled.append(s - s.floor())
-                coords.append(tuple(scaled))
-            else:
-                h, r = a
-                coords.append(_twist_reduce(f, f.base.scale(h, k), r * k))
-        return HPoint(self, tuple(coords))
+        return HPoint(self, tuple([scale(a, k) for scale, a in zip(self._scales, x.coords)]))
 
     # -- serialization -------------------------------------------------------
 
     def to_obj(self):
-        out = []
-        for f in self.factors:
-            if isinstance(f, RealFactor):
-                out.append({"factor": "real", "dim": f.dim})
-            elif isinstance(f, IntegerRankFactor):
-                out.append({"factor": "integer", "rank": f.rank})
-            elif isinstance(f, FiniteCyclicFactor):
-                out.append({"factor": "cyclic", "modulus": f.modulus})
-            elif isinstance(f, TorusFactor):
-                out.append(
-                    {
-                        "factor": "torus",
-                        "dim": f.dim,
-                        "basis": [[v.to_obj() for v in row] for row in f.basis],
-                    }
-                )
-            else:
-                out.append(
-                    {
-                        "factor": "twisted",
-                        "modulus": f.modulus,
-                        "base": f.base.to_obj(),
-                        "twist": f.twist.to_obj(),
-                    }
-                )
-        return {"factors": out}
+        return {"factors": [f.to_obj() for f in self.factors]}
 
     @classmethod
     def from_obj(cls, obj) -> "InternalSpace":
-        factors: list[Factor] = []
+        factors = []
         for fo in obj["factors"]:
             kind = fo["factor"]
-            if kind == "real":
-                factors.append(RealFactor(fo["dim"]))
-            elif kind == "integer":
-                factors.append(IntegerRankFactor(fo["rank"]))
-            elif kind == "cyclic":
-                factors.append(FiniteCyclicFactor(fo["modulus"]))
-            elif kind == "torus":
-                basis = tuple(
-                    tuple(Scalar.from_obj(v) for v in row) for row in fo["basis"]
-                )
-                factors.append(TorusFactor(fo["dim"], basis))
-            elif kind == "twisted":
-                base = cls.from_obj(fo["base"])
-                twist = HPoint.from_obj(base, fo["twist"])
-                factors.append(TwistedExtensionFactor(base, fo["modulus"], twist))
-            else:
+            if kind not in _FACTOR_KINDS:
                 raise ValueError(f"unknown factor kind {kind!r}")
+            factors.append(_FACTOR_KINDS[kind].from_obj(fo))
         return cls(factors)
 
 
@@ -391,41 +611,13 @@ class HPoint:
         return f"HPoint({self.coords!r})"
 
     def to_obj(self):
-        out = []
-        for f, c in zip(self.space.factors, self.coords):
-            if isinstance(f, RealFactor):
-                out.append([v.to_obj() for v in c])
-            elif isinstance(f, TorusFactor):
-                out.append([v.to_obj() for v in f.ambient(c)])
-            elif isinstance(f, IntegerRankFactor):
-                out.append(list(c))
-            elif isinstance(f, FiniteCyclicFactor):
-                out.append(c)
-            else:
-                out.append({"base": c[0].to_obj(), "r": c[1]})
-        return {"coords": out}
+        return {"coords": [f.coord_to_obj(c) for f, c in zip(self.space.factors, self.coords)]}
 
     @classmethod
     def from_obj(cls, space: InternalSpace, obj) -> "HPoint":
-        raw = []
-        for f, c in zip(space.factors, obj["coords"]):
-            if isinstance(f, (RealFactor, TorusFactor)):
-                raw.append(tuple(Scalar.from_obj(v) for v in c))
-            elif isinstance(f, IntegerRankFactor):
-                raw.append(tuple(int(v) for v in c))
-            elif isinstance(f, FiniteCyclicFactor):
-                raw.append(int(c))
-            else:
-                raw.append((cls.from_obj(f.base, c["base"]), int(c["r"])))
-        return space.point(*raw)
-
-
-def _twist_reduce(f: TwistedExtensionFactor, h: "HPoint", r: int) -> tuple:
-    s = r // f.modulus
-    r -= s * f.modulus
-    if s:
-        h = f.base.add(h, f.base.scale(f.twist, s))
-    return (h, r)
+        return space.point(
+            *(f.coord_from_obj(c) for f, c in zip(space.factors, obj["coords"]))
+        )
 
 
 def haar_measure(space: InternalSpace, region) -> Scalar:

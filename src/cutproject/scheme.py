@@ -23,18 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, ratmath
-from .internal_space import (
-    FiniteCyclicFactor,
-    HPoint,
-    IntegerRankFactor,
-    InternalSpace,
-    RealFactor,
-    SpaceMismatchError,
-    TorusFactor,
-    TwistedExtensionFactor,
-)
+from .internal_space import HPoint, InternalSpace, SpaceMismatchError
 from .scalars import Scalar
-from .windows import Window
+from .windows import Window, row_bounds
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
 _PLAN_DIGITS = 25  # decimal scale of the enumeration's integer enclosures
@@ -246,28 +237,9 @@ class CutProjectScheme:
     # -- lifted presentation -------------------------------------------------
 
     def _build_lift(self):
-        self._twist_row = {}
-        cursor = self.d
-        for idx, f in enumerate(self.space.factors):
-            if isinstance(f, RealFactor):
-                cursor += f.dim
-            elif isinstance(f, IntegerRankFactor):
-                cursor += f.rank
-            elif isinstance(f, TwistedExtensionFactor):
-                cursor += f.base.real_dim + f.base.integer_rank
-                self._twist_row[idx] = cursor
-                cursor += 1
-        rows_per_gen = [self._row_values(g, h) for g, h in self.generators]
-        aux_cols: list[list[Scalar]] = []
-        for idx, f in enumerate(self.space.factors):
-            if isinstance(f, TwistedExtensionFactor):
-                coords = list(self.space.zero().coords)
-                coords[idx] = (f.twist, 0)
-                carrier = HPoint(self.space, tuple(coords))
-                col = self._row_values(tuple(Scalar(0) for _ in range(self.d)), carrier)
-                col[self._twist_row[idx]] = Scalar(-f.modulus)
-                aux_cols.append(col)
-        cols = [list(r) for r in rows_per_gen] + aux_cols
+        origin = tuple(Scalar(0) for _ in range(self.d))
+        cols = [self._row_values(g, h) for g, h in self.generators]
+        cols += [self._row_values(origin, rel) for rel in self.space.lift_relations()]
         size = len(cols)
         if size and any(len(c) != size for c in cols):
             raise SchemeError("lifted presentation is not square")
@@ -281,22 +253,8 @@ class CutProjectScheme:
             self._det = Scalar(1)
 
     def _row_values(self, gvec, h: HPoint) -> list[Scalar]:
-        """Stack direct, real, integer and twist-carry coordinates of (g, h)."""
-        rows: list[Scalar] = list(gvec)
-        for f, c in zip(self.space.factors, h.coords):
-            if isinstance(f, RealFactor):
-                rows.extend(c)
-            elif isinstance(f, IntegerRankFactor):
-                rows.extend(Scalar(v) for v in c)
-            elif isinstance(f, TwistedExtensionFactor):
-                base_pt, residue = c
-                for bf, bc in zip(f.base.factors, base_pt.coords):
-                    if isinstance(bf, RealFactor):
-                        rows.extend(bc)
-                    elif isinstance(bf, IntegerRankFactor):
-                        rows.extend(Scalar(v) for v in bc)
-                rows.append(Scalar(residue))
-        return rows
+        """Stack the direct coordinates of (g, h) on its lifted internal rows."""
+        return list(gvec) + self.space.lift_values(h)
 
     def _check_direct_injective(self, required: bool) -> bool:
         """Exact check that no nonzero integer combination projects to 0 in G."""
@@ -359,13 +317,7 @@ class CutProjectScheme:
     # -- density ------------------------------------------------------------------
 
     def covolume(self) -> Scalar:
-        total = abs(self._det)
-        for f in _flatten_factors(self.space):
-            if isinstance(f, FiniteCyclicFactor):
-                total = total * f.modulus
-            elif isinstance(f, TorusFactor):
-                total = total * f.mass()
-        return total
+        return math.prod((f.covolume_factor() for f in self.space.factors), start=abs(self._det))
 
     def lattice_density(self) -> Scalar:
         cov = self.covolume()
@@ -437,29 +389,8 @@ class CutProjectScheme:
         return found
 
     def _piece_rhs(self, box: Box, piece) -> list[tuple[Fraction, Fraction]]:
-        margin = Fraction(1, 10 ** 9)
-        rhs: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in zip(box.lo, box.hi):
-            rhs.append((lo.bounds(25)[0] - margin, hi.bounds(25)[1] + margin))
-        for idx, f in enumerate(self.space.factors):
-            if isinstance(f, RealFactor):
-                bounds = piece.real[idx]
-                for lo, hi in bounds:
-                    rhs.append((lo.bounds(25)[0] - margin, hi.bounds(25)[1] + margin))
-            elif isinstance(f, IntegerRankFactor):
-                for lo, hi in piece.ints[idx]:
-                    rhs.append((Fraction(lo), Fraction(hi)))
-            elif isinstance(f, TwistedExtensionFactor):
-                residue, base_piece = piece.twists[idx]
-                for bidx, bf in enumerate(f.base.factors):
-                    if isinstance(bf, RealFactor):
-                        for lo, hi in base_piece.real[bidx]:
-                            rhs.append((lo.bounds(25)[0] - margin, hi.bounds(25)[1] + margin))
-                    elif isinstance(bf, IntegerRankFactor):
-                        for lo, hi in base_piece.ints[bidx]:
-                            rhs.append((Fraction(lo), Fraction(hi)))
-                rhs.append((Fraction(residue), Fraction(residue)))
-        return rhs
+        """Bounds on every lifted row: the box, then a window piece's rows."""
+        return [row_bounds(lo, hi) for lo, hi in zip(box.lo, box.hi)] + piece
 
     def _inverse_enclosure(self, digits: int = 25):
         """Interval enclosure of the inverse coordinate matrix, cached."""
@@ -628,47 +559,15 @@ class CutProjectScheme:
 
         Builds the combined linear/congruence system over the generator
         coordinates plus one auxiliary unknown per congruence (cyclic
-        modulus, torus lattice vector, twist carry) and inspects its
-        rational kernel.
+        modulus, torus lattice vector, twist carry, also inside a twisted
+        base) and inspects its rational kernel.
         """
-        if not all(
-            v.is_exact
-            for _, h in self.generators
-            for v in _all_scalars(h)
-        ):
+        space = self.space
+        cols = [space.kernel_values(h) for _, h in self.generators]
+        cols += [space.kernel_values(rel) for rel in space.kernel_relations()]
+        if not all(v.is_exact for col in cols for v in col):
             raise SchemeError("exact star-injectivity needs exact generators")
-        blocks: list[tuple[list[list[Scalar]], list[list[Scalar]]]] = []
-        for idx, f in enumerate(self.space.factors):
-            coords = [h.coords[idx] for _, h in self.generators]
-            if isinstance(f, RealFactor):
-                blocks.append(([list(c) for c in coords], []))
-            elif isinstance(f, IntegerRankFactor):
-                blocks.append(([[Scalar(v) for v in c] for c in coords], []))
-            elif isinstance(f, FiniteCyclicFactor):
-                blocks.append(([[Scalar(c)] for c in coords], [[Scalar(-f.modulus)]]))
-            elif isinstance(f, TorusFactor):
-                aux_cols = [
-                    [-f.basis[i][j] for j in range(f.dim)] for i in range(f.dim)
-                ]
-                blocks.append(([list(c) for c in coords], aux_cols))
-            else:
-                vals = [
-                    list(_flatten_scalars(c[0])) + [Scalar(c[1])] for c in coords
-                ]
-                twist_col = list(_flatten_scalars(f.twist)) + [Scalar(-f.modulus)]
-                blocks.append((vals, [twist_col]))
-        total_aux = sum(len(aux) for _, aux in blocks)
-        rows_scalar: list[list[Scalar]] = []
-        aux_offset = 0
-        for vals, aux_cols in blocks:
-            width = len(vals[0]) if vals else 0
-            for w in range(width):
-                row = [v[w] for v in vals]
-                row += [Scalar(0)] * aux_offset
-                row += [col[w] for col in aux_cols]
-                row += [Scalar(0)] * (total_aux - aux_offset - len(aux_cols))
-                rows_scalar.append(row)
-            aux_offset += len(aux_cols)
+        rows_scalar = [list(row) for row in zip(*cols)]
         if not rows_scalar:
             return None
         mono, _ = _monomial_system(rows_scalar, [Scalar(0)] * len(rows_scalar))
@@ -692,7 +591,7 @@ class CutProjectScheme:
         axes = 0
         for n in itertools.product(range(-bound, bound + 1), repeat=self.rank):
             h = self.star(n)
-            values = list(_continuous_values(h))
+            values = self.space.continuous_values(h)
             axes = len(values)
             for ax, v in enumerate(values):
                 frac = v - v.floor()
@@ -729,41 +628,6 @@ class CutProjectScheme:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _flatten_factors(space: InternalSpace):
-    for f in space.factors:
-        if isinstance(f, TwistedExtensionFactor):
-            yield from _flatten_factors(f.base)
-        else:
-            yield f
-
-
-def _flatten_scalars(h: HPoint):
-    """Real and integer coordinates of a point, in row order."""
-    for f, c in zip(h.space.factors, h.coords):
-        if isinstance(f, RealFactor):
-            yield from c
-        elif isinstance(f, IntegerRankFactor):
-            yield from (Scalar(v) for v in c)
-        elif isinstance(f, TwistedExtensionFactor):
-            yield from _flatten_scalars(c[0])
-
-
-def _continuous_values(h: HPoint):
-    for f, c in zip(h.space.factors, h.coords):
-        if isinstance(f, (RealFactor, TorusFactor)):
-            yield from c
-        elif isinstance(f, TwistedExtensionFactor):
-            yield from _continuous_values(c[0])
-
-
-def _all_scalars(h: HPoint):
-    for f, c in zip(h.space.factors, h.coords):
-        if isinstance(f, (RealFactor, TorusFactor)):
-            yield from c
-        elif isinstance(f, TwistedExtensionFactor):
-            yield from _all_scalars(c[0])
 
 
 def _monomial_matrix(rows) -> list[list[Fraction]]:

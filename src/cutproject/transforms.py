@@ -23,7 +23,6 @@ from .internal_space import (
     HPoint,
     IntegerRankFactor,
     InternalSpace,
-    RealFactor,
     TorusFactor,
     TwistedExtensionFactor,
 )
@@ -229,29 +228,28 @@ def _translation_patch_check(scheme, scheme2, a, window, box, n: int) -> bool:
     return ok
 
 
+def _extension_twist(space2: InternalSpace, space: InternalSpace):
+    """The twisted factor when ``space2`` is a twisted cyclic extension of
+    ``space``, None when it is ``space`` times Z; ValueError otherwise."""
+    factors = space2.factors
+    if factors == space.factors + (IntegerRankFactor(1),):
+        return None
+    if len(factors) == 1 and factors[0].kind == "twisted" and factors[0].base == space:
+        return factors[0]
+    raise ValueError("space is not a translation extension of the given space")
+
+
 def lift_window(window: Window, n: int, scheme2: CutProjectScheme) -> Window:
     """The extended-scheme window whose projection set is the n-th translate."""
-    space2 = scheme2.space
-    if (
-        len(space2.factors) == len(window.space.factors) + 1
-        and space2.factors[:-1] == window.space.factors
-        and isinstance(space2.factors[-1], IntegerRankFactor)
-        and space2.factors[-1].rank == 1
-    ):
-        return _lift_integer(window, n, space2)
-    if (
-        len(space2.factors) == 1
-        and isinstance(space2.factors[0], TwistedExtensionFactor)
-        and space2.factors[0].base == window.space
-    ):
-        f = space2.factors[0]
-        r = n % f.modulus
-        s = (n - r) // f.modulus
-        base = window
-        if s:
-            base = base.translate(window.space.scale(f.twist, s))
-        return ProductWindow(space2, (TwistedRegion(f, {r: base}),))
-    raise ValueError("scheme is not a translation extension of the window's space")
+    f = _extension_twist(scheme2.space, window.space)
+    if f is None:
+        return _lift_integer(window, n, scheme2.space)
+    r = n % f.modulus
+    s = (n - r) // f.modulus
+    base = window
+    if s:
+        base = base.translate(window.space.scale(f.twist, s))
+    return ProductWindow(scheme2.space, (TwistedRegion(f, {r: base}),))
 
 
 def _lift_integer(window: Window, n: int, space2: InternalSpace) -> Window:
@@ -327,39 +325,17 @@ def check_lattice_restriction(
 
 def embed_internal(space2: InternalSpace, h: HPoint) -> HPoint:
     """Embed a point of H into a translation extension of H."""
-    if (
-        len(space2.factors) == 1
-        and isinstance(space2.factors[0], TwistedExtensionFactor)
-        and space2.factors[0].base == h.space
-    ):
-        return space2.point((h, 0))
-    if (
-        len(space2.factors) == len(h.space.factors) + 1
-        and space2.factors[:-1] == h.space.factors
-        and isinstance(space2.factors[-1], IntegerRankFactor)
-    ):
+    if _extension_twist(space2, h.space) is None:
         return HPoint(space2, h.coords + ((0,),))
-    raise ValueError("space is not a translation extension of the point's space")
+    return space2.point((h, 0))
 
 
 def strip_embedded(space2: InternalSpace, space: InternalSpace, h2: HPoint):
     """Inverse of embed_internal where defined; None if h2 is off the copy."""
-    if (
-        len(space2.factors) == 1
-        and isinstance(space2.factors[0], TwistedExtensionFactor)
-        and space2.factors[0].base == space
-    ):
-        base, r = h2.coords[0]
-        return base if r == 0 else None
-    if (
-        len(space2.factors) == len(space.factors) + 1
-        and space2.factors[:-1] == space.factors
-        and isinstance(space2.factors[-1], IntegerRankFactor)
-    ):
-        if h2.coords[-1] == (0,):
-            return HPoint(space, h2.coords[:-1])
-        return None
-    raise ValueError("space is not a translation extension")
+    if _extension_twist(space2, space) is None:
+        return HPoint(space, h2.coords[:-1]) if h2.coords[-1] == (0,) else None
+    base, r = h2.coords[0]
+    return base if r == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -684,16 +660,12 @@ def star_preimage(scheme: CutProjectScheme, p: HPoint, search_bound: int = 0):
     rows = []
     rhs = []
     for idx, f in enumerate(scheme.space.factors):
-        coords = [h.coords[idx] for _, h in scheme.generators]
-        target = p.coords[idx]
-        if isinstance(f, RealFactor):
-            for w in range(f.dim):
-                rows.append([c[w] for c in coords])
-                rhs.append(target[w])
-        elif isinstance(f, IntegerRankFactor):
-            for w in range(f.rank):
-                rows.append([Scalar(c[w]) for c in coords])
-                rhs.append(Scalar(target[w]))
+        if f.kernel_relations():
+            continue  # coordinates under congruences are not linear in n
+        cols = [f.kernel_values(h.coords[idx]) for _, h in scheme.generators]
+        for w, target in enumerate(f.kernel_values(p.coords[idx])):
+            rows.append([col[w] for col in cols])
+            rhs.append(target)
     if not rows:
         return None
     if not all(v.is_exact for row in rows for v in row) or not all(

@@ -9,7 +9,9 @@ which is how projection sets of almost model sets become genuine windows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .internal_space import (
     FiniteCyclicFactor,
@@ -22,6 +24,8 @@ from .internal_space import (
     TwistedExtensionFactor,
 )
 from .scalars import Scalar
+
+_ROW_MARGIN = Fraction(1, 10 ** 9)
 
 
 class OutOfCertifiedRangeError(LookupError):
@@ -255,23 +259,94 @@ def _pieces_overlap(p: Interval, q: Interval) -> bool:
 # Per-factor regions
 
 
-class RealRegion:
-    __slots__ = ("axes",)
+def row_bounds(lo: Scalar, hi: Scalar) -> tuple[Fraction, Fraction]:
+    """Rational enumeration bounds enclosing the exact range [lo, hi]."""
+    return (lo.bounds(25)[0] - _ROW_MARGIN, hi.bounds(25)[1] + _ROW_MARGIN)
 
-    def __init__(self, axes):
-        self.axes = tuple(axes)
 
-    def __eq__(self, other):
-        return isinstance(other, RealRegion) and self.axes == other.axes
+class Region:
+    """One factor's part of a product window.
 
-    def __hash__(self):
-        return hash(self.axes)
+    ``factor`` is the factor a region fits and ``kind`` its JSON name, the
+    same as the factor's; ``ball`` builds the closed ball around a
+    coordinate.  ``enum_rows`` gives the lattice enumerator the region's
+    bounds on the factor's lifted rows (``Factor.lift_values``), as a list
+    of alternatives, each a list of (lo, hi) pairs.  The defaults describe
+    a finite set of coordinates of a discrete factor.
+    """
+
+    __slots__ = ()
+    kind = ""
+
+    def interior(self):
+        return self
+
+    def closure(self):
+        return self
+
+    def is_open(self):
+        return True
+
+    def is_top_regular(self):
+        return True
+
+    def bounds(self):
+        return None
+
+    def enum_rows(self):
+        return [[]]
+
+    def fill_gap(self, coord):
+        """The region with ``coord`` adjoined when it fills a gap between two
+        open pieces; the region itself when it holds ``coord``; else None."""
+        return self if self.contains(coord) else None
+
+    def corner_coords(self):
+        """Coordinates of the region's corner points, for difference sets."""
+        raise ValueError("difference points support real and discrete factors only")
+
+
+class _AxesRegion(Region):
+    """One interval set per axis; on a torus, in fundamental coordinates."""
+
+    __slots__ = ()
 
     def is_empty(self):
         return any(a.is_empty() for a in self.axes)
 
     def contains(self, coord):
         return all(a.contains(x) for a, x in zip(self.axes, coord))
+
+    def subset(self, other):
+        if self.is_empty():
+            return True
+        return all(a.subset(b) for a, b in zip(self.axes, other.axes))
+
+
+class RealRegion(_AxesRegion):
+    __slots__ = ("axes",)
+    kind = "real"
+
+    def __init__(self, axes):
+        self.axes = tuple(axes)
+
+    @property
+    def factor(self):
+        return RealFactor(len(self.axes))
+
+    @classmethod
+    def ball(cls, factor, coord, radius):
+        return cls(IntervalSet.single(x - radius, x + radius, True, True) for x in coord)
+
+    @classmethod
+    def from_obj(cls, factor, obj):
+        return cls(IntervalSet.from_obj(a) for a in obj["axes"])
+
+    def __eq__(self, other):
+        return isinstance(other, RealRegion) and self.axes == other.axes
+
+    def __hash__(self):
+        return hash(self.axes)
 
     def interior(self):
         return RealRegion(a.interior() for a in self.axes)
@@ -296,11 +371,6 @@ class RealRegion:
             return True
         return all(a.is_top_regular() for a in self.axes)
 
-    def subset(self, other):
-        if self.is_empty():
-            return True
-        return all(a.subset(b) for a, b in zip(self.axes, other.axes))
-
     def separated_from(self, other):
         if self.is_empty() or other.is_empty():
             return True
@@ -311,16 +381,43 @@ class RealRegion:
     def bounds(self):
         return tuple(a.bounds() for a in self.axes)
 
+    def enum_rows(self):
+        return [[row_bounds(lo, hi) for lo, hi in self.bounds()]]
+
+    def fill_gap(self, coord):
+        (x,) = coord
+        if self.axes[0].contains(x):
+            return self
+        if self.axes[0].fills_gap(x):
+            return RealRegion((self.axes[0].with_point(x),))
+        return None
+
+    def corner_coords(self):
+        return list(itertools.product(*(list(dict.fromkeys(a.endpoints())) for a in self.axes)))
+
     def to_obj(self):
-        return {"region": "real", "axes": [a.to_obj() for a in self.axes]}
+        return {"region": self.kind, "axes": [a.to_obj() for a in self.axes]}
 
 
-class IntSetRegion:
+class IntSetRegion(Region):
     __slots__ = ("rank", "points")
+    kind = "integer"
 
     def __init__(self, rank, points):
         self.rank = rank
         self.points = frozenset(tuple(int(x) for x in p) for p in points)
+
+    @property
+    def factor(self):
+        return IntegerRankFactor(self.rank)
+
+    @classmethod
+    def ball(cls, factor, coord, radius):
+        return cls(factor.rank, {tuple(coord)})
+
+    @classmethod
+    def from_obj(cls, factor, obj):
+        return cls(obj["rank"], obj["points"])
 
     def __eq__(self, other):
         return (
@@ -338,12 +435,6 @@ class IntSetRegion:
     def contains(self, coord):
         return tuple(coord) in self.points
 
-    def interior(self):
-        return self
-
-    def closure(self):
-        return self
-
     def measure(self):
         return Scalar(len(self.points))
 
@@ -351,12 +442,6 @@ class IntSetRegion:
         return IntSetRegion(
             self.rank, ((tuple(x + t for x, t in zip(p, coord))) for p in self.points)
         )
-
-    def is_open(self):
-        return True
-
-    def is_top_regular(self):
-        return True
 
     def subset(self, other):
         return self.points <= other.points
@@ -372,16 +457,35 @@ class IntSetRegion:
             for i in range(self.rank)
         )
 
+    def enum_rows(self):
+        return [[(Fraction(lo), Fraction(hi)) for lo, hi in self.bounds()]]
+
+    def corner_coords(self):
+        return sorted(self.points)
+
     def to_obj(self):
-        return {"region": "integer", "rank": self.rank, "points": sorted(map(list, self.points))}
+        return {"region": self.kind, "rank": self.rank, "points": sorted(map(list, self.points))}
 
 
-class ResidueRegion:
+class ResidueRegion(Region):
     __slots__ = ("modulus", "residues")
+    kind = "cyclic"
 
     def __init__(self, modulus, residues):
         self.modulus = modulus
         self.residues = frozenset(int(r) % modulus for r in residues)
+
+    @property
+    def factor(self):
+        return FiniteCyclicFactor(self.modulus)
+
+    @classmethod
+    def ball(cls, factor, coord, radius):
+        return cls(factor.modulus, {coord})
+
+    @classmethod
+    def from_obj(cls, factor, obj):
+        return cls(obj["modulus"], obj["residues"])
 
     def __eq__(self, other):
         return (
@@ -399,23 +503,11 @@ class ResidueRegion:
     def contains(self, coord):
         return coord in self.residues
 
-    def interior(self):
-        return self
-
-    def closure(self):
-        return self
-
     def measure(self):
         return Scalar(len(self.residues))
 
     def translate(self, coord):
         return ResidueRegion(self.modulus, ((r + coord) % self.modulus for r in self.residues))
-
-    def is_open(self):
-        return True
-
-    def is_top_regular(self):
-        return True
 
     def subset(self, other):
         return self.residues <= other.residues
@@ -423,17 +515,18 @@ class ResidueRegion:
     def separated_from(self, other):
         return not (self.residues & other.residues)
 
-    def bounds(self):
-        return None
+    def corner_coords(self):
+        return sorted(self.residues)
 
     def to_obj(self):
-        return {"region": "cyclic", "modulus": self.modulus, "residues": sorted(self.residues)}
+        return {"region": self.kind, "modulus": self.modulus, "residues": sorted(self.residues)}
 
 
-class TorusRegion:
+class TorusRegion(_AxesRegion):
     """Subset of a torus given by interval sets in fundamental coordinates."""
 
     __slots__ = ("factor", "axes")
+    kind = "torus"
 
     def __init__(self, factor: TorusFactor, axes):
         self.factor = factor
@@ -442,6 +535,14 @@ class TorusRegion:
     @classmethod
     def full(cls, factor: TorusFactor):
         return cls(factor, tuple(IntervalSet.single(0, 1) for _ in range(factor.dim)))
+
+    @classmethod
+    def ball(cls, factor, coord, radius):
+        return cls(factor, (IntervalSet.single(x - radius, x + radius, True, True) for x in coord))
+
+    @classmethod
+    def from_obj(cls, factor, obj):
+        return cls(factor, tuple(IntervalSet.from_obj(a) for a in obj["axes"]))
 
     def __eq__(self, other):
         return (
@@ -452,13 +553,6 @@ class TorusRegion:
 
     def __hash__(self):
         return hash((self.factor, self.axes))
-
-    def is_empty(self):
-        return any(a.is_empty() for a in self.axes)
-
-    def contains(self, coord):
-        # torus point coordinates are already fractional
-        return all(a.contains(x) for a, x in zip(self.axes, coord))
 
     def interior(self):
         return TorusRegion(self.factor, (_circle_interior(a) for a in self.axes))
@@ -487,11 +581,6 @@ class TorusRegion:
             _circle_closure(_circle_interior(a)) == _circle_closure(a) for a in self.axes
         )
 
-    def subset(self, other):
-        if self.is_empty():
-            return True
-        return all(a.subset(b) for a, b in zip(self.axes, other.axes))
-
     def separated_from(self, other):
         if self.is_empty() or other.is_empty():
             return True
@@ -500,17 +589,22 @@ class TorusRegion:
             for a, b in zip(self.axes, other.axes)
         )
 
-    def bounds(self):
+    def fill_gap(self, coord):
+        if self.contains(coord):
+            return self
+        if self.factor.dim == 1 and _circle_fills_gap(self.axes[0], coord[0]):
+            return TorusRegion(self.factor, (_circle_with_point(self.axes[0], coord[0]),))
         return None
 
     def to_obj(self):
-        return {"region": "torus", "axes": [a.to_obj() for a in self.axes]}
+        return {"region": self.kind, "axes": [a.to_obj() for a in self.axes]}
 
 
-class TwistedRegion:
+class TwistedRegion(Region):
     """Per-residue base windows inside a twisted cyclic extension."""
 
     __slots__ = ("factor", "per_residue")
+    kind = "twisted"
 
     def __init__(self, factor: TwistedExtensionFactor, per_residue: dict):
         self.factor = factor
@@ -520,6 +614,18 @@ class TwistedRegion:
         for r in self.per_residue:
             if not 0 <= r < factor.modulus:
                 raise ValueError("twisted residue out of range")
+
+    @classmethod
+    def ball(cls, factor, coord, radius):
+        h, r = coord
+        return cls(factor, {r: point_window(factor.base, h, radius)})
+
+    @classmethod
+    def from_obj(cls, factor, obj):
+        return cls(
+            factor,
+            {int(r): window_from_obj(factor.base, w) for r, w in obj["per_residue"].items()},
+        )
 
     def __eq__(self, other):
         return (
@@ -582,14 +688,35 @@ class TwistedRegion:
     def separated_from(self, other):
         return not (set(self.per_residue) & set(other.per_residue))
 
-    def bounds(self):
-        return None
+    def enum_rows(self):
+        return [
+            rows + [(Fraction(r), Fraction(r))]
+            for r, w in sorted(self.per_residue.items())
+            for rows in w.enum_pieces()
+        ]
+
+    def fill_gap(self, coord):
+        h, res = coord
+        base = self.per_residue.get(res)
+        if base is None:
+            return None
+        if base.contains(h):
+            return self
+        filled = _gap_fill(base, h)
+        if filled is None:
+            return None
+        return TwistedRegion(self.factor, {**self.per_residue, res: filled})
 
     def to_obj(self):
         return {
-            "region": "twisted",
+            "region": self.kind,
             "per_residue": {str(r): w.to_obj() for r, w in sorted(self.per_residue.items())},
         }
+
+
+_REGION_KINDS = {
+    cls.kind: cls for cls in (RealRegion, IntSetRegion, ResidueRegion, TorusRegion, TwistedRegion)
+}
 
 
 def _wrap_unit(iset: IntervalSet) -> IntervalSet:
@@ -717,15 +844,6 @@ class WindowProperties:
         }
 
 
-@dataclass
-class EnumPiece:
-    """Per-factor bound data consumed by the lattice enumerator."""
-
-    real: dict
-    ints: dict
-    twists: dict
-
-
 class Window:
     """Base class; see ProductWindow, UnionWindow, AugmentedWindow."""
 
@@ -757,7 +875,8 @@ class ProductWindow(Window):
         if len(self.regions) != len(space.factors):
             raise SpaceMismatchError("one region per factor required")
         for f, r in zip(space.factors, self.regions):
-            _check_region_type(f, r)
+            if r.factor != f:
+                raise SpaceMismatchError(f"region {r!r} does not fit factor {f!r}")
         self._hash = None
 
     def __eq__(self, other):
@@ -815,28 +934,7 @@ class ProductWindow(Window):
         return [self]
 
     def enum_pieces(self):
-        if self.is_empty():
-            return []
-        pieces = [EnumPiece(real={}, ints={}, twists={})]
-        for idx, (f, r) in enumerate(zip(self.space.factors, self.regions)):
-            if isinstance(f, RealFactor):
-                b = r.closure().bounds()
-                for p in pieces:
-                    p.real[idx] = b
-            elif isinstance(f, IntegerRankFactor):
-                b = r.bounds()
-                for p in pieces:
-                    p.ints[idx] = b
-            elif isinstance(f, TwistedExtensionFactor):
-                expanded = []
-                for residue, base_window in sorted(r.per_residue.items()):
-                    for base_piece in base_window.enum_pieces():
-                        for p in pieces:
-                            q = EnumPiece(dict(p.real), dict(p.ints), dict(p.twists))
-                            q.twists[idx] = (residue, base_piece)
-                            expanded.append(q)
-                pieces = expanded
-        return pieces
+        return [] if self.is_empty() else _product_rows(self.regions)
 
     def to_obj(self):
         return {"kind": "product", "regions": [r.to_obj() for r in self.regions]}
@@ -1007,7 +1105,7 @@ class AugmentedWindow(Window):
     def enum_pieces(self):
         out = self.open_part.enum_pieces()
         for p in self.stars:
-            out.append(_point_piece(self.space, p))
+            out.extend(_product_rows(point_window(self.space, p).regions))
         return out
 
     def to_obj(self):
@@ -1018,16 +1116,13 @@ class AugmentedWindow(Window):
         }
 
 
-def _check_region_type(factor, region):
-    ok = (
-        (isinstance(factor, RealFactor) and isinstance(region, RealRegion) and len(region.axes) == factor.dim)
-        or (isinstance(factor, IntegerRankFactor) and isinstance(region, IntSetRegion) and region.rank == factor.rank)
-        or (isinstance(factor, FiniteCyclicFactor) and isinstance(region, ResidueRegion) and region.modulus == factor.modulus)
-        or (isinstance(factor, TorusFactor) and isinstance(region, TorusRegion) and region.factor == factor)
-        or (isinstance(factor, TwistedExtensionFactor) and isinstance(region, TwistedRegion) and region.factor == factor)
-    )
-    if not ok:
-        raise SpaceMismatchError(f"region {region!r} does not fit factor {factor!r}")
+def _product_rows(regions) -> list[list]:
+    """Enumeration row alternatives of a product: one per choice of each
+    region's alternative, earlier regions varying fastest."""
+    pieces = [[]]
+    for r in regions:
+        pieces = [p + rows for rows in r.enum_rows() for p in pieces]
+    return pieces
 
 
 def _separated(a: ProductWindow, b: ProductWindow) -> bool:
@@ -1054,80 +1149,29 @@ def _gap_fill(window: Window, p: HPoint):
 
 
 def _gap_fill_member(member: ProductWindow, p: HPoint):
-    new_regions = list(member.regions)
+    regions = list(member.regions)
     gap_at = None
-    for idx, (f, r, c) in enumerate(zip(member.space.factors, member.regions, p.coords)):
-        if isinstance(f, RealFactor):
-            (x,) = c if isinstance(c, tuple) else (c,)
-            if r.axes[0].contains(x):
-                continue
-            if len(r.axes) == 1 and r.axes[0].fills_gap(x):
-                if gap_at is not None:
-                    return None
-                gap_at = (idx, RealRegion((r.axes[0].with_point(x),)))
-                continue
+    for idx, (r, c) in enumerate(zip(member.regions, p.coords)):
+        filled = r.fill_gap(c)
+        if filled is None:
             return None
-        elif isinstance(f, TwistedExtensionFactor):
-            h, res = c
-            if res not in r.per_residue:
-                return None
-            base = r.per_residue[res]
-            if base.contains(h):
-                continue
-            filled = _gap_fill(base, h)
-            if filled is None:
-                return None
+        if filled is not r:
             if gap_at is not None:
                 return None
-            per = dict(r.per_residue)
-            per[res] = filled
-            gap_at = (idx, TwistedRegion(f, per))
-        elif isinstance(f, TorusFactor):
-            if r.contains(c):
-                continue
-            if f.dim == 1 and _circle_fills_gap(r.axes[0], c[0]):
-                if gap_at is not None:
-                    return None
-                gap_at = (idx, TorusRegion(f, (_circle_with_point(r.axes[0], c[0]),)))
-                continue
-            return None
-        else:
-            if not r.contains(c):
-                return None
+            gap_at = idx
+            regions[idx] = filled
     if gap_at is None:
         return None
-    idx, region = gap_at
-    new_regions[idx] = region
-    return ProductWindow(member.space, new_regions)
+    return ProductWindow(member.space, regions)
 
 
-def point_window(space: InternalSpace, p: HPoint) -> ProductWindow:
-    """The singleton window {p}."""
-    regions = []
-    for f, c in zip(space.factors, p.coords):
-        if isinstance(f, RealFactor):
-            regions.append(RealRegion(tuple(IntervalSet.point(x) for x in c)))
-        elif isinstance(f, IntegerRankFactor):
-            regions.append(IntSetRegion(f.rank, {tuple(c)}))
-        elif isinstance(f, FiniteCyclicFactor):
-            regions.append(ResidueRegion(f.modulus, {c}))
-        elif isinstance(f, TorusFactor):
-            regions.append(TorusRegion(f, tuple(IntervalSet.point(x) for x in c)))
-        else:
-            regions.append(TwistedRegion(f, {c[1]: point_window(f.base, c[0])}))
-    return ProductWindow(space, regions)
-
-
-def _point_piece(space: InternalSpace, p: HPoint) -> EnumPiece:
-    piece = EnumPiece(real={}, ints={}, twists={})
-    for idx, (f, c) in enumerate(zip(space.factors, p.coords)):
-        if isinstance(f, RealFactor):
-            piece.real[idx] = tuple((x, x) for x in c)
-        elif isinstance(f, IntegerRankFactor):
-            piece.ints[idx] = tuple((n, n) for n in c)
-        elif isinstance(f, TwistedExtensionFactor):
-            piece.twists[idx] = (c[1], _point_piece(f.base, c[0]))
-    return piece
+def point_window(space: InternalSpace, p: HPoint, radius=0) -> ProductWindow:
+    """The closed ball of the given radius around p on every continuous
+    axis, and p's own coordinate on every discrete one: {p} at radius 0."""
+    return ProductWindow(
+        space,
+        (_REGION_KINDS[f.kind].ball(f, c, radius) for f, c in zip(space.factors, p.coords)),
+    )
 
 
 def empty_window(space: InternalSpace) -> UnionWindow:
@@ -1137,7 +1181,7 @@ def empty_window(space: InternalSpace) -> UnionWindow:
 def interval_window(space: InternalSpace, lo, hi, lo_closed=True, hi_closed=False) -> ProductWindow:
     """Convenience for spaces whose single factor is a real line."""
     (factor,) = space.factors
-    if not isinstance(factor, RealFactor) or factor.dim != 1:
+    if factor != RealFactor(1):
         raise SpaceMismatchError("interval_window expects a one-dimensional real space")
     return ProductWindow(
         space, (RealRegion((IntervalSet.single(lo, hi, lo_closed, hi_closed),)),)
@@ -1182,20 +1226,9 @@ def window_from_obj(space: InternalSpace, obj) -> Window:
 
 def _region_from_obj(factor, obj):
     kind = obj["region"]
-    if kind == "real":
-        return RealRegion(tuple(IntervalSet.from_obj(a) for a in obj["axes"]))
-    if kind == "integer":
-        return IntSetRegion(obj["rank"], obj["points"])
-    if kind == "cyclic":
-        return ResidueRegion(obj["modulus"], obj["residues"])
-    if kind == "torus":
-        return TorusRegion(factor, tuple(IntervalSet.from_obj(a) for a in obj["axes"]))
-    if kind == "twisted":
-        return TwistedRegion(
-            factor,
-            {int(r): window_from_obj(factor.base, w) for r, w in obj["per_residue"].items()},
-        )
-    raise ValueError(f"unknown region kind {kind!r}")
+    if kind not in _REGION_KINDS:
+        raise ValueError(f"unknown region kind {kind!r}")
+    return _REGION_KINDS[kind].from_obj(factor, obj)
 
 
 def check_properties(window: Window) -> WindowProperties:

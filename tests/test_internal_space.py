@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -225,3 +226,122 @@ def test_continuous_dim_and_point_mass():
     disc = InternalSpace([IntegerRankFactor(2), FiniteCyclicFactor(3)])
     assert disc.continuous_dim == 0
     assert disc.point_mass() == Scalar(1)
+
+
+# -- one conformance check over every factor kind ------------------------------
+
+ROOT2_3 = Scalar.root(2, 3)
+MIXED = InternalSpace(
+    [RealFactor(2), IntegerRankFactor(1), FiniteCyclicFactor(4), TorusFactor(1, ((ROOT2_3,),))]
+)
+TWIST_BASE = InternalSpace([RealFactor(1), IntegerRankFactor(1)])
+TWISTED = InternalSpace(
+    [TwistedExtensionFactor(TWIST_BASE, 3, TWIST_BASE.point(GOLDEN_CONJ, 1))]
+)
+
+
+def _mixed_point(rng):
+    return MIXED.point(
+        (Scalar(Fraction(rng.randint(-9, 9), 4)) + GOLDEN * rng.randint(-2, 2),
+         Scalar(Fraction(rng.randint(-9, 9), 3))),
+        rng.randint(-5, 5),
+        rng.randint(0, 7),
+        Scalar(Fraction(rng.randint(-9, 9), 5)) + ROOT2_3 * rng.randint(-2, 2),
+    )
+
+
+def _twisted_point(rng):
+    base = TWIST_BASE.point(
+        Scalar(Fraction(rng.randint(-9, 9), 4)) + GOLDEN_CONJ * rng.randint(-2, 2),
+        rng.randint(-5, 5),
+    )
+    return TWISTED.point((base, rng.randint(-4, 7)))
+
+
+def _foreign_regions(space):
+    """Regions of the right kind for another factor of the same kind."""
+    from cutproject.windows import (
+        IntervalSet,
+        IntSetRegion,
+        RealRegion,
+        ResidueRegion,
+        TorusRegion,
+        TwistedRegion,
+    )
+
+    if space is TWISTED:
+        other = TwistedExtensionFactor(TWIST_BASE, 2, TWIST_BASE.zero())
+        return [TwistedRegion(other, {})]
+    unit = IntervalSet.single(0, 1)
+    return [
+        RealRegion((unit,)),
+        IntSetRegion(2, {(0, 0)}),
+        ResidueRegion(5, {0}),
+        TorusRegion(TorusFactor(1, ((Scalar(1),),)), (unit,)),
+    ]
+
+
+@pytest.mark.parametrize("space, make", [(MIXED, _mixed_point), (TWISTED, _twisted_point)])
+def test_factor_protocol_conformance(space, make):
+    from cutproject.windows import ProductWindow, point_window, window_from_obj
+
+    rng = random.Random(4)
+    zero = space.zero()
+    assert InternalSpace.from_obj(space.to_obj()) == space
+    for _ in range(8):
+        x = make(rng)
+        assert space.add(x, zero) == x == space.add(zero, x)
+        assert space.add(x, space.negate(x)) == zero
+        assert space.negate(x) == space.scale(x, -1)
+        for k in range(-3, 4):
+            acc = zero
+            for _ in range(abs(k)):
+                acc = space.add(acc, x if k > 0 else space.negate(x))
+            assert space.scale(x, k) == acc
+        assert HPoint.from_obj(space, x.to_obj()) == x
+        w = point_window(space, x)
+        assert window_from_obj(space, w.to_obj()) == w
+        assert w.contains(x)
+        y = space.add(x, make(rng))
+        assert w.contains(y) == (y == x)
+        # the point window's one enumeration piece bounds every lifted row of x
+        (rows,) = w.enum_pieces()
+        values = space.lift_values(x)
+        assert len(rows) == len(values)
+        assert all(Scalar(lo) <= v <= Scalar(hi) for v, (lo, hi) in zip(values, rows))
+    # a region built for another factor is refused
+    regions = point_window(space, zero).regions
+    candidates = list(regions) + _foreign_regions(space)
+    for idx, fitting in enumerate(regions):
+        for region in candidates:
+            if region is fitting or region == fitting:
+                continue
+            with pytest.raises(SpaceMismatchError):
+                ProductWindow(space, regions[:idx] + (region,) + regions[idx + 1:])
+
+
+def test_encodings_are_pinned():
+    from cutproject.fibonacci import fibonacci_scheme
+
+    point = MIXED.point((GOLDEN, Fraction(-1, 3)), 5, 7, Scalar(2))
+    assert json.dumps(MIXED.to_obj(), sort_keys=True) == (
+        '{"factors": [{"dim": 2, "factor": "real"}, {"factor": "integer", "rank": 1}, '
+        '{"factor": "cyclic", "modulus": 4}, {"basis": [[{"terms": [{"c": "1", '
+        '"rad": [[2, "1/3"]], "sym": []}], "type": "alg"}]], "dim": 1, "factor": "torus"}]}'
+    )
+    assert json.dumps(point.to_obj(), sort_keys=True) == (
+        '{"coords": [[{"a": "1/2", "b": "1/2", "d": 5, "type": "quad"}, '
+        '{"type": "rat", "v": "-1/3"}], [5], 3, [{"terms": [{"c": "2", "rad": [], '
+        '"sym": []}, {"c": "-1", "rad": [[2, "1/3"]], "sym": []}], "type": "alg"}]]}'
+    )
+    twisted_point = TWISTED.point((TWIST_BASE.point(Fraction(1, 2), -2), 5))
+    assert json.dumps(TWISTED.to_obj(), sort_keys=True) == (
+        '{"factors": [{"base": {"factors": [{"dim": 1, "factor": "real"}, '
+        '{"factor": "integer", "rank": 1}]}, "factor": "twisted", "modulus": 3, '
+        '"twist": {"coords": [[{"a": "1/2", "b": "-1/2", "d": 5, "type": "quad"}], [1]]}}]}'
+    )
+    assert json.dumps(twisted_point.to_obj(), sort_keys=True) == (
+        '{"coords": [{"base": {"coords": [[{"a": "1", "b": "-1/2", "d": 5, '
+        '"type": "quad"}], [-1]]}, "r": 2}]}'
+    )
+    assert fibonacci_scheme().scheme_id == "f74f3d365ddb2a4a"

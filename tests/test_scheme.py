@@ -327,6 +327,18 @@ def test_star_kernel_witness():
     assert witness is not None and witness[1] == 0 and witness[0] != 0
 
 
+def test_twisted_kernel_keeps_base_congruences():
+    # the base's cyclic congruence must enter the twisted kernel system:
+    # 2 * (1, 1) - 2 * (1, 0) is zero in R x C2 only modulo 2
+    base = InternalSpace([RealFactor(1), FiniteCyclicFactor(2)])
+    plain_gens = [(1, base.point(1, 1)), (GOLDEN, base.point(1, 0))]
+    assert CutProjectScheme(1, base, plain_gens).star_kernel_witness() == (2, -2)
+    space = InternalSpace([TwistedExtensionFactor(base, 1, base.zero())])
+    twisted = CutProjectScheme(1, space, [(g, space.point((h, 0))) for g, h in plain_gens])
+    assert twisted.star((2, -2)) == space.zero()
+    assert twisted.star_kernel_witness() == (2, -2)
+
+
 def test_rank_law_enforced():
     with pytest.raises(SchemeError):
         CutProjectScheme(1, LINE, [((Scalar(1),), LINE.point((1,)))])

@@ -26,6 +26,7 @@ from cutproject.transforms import (
     lift_window_torus,
     reverify_certificate,
     star_injectivity_exhaustive,
+    strip_embedded,
     translate_cps,
 )
 from cutproject.windows import interval_window
@@ -229,6 +230,29 @@ def test_embed_internal_routes():
     ext3 = translate_cps(scheme, (GOLDEN / 3,), 100)
     e = embed_internal(ext3.scheme.space, h)
     assert e.coords[0][1] == 0
+
+
+def test_translation_extension_shape_is_checked():
+    # H x Z is an extension, H x Z^2 is not: all three maps refuse it
+    h = LINE.point((1,))
+    wide = InternalSpace([RealFactor(1), IntegerRankFactor(2)])
+    wide_scheme = CutProjectScheme(1, wide, [
+        (Scalar(1), wide.point((0,), (1, 0))),
+        (Scalar.sqrt(2), wide.point((0,), (0, 1))),
+        (GOLDEN, wide.point((1,), (0, 0))),
+        (Scalar.sqrt(3), wide.point((0,), (0, 0))),
+    ])
+    with pytest.raises(ValueError):
+        embed_internal(wide, h)
+    with pytest.raises(ValueError):
+        strip_embedded(wide, LINE, wide.point((1,), (0, 0)))
+    with pytest.raises(ValueError):
+        lift_window(interval_window(LINE, 0, 1), 1, wide_scheme)
+    narrow = InternalSpace([RealFactor(1), IntegerRankFactor(1)])
+    e = embed_internal(narrow, h)
+    assert e == narrow.point((1,), (0,))
+    assert strip_embedded(narrow, LINE, e) == h
+    assert strip_embedded(narrow, LINE, narrow.point((1,), (1,))) is None
 
 
 def test_translate_commensurate_discrete_base():
