@@ -190,7 +190,7 @@ def cmd_transform(args) -> int:
             raise InputError("augment needs --witness")
         witness = hull.AlmostModelSetWitness.from_obj(scheme, _load_json(args.witness))
         box = parse_box(args.box, scheme.d) if args.box else None
-        aug = transforms.almost_to_model(scheme, witness, witness.truncation, box=box)
+        aug = transforms.almost_to_model(witness, box=box)
         _dump_json(aug.window.to_obj(), args.out_window)
         _dump_json(aug.certificate.to_obj(), args.out_cert)
         return EXIT_OK

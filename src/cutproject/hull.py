@@ -55,7 +55,8 @@ class GammaRule:
     def bind(self, scheme: CutProjectScheme) -> "GammaRule":
         return GammaRule(self.window, self.add, self.remove, scheme)
 
-    def __call__(self, n) -> bool:
+    def __call__(self, n, star: HPoint | None = None) -> bool:
+        """Whether n is selected; ``star`` is star(n) when the caller has it."""
         n = tuple(n)
         if n in self.remove:
             return False
@@ -63,17 +64,7 @@ class GammaRule:
             return True
         if self.window is None:
             return False
-        return self.window.contains(self._scheme.star(n))
-
-    def evaluate_with_star(self, n, star: HPoint) -> bool:
-        n = tuple(n)
-        if n in self.remove:
-            return False
-        if n in self.add:
-            return True
-        if self.window is None:
-            return False
-        return self.window.contains(star)
+        return self.window.contains(self._scheme.star(n) if star is None else star)
 
     def to_obj(self):
         return {
@@ -94,7 +85,8 @@ class AlmostModelSetWitness:
     """Open lower window, compact upper window and a membership rule.
 
     The bracketing of the rule between the two projection sets is verified on
-    the truncation cube at construction.
+    the truncation cube at construction; ``admitted`` keeps
+    ``(n, star(n), star(n) in lower)`` for each n of the cube the rule admits.
     """
 
     def __init__(self, scheme: CutProjectScheme, lower: Window, upper: Window, rule, truncation: int):
@@ -107,18 +99,22 @@ class AlmostModelSetWitness:
         self.upper = upper
         self.rule = rule.bind(scheme) if isinstance(rule, GammaRule) else rule
         self.truncation = truncation
+        self.admitted = []
         upper_cl = upper.closure()
-        fast = self.rule.evaluate_with_star if isinstance(self.rule, GammaRule) else None
+        takes_star = isinstance(self.rule, GammaRule)
         for n, h in transforms.iter_lattice_stars(scheme, truncation):
-            selected = fast(n, h) if fast else self.rule(n)
-            if lower.contains(h) and not selected:
+            selected = self.rule(n, h) if takes_star else self.rule(n)
+            in_lower = lower.contains(h)
+            if in_lower and not selected:
                 raise transforms.WitnessInclusionError(
                     f"rule rejects a lower-window point at {n}"
                 )
-            if selected and not upper_cl.contains(h):
-                raise transforms.WitnessInclusionError(
-                    f"rule admits a point outside the upper window at {n}"
-                )
+            if selected:
+                if not upper_cl.contains(h):
+                    raise transforms.WitnessInclusionError(
+                        f"rule admits a point outside the upper window at {n}"
+                    )
+                self.admitted.append((n, h, in_lower))
 
     def gamma_patch(self, box: Box) -> Patch:
         """The rule's point set inside a box within the certified range."""
@@ -283,12 +279,8 @@ def limit_patch_check(
     if not patches:
         return LimitPatchReport(False, True, False, False, None, sequence, [])
     final = patches[-1]
-    boundary_hits = []
-    for e in window_difference_points(witness.lower, witness.upper):
-        shifted = scheme.space.add(t_target, e)
-        n = transforms.star_preimage(scheme, shifted, 2)
-        if n is not None and all(abs(x) <= witness.truncation for x in n):
-            boundary_hits.append(n)
+    diff = window_difference_points(witness.lower, witness.upper)
+    boundary_hits = list(_shifted_star_hits(scheme, t_target, diff, witness.truncation))
     note = "" if not boundary_hits else "translated boundary meets star points"
     return LimitPatchReport(
         stabilized, stalled, lower_ok, upper_ok, final, sequence, boundary_hits, note
@@ -320,16 +312,20 @@ def _member_corner_points(space: InternalSpace, member: ProductWindow) -> list[H
     return [space.point(*combo) for combo in itertools.product(*per_factor)]
 
 
+def _shifted_star_hits(scheme: CutProjectScheme, t: HPoint, difference_points, truncation: int):
+    """Yield, in order over the points e, truncated n with star(n) = t + e."""
+    for e in difference_points:
+        n = transforms.star_preimage(scheme, scheme.space.add(t, e), 2)
+        if n is not None and all(abs(x) <= truncation for x in n):
+            yield n
+
+
 def check_shift_avoidance(
     scheme: CutProjectScheme, t: HPoint, difference_points, truncation: int
 ):
     """Exactly verify that no truncated star lands on the shifted difference set."""
-    for e in difference_points:
-        target = scheme.space.add(t, e)
-        n = transforms.star_preimage(scheme, target, 2)
-        if n is not None and all(abs(x) <= truncation for x in n):
-            return False, n
-    return True, None
+    n = next(_shifted_star_hits(scheme, t, difference_points, truncation), None)
+    return n is None, n
 
 
 def generic_shift(
@@ -452,7 +448,7 @@ def hull_classification_check(
         truncation2 = witness.truncation
         try:
             wit2 = AlmostModelSetWitness(scheme2, lower_w, upper_w, rule2, truncation2)
-            aug = transforms.almost_to_model(scheme2, wit2, truncation2)
+            aug = transforms.almost_to_model(wit2)
             certificate = aug.certificate
             inner = transforms.certified_box(scheme2, upper_w.closure(), truncation2)
             check_box = _box_intersection(inner, shifted_box)

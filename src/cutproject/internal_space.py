@@ -329,7 +329,11 @@ class TorusFactor(Factor):
         return list(c)
 
     def kernel_relations(self):
-        return [tuple(-v for v in row) for row in self.basis]
+        # coordinates are basis coefficients: basis vector i has coordinates e_i
+        return [
+            tuple(Scalar(-1 if j == i else 0) for j in range(self.dim))
+            for i in range(self.dim)
+        ]
 
     def continuous_values(self, c):
         return c

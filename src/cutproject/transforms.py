@@ -228,6 +228,16 @@ def _translation_patch_check(scheme, scheme2, a, window, box, n: int) -> bool:
     return ok
 
 
+def _full_torus_patch_check(scheme, scheme2, window, box) -> bool:
+    lifted = lift_window_torus(window, scheme2.space, len(scheme2.space.factors) - 1)
+    lhs = scheme.project_points(box, window)
+    rhs = scheme2.project_points(box, lifted)
+    ok, _ = verify_equality(
+        Patch(lhs.points, box, lhs.scheme_id), Patch(rhs.points, box, rhs.scheme_id)
+    )
+    return ok
+
+
 def _extension_twist(space2: InternalSpace, space: InternalSpace):
     """The twisted factor when ``space2`` is a twisted cyclic extension of
     ``space``, None when it is ``space`` times Z; ValueError otherwise."""
@@ -456,8 +466,10 @@ def extend_injective(
 
     The diagonal must pass the generic-lattice certification against the
     generator direct parts together with the annihilator projection
-    generators; the certificate then records an exhaustive pairwise
-    injectivity check and a patch-equality check.
+    generators.  Injectivity is then decided once by ``star_kernel``: the
+    exact kernel proof for exact generators, the pairwise walk over
+    ``|n_i| <= injectivity_bound`` for float ones.  The certificate records
+    that decision and, given a window, a full-torus patch-equality check.
     """
     diag = tuple(Scalar.of(c) for c in (diag if isinstance(diag, (tuple, list)) else (diag,)))
     if len(diag) != scheme.d:
@@ -480,12 +492,9 @@ def extend_injective(
     for g, h in scheme.generators:
         gens2.append((g, space2.point(*h.coords, g)))
     scheme2 = CutProjectScheme(scheme.d, space2, gens2)
-    kernel = scheme2.star_kernel_witness()
+    kernel, detail = star_kernel(scheme2, injectivity_bound)
     if kernel is not None:
         raise InjectivityError("extended star map has a kernel vector", kernel)
-    ok_inj, collision = star_injectivity_exhaustive(scheme2, injectivity_bound)
-    if not ok_inj:
-        raise InjectivityError("injectivity counterexample found", collision)
     cert = TransformCertificate(
         kind="InjectiveExtension",
         input_scheme=scheme.scheme_id,
@@ -496,22 +505,11 @@ def extend_injective(
             "injectivity_bound": injectivity_bound,
         },
     )
-    cert.checks.append(
-        CertCheck(
-            "star-injective-exhaustive",
-            True,
-            {"bound": injectivity_bound, "kernel": "empty"},
-        )
-    )
+    cert.checks.append(CertCheck("star-injective", True, detail))
     if window is not None:
         if box is None:
             box = Box.symmetric(DEFAULT_CHECK_RADIUS, scheme.d)
-        lifted = lift_window_torus(window, space2, len(space2.factors) - 1)
-        lhs = scheme.project_points(box, window)
-        rhs = scheme2.project_points(box, lifted)
-        ok, _ = verify_equality(
-            Patch(lhs.points, box, lhs.scheme_id), Patch(rhs.points, box, rhs.scheme_id)
-        )
+        ok = _full_torus_patch_check(scheme, scheme2, window, box)
         cert.checks.append(
             CertCheck(
                 "patch-full-torus",
@@ -554,6 +552,19 @@ def star_injectivity_exhaustive(scheme: CutProjectScheme, bound: int):
     return True, None
 
 
+def star_kernel(scheme: CutProjectScheme, bound: int):
+    """A nonzero n with star(n) = 0 (None when injective) and how it was decided.
+
+    Exact generators get ``star_kernel_witness``, a proof over all of Z^r;
+    float generators fall back to the pairwise walk over ``|n_i| <= bound``.
+    """
+    try:
+        return scheme.star_kernel_witness(), {"method": "exact-kernel"}
+    except SchemeError:
+        _, collision = star_injectivity_exhaustive(scheme, bound)
+        return collision, {"method": "exhaustive", "bound": bound}
+
+
 # ---------------------------------------------------------------------------
 # Window augmentation for almost model sets
 
@@ -564,50 +575,28 @@ class WindowAugmentation:
     certificate: TransformCertificate
 
 
-def almost_to_model(
-    scheme: CutProjectScheme,
-    witness,
-    truncation: int,
-    box: Box | None = None,
-) -> WindowAugmentation:
+def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     """Rebuild an almost model set as a genuine projection set window.
 
     ``witness`` carries an open lower window U, a compact upper window W and
     a membership rule on lattice coordinates with U-points mandatory and
-    W-points permitted; the augmented window is U plus the star set of the
-    rule's points inside the truncation cube.  The contract patch equality is
-    checked on ``box`` (default: the largest symmetric box certified by the
-    truncation).
+    W-points permitted, bracketed on its truncation cube when it was built.
+    The augmented window is U plus the stars of the points the rule admits
+    outside U, read from the witness's own walk.  The contract patch
+    equality is checked on ``box`` (default: the largest symmetric box
+    certified by the truncation).
     """
-    kernel = None
-    try:
-        kernel = scheme.star_kernel_witness()
-    except SchemeError:
-        ok, collision = star_injectivity_exhaustive(scheme, truncation)
-        if not ok:
-            kernel = collision
+    scheme, truncation = witness.scheme, witness.truncation
+    kernel, _ = star_kernel(scheme, truncation)
     if kernel is not None:
         raise InjectivityError("star map is not injective", kernel)
-    upper_closure = witness.upper.closure()
-    stars = []
-    rule_coords = []
-    for n, h in iter_lattice_stars(scheme, truncation):
-        selected = witness.rule(n)
-        in_lower = witness.lower.contains(h)
-        if in_lower and not selected:
-            raise WitnessInclusionError(f"rule rejects a lower-window point at {n}")
-        if selected and not upper_closure.contains(h):
-            raise WitnessInclusionError(f"rule admits a point outside the upper window at {n}")
-        if selected:
-            rule_coords.append(n)
-            if not in_lower:
-                stars.append(h)
+    stars = [h for _, h, in_lower in witness.admitted if not in_lower]
     certifier = _star_range_certifier(scheme, truncation)
     window2 = AugmentedWindow(witness.lower, stars, certifier)
     if box is None:
-        box = certified_box(scheme, upper_closure, truncation)
+        box = certified_box(scheme, witness.upper.closure(), truncation)
     gamma_points = [
-        scheme.direct(n) for n in rule_coords if box.contains(scheme.direct(n))
+        scheme.direct(n) for n, _, _ in witness.admitted if box.contains(scheme.direct(n))
     ]
     gamma_patch = Patch(gamma_points, box)
     projected = scheme.project_points(box, window2)
@@ -731,7 +720,11 @@ def reverify_certificate(
     scheme: CutProjectScheme,
     scheme2: CutProjectScheme,
 ) -> list[CertCheck]:
-    """Re-run the recorded patch checks of a translation/extension certificate."""
+    """Re-run the recorded checks of a translation/extension certificate.
+
+    Checks it cannot re-run (older ``star-injective-exhaustive`` entries and
+    the augmentation checks) are copied as recorded.
+    """
     from .windows import window_from_obj
 
     out = []
@@ -747,16 +740,11 @@ def reverify_certificate(
         elif check.name == "patch-full-torus":
             box = Box.from_obj(check.detail["box"])
             window = window_from_obj(scheme.space, check.detail["window"])
-            lifted = lift_window_torus(
-                window, scheme2.space, len(scheme2.space.factors) - 1
-            )
-            lhs = scheme.project_points(box, window)
-            rhs = scheme2.project_points(box, lifted)
-            ok, _ = verify_equality(
-                Patch(lhs.points, box, lhs.scheme_id),
-                Patch(rhs.points, box, rhs.scheme_id),
-            )
+            ok = _full_torus_patch_check(scheme, scheme2, window, box)
             out.append(CertCheck(check.name, ok, check.detail))
+        elif check.name == "star-injective":
+            kernel, detail = star_kernel(scheme2, cert.data["injectivity_bound"])
+            out.append(CertCheck(check.name, kernel is None, detail))
         elif check.name == "pair-in-lattice":
             a = tuple(Scalar.from_obj(v) for v in cert.data["a"])
             b = HPoint.from_obj(scheme2.space, cert.data["b"])

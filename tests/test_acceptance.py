@@ -199,7 +199,7 @@ def test_criterion_08_almost_to_model_roundtrip():
     ok = True
     for name, rule in witnesses.items():
         witness = AlmostModelSetWitness(scheme, lower, upper, rule, truncation)
-        aug = transforms.almost_to_model(scheme, witness, truncation, box=box)
+        aug = transforms.almost_to_model(witness, box=box)
         reproduced = scheme.project_points(box, aug.window)
         expected = witness.gamma_patch(box)
         equal, _ = verify_equality(

@@ -101,7 +101,7 @@ def test_almost_to_model_three_witnesses():
     scheme, lower, upper = units()
     box = Box.symmetric(50)
     for witness in (witness_lower(), witness_full(), witness_mixed()):
-        aug = transforms.almost_to_model(scheme, witness, TRUNCATION, box=box)
+        aug = transforms.almost_to_model(witness, box=box)
         assert aug.certificate.passed
         reproduced = scheme.project_points(box, aug.window)
         expected = witness.gamma_patch(box)
@@ -111,7 +111,7 @@ def test_almost_to_model_three_witnesses():
 def test_almost_to_model_certifier_out_of_range():
     scheme, _, _ = units()
     witness = witness_mixed()
-    aug = transforms.almost_to_model(scheme, witness, TRUNCATION)
+    aug = transforms.almost_to_model(witness)
     # a star of a lattice point far outside the truncation
     far = scheme.star((200, -100))
     from cutproject.windows import OutOfCertifiedRangeError

@@ -7,6 +7,7 @@ import pytest
 from cutproject.fibonacci import fibonacci_scheme
 from cutproject.internal_space import (
     FiniteCyclicFactor,
+    IntegerRankFactor,
     InternalSpace,
     RealFactor,
     TorusFactor,
@@ -21,7 +22,7 @@ from cutproject.scheme import (
     Patch,
     SchemeError,
 )
-from cutproject.transforms import lift_window, translate_cps
+from cutproject.transforms import lift_window, star_injectivity_exhaustive, translate_cps
 from cutproject.windows import (
     IntervalSet,
     ProductWindow,
@@ -337,6 +338,77 @@ def test_twisted_kernel_keeps_base_congruences():
     twisted = CutProjectScheme(1, space, [(g, space.point((h, 0))) for g, h in plain_gens])
     assert twisted.star((2, -2)) == space.zero()
     assert twisted.star_kernel_witness() == (2, -2)
+
+
+def torus_kernel_scheme():
+    """R x T with torus basis root(2,3), where star((1, 1)) is zero."""
+    c = Scalar.root(2, 3)
+    space = InternalSpace([RealFactor(1), TorusFactor(1, ((c,),))])
+    return CutProjectScheme(1, space, [
+        ((Scalar(1),), space.point((1,), (c / 2,))),
+        ((GOLDEN,), space.point((-1,), (c / 2,))),
+    ])
+
+
+def test_torus_kernel_uses_basis_coefficients():
+    # torus coordinates are basis coefficients: the two halves of the basis
+    # vector add up to zero on the torus
+    scheme = torus_kernel_scheme()
+    assert scheme.star((1, 1)) == scheme.space.zero()
+    witness = scheme.star_kernel_witness()
+    assert witness is not None and any(witness)
+    assert scheme.star(witness) == scheme.space.zero()
+
+
+def _small_value(rng):
+    # rational values are Q-dependent, golden ones mostly not
+    return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) + GOLDEN * rng.choice((0, 0, 1, -1))
+
+
+def random_kernel_scheme(rng, family):
+    """A small exact scheme over R times one factor of the given family."""
+    x = [(_small_value(rng),) for _ in range(3)]
+    if family == "real":
+        space = InternalSpace([RealFactor(1)])
+        internal = [space.point(x[i]) for i in range(2)]
+    elif family == "integer":
+        space = InternalSpace([RealFactor(1), IntegerRankFactor(1)])
+        internal = [space.point(x[i], (rng.randint(-2, 2),)) for i in range(3)]
+    elif family == "cyclic":
+        m = rng.choice((2, 3))
+        space = InternalSpace([RealFactor(1), FiniteCyclicFactor(m)])
+        internal = [space.point(x[i], rng.randrange(m)) for i in range(2)]
+    elif family == "torus":
+        c = Scalar.root(2, 3)
+        space = InternalSpace([RealFactor(1), TorusFactor(1, ((c,),))])
+        internal = [space.point(x[i], (c * Fraction(rng.randint(0, 3), 4),)) for i in range(2)]
+    else:
+        base = InternalSpace([RealFactor(1), FiniteCyclicFactor(2)])
+        twist = base.point((_small_value(rng),), rng.randrange(2))
+        f = TwistedExtensionFactor(base, rng.choice((1, 2, 3)), twist)
+        space = InternalSpace([f])
+        internal = [
+            space.point((base.point(x[i], rng.randrange(2)), rng.randrange(3))) for i in range(2)
+        ]
+    directs = (Scalar(1), GOLDEN, Scalar.sqrt(2))
+    return CutProjectScheme(1, space, [((g,), h) for g, h in zip(directs, internal)])
+
+
+def test_kernel_proof_agrees_with_the_cube_walk():
+    # the exact kernel proof must find a kernel whenever the walk over
+    # |n_i| <= 4 finds two equal stars, and what it finds must be a kernel
+    rng = random.Random(2024)
+    outcomes = set()
+    for family in ("real", "integer", "cyclic", "torus", "twisted"):
+        for _ in range(12):
+            scheme = random_kernel_scheme(rng, family)
+            injective_on_cube, _ = star_injectivity_exhaustive(scheme, 4)
+            witness = scheme.star_kernel_witness()
+            if witness is not None:
+                assert any(witness) and scheme.star(witness) == scheme.space.zero()
+            assert injective_on_cube or witness is not None
+            outcomes.add((family, injective_on_cube))
+    assert len(outcomes) == 10, sorted(outcomes)
 
 
 def test_rank_law_enforced():

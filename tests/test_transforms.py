@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -221,6 +222,22 @@ def test_exhaustive_injectivity_collision_detection():
     assert degenerate.star(witness) == space.zero()
 
 
+def test_star_kernel_walks_only_float_generators():
+    f = Scalar.from_float
+    assert transforms.star_kernel(fibonacci_scheme(), 3) == (None, {"method": "exact-kernel"})
+    golden = f(1.618033988749895)
+    float_fib = CutProjectScheme(
+        1, LINE, [((f(1.0),), LINE.point((f(1.0),))), ((golden,), LINE.point((f(-0.618033988749895),)))]
+    )
+    assert transforms.star_kernel(float_fib, 3) == (None, {"method": "exhaustive", "bound": 3})
+    degenerate = CutProjectScheme(
+        1, LINE, [((f(1.0),), LINE.point((f(0.0),))), ((golden,), LINE.point((f(1.0),)))]
+    )
+    witness, method = transforms.star_kernel(degenerate, 3)
+    assert method == {"method": "exhaustive", "bound": 3}
+    assert any(witness) and degenerate.star(witness) == LINE.zero()
+
+
 def test_embed_internal_routes():
     scheme = fibonacci_scheme()
     h = LINE.point((GOLDEN_CONJ,))
@@ -311,3 +328,53 @@ def test_reverify_certificate_roundtrip():
     cert = TransformCertificate.from_obj(obj)
     rechecks = reverify_certificate(cert, scheme, ext.scheme)
     assert all(c.passed for c in rechecks)
+
+
+def test_exact_schemes_need_no_cube_walk(monkeypatch, tmp_path):
+    # the exact kernel proof decides injectivity; the walk is only the
+    # float-generator fallback
+    from cutproject import cli
+
+    def refuse(scheme, bound):
+        raise AssertionError("exact generators must not be walked")
+
+    monkeypatch.setattr(transforms, "star_injectivity_exhaustive", refuse)
+    ext = extend_injective(fibonacci_scheme(), (Scalar.root(2, 3),), window=fib_window())
+    assert ext.certificate.passed
+    assert ext.certificate.checks[0].to_obj() == {
+        "name": "star-injective", "passed": True, "detail": {"method": "exact-kernel"},
+    }
+    code = cli.main([
+        "transform", "extend", "--scheme", "builtin:fibonacci", "--c", "root(2,3)",
+        "--window", "builtin:fibonacci", "--box=-10:10",
+        "--out-scheme", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json"),
+    ])
+    assert code == 0
+
+
+def test_theorem_suite_redecides_injectivity(tmp_path):
+    # a certificate claiming injectivity for a scheme with a star kernel
+    from cutproject import cli
+
+    c = Scalar.root(2, 3)
+    space = InternalSpace([RealFactor(1), TorusFactor(1, ((c,),))])
+    scheme2 = CutProjectScheme(1, space, [
+        ((Scalar(1),), space.point((1,), (c / 2,))),
+        ((GOLDEN,), space.point((-1,), (c / 2,))),
+    ])
+    cert = TransformCertificate(
+        "InjectiveExtension", fibonacci_scheme().scheme_id, scheme2.scheme_id,
+        {"injectivity_bound": 20},
+        [transforms.CertCheck("star-injective", True, {"method": "exact-kernel"})],
+    )
+    files = {}
+    for name, obj in (("base", fibonacci_scheme()), ("ext", scheme2), ("cert", cert)):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj.to_obj()))
+    out = tmp_path / "report.json"
+    code = cli.main([
+        "verify", "--suite", "theorem", "--scheme", str(files["base"]),
+        "--scheme2", str(files["ext"]), "--cert", str(files["cert"]), "--out", str(out),
+    ])
+    assert code == 1
+    assert json.loads(out.read_text())["checks"][0]["passed"] is False
