@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import transforms
 from .internal_space import HPoint, InternalSpace
 from .scalars import Scalar
-from .scheme import Box, CutProjectScheme, Patch
+from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, Patch
 from .windows import AugmentedWindow, ProductWindow, Window, point_window
 
 LADDER = (
@@ -55,8 +55,7 @@ class GammaRule:
     def bind(self, scheme: CutProjectScheme) -> "GammaRule":
         return GammaRule(self.window, self.add, self.remove, scheme)
 
-    def __call__(self, n, star: HPoint | None = None) -> bool:
-        """Whether n is selected; ``star`` is star(n) when the caller has it."""
+    def __call__(self, n) -> bool:
         n = tuple(n)
         if n in self.remove:
             return False
@@ -64,7 +63,7 @@ class GammaRule:
             return True
         if self.window is None:
             return False
-        return self.window.contains(self._scheme.star(n) if star is None else star)
+        return self.window.contains(self._scheme.star(n))
 
     def to_obj(self):
         return {
@@ -84,12 +83,14 @@ class GammaRule:
 class AlmostModelSetWitness:
     """Open lower window, compact upper window and a membership rule.
 
-    The bracketing of the rule between the two projection sets is verified on
-    the truncation cube at construction; ``admitted`` keeps
-    ``(n, star(n), star(n) in lower)`` for each n of the cube the rule admits.
+    At construction the truncation cube ``|n_i| <= truncation`` is
+    enumerated through each window, and the rule is checked to lie between
+    the two projection sets there; ``admitted`` keeps
+    ``(n, star(n), star(n) in lower)`` for each n of the cube the rule
+    admits, in lexicographic order.
     """
 
-    def __init__(self, scheme: CutProjectScheme, lower: Window, upper: Window, rule, truncation: int):
+    def __init__(self, scheme: CutProjectScheme, lower: Window, upper: Window, rule: GammaRule, truncation: int):
         if not lower.is_open():
             raise ValueError("lower window must be open")
         if lower.interior().is_empty():
@@ -97,24 +98,37 @@ class AlmostModelSetWitness:
         self.scheme = scheme
         self.lower = lower
         self.upper = upper
-        self.rule = rule.bind(scheme) if isinstance(rule, GammaRule) else rule
+        self.rule = rule.bind(scheme)
         self.truncation = truncation
-        self.admitted = []
+        # the box holds direct(n) for every cube point; the budget grows with the cube
+        radii = [truncation * sum(abs(g[i]) for g, _ in scheme.generators) for i in range(scheme.d)]
+        box = Box([-r for r in radii], radii)
+        budget = max(DEFAULT_MAX_CANDIDATES, (2 * truncation + 1) ** scheme.rank)
+
+        def in_cube(n):
+            return all(abs(x) <= truncation for x in n)
+
+        def cube(window):
+            if window is None:
+                return set()
+            found = scheme.project_points(box, window, max_candidates=budget)
+            return set(filter(in_cube, found.coords))
+
+        in_lower = cube(lower)
+        selected = (cube(rule.window) | set(filter(in_cube, rule.add))) - rule.remove
         upper_cl = upper.closure()
-        takes_star = isinstance(self.rule, GammaRule)
-        for n, h in transforms.iter_lattice_stars(scheme, truncation):
-            selected = self.rule(n, h) if takes_star else self.rule(n)
-            in_lower = lower.contains(h)
-            if in_lower and not selected:
+        self.admitted = []
+        for n in sorted(in_lower | selected):
+            if n not in selected:
                 raise transforms.WitnessInclusionError(
                     f"rule rejects a lower-window point at {n}"
                 )
-            if selected:
-                if not upper_cl.contains(h):
-                    raise transforms.WitnessInclusionError(
-                        f"rule admits a point outside the upper window at {n}"
-                    )
-                self.admitted.append((n, h, in_lower))
+            h = scheme.star(n)
+            if not upper_cl.contains(h):
+                raise transforms.WitnessInclusionError(
+                    f"rule admits a point outside the upper window at {n}"
+                )
+            self.admitted.append((n, h, n in in_lower))
 
     def gamma_patch(self, box: Box) -> Patch:
         """The rule's point set inside a box within the certified range."""
@@ -134,8 +148,6 @@ class AlmostModelSetWitness:
         return Patch(points, box, self.scheme.scheme_id, coords)
 
     def to_obj(self):
-        if not isinstance(self.rule, GammaRule):
-            raise TypeError("only GammaRule-based witnesses serialize")
         return {
             "lower": self.lower.to_obj(),
             "upper": self.upper.to_obj(),
@@ -437,14 +449,10 @@ def hull_classification_check(
     roundtrip_ok = False
     certificate = None
     if lower_ok and upper_ok:
+        # lower_ok already puts the box's lower-window points in the configuration
         config_set = config.point_set()
-
-        def rule2(n2):
-            g2 = scheme2.direct(n2)
-            if shifted_box.contains(g2):
-                return g2 in config_set
-            return lower_w.contains(scheme2.star(n2))
-
+        pairs = zip(upper_patch.points, upper_patch.coords)
+        rule2 = GammaRule(lower_w, add=[n for p, n in pairs if p in config_set])
         truncation2 = witness.truncation
         try:
             wit2 = AlmostModelSetWitness(scheme2, lower_w, upper_w, rule2, truncation2)

@@ -49,10 +49,6 @@ def solve_exact(mat: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
     return [a[i][n] for i in range(n)]
 
 
-def _iv_add(x: Interval, y: Interval) -> Interval:
-    return (x[0] + y[0], x[1] + y[1])
-
-
 def _iv_sub(x: Interval, y: Interval) -> Interval:
     return (x[0] - y[1], x[1] - y[0])
 

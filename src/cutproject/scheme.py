@@ -496,9 +496,6 @@ class CutProjectScheme:
             return n
         return None
 
-    def contains_lattice_point(self, gvec, h: HPoint) -> bool:
-        return self.lattice_coords_of(gvec, h) is not None
-
     # -- commensurability ---------------------------------------------------------------
 
     def is_commensurate(self, a, bound: int) -> Commensurability:

@@ -370,8 +370,7 @@ def _span_values(points) -> list[Scalar]:
     for p in points:
         for v in p:
             if not v.is_exact:
-                flat = [Scalar.from_float(float(x)) for q in points for x in q]
-                return [Scalar(1)] + flat
+                raise ValueError("the generic-lattice certification needs exact generators")
             for mono in v.terms():
                 if mono not in values:
                     values[mono] = Scalar._make({mono: Fraction(1)})
@@ -466,10 +465,11 @@ def extend_injective(
 
     The diagonal must pass the generic-lattice certification against the
     generator direct parts together with the annihilator projection
-    generators.  Injectivity is then decided once by ``star_kernel``: the
-    exact kernel proof for exact generators, the pairwise walk over
-    ``|n_i| <= injectivity_bound`` for float ones.  The certificate records
-    that decision and, given a window, a full-torus patch-equality check.
+    generators, which must be exact (float ones raise ``ValueError``).
+    Injectivity is then decided once by ``star_kernel``: the exact kernel
+    proof, or the pairwise walk over ``|n_i| <= injectivity_bound`` for an
+    inexact extended scheme.  The certificate records that decision and,
+    given a window, a full-torus patch-equality check.
     """
     diag = tuple(Scalar.of(c) for c in (diag if isinstance(diag, (tuple, list)) else (diag,)))
     if len(diag) != scheme.d:
@@ -582,9 +582,9 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     a membership rule on lattice coordinates with U-points mandatory and
     W-points permitted, bracketed on its truncation cube when it was built.
     The augmented window is U plus the stars of the points the rule admits
-    outside U, read from the witness's own walk.  The contract patch
-    equality is checked on ``box`` (default: the largest symmetric box
-    certified by the truncation).
+    outside U, taken from the cube points the witness admitted.  The
+    contract patch equality is checked on ``box`` (default: the largest
+    symmetric box certified by the truncation).
     """
     scheme, truncation = witness.scheme, witness.truncation
     kernel, _ = star_kernel(scheme, truncation)
@@ -595,10 +595,8 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     window2 = AugmentedWindow(witness.lower, stars, certifier)
     if box is None:
         box = certified_box(scheme, witness.upper.closure(), truncation)
-    gamma_points = [
-        scheme.direct(n) for n, _, _ in witness.admitted if box.contains(scheme.direct(n))
-    ]
-    gamma_patch = Patch(gamma_points, box)
+    directs = (scheme.direct(n) for n, _, _ in witness.admitted)
+    gamma_patch = Patch([g for g in directs if box.contains(g)], box)
     projected = scheme.project_points(box, window2)
     ok, diff = verify_equality(gamma_patch, Patch(projected.points, box))
     cert = TransformCertificate(

@@ -166,9 +166,8 @@ def test_theorem_suite_reverifies_extension(tmp_path):
     assert json.loads(read(out))["passed"] is True
 
 
-def test_transform_translate_undecided_float(tmp_path, capsys):
-    # a float scheme cannot settle commensurability of sqrt(2) at any bound
-    obj = fibonacci_scheme().to_obj()
+def float_fibonacci_file(tmp_path):
+    """The Fibonacci scheme with every scalar replaced by its float value."""
 
     def floatify(o):
         if isinstance(o, dict):
@@ -182,7 +181,13 @@ def test_transform_translate_undecided_float(tmp_path, capsys):
         return o
 
     scheme_file = tmp_path / "float.json"
-    scheme_file.write_text(json.dumps(floatify(obj)))
+    scheme_file.write_text(json.dumps(floatify(fibonacci_scheme().to_obj())))
+    return scheme_file
+
+
+def test_transform_translate_undecided_float(tmp_path, capsys):
+    # a float scheme cannot settle commensurability of sqrt(2) at any bound
+    scheme_file = float_fibonacci_file(tmp_path)
     code = run(
         [
             "transform", "translate",
@@ -210,6 +215,21 @@ def test_transform_extend_rejects_sqrt2(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "witness" in err
+
+
+def test_transform_extend_refuses_float_scheme(tmp_path, capsys):
+    code = run(
+        [
+            "transform", "extend",
+            "--scheme", str(float_fibonacci_file(tmp_path)),
+            "--c", "root(2,3)",
+            "--out-scheme", str(tmp_path / "s.json"),
+            "--out-cert", str(tmp_path / "c.json"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "exact generators" in err
 
 
 def test_transform_extend_cuberoot(tmp_path):

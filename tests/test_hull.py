@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,91 @@ def test_witness_validation_rejects_bad_rules():
         AlmostModelSetWitness(
             scheme, lower, upper, GammaRule(lower, add=[(7, 0)]), 10
         )
+
+
+def reference_walk(scheme, lower, upper, rule, truncation):
+    """Every n of the truncation cube in lexicographic order, checked one by one."""
+    rule = rule.bind(scheme)
+    upper_cl = upper.closure()
+    admitted = []
+    for n, h in transforms.iter_lattice_stars(scheme, truncation):
+        selected = rule(n)
+        in_lower = lower.contains(h)
+        if in_lower and not selected:
+            raise transforms.WitnessInclusionError(f"rule rejects a lower-window point at {n}")
+        if selected:
+            if not upper_cl.contains(h):
+                raise transforms.WitnessInclusionError(
+                    f"rule admits a point outside the upper window at {n}"
+                )
+            admitted.append((n, h, in_lower))
+    return admitted
+
+
+def outcome(build):
+    try:
+        return "admitted", build()
+    except transforms.WitnessInclusionError as exc:
+        return "error", str(exc)
+
+
+def assert_matches_reference(scheme, lower, upper, rule, truncation):
+    got = outcome(lambda: AlmostModelSetWitness(scheme, lower, upper, rule, truncation).admitted)
+    want = outcome(lambda: reference_walk(scheme, lower, upper, rule, truncation))
+    assert got == want, (rule.to_obj(), truncation)
+    return got[0]
+
+
+def test_witness_matches_reference_walk_fibonacci():
+    scheme, lower, upper = units()
+    cases = [
+        (GammaRule(lower, remove=[(0, 0)]), lower, upper, 10),
+        (GammaRule(lower, add=[(7, 0)]), lower, upper, 10),
+    ]
+    rng = random.Random(11)
+    for _ in range(24):
+        t = LINE.point((Fraction(rng.randint(-40, 40), 80),))
+        lo, up = lower.translate(t), upper.translate(t)
+        truncation = rng.randint(3, 9)
+        window = rng.choice([lo, up, up.closure(), None])
+        reach = truncation + 3
+        # coordinates inside the cube and past it, where the rule must be ignored
+        pick = lambda: tuple(rng.randint(-reach, reach) for _ in range(2))  # noqa: E731
+        inside = scheme.project_points(Box.symmetric(4), up.closure()).coords
+        add = [pick() for _ in range(rng.randint(0, 2))] + rng.sample(inside, 2)
+        remove = [pick() for _ in range(rng.randint(0, 2))]
+        cases.append((GammaRule(window, add=add, remove=remove), lo, up, truncation))
+    kinds = {assert_matches_reference(scheme, lo, up, rule, tr) for rule, lo, up, tr in cases}
+    assert kinds == {"admitted", "error"}
+
+
+@pytest.mark.parametrize("a, bound", [((Scalar.sqrt(2),), 10 ** 6), ((GOLDEN / 3,), 100)])
+def test_witness_matches_reference_walk_extensions(a, bound):
+    # the sqrt(2) translation extension has rank 3, the golden/3 one a twist
+    scheme, lower, upper = units()
+    scheme2 = transforms.translate_cps(scheme, a, bound).scheme
+    for k in (-1, 0, 1):
+        lo = transforms.lift_window(lower, k, scheme2)
+        up = transforms.lift_window(upper.closure(), k, scheme2)
+        inner = scheme2.project_points(Box.symmetric(3), lo).coords[0]
+        far = (3,) + (0,) * (scheme2.rank - 1)
+        rules = (
+            GammaRule(lo),
+            GammaRule(up, remove=[(9,) * scheme2.rank]),
+            GammaRule(up, remove=[inner]),
+            GammaRule(lo, add=[far]),
+        )
+        kinds = [assert_matches_reference(scheme2, lo, up, rule, 4) for rule in rules]
+        assert kinds == ["admitted", "admitted", "error", "error"]
+
+
+def test_witness_builds_past_the_default_budget():
+    # the truncation box of T = 1500 holds more candidates than the default budget
+    scheme, lower, upper = units()
+    witness = AlmostModelSetWitness(scheme, lower, upper, GammaRule(lower, add=[(0, -1)]), 1500)
+    coords = [n for n, _, _ in witness.admitted]
+    assert coords == sorted(coords) and (0, -1) in coords
+    assert all(abs(x) <= 1500 for n in coords for x in n)
 
 
 def test_window_difference_points():

@@ -212,6 +212,17 @@ def test_extend_injective_rejects_bad_diagonal():
         extend_injective(scheme, (Scalar(1),))
 
 
+def test_extend_injective_refuses_float_generators():
+    # float coordinates hide the rational span the relation search needs
+    f = Scalar.from_float
+    float_fib = CutProjectScheme(
+        1, LINE, [((f(1.0),), LINE.point((f(1.0),))), ((f(1.618033988749895),), LINE.point((f(-0.618033988749895),)))]
+    )
+    with pytest.raises(ValueError, match="exact generators") as info:
+        extend_injective(float_fib, (Scalar.root(2, 3),))
+    assert not isinstance(info.value, CertificationError)
+
+
 def test_exhaustive_injectivity_collision_detection():
     space = InternalSpace([RealFactor(1)])
     degenerate = CutProjectScheme(
