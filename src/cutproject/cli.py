@@ -127,8 +127,15 @@ def parse_box(text: str, dim: int) -> Box:
         raise InputError(str(exc)) from exc
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def _apply_mode(args):
-    if getattr(args, "tol", None):
+    if args.tol is not None:
         set_float_tolerance(args.tol)
 
 
@@ -171,8 +178,7 @@ def cmd_transform(args) -> int:
         else:
             gens = [g for g, _ in scheme.generators]
             diag, _cert = transforms.choose_generic_lattice(
-                gens, scheme.d, args.strategy, args.bound,
-                rng=random.Random(args.seed),
+                gens, scheme.d, args.strategy, args.bound
             )
         ext = transforms.extend_injective(
             scheme,
@@ -207,7 +213,7 @@ def cmd_verify(args) -> int:
         window = load_window(args.window, scheme)
         n_values = [int(t) for t in args.n_list.split(",")]
         rep = analysis.empirical_density(scheme, window, n_values)
-        tol = args.tol or 1e-3
+        tol = args.tol if args.tol is not None else 1e-3
         closest = abs(rep.empirical[-1] - (rep.lower + rep.upper) / 2)
         passed = rep.sandwich_ok and (not rep.counts or closest <= tol + (rep.upper - rep.lower))
         if args.format == "csv":
@@ -222,7 +228,7 @@ def cmd_verify(args) -> int:
     elif suite == "fb":
         scheme = load_scheme(args.scheme)
         window = load_window(args.window, scheme)
-        tol = args.tol or 0.05
+        tol = args.tol if args.tol is not None else 0.05
         chis = [tuple(float(x) for x in chunk.split(",")) for chunk in args.chi.split(";")]
         density = analysis.empirical_density(scheme, window, [args.n]).empirical[-1]
         values = {}
@@ -244,7 +250,7 @@ def cmd_verify(args) -> int:
     elif suite == "equidist":
         scheme = load_scheme(args.scheme)
         window = load_window(args.window, scheme)
-        tol = args.tol or 0.05
+        tol = args.tol if args.tol is not None else 0.05
         rep = analysis.equidistribution_check(scheme, window, args.chi_bound, args.n)
         passed = rep.status == "pass" and rep.max_fb < tol
         report = {"suite": suite, "tolerance": tol, "report": rep.to_obj()}
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
     gen.add_argument("--mode", choices=("exact", "float"), default="exact")
-    gen.add_argument("--tol", type=float, default=None)
+    gen.add_argument("--tol", type=_positive_float, default=None)
     gen.add_argument("--max-candidates", type=int, default=5_000_000)
     gen.set_defaults(func=cmd_generate)
 
@@ -327,14 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--scheme", required=True)
     tr.add_argument("--a", default=None, help="translation vector (semicolon-separated scalars)")
     tr.add_argument("--c", default=None, help="torus diagonal entries (semicolon-separated)")
-    tr.add_argument("--strategy", default="named-constants")
+    tr.add_argument("--strategy", choices=("named-constants",), default="named-constants")
     tr.add_argument("--witness", default=None)
     tr.add_argument("--window", default=None)
     tr.add_argument("--box", default=None)
     tr.add_argument("--bound", type=int, default=10 ** 6)
     tr.add_argument("--injectivity-bound", type=int, default=200)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--tol", type=float, default=None)
+    tr.add_argument("--tol", type=_positive_float, default=None)
     tr.add_argument("--out-scheme", default=None)
     tr.add_argument("--out-cert", default=None)
     tr.add_argument("--out-window", default=None)
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--targets", type=int, default=3)
     ver.add_argument("--truncation", type=int, default=500)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol", type=float, default=None)
+    ver.add_argument("--tol", type=_positive_float, default=None)
     ver.add_argument("--format", choices=("json", "csv"), default="json")
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)

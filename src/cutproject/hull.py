@@ -115,7 +115,8 @@ class AlmostModelSetWitness:
             return set(filter(in_cube, found.coords))
 
         in_lower = cube(lower)
-        selected = (cube(rule.window) | set(filter(in_cube, rule.add))) - rule.remove
+        in_rule = in_lower if rule.window == lower else cube(rule.window)
+        selected = (in_rule | set(filter(in_cube, rule.add))) - rule.remove
         upper_cl = upper.closure()
         self.admitted = []
         for n in sorted(in_lower | selected):

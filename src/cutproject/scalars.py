@@ -27,7 +27,9 @@ enclosures decide the order, and only when they overlap is the sign of the
 difference refined along the digit ladder.  Each step is a rigorous decision.
 
 A scalar may instead carry a plain float; float scalars are contagious and
-compare with a global tolerance.  Exact mode is authoritative everywhere.
+compare with a global tolerance.  An operation with a float operand works on
+two Python floats: an exact operand contributes its float, computed once and
+kept.  Exact mode is authoritative everywhere.
 """
 
 from __future__ import annotations
@@ -299,8 +301,9 @@ def _reduced(num: dict[int, int], den: int, sym: str | None) -> "Scalar":
 
 class Scalar:
     # exact: _num {monomial id: int numerator}, _den positive int, _sym the
-    # constant name or None, _enc the cached 12-digit enclosure;
-    # float: _num is None and _float holds the value
+    # constant name or None, _enc the cached 12-digit enclosure, _float the
+    # cached to_float() or None; float: _num is None and _float holds the
+    # value.  _num is None is the only float/exact test.
     __slots__ = ("_num", "_den", "_float", "_hash", "_enc", "_sym")
 
     def __init__(self, value: int | float | Fraction = 0):
@@ -472,13 +475,15 @@ class Scalar:
         return _reduced(num, den, sym)
 
     def __add__(self, other):
-        if type(other) is int and self._num is not None:
+        if type(other) is int:
+            if self._num is None:
+                return Scalar(self._float + other)
             return self._add_int(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self._num is None or o._num is None:
-            return Scalar.from_float(self.to_float() + o.to_float())
+            return Scalar(self.to_float() + o.to_float())
         return self._combine(o, 1)
 
     __radd__ = __add__
@@ -488,14 +493,24 @@ class Scalar:
             return Scalar.from_float(-self._float)
         return _new({i: -c for i, c in self._num.items()}, self._den, self._sym)
 
+    def _neg_float(self) -> float:
+        """The float of ``-self``; an exact zero gives ``+0.0``, as ``-x`` does."""
+        if self._num is None:
+            return -self._float
+        return 0.0 - self.to_float()
+
     def __sub__(self, other):
-        if type(other) is int and self._num is not None:
+        # a float difference is a + (-b), never a - b: an exact or int zero
+        # negates to +0.0, so -0.0 minus zero is 0.0, where a - b gives -0.0
+        if type(other) is int:
+            if self._num is None:
+                return Scalar(self._float + (-other))
             return self._add_int(-other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self._num is None or o._num is None:
-            return self + (-o)
+            return Scalar(self.to_float() + o._neg_float())
         return self._combine(o, -1)
 
     def __rsub__(self, other):
@@ -503,7 +518,7 @@ class Scalar:
         if o is None:
             return NotImplemented
         if self._num is None or o._num is None:
-            return o + (-self)
+            return Scalar(o.to_float() + self._neg_float())
         return o._combine(self, -1)
 
     def _mul_int(self, k: int) -> "Scalar":
@@ -519,14 +534,16 @@ class Scalar:
         return _new({i: c * k for i, c in self._num.items()}, den, self._sym)
 
     def __mul__(self, other):
-        if type(other) is int and self._num is not None:
+        if type(other) is int:
+            if self._num is None:
+                return Scalar(self._float * other)
             return self._mul_int(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self._num, o._num
         if a is None or b is None:
-            return Scalar.from_float(self.to_float() * o.to_float())
+            return Scalar(self.to_float() * o.to_float())
         if not a or not b:
             return Scalar(0)
         sym = None
@@ -734,9 +751,7 @@ class Scalar:
             return NotImplemented
         if self._num is not None and o._num is not None:
             return self._compare(o) < 0
-        if self == o:
-            return False
-        return (self - o).sign() < 0
+        return self.to_float() - o.to_float() < -FLOAT_EPS
 
     def __le__(self, other):
         o = self._coerce(other)
@@ -744,7 +759,7 @@ class Scalar:
             return NotImplemented
         if self._num is not None and o._num is not None:
             return self._compare(o) <= 0
-        return self == o or (self - o).sign() < 0
+        return self.to_float() - o.to_float() <= FLOAT_EPS
 
     def __gt__(self, other):
         o = self._coerce(other)
@@ -795,10 +810,11 @@ class Scalar:
     __floor__ = floor
 
     def to_float(self) -> float:
-        if self._num is None:
-            return self._float
-        lo, hi = self._bounds_per_term(18)
-        return (lo + hi) / (2 * 10 ** 18)
+        f = self._float
+        if f is None:
+            lo, hi = self._bounds_per_term(18)
+            f = self._float = (lo + hi) / (2 * 10 ** 18)
+        return f
 
     __float__ = to_float
 

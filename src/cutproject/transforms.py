@@ -402,37 +402,26 @@ def choose_generic_lattice(
     strategy: str = "named-constants",
     relation_bound: int = 10 ** 6,
     attempts: int = 24,
-    rng: random.Random | None = None,
 ):
     """Pick a diagonal lattice whose entries avoid the rational span of the data.
 
+    The only strategy, "named-constants", tries ``NAMED_CONSTANTS`` in order.
     Returns (diagonal entries, certificate); raises CertificationError when
     the strategy exhausts its attempts.
     """
+    if strategy != "named-constants":
+        raise ValueError(f"unknown strategy {strategy!r}")
     chosen: list[Scalar] = []
     tried = 0
-    if strategy == "named-constants":
-        source = iter(NAMED_CONSTANTS)
-
-        def next_candidate():
-            name, make = next(source)
-            return make()
-
-    elif strategy == "random-reals":
-        rng = rng or random.Random(0)
-
-        def next_candidate():
-            return Scalar.from_float(1.0 + rng.random())
-
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    source = iter(NAMED_CONSTANTS)
     last_cert = None
     while len(chosen) < d and tried < attempts:
         tried += 1
         try:
-            c = next_candidate()
+            _name, make = next(source)
         except StopIteration:
             break
+        c = make()
         cert = certify_generic_diagonal(points, chosen + [c], relation_bound)
         if cert.passed:
             chosen.append(c)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -232,6 +233,23 @@ def test_transform_extend_refuses_float_scheme(tmp_path, capsys):
     assert "input error" in err and "exact generators" in err
 
 
+def test_transform_extend_rejects_unknown_strategy(tmp_path, capsys):
+    # a float diagonal entry always has a bounded relation against the exact
+    # span, so a strategy drawing random reals could never succeed
+    code = run(
+        [
+            "transform", "extend",
+            "--scheme", "builtin:fibonacci",
+            "--strategy", "random-reals",
+            "--out-scheme", str(tmp_path / "s.json"),
+            "--out-cert", str(tmp_path / "c.json"),
+        ]
+    )
+    assert code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_transform_extend_cuberoot(tmp_path):
     code = run(
         [
@@ -293,6 +311,36 @@ def test_verify_density(tmp_path):
     assert code == 0
     rep = json.loads(read(out))
     assert rep["passed"] and rep["report"]["sandwich_ok"]
+
+
+def test_tol_zero_is_an_input_error(tmp_path, capsys):
+    common = ["--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci"]
+    for argv in (
+        ["generate", *common, "--box", "0:20", "--mode", "float"],
+        ["verify", "--suite", "density", *common, "--n-list", "50,100"],
+        ["verify", "--suite", "fb", *common, "--n", "100"],
+    ):
+        out = tmp_path / "out"
+        for tol in ("0", "-1e-3", "nan"):
+            assert run([*argv, "--tol", tol, "--out", str(out)]) == 2, (argv, tol)
+            assert "argument --tol" in capsys.readouterr().err
+        assert not out.exists()
+    assert scalars.FLOAT_EPS == 1e-9
+
+
+def test_verify_density_tol_is_reported(tmp_path):
+    out = tmp_path / "density.json"
+    argv = [
+        "verify", "--suite", "density",
+        "--scheme", "builtin:fibonacci",
+        "--window", "builtin:fibonacci",
+        "--n-list", "50,100,150",
+        "--out", str(out),
+    ]
+    assert run(argv) == 0
+    assert json.loads(read(out))["tolerance"] == 1e-3
+    assert run(argv + ["--tol", "0.01"]) == 0
+    assert json.loads(read(out))["tolerance"] == 0.01
 
 
 def test_verify_density_csv_table(tmp_path):
@@ -425,8 +473,8 @@ def test_generate_float_mode(tmp_path):
         assert float(fl.split(",")[0]) == pytest.approx(float(el.split(",")[0]), abs=1e-6)
 
 
-def test_generate_deterministic_union_window(tmp_path):
-    # several window pieces, merged in piece order: byte-identical reruns
+def union_window_file(tmp_path):
+    """A two-piece union window of the Fibonacci scheme, as a JSON file."""
     space = fibonacci_scheme().space
     window = UnionWindow(
         space,
@@ -438,10 +486,15 @@ def test_generate_deterministic_union_window(tmp_path):
     assert len(window.enum_pieces()) == 2
     window_file = tmp_path / "union.json"
     window_file.write_text(json.dumps(window.to_obj(), sort_keys=True))
+    return window_file
+
+
+def test_generate_deterministic_union_window(tmp_path):
+    # several window pieces, merged in piece order: byte-identical reruns
     argv = [
         "generate",
         "--scheme", "builtin:fibonacci",
-        "--window", str(window_file),
+        "--window", str(union_window_file(tmp_path)),
         "--box=-15:15",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -449,6 +502,32 @@ def test_generate_deterministic_union_window(tmp_path):
     assert run(argv + ["--out", str(b)]) == 0
     assert read(a) == read(b)
     assert len(read(a).splitlines()) > 10
+
+
+@pytest.mark.parametrize(
+    "window, box, rows, digest",
+    [
+        (
+            "builtin:fibonacci", "--box=1200:2800", 1158,
+            "70344cf4727588f73a499c923cdef9911214c9dad0fc849770dc7a1117029ff0",
+        ),
+        (
+            "union", "--box=-600:600", 600,
+            "3a4cf4c26740a89be653fad6e07d1139fb6e28b715345b009a8ec81ae647c035",
+        ),
+    ],
+)
+def test_generate_float_mode_output_is_pinned(tmp_path, window, box, rows, digest):
+    # float-mode patches near the window boundary depend on how float and
+    # exact operands are compared; the digests fix that behaviour
+    if window == "union":
+        window = str(union_window_file(tmp_path))
+    out = tmp_path / "float.csv"
+    argv = ["generate", "--scheme", "builtin:fibonacci", "--window", window, box, "--mode", "float"]
+    assert run(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data.splitlines()) == rows + 1
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_tol_does_not_leak_into_later_commands(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutproject import scalars
 from cutproject.scalars import (
     GOLDEN,
     GOLDEN_CONJ,
@@ -11,6 +12,7 @@ from cutproject.scalars import (
     ExactnessError,
     Scalar,
     parse_scalar,
+    set_float_tolerance,
 )
 
 
@@ -118,6 +120,120 @@ def test_float_mode_contagion():
     assert x.to_float() == 2.25
     assert Scalar.from_float(1.0) == Scalar.from_float(1.0 + 1e-12)
     assert Scalar.from_float(1.0) != Scalar.from_float(1.1)
+
+
+# -- float operands ------------------------------------------------------------
+
+
+def _ref_float(x):
+    """The float of a Scalar, from a fresh 18-digit enclosure, never a cache."""
+    if not x.is_exact:
+        return x._float
+    lo, hi = x.bounds(18)
+    return float((lo + hi) / 2)
+
+
+def _ref_neg(x):
+    return -x._float if not x.is_exact else _ref_float(-x)
+
+
+def _ref_float_sign(v):
+    if abs(v) <= scalars.FLOAT_EPS:
+        return 0
+    return 1 if v > 0 else -1
+
+
+def _ref_ops(x, y):
+    """Every binary result with a float operand, by definition: ``x <= y`` is
+    ``x == y or sign(x + (-y)) < 0``, the float of an exact ``-y`` is taken
+    from ``-y`` itself, and ``x - y`` is ``x + (-y)``."""
+    x, y = Scalar.of(x), Scalar.of(y)
+    fx, fy = _ref_float(x), _ref_float(y)
+    eq = abs(fx - fy) <= scalars.FLOAT_EPS
+    x_minus_y, y_minus_x = fx + _ref_neg(y), fy + _ref_neg(x)
+    lt = not eq and _ref_float_sign(x_minus_y) < 0
+    le = eq or _ref_float_sign(x_minus_y) < 0
+    gt = not eq and _ref_float_sign(y_minus_x) < 0
+    ge = eq or _ref_float_sign(y_minus_x) < 0
+    add = Scalar.from_float(fx + fy)
+    sub = Scalar.from_float(x_minus_y)
+    mul = Scalar.from_float(fx * fy)
+    return [repr(v) for v in (eq, lt, le, gt, ge, add, sub, mul)]
+
+
+def _ops(x, y):
+    return [repr(v) for v in (x == y, x < y, x <= y, x > y, x >= y, x + y, x - y, x * y)]
+
+
+def test_float_operands_match_reference():
+    import random
+
+    rng = random.Random(20261018)
+    eps = scalars.FLOAT_EPS
+    exacts = [
+        Scalar(0),
+        Scalar(1),
+        Scalar(-3),
+        Scalar(10 ** 20),
+        Scalar(Fraction(1, 3)),
+        Scalar(Fraction(1, 10 ** 30)),
+        # a nonzero value whose float is 0.0
+        Scalar(Fraction(1, 10 ** 30)) * (1 - Scalar.sqrt(2)),
+        Scalar.sqrt(2),
+        -GOLDEN,
+        Scalar.const("pi"),
+    ]
+    exacts += [
+        Scalar(Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+        + Scalar.sqrt(5) * rng.randint(-3, 3)
+        for _ in range(10)
+    ]
+    values = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -1.0, 0.5]
+    values += [sign * k * eps for sign in (1, -1) for k in (0.5, 1, 2)]
+    values += [rng.uniform(-10, 10) for _ in range(20)]
+    for x in exacts[:10]:
+        f = _ref_float(x)
+        # ties at exactly FLOAT_EPS and just inside and outside it
+        values += [f, f + eps, f - eps, f + eps * (1 - 2 ** -20), f - eps * (1 + 2 ** -20)]
+    floats = [Scalar.from_float(v) for v in values]
+    ints = [0, 1, -1, 7, 2 ** 70, -(2 ** 53) - 1]
+    fractions = [Fraction(0), Fraction(1, 3), Fraction(-7, 2)]
+    checked = 0
+    for f in floats:
+        assert repr(-f) == repr(Scalar.from_float(-f._float))
+        for other in floats + exacts + ints + fractions:
+            assert _ops(f, other) == _ref_ops(f, other), (f, other)
+            assert _ops(other, f) == _ref_ops(other, f), (other, f)
+            checked += 2
+    assert checked > 10_000
+
+
+def test_float_of_exact_is_cached_without_changing_the_value():
+    for make in (
+        lambda: Scalar(Fraction(-22, 7)),
+        lambda: GOLDEN * 3 - Fraction(1, 4),
+        lambda: Scalar.root(2, 3) * 5 - Fraction(1, 2),
+        lambda: Scalar(1) / Scalar.const("pi"),
+    ):
+        x, fresh = make(), make()
+        before = (x.is_exact, repr(x), x.to_obj(), hash(x), x.terms())
+        assert float(x) == float(x) == _ref_float(fresh)
+        assert (x.is_exact, repr(x), x.to_obj(), hash(x), x.terms()) == before
+        assert x == fresh and hash(x) == hash(fresh)
+        assert not (x - fresh).sign()
+
+
+def test_float_tolerance_applies_after_the_float_is_cached():
+    x = Scalar.sqrt(2)
+    f = Scalar.from_float(float(x) + 1e-6)
+    assert f != x and x < f and not f <= x
+    saved = scalars.FLOAT_EPS
+    try:
+        set_float_tolerance(1e-3)
+        assert f == x and not x < f and f <= x and x >= f
+    finally:
+        set_float_tolerance(saved)
+    assert f != x and x < f
 
 
 def test_floats_and_floor():
