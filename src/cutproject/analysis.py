@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .internal_space import InternalSpace
-from .scalars import Scalar
+from .scalars import FLOAT_EPS, Scalar
 from .scheme import Box, CutProjectScheme, Patch
 from .windows import Window
+
+_EQUIDIST_CELLS = 8  # torus cells per fundamental coordinate in the coverage test
 
 
 @dataclass
@@ -145,15 +147,13 @@ def equidistribution_check(
     window: Window,
     chi_bound: float,
     n: int,
-    cells: int = 8,
-    min_points: int | None = None,
 ) -> EquidistributionReport:
     """Torus coverage and nontrivial character sums for an extended scheme.
 
     The window may be given over the torus-free part; it is then crossed
     with the full torus.  Coverage asks every fundamental-coordinate cube of
-    side 1/cells to contain a projected-point image; too small a sample
-    reports "inconclusive" rather than failure.
+    side 1/8 to contain a projected-point image; a sample of fewer than two
+    points per cube reports "inconclusive" rather than failure.
     """
     torus_idx = None
     for idx, f in enumerate(scheme.space.factors):
@@ -170,10 +170,11 @@ def equidistribution_check(
         h = scheme.star(coords)
         fractional = h.coords[torus_idx]
         cell = tuple(
-            min(int(x.to_float() * cells) % cells, cells - 1) for x in fractional
+            min(int(x.to_float() * _EQUIDIST_CELLS) % _EQUIDIST_CELLS, _EQUIDIST_CELLS - 1)
+            for x in fractional
         )
         hit.add(cell)
-    cells_total = cells ** factor.dim
+    cells_total = _EQUIDIST_CELLS ** factor.dim
     # characters of the quotient: dual-lattice vectors below the norm bound
     fb_values: dict[tuple[int, ...], complex] = {}
     inv_diag = [1.0 / float(factor.basis[i][i]) for i in range(factor.dim)]
@@ -191,13 +192,11 @@ def equidistribution_check(
             total += chi.value(p).conjugate()
         fb_values[kvec] = total / (2 * n) ** scheme.d
     max_fb = max((abs(v) for v in fb_values.values()), default=0.0)
-    if min_points is None:
-        min_points = 2 * cells_total
     if len(hit) == cells_total:
         status = "pass"
     elif window.is_empty():
         status = "fail"  # structurally empty, not a sampling artifact
-    elif len(patch) < min_points:
+    elif len(patch) < 2 * cells_total:
         status = "inconclusive"
     else:
         status = "fail"
@@ -245,14 +244,14 @@ def _all_exact(patch: Patch) -> bool:
     return all(v.is_exact for p in patch.points for v in p)
 
 
-def _match_float(points_a, points_b, require_all_b: bool, eps: float = 1e-9) -> bool:
+def _match_float(points_a, points_b, require_all_b: bool) -> bool:
     used = [False] * len(points_b)
     for p in points_a:
         found = False
         for i, q in enumerate(points_b):
             if used[i]:
                 continue
-            if all(abs(float(x) - float(y)) <= eps for x, y in zip(p, q)):
+            if all(abs(float(x) - float(y)) <= FLOAT_EPS for x, y in zip(p, q)):
                 used[i] = True
                 found = True
                 break

@@ -12,9 +12,9 @@ import json
 import random
 import sys
 
-from . import analysis, hull, scalars, transforms
+from . import analysis, hull, transforms
 from .fibonacci import fibonacci_scheme, fibonacci_window
-from .scalars import Scalar, parse_scalar, set_float_tolerance
+from .scalars import Scalar, parse_scalar
 from .scheme import Box, CutProjectScheme, EnumerationOverflowError
 from .windows import Window, interval_window, window_from_obj
 
@@ -134,13 +134,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _apply_mode(args):
-    if args.tol is not None:
-        set_float_tolerance(args.tol)
-
-
 def cmd_generate(args) -> int:
-    _apply_mode(args)
     scheme = load_scheme(args.scheme, args.mode)
     window = load_window(args.window, scheme)
     box = parse_box(args.box, scheme.d)
@@ -158,7 +152,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _apply_mode(args)
     scheme = load_scheme(args.scheme)
     if args.kind == "translate":
         if not args.a:
@@ -204,7 +197,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _apply_mode(args)
     suite = args.suite
     report: dict
     passed: bool
@@ -324,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
     gen.add_argument("--mode", choices=("exact", "float"), default="exact")
-    gen.add_argument("--tol", type=_positive_float, default=None)
     gen.add_argument("--max-candidates", type=int, default=5_000_000)
     gen.set_defaults(func=cmd_generate)
 
@@ -339,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--box", default=None)
     tr.add_argument("--bound", type=int, default=10 ** 6)
     tr.add_argument("--injectivity-bound", type=int, default=200)
-    tr.add_argument("--tol", type=_positive_float, default=None)
     tr.add_argument("--out-scheme", default=None)
     tr.add_argument("--out-cert", default=None)
     tr.add_argument("--out-window", default=None)
@@ -376,7 +366,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    eps = scalars.FLOAT_EPS
     try:
         return args.func(args)
     except InputError as exc:
@@ -399,9 +388,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        # --tol holds for its own command only
-        set_float_tolerance(eps)
 
 
 if __name__ == "__main__":

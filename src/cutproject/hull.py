@@ -27,6 +27,9 @@ LADDER = (
     lambda: Scalar.sqrt(2) / 5,
     lambda: Scalar.sqrt(7) / 9,
 )
+_SHIFT_ATTEMPTS = 16  # the ladder, then seeded multiples of its first entry
+_LIMIT_TOL = 1e-2  # star distance at which a limit sequence has reached its target
+_COMMENSURABILITY_BOUND = 10 ** 6  # for the translation extension of a shift
 
 
 @dataclass(frozen=True)
@@ -217,9 +220,7 @@ def limit_patch_check(
     witness: AlmostModelSetWitness,
     t_target: HPoint,
     K: Box,
-    tol: float = 1e-2,
     rungs: int = 7,
-    max_shift=None,
 ) -> LimitPatchReport:
     """Translate the rule's point set along lattice stars approaching a target.
 
@@ -237,8 +238,6 @@ def limit_patch_check(
     if any(a > b for a, b in zip(s_lo, s_hi)):
         raise ValueError("witness truncation too small for the requested box")
     budget = min(float(b) for b in s_hi)
-    if max_shift is not None:
-        budget = min(budget, float(max_shift))
     lower_w = witness.lower.translate(t_target)
     upper_w = witness.upper.closure().translate(t_target)
     lower_set = scheme.project_points(K, lower_w).point_set()
@@ -279,13 +278,13 @@ def limit_patch_check(
                 len(patches) >= 2
                 and patches[-1].point_set() == patches[-2].point_set()
             )
-            if stable and lower_ok and upper_ok and best[1] <= tol:
+            if stable and lower_ok and upper_ok and best[1] <= _LIMIT_TOL:
                 break
         if cap >= budget:
             if best is not None and len(patches) >= 2:
                 break
         cap = min(cap * 2, budget)
-    stalled = best is None or best[1] > tol
+    stalled = best is None or best[1] > _LIMIT_TOL
     stabilized = (
         len(patches) >= 2 and patches[-1].point_set() == patches[-2].point_set()
     )
@@ -346,7 +345,6 @@ def generic_shift(
     lower: Window,
     upper: Window,
     truncation: int,
-    attempts: int = 16,
     rng: random.Random | None = None,
 ) -> HPoint:
     """A shift moving the window difference set off all truncated star points.
@@ -358,20 +356,18 @@ def generic_shift(
     space = scheme.space
     if not diff:
         return space.zero()
-    candidates = []
-    for make in LADDER:
-        candidates.append(make())
+    candidates = [make() for make in LADDER]
     rng = rng or random.Random(0)
-    while len(candidates) < attempts:
+    while len(candidates) < _SHIFT_ATTEMPTS:
         q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
         candidates.append(LADDER[0]() * q)
-    for value in candidates[:attempts]:
+    for value in candidates:
         t = shift_point(space, value)
         ok, _ = check_shift_avoidance(scheme, t, diff, truncation)
         if ok:
             return t
     raise transforms.CertificationError(
-        f"no avoiding shift found in {attempts} attempts"
+        f"no avoiding shift found in {_SHIFT_ATTEMPTS} attempts"
     )
 
 
@@ -411,7 +407,6 @@ def hull_classification_check(
     witness: AlmostModelSetWitness,
     x: ShiftParameter,
     K: Box,
-    bound: int = 10 ** 6,
     corrupt=None,
 ) -> HullClassificationReport:
     """Verify a shifted configuration is again an almost model set and rebuild
@@ -432,7 +427,7 @@ def hull_classification_check(
         scheme2 = scheme
         lift = lambda w: w  # noqa: E731
     else:
-        ext = transforms.translate_cps(scheme, x.s, bound)
+        ext = transforms.translate_cps(scheme, x.s, _COMMENSURABILITY_BOUND)
         scheme2 = ext.scheme
         lift = lambda w: transforms.lift_window(w, 1, scheme2)  # noqa: E731
     lower_w = lift(witness.lower.translate(x.t))

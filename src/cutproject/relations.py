@@ -58,7 +58,7 @@ def exact_relation(values: list[Scalar]) -> list[int] | None:
     return None
 
 
-def lll_relation(values, bound: int, digits: int | None = None) -> list[int] | None:
+def lll_relation(values, bound: int) -> list[int] | None:
     """Bounded heuristic relation search; None means none found at this scale.
 
     Values may be exact scalars (scaled to integers from rigorous enclosures,
@@ -69,8 +69,7 @@ def lll_relation(values, bound: int, digits: int | None = None) -> list[int] | N
     """
     n = len(values)
     exact = all(isinstance(v, Scalar) and v.is_exact for v in values)
-    if digits is None:
-        digits = max(24, 12 + 2 * n * len(str(bound))) if exact else 13
+    digits = max(24, 12 + 2 * n * len(str(bound))) if exact else 13
     scale = 10 ** digits
     scaled = []
     for v in values:

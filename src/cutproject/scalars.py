@@ -27,9 +27,10 @@ enclosures decide the order, and only when they overlap is the sign of the
 difference refined along the digit ladder.  Each step is a rigorous decision.
 
 A scalar may instead carry a plain float; float scalars are contagious and
-compare with a global tolerance.  An operation with a float operand works on
-two Python floats: an exact operand contributes its float, computed once and
-kept.  Exact mode is authoritative everywhere.
+compare within the fixed tolerance ``FLOAT_EPS``, which no option changes.
+An operation with a float operand works on two Python floats: an exact
+operand contributes its float, computed once and kept.  Exact mode is
+authoritative everywhere.
 """
 
 from __future__ import annotations
@@ -49,14 +50,7 @@ _UNIT: Mono = ((), ())
 _DIGITS_LADDER = (12, 24, 48, 96, 192, 384, 768, 1536)
 _ENCLOSURE_DIGITS = _DIGITS_LADDER[0]
 
-FLOAT_EPS = 1e-9
-
-
-def set_float_tolerance(eps: float) -> None:
-    global FLOAT_EPS
-    if eps <= 0:
-        raise ValueError("tolerance must be positive")
-    FLOAT_EPS = eps
+FLOAT_EPS = 1e-9  # float-mode comparison tolerance
 
 
 class ExactnessError(ArithmeticError):

@@ -28,7 +28,7 @@ from .scalars import Scalar
 from .windows import Window, row_bounds
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
-_PLAN_DIGITS = 25  # decimal scale of the enumeration's integer enclosures
+_PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -231,7 +231,7 @@ class CutProjectScheme:
         self.direct_injective = self._check_direct_injective(require_injective)
         self._id = None
         self._density_heuristic = None
-        self._inverse_rows_cache = {}
+        self._inverse_enc = None
         self._enum_plan = None
 
     # -- lifted presentation -------------------------------------------------
@@ -392,12 +392,11 @@ class CutProjectScheme:
         """Bounds on every lifted row: the box, then a window piece's rows."""
         return [row_bounds(lo, hi) for lo, hi in zip(box.lo, box.hi)] + piece
 
-    def _inverse_enclosure(self, digits: int = 25):
+    def _inverse_enclosure(self):
         """Interval enclosure of the inverse coordinate matrix, cached."""
-        cached = self._inverse_rows_cache.get(digits)
-        if cached is None:
-            cached = self._inverse_rows_cache[digits] = _inverse_rows(self.matrix, digits)
-        return cached
+        if self._inverse_enc is None:
+            self._inverse_enc = _inverse_rows(self.matrix, _PLAN_DIGITS)
+        return self._inverse_enc
 
     def _enumeration_plan(self):
         """Per-level data of the triangular walk, built once per scheme.

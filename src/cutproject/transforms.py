@@ -401,25 +401,19 @@ def choose_generic_lattice(
     d: int,
     strategy: str = "named-constants",
     relation_bound: int = 10 ** 6,
-    attempts: int = 24,
 ):
     """Pick a diagonal lattice whose entries avoid the rational span of the data.
 
-    The only strategy, "named-constants", tries ``NAMED_CONSTANTS`` in order.
-    Returns (diagonal entries, certificate); raises CertificationError when
-    the strategy exhausts its attempts.
+    The only strategy, "named-constants", tries each of ``NAMED_CONSTANTS``
+    once, in order.  Returns (diagonal entries, certificate); raises
+    CertificationError when the constants run out first.
     """
     if strategy != "named-constants":
         raise ValueError(f"unknown strategy {strategy!r}")
     chosen: list[Scalar] = []
-    tried = 0
-    source = iter(NAMED_CONSTANTS)
     last_cert = None
-    while len(chosen) < d and tried < attempts:
-        tried += 1
-        try:
-            _name, make = next(source)
-        except StopIteration:
+    for _name, make in NAMED_CONSTANTS:
+        if len(chosen) == d:
             break
         c = make()
         cert = certify_generic_diagonal(points, chosen + [c], relation_bound)
@@ -428,7 +422,7 @@ def choose_generic_lattice(
             last_cert = cert
     if len(chosen) < d:
         raise CertificationError(
-            f"strategy {strategy!r} exhausted after {tried} attempts",
+            f"strategy {strategy!r} exhausted after {len(NAMED_CONSTANTS)} attempts",
             last_cert,
         )
     return tuple(chosen), last_cert
@@ -448,7 +442,6 @@ def extend_injective(
     injectivity_bound: int = 200,
     window: Window | None = None,
     box: Box | None = None,
-    annihilator_count: int | None = None,
 ) -> InjectiveExtension:
     """Append a torus factor making the star map injective.
 
@@ -463,8 +456,7 @@ def extend_injective(
     diag = tuple(Scalar.of(c) for c in (diag if isinstance(diag, (tuple, list)) else (diag,)))
     if len(diag) != scheme.d:
         raise ValueError("diagonal arity must match the direct dimension")
-    count = annihilator_count or (scheme.lift_size + scheme.d)
-    ann = annihilator_projection(scheme, count)
+    ann = annihilator_projection(scheme, scheme.lift_size + scheme.d)
     data_points = [g for g, _ in scheme.generators] + list(ann)
     rel_cert = certify_generic_diagonal(data_points, diag, relation_bound)
     if not rel_cert.passed:

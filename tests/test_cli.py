@@ -1,8 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -316,7 +313,6 @@ def test_verify_density(tmp_path):
 def test_tol_zero_is_an_input_error(tmp_path, capsys):
     common = ["--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci"]
     for argv in (
-        ["generate", *common, "--box", "0:20", "--mode", "float"],
         ["verify", "--suite", "density", *common, "--n-list", "50,100"],
         ["verify", "--suite", "fb", *common, "--n", "100"],
     ):
@@ -530,27 +526,30 @@ def test_generate_float_mode_output_is_pinned(tmp_path, window, box, rows, diges
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_tol_does_not_leak_into_later_commands(tmp_path):
-    # the star of x = 2205.9995... lies within 1e-3 of the window boundary, so
-    # the float-mode patch on this box depends on the tolerance
+def test_tol_is_only_a_verify_option(tmp_path, capsys):
+    common = ["--scheme", "builtin:fibonacci", "--out-scheme", str(tmp_path / "s.json")]
+    for argv in (
+        ["generate", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci",
+         "--box", "0:20", "--mode", "float", "--out", str(tmp_path / "p.csv")],
+        ["transform", "translate", *common, "--a", "1/2", "--out-cert", str(tmp_path / "c.json")],
+    ):
+        assert run(argv) == 0
+        assert run([*argv, "--tol", "1e-3"]) == 2, argv
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_verify_tol_leaves_float_counts_alone(tmp_path):
+    # the float Fibonacci scheme puts a star within 0.01 of the window
+    # boundary by n = 400; the suite's pass tolerance must not move it
+    out = tmp_path / "density.json"
     argv = [
-        "generate",
-        "--scheme", "builtin:fibonacci",
+        "verify", "--suite", "density",
+        "--scheme", str(float_fibonacci_file(tmp_path)),
         "--window", "builtin:fibonacci",
-        "--box", "2200:2210",
-        "--mode", "float",
+        "--n-list", "100,400",
+        "--out", str(out),
     ]
-    src = os.path.dirname(os.path.dirname(scalars.__file__))
-    fresh = tmp_path / "fresh.csv"
-    subprocess.run(
-        [sys.executable, "-m", "cutproject.cli", *argv, "--out", str(fresh)],
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    loose = tmp_path / "loose.csv"
-    assert run(argv + ["--tol", "1e-3", "--out", str(loose)]) == 0
-    assert read(loose) != read(fresh)
+    for tol in ([], ["--tol", "0.01"]):
+        assert run(argv + tol) == 0
+        assert json.loads(read(out))["report"]["counts"] == [145, 579], tol
     assert scalars.FLOAT_EPS == 1e-9
-    after = tmp_path / "after.csv"
-    assert run(argv + ["--out", str(after)]) == 0
-    assert read(after) == read(fresh)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutproject import linalg
 from cutproject.fibonacci import fibonacci_scheme
 from cutproject.internal_space import (
     FiniteCyclicFactor,
@@ -13,7 +14,7 @@ from cutproject.internal_space import (
     TorusFactor,
     TwistedExtensionFactor,
 )
-from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
+from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, ExactnessError, Scalar
 from cutproject.scheme import (
     AveragingSequence,
     Box,
@@ -583,6 +584,43 @@ def test_enumeration_work_bound(monkeypatch):
         patch = scheme.project_points(box, w)
         assert len(patch) > 100
         assert calls <= 2 * len(patch)
+
+
+def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
+    # det = sqrt(2) - 1 - pi has no exact inverse, so the candidate ranges come
+    # from interval elimination; |n2| <= 15 and |n1| <= 23 hold every point
+    calls = 0
+    solve = linalg.interval_solve
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "interval_solve", counted)
+    det = Scalar.sqrt(2) - 1 - Scalar.const("pi")
+    with pytest.raises(ExactnessError):
+        det.inverse()
+    scheme = CutProjectScheme(
+        1,
+        LINE,
+        [
+            ((Scalar(1),), LINE.point((1,))),
+            ((1 + Scalar.const("pi"),), LINE.point((Scalar.sqrt(2),))),
+        ],
+    )
+    box = Box.interval(-40, 40)
+    w = interval_window(LINE, -1, 1)
+    patch = scheme.project_points(box, w)
+    assert calls > 0
+    brute = set()
+    for n1 in range(-200, 201):
+        for n2 in range(-20, 21):
+            d, s = scheme.point_of((n1, n2))
+            if box.contains(d) and w.contains(s):
+                brute.add((n1, n2))
+    assert len(brute) == 58
+    assert set(patch.coords) == brute
 
 
 def test_lattice_coords_float_mode():

@@ -176,8 +176,9 @@ def test_choose_generic_lattice():
     diag, cert = choose_generic_lattice(points, 1)
     assert cert.passed
     assert diag[0] == Scalar.root(2, 3)
-    with pytest.raises(CertificationError):
-        choose_generic_lattice(points, 1, attempts=0)
+    # one attempt per named constant, however many entries are asked for
+    with pytest.raises(CertificationError, match="exhausted after 8 attempts"):
+        choose_generic_lattice([(Scalar(1),), (Scalar(2),)], 9)
 
 
 def test_choose_generic_lattice_rejects_unknown_strategy():

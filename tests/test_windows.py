@@ -106,6 +106,37 @@ def test_augmented_gap_fill_interior():
     assert w.properties().topologically_regular
 
 
+def _gap_case(kind):
+    """(open core, adjoined star, expected interior) on a circle or a twist."""
+    tenth, half = Fraction(1, 10), Fraction(1, 2)
+    if kind == "twisted":
+        f = TwistedExtensionFactor(LINE, 2, LINE.point((GOLDEN_CONJ,)))
+        space = InternalSpace([f])
+        split = RealRegion((IntervalSet([Interval(0, half, False, False), Interval(half, 1, False, False)]),))
+        core = ProductWindow(space, (TwistedRegion(f, {1: ProductWindow(LINE, (split,))}),))
+        star = space.point((LINE.point((half,)), 1))
+        region = TwistedRegion(f, {1: interval_window(LINE, 0, 1, False, False)})
+        return core, star, ProductWindow(space, (region,))
+    factor = TorusFactor(1, ((Scalar(1),),))
+    space = InternalSpace([factor])
+    if kind == "circle":
+        pieces = [Interval(tenth, half, False, False), Interval(half, 1 - tenth, False, False)]
+        star, filled = half, [Interval(tenth, 1 - tenth, False, False)]
+    else:  # the gap is the seam point 0
+        pieces = [Interval(1 - tenth, 1, False, False), Interval(0, tenth, False, False)]
+        star, filled = 0, [Interval(0, tenth, True, False), Interval(1 - tenth, 1, False, False)]
+    core = ProductWindow(space, (TorusRegion(factor, (IntervalSet(pieces),)),))
+    expected = ProductWindow(space, (TorusRegion(factor, (IntervalSet(filled),)),))
+    return core, space.point((star,)), expected
+
+
+@pytest.mark.parametrize("kind", ["circle", "seam", "twisted"])
+def test_augmented_gap_fill_on_circle_and_twist(kind):
+    core, star, expected = _gap_case(kind)
+    assert not core.contains(star)
+    assert AugmentedWindow(core, [star]).interior() == expected
+
+
 def test_translate_preserves_flags_and_measure():
     rng = random.Random(4)
     w = ProductWindow(
