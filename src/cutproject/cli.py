@@ -38,7 +38,9 @@ def _dump_json(obj, path: str | None):
             fh.write(text)
 
 
-def _load_json(path: str):
+def _load_json(path: str | None):
+    if path is None:
+        raise InputError("a required file option is missing")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -71,7 +73,9 @@ def _floatify(obj):
     return obj
 
 
-def load_window(source: str, scheme: CutProjectScheme) -> Window:
+def load_window(source: str | None, scheme: CutProjectScheme) -> Window:
+    if source is None:
+        raise InputError("--window is required")
     if source == "builtin:fibonacci":
         return fibonacci_window()
     if source == "builtin:fibonacci-open":
@@ -100,11 +104,40 @@ def load_window(source: str, scheme: CutProjectScheme) -> Window:
         raise InputError(f"invalid window file {source}: {exc}") from exc
 
 
+def _load_obj(path: str, kind: str, build):
+    """``build`` applied to the JSON in ``path``; malformed content is an input error."""
+    obj = _load_json(path)
+    try:
+        return build(obj)
+    except transforms.WitnessInclusionError:
+        raise  # a rule outside its windows is a certification failure (exit 4)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid {kind} file {path}: {exc}") from exc
+
+
+def load_witness(path: str, scheme: CutProjectScheme) -> hull.AlmostModelSetWitness:
+    return _load_obj(path, "witness", lambda obj: hull.AlmostModelSetWitness.from_obj(scheme, obj))
+
+
 def _scalar(text: str) -> Scalar:
     try:
         return parse_scalar(text)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _direct_vector(text: str, dim: int, option: str) -> tuple[Scalar, ...]:
+    vec = tuple(_scalar(t) for t in text.split(";"))
+    if len(vec) != dim:
+        raise InputError(f"{option} must have {dim} entries separated by ';'")
+    return vec
+
+
+def _parsed(option: str, parse):
+    try:
+        return parse()
+    except ValueError as exc:
+        raise InputError(f"cannot parse {option}: {exc}") from exc
 
 
 def parse_box(text: str, dim: int) -> Box:
@@ -156,7 +189,9 @@ def cmd_transform(args) -> int:
     if args.kind == "translate":
         if not args.a:
             raise InputError("translate needs --a")
-        a = tuple(_scalar(t) for t in args.a.split(";"))
+        a = _direct_vector(args.a, scheme.d, "--a")
+        if all(v.is_zero() for v in a):
+            raise InputError("translation vector must be nonzero")
         window = load_window(args.window, scheme) if args.window else None
         box = parse_box(args.box, scheme.d) if args.box else None
         ext = transforms.translate_cps(scheme, a, args.bound, window=window, box=box)
@@ -164,10 +199,12 @@ def cmd_transform(args) -> int:
         _dump_json(ext.certificate.to_obj(), args.out_cert)
         return EXIT_OK
     if args.kind == "extend":
+        if not all(v.is_exact for row in scheme.matrix for v in row):
+            raise InputError("transform extend needs exact generators")
         window = load_window(args.window, scheme) if args.window else None
         box = parse_box(args.box, scheme.d) if args.box else None
         if args.c:
-            diag = tuple(_scalar(t) for t in args.c.split(";"))
+            diag = _direct_vector(args.c, scheme.d, "--c")
         else:
             gens = [g for g, _ in scheme.generators]
             diag, _cert = transforms.choose_generic_lattice(
@@ -187,7 +224,7 @@ def cmd_transform(args) -> int:
     if args.kind == "augment":
         if not args.witness:
             raise InputError("augment needs --witness")
-        witness = hull.AlmostModelSetWitness.from_obj(scheme, _load_json(args.witness))
+        witness = load_witness(args.witness, scheme)
         box = parse_box(args.box, scheme.d) if args.box else None
         aug = transforms.almost_to_model(witness, box=box)
         _dump_json(aug.window.to_obj(), args.out_window)
@@ -203,7 +240,7 @@ def cmd_verify(args) -> int:
     if suite == "density":
         scheme = load_scheme(args.scheme)
         window = load_window(args.window, scheme)
-        n_values = [int(t) for t in args.n_list.split(",")]
+        n_values = _parsed("--n-list", lambda: [int(t) for t in args.n_list.split(",")])
         rep = analysis.empirical_density(scheme, window, n_values)
         tol = args.tol if args.tol is not None else 1e-3
         closest = abs(rep.empirical[-1] - (rep.lower + rep.upper) / 2)
@@ -221,7 +258,10 @@ def cmd_verify(args) -> int:
         scheme = load_scheme(args.scheme)
         window = load_window(args.window, scheme)
         tol = args.tol if args.tol is not None else 0.05
-        chis = [tuple(float(x) for x in chunk.split(",")) for chunk in args.chi.split(";")]
+        chis = _parsed(
+            "--chi",
+            lambda: [tuple(float(x) for x in chunk.split(",")) for chunk in args.chi.split(";")],
+        )
         density = analysis.empirical_density(scheme, window, [args.n]).empirical[-1]
         values = {}
         passed = True
@@ -248,7 +288,7 @@ def cmd_verify(args) -> int:
         report = {"suite": suite, "tolerance": tol, "report": rep.to_obj()}
     elif suite == "hull":
         scheme = load_scheme(args.scheme)
-        witness = hull.AlmostModelSetWitness.from_obj(scheme, _load_json(args.witness))
+        witness = load_witness(args.witness, scheme)
         K = parse_box(args.box, scheme.d)
         shift = hull.generic_shift(
             scheme,
@@ -287,7 +327,7 @@ def cmd_verify(args) -> int:
     elif suite == "theorem":
         scheme = load_scheme(args.scheme)
         scheme2 = load_scheme(args.scheme2)
-        cert = transforms.TransformCertificate.from_obj(_load_json(args.cert))
+        cert = _load_obj(args.cert, "certificate", transforms.TransformCertificate.from_obj)
         rechecks = transforms.reverify_certificate(cert, scheme, scheme2)
         passed = all(c.passed for c in rechecks)
         report = {
@@ -385,9 +425,6 @@ def main(argv=None) -> int:
         if witness is not None:
             print(f"witness: {witness}", file=sys.stderr)
         return EXIT_CERT
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

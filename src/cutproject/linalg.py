@@ -66,7 +66,7 @@ def _iv_div(x: Interval, y: Interval) -> Interval:
 
 
 def interval_solve(
-    mat: list[list[Scalar]], rhs: list[Interval], digits: int = 25
+    mat: list[list[Scalar]], rhs: list[Interval], digits: int
 ) -> list[Interval]:
     """Enclosure of all solutions of ``mat x = y`` for y in the rhs box.
 

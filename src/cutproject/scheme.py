@@ -111,21 +111,38 @@ class Patch:
 
     def __init__(self, points, box: Box, scheme_id: str = "", coords=None):
         pairs = list(zip(points, coords)) if coords is not None else [(p, None) for p in points]
+        checked = []
+        for p, c in pairs:
+            p = tuple(Scalar.of(v) for v in p)
+            if not box.contains(p):
+                raise ValueError(f"patch point {p!r} outside its box")
+            checked.append((p, tuple(int(x) for x in c) if c is not None else None))
+        self._fill(checked, box, scheme_id, coords is not None)
+
+    @classmethod
+    def _of_checked(cls, pairs, box: Box, scheme_id: str) -> "Patch":
+        """Patch of ``(point, coords)`` pairs known to be Scalar points in ``box``.
+
+        For ``project_points``, whose leaves have just decided exactly that;
+        the points are sorted and deduplicated as in ``__init__``.
+        """
+        patch = cls.__new__(cls)
+        patch._fill(pairs, box, scheme_id, True)
+        return patch
+
+    def _fill(self, pairs, box, scheme_id, with_coords):
         pairs.sort(key=lambda pc: pc[0])
         pts = []
         crd = []
         for p, c in pairs:
-            p = tuple(Scalar.of(v) for v in p)
             if pts and pts[-1] == p:
                 continue
-            if not box.contains(p):
-                raise ValueError(f"patch point {p!r} outside its box")
             pts.append(p)
-            crd.append(tuple(int(x) for x in c) if c is not None else None)
+            crd.append(c)
         self.points = tuple(pts)
         self.box = box
         self.scheme_id = scheme_id
-        self.coords = tuple(crd) if coords is not None else None
+        self.coords = tuple(crd) if with_coords else None
 
     def __len__(self):
         return len(self.points)
@@ -230,7 +247,6 @@ class CutProjectScheme:
         self._build_lift()
         self.direct_injective = self._check_direct_injective(require_injective)
         self._id = None
-        self._density_heuristic = None
         self._inverse_enc = None
         self._enum_plan = None
 
@@ -346,8 +362,8 @@ class CutProjectScheme:
         for piece in window.enum_pieces():
             for n, direct in self._enumerate_piece(box, window, piece, max_candidates).items():
                 found.setdefault(n, direct)
-        return Patch(
-            list(found.values()), box, self.scheme_id, coords=list(found.keys())
+        return Patch._of_checked(
+            [(p, n) for n, p in found.items()], box, self.scheme_id
         )
 
     def _enumerate_piece(self, box, window, piece, max_candidates):
@@ -356,6 +372,13 @@ class CutProjectScheme:
         The budget bounds the volume of the interval-inverse candidate box,
         which the walk never leaves.  Every level only drops constraints, so
         the walk is exhaustive; its leaves still pass the exact checks.
+        A candidate's direct vector and star point are not built from
+        scratch: the partial sums over its coordinates are kept, and the sum
+        restarts at the first coordinate where the candidate differs from
+        the last one summed.  Each step is the addition ``direct`` or
+        ``star`` makes, in the same order, so exact values are equal and
+        float values bit-identical; the star sum is only taken for
+        candidates inside the box.
         """
         rhs = self._piece_rhs(box, piece)
         ranges = self._candidate_ranges(rhs)
@@ -376,16 +399,32 @@ class CutProjectScheme:
              -((-hi.numerator * scale) // hi.denominator) + slack)
             for lo, hi in rhs
         ]
+        gens = self.generators
+        space = self.space
+        # directs[j] and stars[j] sum n[:j] for the last n each was taken for
+        d_last, directs = (), [tuple(Scalar(0) for _ in range(self.d))]
+        s_last, stars = (), [space.zero()]
         zero = [0] * self.lift_size
         for lifted in _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero):
             n = lifted[: self.rank]
             if n in found:
                 continue
-            direct = self.direct(n)
-            if not box.contains(direct):
+            j = _shared_prefix(n, d_last)
+            del directs[j + 1 :]
+            for (g, _), k in zip(gens[j:], n[j:]):
+                acc = directs[-1]
+                directs.append(tuple([a + x * k for a, x in zip(acc, g)]) if k else acc)
+            d_last = n
+            if not box.contains(directs[-1]):
                 continue
-            if window.contains(self.star(n)):
-                found[n] = direct
+            j = _shared_prefix(n, s_last)
+            del stars[j + 1 :]
+            for (_, h), k in zip(gens[j:], n[j:]):
+                acc = stars[-1]
+                stars.append(space.add(acc, space.scale(h, k)) if k else acc)
+            s_last = n
+            if window.contains(stars[-1]):
+                found[n] = directs[-1]
         return found
 
     def _piece_rhs(self, box: Box, piece) -> list[tuple[Fraction, Fraction]]:
@@ -579,10 +618,9 @@ class CutProjectScheme:
     def internal_density_heuristic(self, bound: int = 10, cells: int = 8) -> bool:
         """Star image looks dense: every coarse cell of a compact probe is hit.
 
-        Recorded as an attribute of the scheme, not a validity condition.
+        An attribute of the scheme, not a validity condition; each call
+        probes anew with its own ``bound`` and ``cells``.
         """
-        if self._density_heuristic is not None:
-            return self._density_heuristic
         hits: dict[tuple[int, int], set] = {}
         axes = 0
         for n in itertools.product(range(-bound, bound + 1), repeat=self.rank):
@@ -593,11 +631,9 @@ class CutProjectScheme:
                 frac = v - v.floor()
                 cell = min(int(frac.to_float() * cells), cells - 1)
                 hits.setdefault(("cont", ax), set()).add(cell)
-        ok = all(
+        return all(
             len(hits.get(("cont", ax), set())) == cells for ax in range(axes)
         )
-        self._density_heuristic = ok
-        return ok
 
     # -- serialization ------------------------------------------------------------------------
 
@@ -688,6 +724,16 @@ def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
                 c_lo[i] += v * (a_lo if v >= 0 else a_hi)
                 c_hi[i] += v * (a_hi if v >= 0 else a_lo)
         yield from _triangular_walk(levels, ranges, targets, prefix + (v,), c_lo, c_hi)
+
+
+def _shared_prefix(a, b) -> int:
+    """Length of the common prefix of two coordinate tuples."""
+    j = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        j += 1
+    return j
 
 
 def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:

@@ -230,6 +230,42 @@ def test_transform_extend_refuses_float_scheme(tmp_path, capsys):
     assert "input error" in err and "exact generators" in err
 
 
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    # only parsing and loading map to exit 2; a ValueError from the
+    # library's own work is a bug and must surface as one
+    def broken(self, box, window, **kw):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(CutProjectScheme, "project_points", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(["generate", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci", "--box", "0:5"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transform", "translate", "--a", "1;2"], "--a must have 1 entries"),
+        (["transform", "translate", "--a", "0"], "must be nonzero"),
+        (["transform", "extend", "--c", "1;2"], "--c must have 1 entries"),
+        (["transform", "augment", "--witness", "{bad}"], "invalid witness file"),
+        (["verify", "--suite", "density", "--n-list", "10,x", "--window", "builtin:fibonacci"], "--n-list"),
+        (["verify", "--suite", "density"], "--window is required"),
+        (["verify", "--suite", "theorem", "--scheme2", "builtin:fibonacci", "--cert", "{bad}"],
+         "invalid certificate file"),
+    ],
+)
+def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": 3}')
+    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    argv += ["--scheme", "builtin:fibonacci"]
+    if argv[0] == "transform":
+        argv += ["--out-scheme", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+
+
 def test_transform_extend_rejects_unknown_strategy(tmp_path, capsys):
     # a float diagonal entry always has a bounded relation against the exact
     # span, so a strategy drawing random reals could never succeed

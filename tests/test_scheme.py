@@ -477,6 +477,15 @@ def test_internal_density_heuristic():
     assert sparse.internal_density_heuristic(bound=6) is False
 
 
+def test_internal_density_heuristic_answers_each_bound():
+    # fibonacci_scheme() is shared, so an answer kept from one call would
+    # decide every later call in the process
+    scheme = fibonacci_scheme()
+    assert scheme.internal_density_heuristic(bound=1) is False
+    assert scheme.internal_density_heuristic(bound=15) is True
+    assert fibonacci_scheme().internal_density_heuristic(bound=1) is False
+
+
 def golden_square_scheme():
     """Product of two golden-ring embeddings: d = 2, H = R^2, rank 4."""
     space = InternalSpace([RealFactor(2)])
@@ -563,16 +572,16 @@ def test_exhaustiveness_at_rank_three_and_four():
 
 
 def test_enumeration_work_bound(monkeypatch):
-    # at most two exact direct-space evaluations per accepted point
+    # at most two candidates reach the exact box check per accepted point
     calls = 0
-    direct = CutProjectScheme.direct
+    contains = Box.contains
 
-    def counted(self, n):
+    def counted(self, point):
         nonlocal calls
         calls += 1
-        return direct(self, n)
+        return contains(self, point)
 
-    monkeypatch.setattr(CutProjectScheme, "direct", counted)
+    monkeypatch.setattr(Box, "contains", counted)
     fib = fibonacci_scheme()
     base = interval_window(LINE, -1, GOLDEN - 1)
     cases = [(fib, Box.symmetric(800), base)]
@@ -584,6 +593,71 @@ def test_enumeration_work_bound(monkeypatch):
         patch = scheme.project_points(box, w)
         assert len(patch) > 100
         assert calls <= 2 * len(patch)
+
+
+def differential_cases():
+    """Schemes of every enumeration shape, each with a box and a window."""
+    fib = fibonacci_scheme()
+    base = interval_window(LINE, -1, GOLDEN - 1)
+    float_fib = CutProjectScheme(
+        1,
+        LINE,
+        [
+            ((Scalar(1),), LINE.point((1,))),
+            ((Scalar.from_float(float(GOLDEN)),), LINE.point((Scalar.from_float(float(GOLDEN_CONJ)),))),
+        ],
+    )
+    union = UnionWindow(
+        LINE,
+        [
+            interval_window(LINE, -1, Fraction(-1, 5)),
+            interval_window(LINE, Fraction(1, 10), GOLDEN - 1, True, False),
+        ],
+    )
+    sqrt2 = translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme
+    twisted = translate_cps(fib, (GOLDEN / 3,), 100).scheme
+    assert twisted.lift_size > twisted.rank  # a relation column in the walk
+    torus = torus_kernel_scheme()
+    torus_w = ProductWindow(
+        torus.space,
+        (
+            RealRegion((IntervalSet.single(-2, 2),)),
+            TorusRegion.ball(torus.space.factors[1], (Fraction(1, 2),), Fraction(1, 10)),
+        ),
+    )
+    cyclic_space = InternalSpace([RealFactor(1), FiniteCyclicFactor(2)])
+    cyclic = CutProjectScheme(
+        1, cyclic_space, [(1, cyclic_space.point(1, 1)), (GOLDEN, cyclic_space.point(1, 0))]
+    )
+    cyclic_w = ProductWindow(
+        cyclic_space, (RealRegion((IntervalSet.single(-3, 3),)), ResidueRegion(2, {1}))
+    )
+    return [
+        (fib, Box.interval(-300, 250), base),
+        (float_fib, Box.interval(-300, 250), base),
+        (fib, Box.interval(-200, 200), union),
+        (sqrt2, Box.interval(-80, 60), lift_window(base, 2, sqrt2)),
+        (twisted, Box.interval(-40, 40), lift_window(base, -1, twisted)),
+        (torus, Box.interval(-30, 30), torus_w),
+        (cyclic, Box.interval(-30, 30), cyclic_w),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_enumeration_matches_direct_and_star(case):
+    # the enumerator re-sums only changed coordinates and skips the patch's
+    # per-point re-check; neither may change a bit of its output
+    scheme, box, window = differential_cases()[case]
+    patch = scheme.project_points(box, window)
+    assert len(patch) > 10
+    for n, point in zip(patch.coords, patch.points):
+        assert repr(point) == repr(scheme.direct(n))
+        assert window.contains(scheme.star(n))
+    assert all(a < b for a, b in zip(patch.points, patch.points[1:]))
+    checked = Patch(patch.points[::-1], box, patch.scheme_id, patch.coords[::-1])
+    assert checked.points == patch.points
+    assert [repr(p) for p in checked.points] == [repr(p) for p in patch.points]
+    assert checked.coords == patch.coords
 
 
 def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
