@@ -8,7 +8,9 @@ tolerances are the caller's business and live in the reports.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -94,6 +96,11 @@ def annihilator_projection(scheme: CutProjectScheme, count: int) -> list[tuple[S
 
 
 def empirical_density(scheme: CutProjectScheme, window: Window, n_values) -> DensityReport:
+    """Counts on A_n for each n, from one enumeration of the largest box.
+
+    The smaller boxes only restrict that patch, with the exact box test the
+    enumeration itself applies, so each count equals a patch of its own box.
+    """
     dens = scheme.lattice_density()
     lower = float(dens * window.interior().measure())
     upper = float(dens * window.closure().measure())
@@ -101,25 +108,36 @@ def empirical_density(scheme: CutProjectScheme, window: Window, n_values) -> Den
         (abs(float(v)) for g, _ in scheme.generators for v in g), default=1.0
     )
     constant = 2 * scheme.d * (1.0 + upper) * (1.0 + gen_norm)
-    counts = []
-    empirical = []
     n_values = sorted(n_values)
-    for n in n_values:
-        patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
-        counts.append(len(patch))
-        empirical.append(len(patch) / (2 * n) ** scheme.d)
+    boxes = [Box.symmetric(n, scheme.d) for n in n_values]
+    counts = []
+    if boxes:
+        inside = scheme.project_points(boxes[-1], window).points
+        counts.append(len(inside))
+        for box in reversed(boxes[:-1]):  # nested, so each filter narrows the last
+            inside = [p for p in inside if box.contains(p)]
+            counts.append(len(inside))
+        counts.reverse()
+    empirical = [c / (2 * n) ** scheme.d for n, c in zip(n_values, counts)]
     return DensityReport(list(n_values), counts, empirical, lower, upper, constant)
+
+
+def character_average(points, chi: CharacterRd, volume) -> complex:
+    """The conjugate character summed over ``points`` in order, over ``volume``."""
+    total = 0j
+    for p in points:
+        total += chi.value(p).conjugate()
+    return total / volume
 
 
 def fourier_bohr(scheme: CutProjectScheme, window: Window, chi, n: int) -> complex:
     """Averaged character sum over the projection set along A_n."""
     if not isinstance(chi, CharacterRd):
         chi = CharacterRd(tuple(float(c) for c in chi))
+    if len(chi.chi) != scheme.d:
+        raise ValueError(f"character has {len(chi.chi)} components, direct space {scheme.d}")
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
-    total = 0j
-    for p in patch.points:
-        total += chi.value(p).conjugate()
-    return total / (2 * n) ** scheme.d
+    return character_average(patch.points, chi, (2 * n) ** scheme.d)
 
 
 @dataclass
@@ -179,18 +197,14 @@ def equidistribution_check(
     fb_values: dict[tuple[int, ...], complex] = {}
     inv_diag = [1.0 / float(factor.basis[i][i]) for i in range(factor.dim)]
     kmax = [int(chi_bound / v) + 1 if v > 0 else 0 for v in inv_diag]
-    import itertools as _it
-
-    for kvec in _it.product(*[range(-k, k + 1) for k in kmax]):
+    volume = (2 * n) ** scheme.d
+    for kvec in itertools.product(*[range(-k, k + 1) for k in kmax]):
         if not any(kvec):
             continue
         chi = CharacterRd(tuple(k * v for k, v in zip(kvec, inv_diag)))
         if chi.norm > chi_bound + 1e-12:
             continue
-        total = 0j
-        for p in patch.points:
-            total += chi.value(p).conjugate()
-        fb_values[kvec] = total / (2 * n) ** scheme.d
+        fb_values[kvec] = character_average(patch.points, chi, volume)
     max_fb = max((abs(v) for v in fb_values.values()), default=0.0)
     if len(hit) == cells_total:
         status = "pass"
@@ -295,14 +309,16 @@ def repetitivity_check(patch_source, K: Box, radius, probe: Box) -> Repetitivity
         candidates = {p[0] - anchor for p in patch.points}
     else:
         candidates = {Scalar(0)}
+    # the patch is sorted, so the points in K + t are one slice of it
+    xs = [p[0] for p in patch.points]
     returns = []
-    patch_set = patch.point_set()
     for t in candidates:
         if t < valid_lo or t > valid_hi:
             continue
-        shifted_K = Box.interval(K.lo[0] + t, K.hi[0] + t)
+        lo = bisect_left(xs, K.lo[0] + t)
+        hi = bisect_right(xs, K.hi[0] + t)
         expected = frozenset((p[0] + t,) for p in reference)
-        actual = frozenset(p for p in patch_set if shifted_K.contains(p))
+        actual = frozenset(patch.points[lo:hi])
         if expected == actual:
             returns.append(t)
     returns.sort()

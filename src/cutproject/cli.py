@@ -160,6 +160,13 @@ def parse_box(text: str, dim: int) -> Box:
         raise InputError(str(exc)) from exc
 
 
+def _require_positive(values, option: str):
+    """Every averaging box A_n = [-n, n]^d needs n > 0."""
+    for n in values:
+        if n <= 0:
+            raise InputError(f"{option} must be positive, got {n}")
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -241,6 +248,7 @@ def cmd_verify(args) -> int:
         scheme = load_scheme(args.scheme)
         window = load_window(args.window, scheme)
         n_values = _parsed("--n-list", lambda: [int(t) for t in args.n_list.split(",")])
+        _require_positive(n_values, "--n-list")
         rep = analysis.empirical_density(scheme, window, n_values)
         tol = args.tol if args.tol is not None else 1e-3
         closest = abs(rep.empirical[-1] - (rep.lower + rep.upper) / 2)
@@ -262,11 +270,18 @@ def cmd_verify(args) -> int:
             "--chi",
             lambda: [tuple(float(x) for x in chunk.split(",")) for chunk in args.chi.split(";")],
         )
-        density = analysis.empirical_density(scheme, window, [args.n]).empirical[-1]
+        for chi in chis:
+            if len(chi) != scheme.d:
+                raise InputError(f"each --chi must have {scheme.d} entries separated by ','")
+        _require_positive([args.n], "--n")
+        # one patch serves the density and every character
+        patch = scheme.project_points(Box.symmetric(args.n, scheme.d), window)
+        volume = (2 * args.n) ** scheme.d
+        density = len(patch) / volume
         values = {}
         passed = True
         for chi in chis:
-            a = analysis.fourier_bohr(scheme, window, chi, args.n)
+            a = analysis.character_average(patch.points, analysis.CharacterRd(chi), volume)
             values[",".join(map(str, chi))] = [a.real, a.imag]
             if all(c == 0 for c in chi):
                 passed = passed and abs(a - density) < 1e-12
@@ -283,6 +298,7 @@ def cmd_verify(args) -> int:
         scheme = load_scheme(args.scheme)
         window = load_window(args.window, scheme)
         tol = args.tol if args.tol is not None else 0.05
+        _require_positive([args.n], "--n")
         rep = analysis.equidistribution_check(scheme, window, args.chi_bound, args.n)
         passed = rep.status == "pass" and rep.max_fb < tol
         report = {"suite": suite, "tolerance": tol, "report": rep.to_obj()}

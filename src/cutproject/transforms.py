@@ -40,6 +40,8 @@ from .windows import (
     eq11_chain,
 )
 
+_RESTRICTION_BOUND = 50  # |n_i| of the random combinations in check_lattice_restriction
+
 
 class CertificationError(ValueError):
     def __init__(self, message, witness=None):
@@ -296,7 +298,6 @@ def check_lattice_restriction(
     scheme2: CutProjectScheme,
     rng: random.Random,
     combinations: int = 100,
-    coordinate_bound: int = 50,
 ) -> CertCheck:
     """The extended lattice meets the embedded old internal space exactly in
     the old lattice: checked on all generators plus random combinations both
@@ -305,7 +306,7 @@ def check_lattice_restriction(
     combos = list(basis)
     for _ in range(combinations):
         combos.append(
-            tuple(rng.randint(-coordinate_bound, coordinate_bound) for _ in range(scheme.rank))
+            tuple(rng.randint(-_RESTRICTION_BOUND, _RESTRICTION_BOUND) for _ in range(scheme.rank))
         )
     for n in combos:
         g, h = scheme.point_of(n)
@@ -316,7 +317,7 @@ def check_lattice_restriction(
             )
     for _ in range(combinations):
         n2 = tuple(
-            rng.randint(-coordinate_bound, coordinate_bound) for _ in range(scheme2.rank)
+            rng.randint(-_RESTRICTION_BOUND, _RESTRICTION_BOUND) for _ in range(scheme2.rank)
         )
         g2, h2 = scheme2.point_of(n2)
         stripped = strip_embedded(scheme2.space, scheme.space, h2)
@@ -329,7 +330,7 @@ def check_lattice_restriction(
     return CertCheck(
         "lattice-restriction",
         True,
-        {"combinations": combinations, "coordinate_bound": coordinate_bound},
+        {"combinations": combinations, "coordinate_bound": _RESTRICTION_BOUND},
     )
 
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cutproject.analysis import (
+    CharacterRd,
+    RepetitivityReport,
     annihilator_projection,
+    character_average,
     empirical_density,
     equidistribution_check,
     fourier_bohr,
@@ -16,8 +19,8 @@ from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import FiniteCyclicFactor, InternalSpace, RealFactor
 from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
 from cutproject.scheme import Box, CutProjectScheme, Patch
-from cutproject.transforms import extend_injective
-from cutproject.windows import ProductWindow, empty_window, interval_window
+from cutproject.transforms import extend_injective, lift_window, translate_cps
+from cutproject.windows import ProductWindow, UnionWindow, empty_window, interval_window
 
 LINE = InternalSpace([RealFactor(1)])
 
@@ -95,6 +98,60 @@ def test_empirical_density_empty_window():
     assert report.counts == [0, 0]
     assert report.empirical == [0.0, 0.0]
     assert report.sandwich_ok
+
+
+def density_case(name):
+    fib = fibonacci_scheme()
+    base = fibonacci_window()
+    if name == "fibonacci":
+        return fib, base
+    if name == "union":
+        return fib, UnionWindow(
+            LINE,
+            [
+                interval_window(LINE, -1, Fraction(-1, 5)),
+                interval_window(LINE, Fraction(1, 10), GOLDEN - 1, True, False),
+            ],
+        )
+    sqrt2 = translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme  # rank 3
+    return sqrt2, lift_window(base, 1, sqrt2)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "union", "sqrt2-lift"])
+@pytest.mark.parametrize("n_values", [[90, 15, 40, 15], [60, 60, 7, 120, 33]])
+def test_empirical_density_counts_equal_their_own_patches(name, n_values):
+    # one enumeration at the largest n, restricted to the smaller boxes,
+    # must count what a separate enumeration of each box finds
+    scheme, window = density_case(name)
+    report = empirical_density(scheme, window, n_values)
+    ns = sorted(n_values)
+    expected = [len(scheme.project_points(Box.symmetric(n), window)) for n in ns]
+    assert report.n_values == ns
+    assert report.counts == expected
+    assert report.empirical == [c / (2 * n) for n, c in zip(ns, expected)]
+
+
+def test_empirical_density_invalid_and_empty_n():
+    scheme = fibonacci_scheme()
+    w = fibonacci_window()
+    with pytest.raises(ValueError, match="out of order"):
+        empirical_density(scheme, w, [10, -5])
+    report = empirical_density(scheme, w, [])
+    assert report.counts == report.empirical == report.n_values == []
+
+
+def test_character_average_is_the_fourier_bohr_sum():
+    scheme = fibonacci_scheme()
+    w = fibonacci_window()
+    patch = scheme.project_points(Box.symmetric(80), w)
+    chi = CharacterRd((0.5,))
+    total = 0j
+    for p in patch.points:
+        total += chi.value(p).conjugate()
+    assert character_average(patch.points, chi, 160) == total / 160
+    assert fourier_bohr(scheme, w, (0.5,), 80) == total / 160
+    with pytest.raises(ValueError, match="components"):
+        fourier_bohr(scheme, w, (0.5, 7.0), 80)
 
 
 def test_fourier_bohr_trivial_character_is_density():
@@ -239,3 +296,70 @@ def test_repetitivity_unique_pattern_fails():
     report = repetitivity_check(source, Box.interval(0, 5), 10, Box.symmetric(90))
     assert not report.ok
     assert report.witness_center is not None
+
+
+def repetitivity_linear_scan(patch_source, K, radius, probe):
+    """The check as it was first written: a Box.contains scan per candidate."""
+    radius = Scalar.of(radius)
+    patch = patch_source(probe)
+    reference = frozenset(p for p in patch.points if K.contains(p))
+    valid_lo = probe.lo[0] - K.lo[0]
+    valid_hi = probe.hi[0] - K.hi[0]
+    if reference:
+        anchor = min(reference)[0]
+        candidates = {p[0] - anchor for p in patch.points}
+    else:
+        candidates = {Scalar(0)}
+    returns = []
+    patch_set = patch.point_set()
+    for t in candidates:
+        if t < valid_lo or t > valid_hi:
+            continue
+        shifted_K = Box.interval(K.lo[0] + t, K.hi[0] + t)
+        expected = frozenset((p[0] + t,) for p in reference)
+        actual = frozenset(p for p in patch_set if shifted_K.contains(p))
+        if expected == actual:
+            returns.append(t)
+    returns.sort()
+    if not returns:
+        return RepetitivityReport(False, (probe.lo[0],), 0)
+    if returns[0] - probe.lo[0] > radius:
+        return RepetitivityReport(False, (probe.lo[0],), len(returns))
+    for t_prev, t_next in zip(returns, returns[1:]):
+        if t_next - t_prev > 2 * radius:
+            return RepetitivityReport(False, ((t_prev + t_next) / 2,), len(returns))
+    if probe.hi[0] - returns[-1] > radius:
+        return RepetitivityReport(False, (probe.hi[0],), len(returns))
+    return RepetitivityReport(True, None, len(returns))
+
+
+def test_repetitivity_agrees_with_the_linear_scan():
+    scheme = fibonacci_scheme()
+    w = fibonacci_window()
+    rng = random.Random(41)
+    scattered = sorted({Fraction(rng.randint(-240, 240), 4) for _ in range(60)})
+    sources = {
+        "fibonacci": lambda box: scheme.project_points(box, w),
+        "narrow": lambda box: scheme.project_points(box, interval_window(LINE, -1, Fraction(1, 2))),
+        "scattered": lambda box: Patch(
+            [(Scalar(x),) for x in scattered if box.contains((Scalar(x),))], box
+        ),
+    }
+    outcomes = set()
+    for trial in range(36):
+        name = sorted(sources)[trial % 3]
+        centre = rng.randint(-30, 30)
+        probe = Box.interval(centre - rng.randint(5, 30), centre + rng.randint(5, 30))
+        lo = centre + Fraction(rng.randint(-80, 40), rng.choice((2, 4)))
+        K = Box.interval(lo, lo + Fraction(rng.randint(0, 24), rng.choice((1, 4))))
+        radius = Fraction(rng.randint(1, 40), 2)
+        fast = repetitivity_check(sources[name], K, radius, probe)
+        slow = repetitivity_linear_scan(sources[name], K, radius, probe)
+        assert fast.to_obj() == slow.to_obj(), (name, K, probe, radius)
+        assert (fast.ok, fast.witness_center, fast.returns_found) == (
+            slow.ok, slow.witness_center, slow.returns_found
+        )
+        empty = not any(K.contains(p) for p in sources[name](probe).points)
+        outcomes.add((fast.ok, empty))
+    # passing and failing checks, with and without a reference pattern
+    assert {(True, False), (False, False), (False, True)} <= outcomes

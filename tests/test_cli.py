@@ -252,6 +252,16 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
         (["verify", "--suite", "density"], "--window is required"),
         (["verify", "--suite", "theorem", "--scheme2", "builtin:fibonacci", "--cert", "{bad}"],
          "invalid certificate file"),
+        (["verify", "--suite", "density", "--window", "builtin:fibonacci", "--n-list=0,10"],
+         "--n-list must be positive"),
+        (["verify", "--suite", "density", "--window", "builtin:fibonacci", "--n-list=10,-5"],
+         "--n-list must be positive"),
+        (["verify", "--suite", "fb", "--window", "builtin:fibonacci", "--n", "0"],
+         "--n must be positive"),
+        (["verify", "--suite", "fb", "--window", "builtin:fibonacci", "--n=-5"],
+         "--n must be positive"),
+        (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open", "--n", "0"],
+         "--n must be positive"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):
@@ -409,6 +419,46 @@ def test_verify_fb_trivial_character(tmp_path):
     assert code == 0
     rep = json.loads(read(out))
     assert rep["coefficients"]["0.0"][0] == pytest.approx(rep["density"])
+
+
+def test_verify_density_and_fb_enumerate_once(tmp_path, monkeypatch):
+    fibonacci_window()  # derived once per process, by enumerations of its own
+    boxes = []
+    original = CutProjectScheme.project_points
+
+    def counted(self, box, window, **kw):
+        boxes.append(box)
+        return original(self, box, window, **kw)
+
+    monkeypatch.setattr(CutProjectScheme, "project_points", counted)
+    fib = ["verify", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci"]
+    out = tmp_path / "density.json"
+    assert run(fib + ["--suite", "density", "--n-list", "400,100,200,100", "--out", str(out)]) == 0
+    assert boxes == [Box.symmetric(400)]
+    assert json.loads(read(out))["report"]["n"] == [100, 100, 200, 400]
+    boxes.clear()
+    out = tmp_path / "fb.json"
+    assert run(fib + ["--suite", "fb", "--n", "500", "--chi", "0;0.5;1.3", "--out", str(out)]) == 0
+    assert boxes == [Box.symmetric(500)]
+    assert sorted(json.loads(read(out))["coefficients"]) == ["0.0", "0.5", "1.3"]
+
+
+def test_verify_fb_character_arity_is_an_input_error(tmp_path, capsys):
+    # a second component on the line used to be dropped without a word
+    out = tmp_path / "fb.json"
+    code = run(
+        [
+            "verify", "--suite", "fb",
+            "--scheme", "builtin:fibonacci",
+            "--window", "builtin:fibonacci",
+            "--chi", "0;0.5,7",
+            "--n", "50",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "each --chi must have 1 entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_repetitivity(tmp_path):
