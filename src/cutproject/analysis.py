@@ -171,7 +171,11 @@ def equidistribution_check(
     The window may be given over the torus-free part; it is then crossed
     with the full torus.  Coverage asks every fundamental-coordinate cube of
     side 1/8 to contain a projected-point image; a sample of fewer than two
-    points per cube reports "inconclusive" rather than failure.
+    points per cube reports "inconclusive" rather than failure.  A point's
+    torus coordinate is the fractional part of ``sum(n_j * c_j)`` over the
+    generators' torus coordinates ``c_j``, which is exact, so no full star
+    point is built.  A bound under which no nontrivial character lies is
+    refused with ``ValueError``: a check of no character would pass vacuously.
     """
     torus_idx = None
     for idx, f in enumerate(scheme.space.factors):
@@ -180,31 +184,41 @@ def equidistribution_check(
     if torus_idx is None:
         raise ValueError("scheme has no torus factor")
     factor = scheme.space.factors[torus_idx]
+    # characters of the quotient: dual-lattice vectors below the norm bound
+    inv_diag = [1.0 / float(factor.basis[i][i]) for i in range(factor.dim)]
+    kmax = [int(chi_bound / v) + 1 if v > 0 else 0 for v in inv_diag]
+    chars = {}
+    for kvec in itertools.product(*[range(-k, k + 1) for k in kmax]):
+        if not any(kvec):
+            continue
+        chi = CharacterRd(tuple(k * v for k, v in zip(kvec, inv_diag)))
+        if chi.norm <= chi_bound + 1e-12:
+            chars[kvec] = chi
+    if not chars:
+        raise ValueError(f"no nontrivial torus character has norm <= {chi_bound}")
     if window.space != scheme.space:
         window = _cross_with_full_torus(scheme.space, window, torus_idx)
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
+    torus = [h.coords[torus_idx] for _, h in scheme.generators]
     hit = set()
     for coords in patch.coords or []:
-        h = scheme.star(coords)
-        fractional = h.coords[torus_idx]
+        fractional = []
+        for axis in range(factor.dim):
+            x = Scalar(0)
+            for c, k in zip(torus, coords):
+                if k:
+                    x = x + c[axis] * k
+            fractional.append(x - x.floor())
         cell = tuple(
             min(int(x.to_float() * _EQUIDIST_CELLS) % _EQUIDIST_CELLS, _EQUIDIST_CELLS - 1)
             for x in fractional
         )
         hit.add(cell)
     cells_total = _EQUIDIST_CELLS ** factor.dim
-    # characters of the quotient: dual-lattice vectors below the norm bound
-    fb_values: dict[tuple[int, ...], complex] = {}
-    inv_diag = [1.0 / float(factor.basis[i][i]) for i in range(factor.dim)]
-    kmax = [int(chi_bound / v) + 1 if v > 0 else 0 for v in inv_diag]
     volume = (2 * n) ** scheme.d
-    for kvec in itertools.product(*[range(-k, k + 1) for k in kmax]):
-        if not any(kvec):
-            continue
-        chi = CharacterRd(tuple(k * v for k, v in zip(kvec, inv_diag)))
-        if chi.norm > chi_bound + 1e-12:
-            continue
-        fb_values[kvec] = character_average(patch.points, chi, volume)
+    fb_values = {
+        kvec: character_average(patch.points, chi, volume) for kvec, chi in chars.items()
+    }
     max_fb = max((abs(v) for v in fb_values.values()), default=0.0)
     if len(hit) == cells_total:
         status = "pass"

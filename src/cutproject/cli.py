@@ -299,6 +299,8 @@ def cmd_verify(args) -> int:
         window = load_window(args.window, scheme)
         tol = args.tol if args.tol is not None else 0.05
         _require_positive([args.n], "--n")
+        if not args.chi_bound > 0:
+            raise InputError(f"--chi-bound must be positive, got {args.chi_bound}")
         rep = analysis.equidistribution_check(scheme, window, args.chi_bound, args.n)
         passed = rep.status == "pass" and rep.max_fb < tol
         report = {"suite": suite, "tolerance": tol, "report": rep.to_obj()}

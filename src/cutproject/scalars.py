@@ -36,6 +36,7 @@ authoritative everywhere.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Union
@@ -399,6 +400,11 @@ class Scalar:
     @property
     def is_algebraic(self) -> bool:
         return self._num is not None and self._sym is None
+
+    @property
+    def constant(self) -> str | None:
+        """The named constant an exact value involves, or None."""
+        return self._sym
 
     def terms(self) -> dict[Mono, Fraction]:
         """A fresh ``{monomial: nonzero rational coefficient}`` of an exact value."""
@@ -890,6 +896,41 @@ class Scalar:
                 terms[(rad, sym)] = Fraction(t["c"])
             return cls._make(terms)
         raise ValueError(f"unknown scalar encoding {kind!r}")
+
+
+class LinearForm:
+    """The exact value ``sum(n[j] * values[j])`` for integer vectors ``n``.
+
+    The values' numerators are put on one common denominator, so a value
+    is one integer dot product per monomial followed by one reduction: the
+    order-basis form ``Scalar`` keeps, and the value ``Scalar`` arithmetic
+    gives for the same sum.  The values must be exact and involve at most
+    one named constant.
+    """
+
+    __slots__ = ("den", "rows", "has_constant")
+
+    def __init__(self, values):
+        if any(v._num is None for v in values):
+            raise ExactnessError("a linear form needs exact values")
+        names = {v._sym for v in values} - {None}
+        if len(names) > 1:
+            raise ExactnessError(f"cannot mix constants {sorted(names)} in one value")
+        self.den = math.lcm(*(v._den for v in values))
+        monos = sorted({i for v in values for i in v._num})
+        self.rows = tuple(
+            (i, tuple(v._num.get(i, 0) * (self.den // v._den) for v in values))
+            for i in monos
+        )
+        self.has_constant = bool(names)
+
+    def __call__(self, n) -> Scalar:
+        num = {}
+        for i, coeffs in self.rows:
+            c = sum(map(operator.mul, n, coeffs))
+            if c:
+                num[i] = c
+        return _reduced(num, self.den, _symbol(num) if self.has_constant else None)
 
 
 ZERO = Scalar(0)

@@ -10,7 +10,11 @@ the box and the window slab in place of an ellipsoid: once the outer
 coordinates are fixed, a rigorous interval inverse of a square sub-block
 bounds the next one, so about one candidate is examined per accepted point.
 Compact factor coordinates (finite residues, torus positions) never affect
-boundedness and are handled by exact membership filtering.
+boundedness and are handled by exact membership filtering.  The walk keeps
+integer enclosures of every lifted row; where a window piece's rows decide
+membership, a leaf is accepted or rejected on them, and only leaves whose
+enclosures straddle a boundary take exact ``Scalar`` arithmetic (a filtered
+predicate in the sense of Shewchuk 1997 and Bronnimann, Burnikel & Pion 2001).
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, le, lt
 
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
-from .scalars import Scalar
+from .scalars import LinearForm, Scalar
 from .windows import Window, row_bounds
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
@@ -249,6 +254,7 @@ class CutProjectScheme:
         self._id = None
         self._inverse_enc = None
         self._enum_plan = None
+        self._forms = None
 
     # -- lifted presentation -------------------------------------------------
 
@@ -359,26 +365,34 @@ class CutProjectScheme:
         if not window.properties().precompact:
             raise SchemeError("window closure is not compact")
         found: dict[tuple[int, ...], tuple] = {}
-        for piece in window.enum_pieces():
-            for n, direct in self._enumerate_piece(box, window, piece, max_candidates).items():
+        pieces = window.enum_pieces()
+        decided = window.decided_pieces() or [None] * len(pieces)
+        for piece, rows in zip(pieces, decided):
+            leaves = self._enumerate_piece(box, window, piece, rows, max_candidates)
+            for n, direct in leaves.items():
                 found.setdefault(n, direct)
         return Patch._of_checked(
             [(p, n) for n, p in found.items()], box, self.scheme_id
         )
 
-    def _enumerate_piece(self, box, window, piece, max_candidates):
+    def _enumerate_piece(self, box, window, piece, decided, max_candidates):
         """Triangular walk over the lifted coordinates of one window piece.
 
         The budget bounds the volume of the interval-inverse candidate box,
         which the walk never leaves.  Every level only drops constraints, so
-        the walk is exhaustive; its leaves still pass the exact checks.
-        A candidate's direct vector and star point are not built from
-        scratch: the partial sums over its coordinates are kept, and the sum
-        restarts at the first coordinate where the candidate differs from
-        the last one summed.  Each step is the addition ``direct`` or
-        ``star`` makes, in the same order, so exact values are equal and
-        float values bit-identical; the star sum is only taken for
-        candidates inside the box.
+        the walk is exhaustive.  Each leaf comes with integer enclosures of
+        all its lifted rows at scale 10**_PLAN_DIGITS.  When the piece's
+        rows decide membership (``decided``, see ``_inner_bounds``), a leaf
+        whose rows all lie inside their inner bounds is accepted on the
+        enclosures alone, with its exact direct vector built by
+        ``LinearForm``s, and a leaf with a row outside its outer bound is
+        rejected.  Every other leaf takes the exact path: its direct vector
+        and star point are not built from scratch, but from the kept
+        partial sums over the coordinates it shares with the last candidate
+        summed.  Each step is the addition ``direct`` or ``star`` makes, in
+        the same order, so exact values are equal and float values
+        bit-identical; the star sum is only taken for candidates inside the
+        box, and the exact ``Box.contains`` and ``Window.contains`` decide.
         """
         rhs = self._piece_rhs(box, piece)
         ranges = self._candidate_ranges(rhs)
@@ -399,16 +413,28 @@ class CutProjectScheme:
              -((-hi.numerator * scale) // hi.denominator) + slack)
             for lo, hi in rhs
         ]
+        inner = self._inner_bounds(box, decided, slack)
+        if inner is not None:
+            in_lo, in_hi, forms = inner
+            out_lo = [lo for lo, _ in targets]
+            out_hi = [hi for _, hi in targets]
         gens = self.generators
         space = self.space
         # directs[j] and stars[j] sum n[:j] for the last n each was taken for
         d_last, directs = (), [tuple(Scalar(0) for _ in range(self.d))]
         s_last, stars = (), [space.zero()]
         zero = [0] * self.lift_size
-        for lifted in _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero):
+        walk = _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero)
+        for lifted, r_lo, r_hi in walk:
             n = lifted[: self.rank]
             if n in found:
                 continue
+            if inner is not None:
+                if all(map(le, in_lo, r_lo)) and all(map(le, r_hi, in_hi)):
+                    found[n] = tuple([form(n) for form in forms])
+                    continue
+                if any(map(lt, r_hi, out_lo)) or any(map(gt, r_lo, out_hi)):
+                    continue
             j = _shared_prefix(n, d_last)
             del directs[j + 1 :]
             for (g, _), k in zip(gens[j:], n[j:]):
@@ -426,6 +452,52 @@ class CutProjectScheme:
             if window.contains(stars[-1]):
                 found[n] = directs[-1]
         return found
+
+    def _inner_bounds(self, box, decided, margin):
+        """Scaled inner bounds of every lifted row and the direct forms, or None.
+
+        A row inside its inner bound is inside the box or the window piece:
+        the bounds are the exact endpoints rounded inwards at scale
+        10**_PLAN_DIGITS and cleared by ``margin``, except on integral rows,
+        whose exact integer values meet closed integer bounds.  None when
+        the piece's rows do not decide membership, or when an exact
+        comparison could answer differently from the enclosures: float
+        values (``FLOAT_EPS`` semantics) or two named constants, whose
+        comparison raises ``ExactnessError``.
+        """
+        if decided is None:
+            return None
+        forms, names = self._direct_forms()
+        rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + decided
+        ends = [v for lo, hi, _ in rows for v in (lo, hi)]
+        if forms is None or not all(v.is_exact for v in ends):
+            return None
+        if len(names | {v.constant for v in ends} - {None}) > 1:
+            return None
+        scale = 10 ** _PLAN_DIGITS
+        in_lo, in_hi = [], []
+        for lo, hi, integral in rows:
+            pad = 0 if integral else margin
+            in_lo.append(math.ceil(lo.bounds(_PLAN_DIGITS)[1] * scale) + pad)
+            in_hi.append(math.floor(hi.bounds(_PLAN_DIGITS)[0] * scale) - pad)
+        return in_lo, in_hi, forms
+
+    def _direct_forms(self):
+        """Each direct coordinate as a ``LinearForm`` of the lattice
+        coordinates, or None for float values or two named constants among
+        the generators; with the constants' names.  Built once per scheme."""
+        if self._forms is None:
+            values = [
+                v for g, h in self.generators for v in (*g, *self.space.kernel_values(h))
+            ]
+            names = {v.constant for v in values} - {None}
+            forms = None
+            if all(v.is_exact for v in values) and len(names) <= 1:
+                forms = tuple(
+                    LinearForm([g[i] for g, _ in self.generators]) for i in range(self.d)
+                )
+            self._forms = (forms, names)
+        return self._forms
 
     def _piece_rhs(self, box: Box, piece) -> list[tuple[Fraction, Fraction]]:
         """Bounds on every lifted row: the box, then a window piece's rows."""
@@ -480,7 +552,7 @@ class CutProjectScheme:
                 )
             updates = tuple(
                 (i, *enc[i][col]) for i in range(size) if enc[i][col] != (0, 0)
-            ) if col < size - 1 else ()
+            )
             plan.append((inverse, checks, updates))
         self._enum_plan = plan
         return plan
@@ -691,10 +763,12 @@ def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
 
     ``targets`` are the scaled rhs enclosures per row, ``p_lo``/``p_hi`` the
     scaled enclosures of each row's partial sum over the fixed ``prefix``.
+    Each vector comes as ``(vector, lo, hi)`` with the enclosures of its
+    full row sums.
     """
     k = len(prefix)
-    if k == len(levels):
-        yield prefix
+    if k == len(levels):  # only for an empty plan: every level yields its own leaves
+        yield prefix, p_lo, p_hi
         return
     inverse, checks, updates = levels[k]
     lo, hi = ranges[k]
@@ -716,6 +790,7 @@ def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
             a_lo, a_hi, y_lo, y_hi = -a_hi, -a_lo, -y_hi, -y_lo
         lo = max(lo, -((-y_lo) // (a_hi if y_lo >= 0 else a_lo)))
         hi = min(hi, y_hi // (a_lo if y_hi >= 0 else a_hi))
+    leaf = k + 1 == len(levels)
     for v in range(lo, hi + 1):
         c_lo, c_hi = p_lo, p_hi
         if updates:
@@ -723,7 +798,10 @@ def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
             for i, a_lo, a_hi in updates:
                 c_lo[i] += v * (a_lo if v >= 0 else a_hi)
                 c_hi[i] += v * (a_hi if v >= 0 else a_lo)
-        yield from _triangular_walk(levels, ranges, targets, prefix + (v,), c_lo, c_hi)
+        if leaf:
+            yield prefix + (v,), c_lo, c_hi
+        else:
+            yield from _triangular_walk(levels, ranges, targets, prefix + (v,), c_lo, c_hi)
 
 
 def _shared_prefix(a, b) -> int:

@@ -10,6 +10,7 @@ which is how projection sets of almost model sets become genuine windows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -271,8 +272,12 @@ class Region:
     same as the factor's; ``ball`` builds the closed ball around a
     coordinate.  ``enum_rows`` gives the lattice enumerator the region's
     bounds on the factor's lifted rows (``Factor.lift_values``), as a list
-    of alternatives, each a list of (lo, hi) pairs.  The defaults describe
-    a finite set of coordinates of a discrete factor.
+    of alternatives, each a list of (lo, hi) pairs.  ``decided_rows`` says
+    whether those rows alone decide membership: it gives one exact
+    ``(lo, hi, integral)`` triple per row when every coordinate whose rows
+    lie strictly inside (lo, hi) is in the region, or inside [lo, hi] for
+    ``integral`` rows, whose values are exact integers; else None.  The
+    defaults describe a finite set of coordinates of a discrete factor.
     """
 
     __slots__ = ()
@@ -295,6 +300,9 @@ class Region:
 
     def enum_rows(self):
         return [[]]
+
+    def decided_rows(self):
+        return None
 
     def fill_gap(self, coord):
         """The region with ``coord`` adjoined when it fills a gap between two
@@ -384,6 +392,11 @@ class RealRegion(_AxesRegion):
     def enum_rows(self):
         return [[row_bounds(lo, hi) for lo, hi in self.bounds()]]
 
+    def decided_rows(self):
+        if any(len(a.pieces) != 1 for a in self.axes):
+            return None
+        return [(a.pieces[0].lo, a.pieces[0].hi, False) for a in self.axes]
+
     def fill_gap(self, coord):
         (x,) = coord
         if self.axes[0].contains(x):
@@ -460,6 +473,12 @@ class IntSetRegion(Region):
     def enum_rows(self):
         return [[(Fraction(lo), Fraction(hi)) for lo, hi in self.bounds()]]
 
+    def decided_rows(self):
+        bounds = self.bounds()
+        if bounds is None or len(self.points) != math.prod(hi - lo + 1 for lo, hi in bounds):
+            return None
+        return [(Scalar(lo), Scalar(hi), True) for lo, hi in bounds]
+
     def corner_coords(self):
         return sorted(self.points)
 
@@ -505,6 +524,9 @@ class ResidueRegion(Region):
 
     def measure(self):
         return Scalar(len(self.residues))
+
+    def decided_rows(self):
+        return [] if len(self.residues) == self.modulus else None
 
     def translate(self, coord):
         return ResidueRegion(self.modulus, ((r + coord) % self.modulus for r in self.residues))
@@ -573,6 +595,9 @@ class TorusRegion(_AxesRegion):
 
     def is_open(self):
         return all(_is_full_circle(a) or a.is_open() for a in self.axes)
+
+    def decided_rows(self):
+        return [] if all(_is_full_circle(a) for a in self.axes) else None
 
     def is_top_regular(self):
         if self.is_empty():
@@ -845,9 +870,18 @@ class WindowProperties:
 
 
 class Window:
-    """Base class; see ProductWindow, UnionWindow, AugmentedWindow."""
+    """Base class; see ProductWindow, UnionWindow, AugmentedWindow.
+
+    ``enum_pieces`` gives the lattice enumerator one list of (lo, hi) row
+    bounds per piece.  ``decided_pieces`` gives, in the same order, each
+    piece's exact row bounds from ``Region.decided_rows`` when the rows of
+    every piece alone decide membership, and is None otherwise.
+    """
 
     space: InternalSpace
+
+    def decided_pieces(self):
+        return None
 
     def boundary_measure(self) -> Scalar:
         return self.closure().measure() - self.interior().measure()
@@ -936,6 +970,13 @@ class ProductWindow(Window):
     def enum_pieces(self):
         return [] if self.is_empty() else _product_rows(self.regions)
 
+    def decided_pieces(self):
+        if self.is_empty():
+            return []
+        rows = [r.decided_rows() for r in self.regions]
+        # a region that decides has one enumeration alternative: one piece
+        return None if None in rows else [[b for r in rows for b in r]]
+
     def to_obj(self):
         return {"kind": "product", "regions": [r.to_obj() for r in self.regions]}
 
@@ -1010,6 +1051,15 @@ class UnionWindow(Window):
         out = []
         for m in self.members_:
             out.extend(m.enum_pieces())
+        return out
+
+    def decided_pieces(self):
+        out = []
+        for m in self.members_:
+            rows = m.decided_pieces()
+            if rows is None:
+                return None
+            out.extend(rows)
         return out
 
     def to_obj(self):

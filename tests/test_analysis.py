@@ -19,7 +19,7 @@ from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import FiniteCyclicFactor, InternalSpace, RealFactor
 from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
 from cutproject.scheme import Box, CutProjectScheme, Patch
-from cutproject.transforms import extend_injective, lift_window, translate_cps
+from cutproject.transforms import extend_injective, lift_window, lift_window_torus, translate_cps
 from cutproject.windows import ProductWindow, UnionWindow, empty_window, interval_window
 
 LINE = InternalSpace([RealFactor(1)])
@@ -202,6 +202,36 @@ def test_equidistribution_fibonacci_extension():
     )
     assert empty_report.status == "fail"
     assert empty_report.cells_hit == 0
+
+
+def test_equidistribution_reads_torus_coordinate_only(monkeypatch):
+    # the torus coordinate is the fractional part of sum(n_j * c_j), which
+    # is star's torus coordinate exactly, so no star point is built
+    ext = extend_injective(fibonacci_scheme(), (Scalar.root(2, 3),), injectivity_bound=25)
+    u = fibonacci_window().interior()
+    before = equidistribution_check(ext.scheme, u, chi_bound=3.0, n=200)
+
+    def refused(self, n):
+        raise AssertionError("star called")
+
+    patch = ext.scheme.project_points(Box.symmetric(200), lift_window_torus(u, ext.scheme.space, 1))
+    cells = {
+        min(int(ext.scheme.star(n).coords[1][0].to_float() * 8), 7) for n in patch.coords
+    }
+    monkeypatch.setattr(CutProjectScheme, "star", refused)
+    report = equidistribution_check(ext.scheme, u, chi_bound=3.0, n=200)
+    assert report.to_obj() == before.to_obj()
+    assert report.cells_hit == len(cells) == 8
+    assert report.point_count == len(patch)
+
+
+@pytest.mark.parametrize("chi_bound", [0.0, -3.0, 0.5])
+def test_equidistribution_refuses_a_bound_without_characters(chi_bound):
+    # the smallest nontrivial character of the root(2,3) torus has norm
+    # 1/root(2,3) > 0.5: a check of no character must not pass
+    ext = extend_injective(fibonacci_scheme(), (Scalar.root(2, 3),), injectivity_bound=25)
+    with pytest.raises(ValueError, match="no nontrivial torus character"):
+        equidistribution_check(ext.scheme, fibonacci_window(), chi_bound=chi_bound, n=50)
 
 
 def test_equidistribution_needs_torus():

@@ -262,6 +262,10 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
          "--n must be positive"),
         (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open", "--n", "0"],
          "--n must be positive"),
+        (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open",
+          "--chi-bound", "0"], "--chi-bound must be positive"),
+        (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open",
+          "--chi-bound=-2"], "--chi-bound must be positive"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):

@@ -477,3 +477,33 @@ def test_mixing_pi_and_e_is_refused():
         _ = pi + e
     with pytest.raises(ExactnessError):
         _ = pi * e
+
+
+def test_linear_form_matches_scalar_sums():
+    # one integer dot product per monomial gives the value, and the reduced
+    # representation, that the Scalar additions give for the same sum
+    import random
+
+    rng = random.Random(7)
+    pi = Scalar.const("pi")
+    pools = [
+        [Scalar(1), GOLDEN, GOLDEN_CONJ / 3, Scalar(Fraction(-5, 6))],
+        [Scalar.root(2, 3) / 2, Scalar.root(2, 3) ** 2 * SQRT5 / 4, Scalar(Fraction(1, 9))],
+        [pi, 1 + pi / 7, Scalar.sqrt(2), Scalar(0)],
+    ]
+    for values in pools:
+        form = scalars.LinearForm(values)
+        for _ in range(60):
+            n = [rng.randint(-40, 40) * rng.randint(0, 1) for _ in values]
+            expected = Scalar(0)
+            for v, k in zip(values, n):
+                if k:
+                    expected = expected + v * k
+            got = form(n)
+            assert got == expected and repr(got) == repr(expected)
+            assert got.to_obj() == expected.to_obj() and got.constant == expected.constant
+    assert scalars.LinearForm([GOLDEN, GOLDEN_CONJ])([1, 1]).to_obj() == Scalar(1).to_obj()
+    with pytest.raises(ExactnessError):
+        scalars.LinearForm([Scalar(1), Scalar.from_float(0.5)])
+    with pytest.raises(ExactnessError):
+        scalars.LinearForm([Scalar.const("pi"), Scalar.const("e")])

@@ -23,9 +23,18 @@ from cutproject.scheme import (
     Patch,
     SchemeError,
 )
-from cutproject.transforms import lift_window, star_injectivity_exhaustive, translate_cps
+from cutproject.transforms import (
+    extend_injective,
+    lift_window,
+    lift_window_torus,
+    star_injectivity_exhaustive,
+    translate_cps,
+)
 from cutproject.windows import (
+    AugmentedWindow,
     IntervalSet,
+    IntSetRegion,
+    OutOfCertifiedRangeError,
     ProductWindow,
     RealRegion,
     ResidueRegion,
@@ -658,6 +667,118 @@ def test_enumeration_matches_direct_and_star(case):
     assert checked.points == patch.points
     assert [repr(p) for p in checked.points] == [repr(p) for p in patch.points]
     assert checked.coords == patch.coords
+
+
+def filter_cases():
+    """Boundary-heavy cases: window endpoints that are stars of lattice points.
+
+    Each case is (scheme, box, window, decided, memberships), ``decided``
+    telling whether the enumeration may decide leaves on enclosures and
+    ``memberships`` the expected patch membership of endpoint coordinates.
+    """
+    fib = fibonacci_scheme()
+    # the ends -1 and golden - 1 are star(-1, 0) and star(0, -1)
+    half_open = interval_window(LINE, -1, GOLDEN - 1)
+    ends = [(-1, 0), (0, -1)]
+    box = Box.interval(-300, 250)
+    # the gap (star(1, 2), star(2, 3)) is open at both lattice stars
+    gap = UnionWindow(
+        LINE,
+        [
+            interval_window(LINE, -1, 1 + 2 * GOLDEN_CONJ),
+            interval_window(LINE, 2 + 3 * GOLDEN_CONJ, GOLDEN - 1, False, True),
+        ],
+    )
+    sqrt2 = translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme
+    torus = extend_injective(fib, (Scalar.root(2, 3),), injectivity_bound=25).scheme
+    float_fib = differential_cases()[1][0]
+    return [
+        (fib, box, half_open, True, dict(zip(ends, (True, False)))),
+        (fib, box, half_open.closure(), True, dict(zip(ends, (True, True)))),
+        (fib, box, half_open.interior(), True, dict(zip(ends, (False, False)))),
+        (fib, box, gap, True, {(1, 2): False, (2, 3): False, (-1, 0): True, (0, -1): True}),
+        # the lifted window's integer row is the singleton {2}
+        (sqrt2, Box.interval(-150, 150), lift_window(half_open, 2, sqrt2), True, {}),
+        (torus, Box.interval(-150, 150), lift_window_torus(half_open, torus.space, 1), True, {}),
+        (float_fib, box, half_open, False, {}),
+        (fib, box, AugmentedWindow(half_open.interior(), [fib.star((0, -1))]), False,
+         dict(zip(ends, (False, True)))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_leaf_filter_matches_exact_path(case, monkeypatch):
+    # deciding leaves on their row enclosures must give the patch the exact
+    # path gives for every leaf, bit for bit, and leave only the leaves whose
+    # stars sit on the window's boundary to the exact path
+    scheme, box, window, decided, memberships = filter_cases()[case]
+    calls = 0
+    contains = type(window).contains
+
+    def counted(self, p):
+        nonlocal calls
+        calls += 1
+        return contains(self, p)
+
+    monkeypatch.setattr(type(window), "contains", counted)
+    filtered = scheme.project_points(box, window)
+    filtered_calls, calls = calls, 0
+    for region in (RealRegion, IntSetRegion, ResidueRegion, TorusRegion):
+        monkeypatch.setattr(region, "decided_rows", lambda self: None)
+    exact = scheme.project_points(box, window)
+    assert len(exact) > 10 and calls >= len(exact)
+    assert [repr(p) for p in filtered.points] == [repr(p) for p in exact.points]
+    assert filtered.coords == exact.coords
+    assert filtered == exact
+    for n, member in memberships.items():
+        assert (n in filtered.coords) == member, n
+    if decided:
+        assert filtered_calls <= 4
+    else:
+        assert filtered_calls == calls
+
+
+def test_augmented_window_certifier_still_raises():
+    # an augmented window's leaves take the exact path, so a membership
+    # query outside the certified range still raises
+    fib = fibonacci_scheme()
+    window = AugmentedWindow(
+        interval_window(LINE, -1, GOLDEN - 1, False, False), [], certifier=lambda p: False
+    )
+    with pytest.raises(OutOfCertifiedRangeError):
+        fib.project_points(Box.interval(-50, 50), window)
+
+
+def test_leaf_filter_work_count(monkeypatch):
+    # on Fibonacci only the two leaves whose stars are the window's endpoints
+    # reach Window.contains; a float scheme still asks it for every leaf in
+    # the box
+    window_calls = box_hits = 0
+    contains = ProductWindow.contains
+    box_contains = Box.contains
+
+    def counted(self, p):
+        nonlocal window_calls
+        window_calls += 1
+        return contains(self, p)
+
+    def counted_box(self, point):
+        nonlocal box_hits
+        inside = box_contains(self, point)
+        box_hits += inside
+        return inside
+
+    monkeypatch.setattr(ProductWindow, "contains", counted)
+    monkeypatch.setattr(Box, "contains", counted_box)
+    window = interval_window(LINE, -1, GOLDEN - 1)
+    patch = fibonacci_scheme().project_points(Box.symmetric(800), window)
+    assert len(patch) > 1000
+    assert window_calls <= 2
+    window_calls = box_hits = 0
+    float_fib = differential_cases()[1][0]
+    patch = float_fib.project_points(Box.symmetric(800), window)
+    assert len(patch) > 1000
+    assert window_calls == box_hits >= len(patch)
 
 
 def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
