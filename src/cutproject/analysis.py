@@ -160,22 +160,13 @@ class EquidistributionReport:
         }
 
 
-def equidistribution_check(
-    scheme: CutProjectScheme,
-    window: Window,
-    chi_bound: float,
-    n: int,
-) -> EquidistributionReport:
-    """Torus coverage and nontrivial character sums for an extended scheme.
+def torus_characters(scheme: CutProjectScheme, chi_bound: float):
+    """The torus factor's index and its nontrivial characters of norm at
+    most ``chi_bound``, keyed by dual-lattice vector.
 
-    The window may be given over the torus-free part; it is then crossed
-    with the full torus.  Coverage asks every fundamental-coordinate cube of
-    side 1/8 to contain a projected-point image; a sample of fewer than two
-    points per cube reports "inconclusive" rather than failure.  A point's
-    torus coordinate is the fractional part of ``sum(n_j * c_j)`` over the
-    generators' torus coordinates ``c_j``, which is exact, so no full star
-    point is built.  A bound under which no nontrivial character lies is
-    refused with ``ValueError``: a check of no character would pass vacuously.
+    A scheme without a torus factor, or a bound under which no nontrivial
+    character lies, is refused with ``ValueError``: a check of no character
+    would pass vacuously.
     """
     torus_idx = None
     for idx, f in enumerate(scheme.space.factors):
@@ -196,6 +187,28 @@ def equidistribution_check(
             chars[kvec] = chi
     if not chars:
         raise ValueError(f"no nontrivial torus character has norm <= {chi_bound}")
+    return torus_idx, chars
+
+
+def equidistribution_check(
+    scheme: CutProjectScheme,
+    window: Window,
+    chi_bound: float,
+    n: int,
+) -> EquidistributionReport:
+    """Torus coverage and nontrivial character sums for an extended scheme.
+
+    The window may be given over the torus-free part; it is then crossed
+    with the full torus.  Coverage asks every fundamental-coordinate cube of
+    side 1/8 to contain a projected-point image; a sample of fewer than two
+    points per cube reports "inconclusive" rather than failure.  A point's
+    torus coordinate is the fractional part of ``sum(n_j * c_j)`` over the
+    generators' torus coordinates ``c_j``, which is exact, so no full star
+    point is built.  The characters are ``torus_characters``, which raises
+    ``ValueError`` for a scheme or bound without any.
+    """
+    torus_idx, chars = torus_characters(scheme, chi_bound)
+    factor = scheme.space.factors[torus_idx]
     if window.space != scheme.space:
         window = _cross_with_full_torus(scheme.space, window, torus_idx)
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)

@@ -301,6 +301,10 @@ def cmd_verify(args) -> int:
         _require_positive([args.n], "--n")
         if not args.chi_bound > 0:
             raise InputError(f"--chi-bound must be positive, got {args.chi_bound}")
+        try:
+            analysis.torus_characters(scheme, args.chi_bound)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         rep = analysis.equidistribution_check(scheme, window, args.chi_bound, args.n)
         passed = rep.status == "pass" and rep.max_fb < tol
         report = {"suite": suite, "tolerance": tol, "report": rep.to_obj()}

@@ -701,6 +701,18 @@ class Scalar:
         scale = 10 ** digits
         return Fraction(lo, scale), Fraction(hi, scale)
 
+    def magnitude(self) -> Fraction:
+        """An upper bound on ``abs(self)`` and on every term of it: the sum of
+        the terms' absolute values, each monomial counted as at least 1."""
+        if self._num is None:
+            return abs(Fraction(self._float))
+        scale = 10 ** _ENCLOSURE_DIGITS
+        total = sum(
+            abs(c) * max(scale, _mono_int_bounds(i, _ENCLOSURE_DIGITS)[1])
+            for i, c in self._num.items()
+        )
+        return Fraction(total, self._den * scale)
+
     def sign(self) -> int:
         num = self._num
         if num is None:

@@ -15,6 +15,11 @@ integer enclosures of every lifted row; where a window piece's rows decide
 membership, a leaf is accepted or rejected on them, and only leaves whose
 enclosures straddle a boundary take exact ``Scalar`` arithmetic (a filtered
 predicate in the sense of Shewchuk 1997 and Bronnimann, Burnikel & Pion 2001).
+Float schemes are decided the same way against the ``FLOAT_EPS`` band of
+each endpoint, widened by a rigorous bound on the float rounding.  The same
+enclosures of the first direct coordinate order the patch whenever they are
+separated by more than ``FLOAT_EPS``; only otherwise are the points sorted
+by ``Scalar`` comparison.
 """
 
 from __future__ import annotations
@@ -25,15 +30,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt, le, lt
+from operator import gt, le, lt, mul
 
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
-from .scalars import LinearForm, Scalar
+from .scalars import FLOAT_EPS, LinearForm, Scalar
 from .windows import Window, row_bounds
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
 _PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
+_SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -133,6 +139,21 @@ class Patch:
         """
         patch = cls.__new__(cls)
         patch._fill(pairs, box, scheme_id, True)
+        return patch
+
+    @classmethod
+    def _of_ordered(cls, points, coords, box: Box, scheme_id: str) -> "Patch":
+        """Patch of distinct Scalar points in ``box``, given in sorted order.
+
+        For ``project_points`` when its points' enclosures are separated
+        (``_separated``), which fixes the order ``__init__`` would sort them
+        into; no point is compared.
+        """
+        patch = cls.__new__(cls)
+        patch.points = tuple(points)
+        patch.box = box
+        patch.scheme_id = scheme_id
+        patch.coords = tuple(coords)
         return patch
 
     def _fill(self, pairs, box, scheme_id, with_coords):
@@ -254,7 +275,7 @@ class CutProjectScheme:
         self._id = None
         self._inverse_enc = None
         self._enum_plan = None
-        self._forms = None
+        self._leaf = None
 
     # -- lifted presentation -------------------------------------------------
 
@@ -356,7 +377,11 @@ class CutProjectScheme:
         """All projected lattice points inside ``box`` with star inside ``window``.
 
         Window pieces are enumerated one after another and merged in piece
-        order, so the result is deterministic.
+        order, so the result is deterministic.  The points are put in order
+        by the lower ends of their first coordinates' enclosures; when every
+        neighbouring pair is separated (``_separated``), that is the patch's
+        order, and otherwise the points are sorted and deduplicated by
+        ``Scalar`` comparison.
         """
         if box.dim != self.d:
             raise SchemeError("box dimension mismatch")
@@ -369,10 +394,17 @@ class CutProjectScheme:
         decided = window.decided_pieces() or [None] * len(pieces)
         for piece, rows in zip(pieces, decided):
             leaves = self._enumerate_piece(box, window, piece, rows, max_candidates)
-            for n, direct in leaves.items():
-                found.setdefault(n, direct)
+            for n, leaf in leaves.items():
+                found.setdefault(n, leaf)
+        forms, names, sizes = self._leaf_data()
+        if self.d and len(names) <= 1 and (forms is not None or sizes is not None):
+            leaves = sorted(found.items(), key=lambda item: item[1][1])
+            if _separated([leaf for _, leaf in leaves]):
+                return Patch._of_ordered(
+                    [leaf[0] for _, leaf in leaves], [n for n, _ in leaves], box, self.scheme_id
+                )
         return Patch._of_checked(
-            [(p, n) for n, p in found.items()], box, self.scheme_id
+            [(leaf[0], n) for n, leaf in found.items()], box, self.scheme_id
         )
 
     def _enumerate_piece(self, box, window, piece, decided, max_candidates):
@@ -384,15 +416,20 @@ class CutProjectScheme:
         all its lifted rows at scale 10**_PLAN_DIGITS.  When the piece's
         rows decide membership (``decided``, see ``_inner_bounds``), a leaf
         whose rows all lie inside their inner bounds is accepted on the
-        enclosures alone, with its exact direct vector built by
-        ``LinearForm``s, and a leaf with a row outside its outer bound is
-        rejected.  Every other leaf takes the exact path: its direct vector
-        and star point are not built from scratch, but from the kept
-        partial sums over the coordinates it shares with the last candidate
-        summed.  Each step is the addition ``direct`` or ``star`` makes, in
-        the same order, so exact values are equal and float values
-        bit-identical; the star sum is only taken for candidates inside the
-        box, and the exact ``Box.contains`` and ``Window.contains`` decide.
+        enclosures alone, and a leaf with a row outside its outer bound is
+        rejected.  An accepted leaf of an exact scheme gets its exact direct
+        vector from ``LinearForm``s.  Every other leaf, and an accepted leaf
+        of a float scheme, builds its direct vector from the kept partial
+        sums over the coordinates it shares with the last candidate summed,
+        and so does the star point of a leaf on the exact path.  Each step
+        is the addition ``direct`` or ``star`` makes, in the same order, so
+        exact values are equal and float values bit-identical; the star sum
+        is only taken for candidates inside the box, and the exact
+        ``Box.contains`` and ``Window.contains`` decide.
+
+        Returns ``{n: (direct, lo, hi)}`` with ``[lo, hi]`` a scaled
+        enclosure of the first direct coordinate as computed: the row's
+        enclosure, widened by the float rounding bound for a float scheme.
         """
         rhs = self._piece_rhs(box, piece)
         ranges = self._candidate_ranges(rhs)
@@ -413,27 +450,31 @@ class CutProjectScheme:
              -((-hi.numerator * scale) // hi.denominator) + slack)
             for lo, hi in rhs
         ]
-        inner = self._inner_bounds(box, decided, slack)
-        if inner is not None:
-            in_lo, in_hi, forms = inner
-            out_lo = [lo for lo, _ in targets]
-            out_hi = [hi for _, hi in targets]
+        forms, _, sizes = self._leaf_data()
+        errors = None if sizes is None else self._float_errors(sizes, ranges)
+        bounds = self._inner_bounds(box, decided, targets, errors)
+        if bounds is not None:
+            in_lo, in_hi, out_lo, out_hi = bounds
+        lead = errors[0] if errors else 0
         gens = self.generators
         space = self.space
         # directs[j] and stars[j] sum n[:j] for the last n each was taken for
         d_last, directs = (), [tuple(Scalar(0) for _ in range(self.d))]
         s_last, stars = (), [space.zero()]
-        zero = [0] * self.lift_size
+        zero = [0] * max(self.lift_size, 1)  # a rank-0 scheme's leaf still has a row 0
         walk = _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero)
         for lifted, r_lo, r_hi in walk:
             n = lifted[: self.rank]
             if n in found:
                 continue
-            if inner is not None:
+            inside = False
+            if bounds is not None:
                 if all(map(le, in_lo, r_lo)) and all(map(le, r_hi, in_hi)):
-                    found[n] = tuple([form(n) for form in forms])
-                    continue
-                if any(map(lt, r_hi, out_lo)) or any(map(gt, r_lo, out_hi)):
+                    if forms is not None:
+                        found[n] = (tuple([form(n) for form in forms]), r_lo[0], r_hi[0])
+                        continue
+                    inside = True
+                elif any(map(lt, r_hi, out_lo)) or any(map(gt, r_lo, out_hi)):
                     continue
             j = _shared_prefix(n, d_last)
             del directs[j + 1 :]
@@ -441,63 +482,123 @@ class CutProjectScheme:
                 acc = directs[-1]
                 directs.append(tuple([a + x * k for a, x in zip(acc, g)]) if k else acc)
             d_last = n
-            if not box.contains(directs[-1]):
-                continue
-            j = _shared_prefix(n, s_last)
-            del stars[j + 1 :]
-            for (_, h), k in zip(gens[j:], n[j:]):
-                acc = stars[-1]
-                stars.append(space.add(acc, space.scale(h, k)) if k else acc)
-            s_last = n
-            if window.contains(stars[-1]):
-                found[n] = directs[-1]
+            if not inside:
+                if not box.contains(directs[-1]):
+                    continue
+                j = _shared_prefix(n, s_last)
+                del stars[j + 1 :]
+                for (_, h), k in zip(gens[j:], n[j:]):
+                    acc = stars[-1]
+                    stars.append(space.add(acc, space.scale(h, k)) if k else acc)
+                s_last = n
+                if not window.contains(stars[-1]):
+                    continue
+            found[n] = (directs[-1], r_lo[0] - lead, r_hi[0] + lead)
         return found
 
-    def _inner_bounds(self, box, decided, margin):
-        """Scaled inner bounds of every lifted row and the direct forms, or None.
+    def _inner_bounds(self, box, decided, targets, errors):
+        """Scaled inner and outer bounds of every lifted row, or None.
 
-        A row inside its inner bound is inside the box or the window piece:
-        the bounds are the exact endpoints rounded inwards at scale
-        10**_PLAN_DIGITS and cleared by ``margin``, except on integral rows,
-        whose exact integer values meet closed integer bounds.  None when
-        the piece's rows do not decide membership, or when an exact
-        comparison could answer differently from the enclosures: float
-        values (``FLOAT_EPS`` semantics) or two named constants, whose
+        A row inside its inner bound is inside the box or the window piece,
+        a row outside its outer bound is outside.  For an exact scheme the
+        inner bounds are the exact endpoints rounded inwards at scale
+        10**_PLAN_DIGITS and cleared by 10**-9, except on integral rows,
+        whose exact integer values meet closed integer bounds, and the outer
+        bounds are the walk's ``targets``.  A float scheme (``errors`` given,
+        see ``_float_errors``) compares within ``FLOAT_EPS``: a row is
+        inside ``[lo + FLOAT_EPS + delta, hi - FLOAT_EPS - delta]`` and
+        outside ``[lo - FLOAT_EPS - delta, hi + FLOAT_EPS + delta]``, with
+        ``lo`` and ``hi`` the endpoints' ``to_float()`` and ``delta`` the
+        row's rounding bound plus four roundings of the endpoints'
+        magnitude, which also covers an exact comparison of a mixed
+        scheme's exact values.  None when the piece's rows do not decide
+        membership, when a float scheme has an integral row, or when an
+        exact comparison could answer differently from the enclosures: float
+        endpoints of an exact scheme, or two named constants, whose
         comparison raises ``ExactnessError``.
         """
         if decided is None:
             return None
-        forms, names = self._direct_forms()
+        forms, names, _ = self._leaf_data()
         rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + decided
         ends = [v for lo, hi, _ in rows for v in (lo, hi)]
-        if forms is None or not all(v.is_exact for v in ends):
-            return None
         if len(names | {v.constant for v in ends} - {None}) > 1:
             return None
         scale = 10 ** _PLAN_DIGITS
-        in_lo, in_hi = [], []
-        for lo, hi, integral in rows:
-            pad = 0 if integral else margin
-            in_lo.append(math.ceil(lo.bounds(_PLAN_DIGITS)[1] * scale) + pad)
-            in_hi.append(math.floor(hi.bounds(_PLAN_DIGITS)[0] * scale) - pad)
-        return in_lo, in_hi, forms
+        if errors is None:
+            if forms is None or not all(v.is_exact for v in ends):
+                return None
+            margin = 10 ** (_PLAN_DIGITS - 9)
+            in_lo, in_hi = [], []
+            for lo, hi, integral in rows:
+                pad = 0 if integral else margin
+                in_lo.append(math.ceil(lo.bounds(_PLAN_DIGITS)[1] * scale) + pad)
+                in_hi.append(math.floor(hi.bounds(_PLAN_DIGITS)[0] * scale) - pad)
+            return in_lo, in_hi, [lo for lo, _ in targets], [hi for _, hi in targets]
+        if any(integral for _, _, integral in rows):
+            return None
+        in_lo, in_hi, out_lo, out_hi = [], [], [], []
+        for (lo, hi, _), error in zip(rows, errors):
+            size = max(lo.magnitude(), hi.magnitude())
+            band = _SCALED_EPS + error + math.ceil(4 * size * scale / 2 ** 53)
+            lo = Fraction(lo.to_float()) * scale
+            hi = Fraction(hi.to_float()) * scale
+            in_lo.append(math.ceil(lo + band))
+            in_hi.append(math.floor(hi - band))
+            out_lo.append(math.floor(lo - band))
+            out_hi.append(math.ceil(hi + band))
+        return in_lo, in_hi, out_lo, out_hi
 
-    def _direct_forms(self):
-        """Each direct coordinate as a ``LinearForm`` of the lattice
-        coordinates, or None for float values or two named constants among
-        the generators; with the constants' names.  Built once per scheme."""
-        if self._forms is None:
+    def _leaf_data(self):
+        """What a leaf may be decided and ordered on; built once per scheme.
+
+        ``(forms, names, sizes)``: ``forms`` gives each direct coordinate as
+        a ``LinearForm`` of the lattice coordinates when the generators are
+        exact and involve at most one named constant, else None; ``names``
+        are the named constants among the generators.  ``sizes`` is set for
+        a float scheme, one with a float generator value, whose internal
+        factors are all real: the ``Scalar.magnitude`` of every entry of the
+        lifted matrix, row by row.  Else None.
+        """
+        if self._leaf is None:
             values = [
                 v for g, h in self.generators for v in (*g, *self.space.kernel_values(h))
             ]
             names = {v.constant for v in values} - {None}
-            forms = None
-            if all(v.is_exact for v in values) and len(names) <= 1:
-                forms = tuple(
-                    LinearForm([g[i] for g, _ in self.generators]) for i in range(self.d)
-                )
-            self._forms = (forms, names)
-        return self._forms
+            forms = sizes = None
+            if all(v.is_exact for v in values):
+                if len(names) <= 1:
+                    forms = tuple(
+                        LinearForm([g[i] for g, _ in self.generators]) for i in range(self.d)
+                    )
+            elif all(f.kind == "real" for f in self.space.factors):
+                sizes = tuple(tuple(v.magnitude() for v in row) for row in self.matrix)
+            self._leaf = (forms, names, sizes)
+        return self._leaf
+
+    def _float_errors(self, sizes, ranges) -> list[int]:
+        """A scaled bound, per lifted row, on a float scheme's rounding.
+
+        A row is computed in floats as ``direct`` and ``star`` compute it:
+        each nonzero term is a product, rounded when the entry is a float,
+        or else rounded to a float when it meets a float sum; the exact
+        partial sum is rounded once, where the first float joins it; each
+        addition rounds; the result is then subtracted from an endpoint or
+        from another point's.  That is at most ``2 * size + 3`` roundings of
+        relative size ``2**-53``, each of a value below the sum of the
+        terms' magnitudes, the entries' ``sizes`` times the coordinates'
+        reach over the candidate ``ranges``.  Each bound is twice that
+        first-order bound, plus 10**-12 for the 18-digit enclosures exact
+        values are rounded from.
+        """
+        reach = [max(-lo, hi) for lo, hi in ranges]
+        rounds = 2 * (2 * len(reach) + 3)
+        scale = 10 ** _PLAN_DIGITS
+        return [
+            math.ceil(rounds * sum(map(mul, reach, row)) * scale / 2 ** 53)
+            + 10 ** (_PLAN_DIGITS - 12)
+            for row in sizes
+        ]
 
     def _piece_rhs(self, box: Box, piece) -> list[tuple[Fraction, Fraction]]:
         """Bounds on every lifted row: the box, then a window piece's rows."""
@@ -804,6 +905,16 @@ def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
             yield from _triangular_walk(levels, ranges, targets, prefix + (v,), c_lo, c_hi)
 
 
+def _separated(leaves) -> bool:
+    """True when each leaf's scaled enclosure ``(_, lo, hi)`` ends more
+    than ``FLOAT_EPS`` below the next one's start.
+
+    The leaves are then in increasing order, and pairwise distinct, under
+    exact and under ``FLOAT_EPS`` comparison alike.
+    """
+    return all(b[1] - a[2] > _SCALED_EPS for a, b in zip(leaves, leaves[1:]))
+
+
 def _shared_prefix(a, b) -> int:
     """Length of the common prefix of two coordinate tuples."""
     j = 0
@@ -840,13 +951,15 @@ def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
 
 
 def _scaled_enclosure(v: Scalar, digits: int) -> tuple[int, int]:
+    """Integer enclosure of ``v`` at scale 10**digits; a float's exact
+    dyadic value is enclosed and then padded by 10**-9 on either side."""
     scale = 10 ** digits
     if v.is_exact:
         lo, hi = v.bounds(digits)
         return int(lo * scale), int(hi * scale)
-    center = int(v._float * scale)
+    value = Fraction(v._float) * scale
     pad = int(1e-9 * scale) + 1
-    return (center - pad, center + pad)
+    return (math.floor(value) - pad, math.ceil(value) + pad)
 
 
 def _float_solve(mat, rhs):

@@ -266,6 +266,8 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
           "--chi-bound", "0"], "--chi-bound must be positive"),
         (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open",
           "--chi-bound=-2"], "--chi-bound must be positive"),
+        (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open"],
+         "scheme has no torus factor"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):
@@ -278,6 +280,32 @@ def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, me
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "input error" in err and message in err
+
+
+def test_equidist_bound_below_every_character_is_an_input_error(tmp_path, capsys):
+    # the smallest nontrivial character of the root(2,3) torus has norm
+    # 1/root(2,3) > 0.5, so a positive bound of 0.5 leaves nothing to check
+    scheme_file = tmp_path / "ext.json"
+    extend = [
+        "transform", "extend",
+        "--scheme", "builtin:fibonacci",
+        "--c", "root(2,3)",
+        "--injectivity-bound", "20",
+        "--out-scheme", str(scheme_file),
+        "--out-cert", str(tmp_path / "cert.json"),
+    ]
+    assert run(extend) == 0
+    code = run(
+        [
+            "verify", "--suite", "equidist",
+            "--scheme", str(scheme_file),
+            "--window", "builtin:fibonacci-open",
+            "--chi-bound", "0.5",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "no nontrivial torus character has norm <= 0.5" in err
 
 
 def test_transform_extend_rejects_unknown_strategy(tmp_path, capsys):

@@ -507,3 +507,15 @@ def test_linear_form_matches_scalar_sums():
         scalars.LinearForm([Scalar(1), Scalar.from_float(0.5)])
     with pytest.raises(ExactnessError):
         scalars.LinearForm([Scalar.const("pi"), Scalar.const("e")])
+
+
+def test_magnitude_bounds_the_value_and_every_term():
+    # 1000*sqrt(5) - 2236 is about 0.068, but its float carries the error of
+    # its terms, so the magnitude is the terms' sum, each monomial at least 1
+    v = 1000 * SQRT5 - 2236
+    assert 4472 < v.magnitude() < Fraction(44721, 10)
+    assert Scalar(Fraction(-7, 3)).magnitude() == Fraction(7, 3)
+    assert Scalar.from_float(-2.5).magnitude() == Fraction(5, 2)
+    assert (Scalar(3) / Scalar.const("pi")).magnitude() == 3
+    for x in (GOLDEN, GOLDEN_CONJ * 40, Scalar.root(2, 3) - 1):
+        assert x.magnitude() >= abs(Fraction(x.to_float()))

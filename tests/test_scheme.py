@@ -22,6 +22,7 @@ from cutproject.scheme import (
     EnumerationOverflowError,
     Patch,
     SchemeError,
+    _scaled_enclosure,
 )
 from cutproject.transforms import (
     extend_injective,
@@ -669,6 +670,50 @@ def test_enumeration_matches_direct_and_star(case):
     assert checked.coords == patch.coords
 
 
+def float_scheme(scale=1):
+    """Fibonacci with float generators times a power of two, as ``--mode
+    float`` gives it."""
+    return CutProjectScheme(
+        1,
+        LINE,
+        [
+            ((Scalar.from_float(scale * 1.0),), LINE.point((Scalar.from_float(scale * 1.0),))),
+            ((Scalar.from_float(scale * float(GOLDEN)),),
+             LINE.point((Scalar.from_float(scale * float(GOLDEN_CONJ)),))),
+        ],
+    )
+
+
+def rounding_case():
+    """A float window endpoint on the computed star of a lattice point.
+
+    At scale 2**33 the float rounding of a star outgrows the walk's 10**-9
+    padding of float entries, so only the rounding bound keeps the leaf off
+    the enclosures: its exact star lies off the endpoint by more than
+    FLOAT_EPS and the enclosure's width, its float star on it.
+    """
+    scale = 2 ** 33
+    scheme = float_scheme(scale)
+    box = Box.interval(-60 * scale, 60 * scale)
+    lo, hi = -scale * 1.0, scale * float(GOLDEN - 1)
+    patch = scheme.project_points(box, interval_window(LINE, lo, hi))
+    heights = [Fraction(h.coords[0][0].to_float()) for _, h in scheme.generators]
+    best = None
+    for n in patch.coords:
+        star = scheme.star(n).coords[0][0].to_float()
+        error = sum(k * h for k, h in zip(n, heights)) - Fraction(star)
+        lower = star < (lo + hi) / 2  # keep most of the window
+        if (error > 0) == lower and (best is None or abs(error) > best[0]):
+            best = (abs(error), n, star)
+    error, n, star = best
+    assert error > 1e-9 + 2e-9 * sum(map(abs, n))
+    if star < (lo + hi) / 2:
+        window = interval_window(LINE, Scalar.from_float(star), hi, False, False)
+    else:
+        window = interval_window(LINE, lo, Scalar.from_float(star), True, False)
+    return scheme, box, window, True, {n: False}
+
+
 def filter_cases():
     """Boundary-heavy cases: window endpoints that are stars of lattice points.
 
@@ -691,7 +736,21 @@ def filter_cases():
     )
     sqrt2 = translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme
     torus = extend_injective(fib, (Scalar.root(2, 3),), injectivity_bound=25).scheme
+    # the torus interval [-1/4, 1/4) wraps to [0, 1/4) and [3/4, 1)
+    seam = ProductWindow(
+        torus.space,
+        (
+            half_open.regions[0],
+            TorusRegion(torus.space.factors[1], (IntervalSet.single(Fraction(-1, 4), Fraction(1, 4)),)),
+        ),
+    )
+    # float_fib has an exact generator 1: star(-1, 0) = -1 is exact, star(0, -1) a float
     float_fib = differential_cases()[1][0]
+    # both ends 5e-10 off a star, inside the FLOAT_EPS band, so both stars are out
+    nudged = interval_window(
+        LINE, Scalar.from_float(-1 - 5e-10), GOLDEN - 1 + Fraction(1, 2 * 10 ** 9), False, False
+    )
+    float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
     return [
         (fib, box, half_open, True, dict(zip(ends, (True, False)))),
         (fib, box, half_open.closure(), True, dict(zip(ends, (True, True)))),
@@ -700,13 +759,21 @@ def filter_cases():
         # the lifted window's integer row is the singleton {2}
         (sqrt2, Box.interval(-150, 150), lift_window(half_open, 2, sqrt2), True, {}),
         (torus, Box.interval(-150, 150), lift_window_torus(half_open, torus.space, 1), True, {}),
-        (float_fib, box, half_open, False, {}),
+        (float_fib, box, half_open, True, {}),
         (fib, box, AugmentedWindow(half_open.interior(), [fib.star((0, -1))]), False,
          dict(zip(ends, (False, True)))),
+        (float_fib, box, half_open.closure(), True, dict(zip(ends, (True, True)))),
+        (float_fib, box, half_open.interior(), True, dict(zip(ends, (False, False)))),
+        (float_fib, box, gap, True,
+         {(1, 2): False, (2, 3): False, (-1, 0): True, (0, -1): True}),
+        (float_fib, box, nudged, True, dict(zip(ends, (False, False)))),
+        (float_scheme(), box, float_window, True, dict(zip(ends, (True, False)))),
+        rounding_case(),
+        (torus, Box.interval(-150, 150), seam, False, {}),
     ]
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(15))
 def test_leaf_filter_matches_exact_path(case, monkeypatch):
     # deciding leaves on their row enclosures must give the patch the exact
     # path gives for every leaf, bit for bit, and leave only the leaves whose
@@ -750,35 +817,87 @@ def test_augmented_window_certifier_still_raises():
 
 
 def test_leaf_filter_work_count(monkeypatch):
-    # on Fibonacci only the two leaves whose stars are the window's endpoints
-    # reach Window.contains; a float scheme still asks it for every leaf in
-    # the box
-    window_calls = box_hits = 0
+    # on Fibonacci, exact or float, only the two leaves whose stars are the
+    # window's endpoints reach Window.contains
+    window_calls = 0
     contains = ProductWindow.contains
-    box_contains = Box.contains
 
     def counted(self, p):
         nonlocal window_calls
         window_calls += 1
         return contains(self, p)
 
-    def counted_box(self, point):
-        nonlocal box_hits
-        inside = box_contains(self, point)
-        box_hits += inside
-        return inside
-
     monkeypatch.setattr(ProductWindow, "contains", counted)
-    monkeypatch.setattr(Box, "contains", counted_box)
     window = interval_window(LINE, -1, GOLDEN - 1)
-    patch = fibonacci_scheme().project_points(Box.symmetric(800), window)
-    assert len(patch) > 1000
-    assert window_calls <= 2
-    window_calls = box_hits = 0
-    float_fib = differential_cases()[1][0]
-    patch = float_fib.project_points(Box.symmetric(800), window)
-    assert len(patch) > 1000
-    assert window_calls == box_hits >= len(patch)
+    float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
+    cases = [
+        (fibonacci_scheme(), window),
+        (differential_cases()[1][0], window),
+        (float_scheme(), float_window),
+    ]
+    for scheme, window in cases:
+        window_calls = 0
+        patch = scheme.project_points(Box.symmetric(800), window)
+        assert len(patch) > 1000
+        assert window_calls <= 2
+
+
+def test_patch_order_falls_back_to_scalar_sort(monkeypatch):
+    # points whose first-coordinate enclosures are not separated (coincident
+    # direct values of a non-injective scheme, equal first coordinates in
+    # d = 2) are sorted and deduplicated by Scalar comparison, as every
+    # patch is with the enclosure order switched off
+    from cutproject import scheme as scheme_module
+
+    fills = 0
+    fill = Patch._fill
+
+    def counted(self, *args):
+        nonlocal fills
+        fills += 1
+        return fill(self, *args)
+
+    monkeypatch.setattr(Patch, "_fill", counted)
+    coincident = CutProjectScheme(
+        1,
+        LINE,
+        [((Scalar(1),), LINE.point((1,))), ((Scalar(1),), LINE.point((Scalar.sqrt(2),)))],
+        require_injective=False,
+    )
+    box = Box.interval(-5, 5)
+    square, square_w = golden_square_scheme()
+    cases = [
+        (coincident, box, interval_window(LINE, -3, 3), False),
+        (square, Box([-8, -8], [8, 8]), square_w, False),
+        (fibonacci_scheme(), Box.interval(-300, 250), interval_window(LINE, -1, GOLDEN - 1), True),
+        (float_scheme(), Box.interval(-300, 250), interval_window(LINE, -1.0, float(GOLDEN - 1)), True),
+    ]
+    patches = []
+    for scheme, box, window, separated in cases:
+        fills = 0
+        patches.append(scheme.project_points(box, window))
+        assert fills == (0 if separated else 1)
+    hits = [
+        n for n in itertools.product(range(-12, 13), repeat=2)
+        if box.contains(coincident.direct(n)) and Fraction(-3) <= n[0] + n[1] * 2 ** 0.5 < 3
+    ]
+    assert len(patches[0]) < len(hits)  # coincident points were merged
+    monkeypatch.setattr(scheme_module, "_separated", lambda leaves: False)
+    for (scheme, box, window, _), patch in zip(cases, patches):
+        fills = 0
+        plain = scheme.project_points(box, window)
+        assert fills == 1
+        assert [repr(p) for p in plain.points] == [repr(p) for p in patch.points]
+        assert plain.coords == patch.coords
+
+
+def test_float_entry_enclosure_holds_its_value():
+    # a float entry is enclosed from its exact dyadic value: a rounded
+    # product at scale 10**25 misses 5e8 + 0.1 by more than the 10**-9 pad
+    v = Scalar.from_float(5e8 + 0.1)
+    lo, hi = _scaled_enclosure(v, 25)
+    assert lo <= Fraction(5e8 + 0.1) * 10 ** 25 <= hi
+    assert hi - lo < 3 * 10 ** 16  # the value padded by about 10**-9 each way
 
 
 def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
