@@ -877,11 +877,12 @@ def test_patch_order_falls_back_to_scalar_sort(monkeypatch):
         fills = 0
         patches.append(scheme.project_points(box, window))
         assert fills == (0 if separated else 1)
+    # |star - direct| = |n2| (sqrt(2) - 1) < 8 bounds n2 by 19, so the scan is exhaustive
     hits = [
-        n for n in itertools.product(range(-12, 13), repeat=2)
-        if box.contains(coincident.direct(n)) and Fraction(-3) <= n[0] + n[1] * 2 ** 0.5 < 3
+        n for n in itertools.product(range(-30, 31), repeat=2)
+        if box.contains(coincident.direct(n)) and -3 <= n[0] + n[1] * 2 ** 0.5 < 3
     ]
-    assert len(patches[0]) < len(hits)  # coincident points were merged
+    assert len(patches[0]) == 11 < len(hits)  # coincident points were merged
     monkeypatch.setattr(scheme_module, "_separated", lambda leaves: False)
     for (scheme, box, window, _), patch in zip(cases, patches):
         fills = 0
