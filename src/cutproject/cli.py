@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache, lru_cache
 
 from . import analysis, hull, transforms
 from .fibonacci import fibonacci_scheme, fibonacci_window
@@ -50,16 +51,23 @@ def _load_json(path: str | None):
 
 def load_scheme(source: str, mode: str = "exact") -> CutProjectScheme:
     if source == "builtin:fibonacci":
-        scheme = fibonacci_scheme()
-        obj = scheme.to_obj()
-    else:
-        obj = _load_json(source)
+        return _builtin_fibonacci(mode)
+    obj = _load_json(source)
     if mode == "float":
         obj = _floatify(obj)
     try:
         return CutProjectScheme.from_obj(obj)
     except Exception as exc:
         raise InputError(f"invalid scheme file {source}: {exc}") from exc
+
+
+@lru_cache(maxsize=2)
+def _builtin_fibonacci(mode: str) -> CutProjectScheme:
+    """The built-in scheme, shared by every call in a process so that its
+    enumeration plan is built once; ``--mode float`` gets one float copy."""
+    if mode != "float":
+        return fibonacci_scheme()
+    return CutProjectScheme.from_obj(_floatify(fibonacci_scheme().to_obj()))
 
 
 def _floatify(obj):
@@ -364,7 +372,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state on it, so every ``main`` call may share it."""
     parser = argparse.ArgumentParser(
         prog="cutproject",
         description="Exact cut-and-project schemes: generation, transforms, verification",

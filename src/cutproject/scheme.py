@@ -34,7 +34,7 @@ from operator import gt, le, lt, mul
 
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
-from .scalars import FLOAT_EPS, LinearForm, Scalar
+from .scalars import FLOAT_EPS, ExactnessError, LinearForm, Scalar
 from .windows import Window, row_bounds
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
@@ -366,7 +366,7 @@ class CutProjectScheme:
         cov = self.covolume()
         try:
             return cov.inverse()
-        except Exception:
+        except (ExactnessError, ZeroDivisionError):
             return Scalar.from_float(1.0 / cov.to_float())
 
     # -- enumeration ---------------------------------------------------------------
@@ -928,8 +928,10 @@ def _shared_prefix(a, b) -> int:
 def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
     """Interval enclosure of the rows of a nonsingular square matrix's inverse.
 
-    Exact inversion is used when the entries are algebraic; otherwise a
-    rigorous interval elimination per unit column.
+    Exact inversion is used when the entries are algebraic; where it cannot
+    decide (``ExactnessError``, or a pivot it cannot divide by), a rigorous
+    interval elimination per unit column.  Any other error is a bug and
+    propagates.
     """
     size = len(matrix)
     try:
@@ -938,7 +940,7 @@ def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
             for k in range(size)
         ]
         return [[cols[j][i].bounds(digits) for j in range(size)] for i in range(size)]
-    except Exception:
+    except (ExactnessError, ZeroDivisionError):
         unit = [
             linalg.interval_solve(
                 matrix,

@@ -273,11 +273,12 @@ class Region:
     coordinate.  ``enum_rows`` gives the lattice enumerator the region's
     bounds on the factor's lifted rows (``Factor.lift_values``), as a list
     of alternatives, each a list of (lo, hi) pairs.  ``decided_rows`` says
-    whether those rows alone decide membership: it gives one exact
-    ``(lo, hi, integral)`` triple per row when every coordinate whose rows
-    lie strictly inside (lo, hi) is in the region, or inside [lo, hi] for
-    ``integral`` rows, whose values are exact integers; else None.  The
-    defaults describe a finite set of coordinates of a discrete factor.
+    whether those rows alone decide membership: it gives, aligned one to
+    one with ``enum_rows``, one list of exact ``(lo, hi, integral)`` triples
+    per alternative when every coordinate whose rows lie strictly inside
+    (lo, hi) is in the region, or inside [lo, hi] for ``integral`` rows,
+    whose values are exact integers; else None.  The defaults describe a
+    finite set of coordinates of a discrete factor.
     """
 
     __slots__ = ()
@@ -395,7 +396,7 @@ class RealRegion(_AxesRegion):
     def decided_rows(self):
         if any(len(a.pieces) != 1 for a in self.axes):
             return None
-        return [(a.pieces[0].lo, a.pieces[0].hi, False) for a in self.axes]
+        return [[(a.pieces[0].lo, a.pieces[0].hi, False) for a in self.axes]]
 
     def fill_gap(self, coord):
         (x,) = coord
@@ -477,7 +478,7 @@ class IntSetRegion(Region):
         bounds = self.bounds()
         if bounds is None or len(self.points) != math.prod(hi - lo + 1 for lo, hi in bounds):
             return None
-        return [(Scalar(lo), Scalar(hi), True) for lo, hi in bounds]
+        return [[(Scalar(lo), Scalar(hi), True) for lo, hi in bounds]]
 
     def corner_coords(self):
         return sorted(self.points)
@@ -526,7 +527,7 @@ class ResidueRegion(Region):
         return Scalar(len(self.residues))
 
     def decided_rows(self):
-        return [] if len(self.residues) == self.modulus else None
+        return [[]] if len(self.residues) == self.modulus else None
 
     def translate(self, coord):
         return ResidueRegion(self.modulus, ((r + coord) % self.modulus for r in self.residues))
@@ -597,7 +598,7 @@ class TorusRegion(_AxesRegion):
         return all(_is_full_circle(a) or a.is_open() for a in self.axes)
 
     def decided_rows(self):
-        return [] if all(_is_full_circle(a) for a in self.axes) else None
+        return [[]] if all(_is_full_circle(a) for a in self.axes) else None
 
     def is_top_regular(self):
         if self.is_empty():
@@ -719,6 +720,19 @@ class TwistedRegion(Region):
             for r, w in sorted(self.per_residue.items())
             for rows in w.enum_pieces()
         ]
+
+    def decided_rows(self):
+        # A leaf's residue row is exactly r in [0, modulus), so its lifted
+        # coordinate is already canonical (``TwistedExtensionFactor._reduce``
+        # agrees with ``lift_relations``): its base rows are the base
+        # coordinate of its star, which the base window's pieces decide.
+        out = []
+        for r, w in sorted(self.per_residue.items()):
+            pieces = w.decided_pieces()
+            if pieces is None:
+                return None
+            out += [rows + [(Scalar(r), Scalar(r), True)] for rows in pieces]
+        return out
 
     def fill_gap(self, coord):
         h, res = coord
@@ -968,14 +982,13 @@ class ProductWindow(Window):
         return [self]
 
     def enum_pieces(self):
-        return [] if self.is_empty() else _product_rows(self.regions)
+        return [] if self.is_empty() else _product_rows([r.enum_rows() for r in self.regions])
 
     def decided_pieces(self):
         if self.is_empty():
             return []
         rows = [r.decided_rows() for r in self.regions]
-        # a region that decides has one enumeration alternative: one piece
-        return None if None in rows else [[b for r in rows for b in r]]
+        return None if None in rows else _product_rows(rows)
 
     def to_obj(self):
         return {"kind": "product", "regions": [r.to_obj() for r in self.regions]}
@@ -1155,7 +1168,7 @@ class AugmentedWindow(Window):
     def enum_pieces(self):
         out = self.open_part.enum_pieces()
         for p in self.stars:
-            out.extend(_product_rows(point_window(self.space, p).regions))
+            out.extend(_product_rows([r.enum_rows() for r in point_window(self.space, p).regions]))
         return out
 
     def to_obj(self):
@@ -1166,12 +1179,12 @@ class AugmentedWindow(Window):
         }
 
 
-def _product_rows(regions) -> list[list]:
-    """Enumeration row alternatives of a product: one per choice of each
-    region's alternative, earlier regions varying fastest."""
+def _product_rows(alternatives) -> list[list]:
+    """Row lists of a product, given each region's alternatives: one per
+    choice of an alternative from each, earlier regions varying fastest."""
     pieces = [[]]
-    for r in regions:
-        pieces = [p + rows for rows in r.enum_rows() for p in pieces]
+    for rows in alternatives:
+        pieces = [p + r for r in rows for p in pieces]
     return pieces
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import scalars
+from cutproject import cli, scalars
 from cutproject.cli import main
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_substitution, fibonacci_window
 from cutproject.hull import AlmostModelSetWitness, GammaRule
@@ -671,3 +671,39 @@ def test_verify_tol_leaves_float_counts_alone(tmp_path):
         assert run(argv + tol) == 0
         assert json.loads(read(out))["report"]["counts"] == [145, 579], tol
     assert scalars.FLOAT_EPS == 1e-9
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    argv = ["generate", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci"]
+    assert run(argv + ["--box", "0:10", "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(["verify", "--suite", "nope"]) == 2
+    assert run(argv + ["--box", "0:10", "--mode", "float", "--out", str(tmp_path / "b.csv")]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().hits == 2
+    capsys.readouterr()
+
+
+def test_parse_error_between_generates_leaves_outputs_alone(tmp_path, capsys):
+    # the shared parser and schemes carry nothing from one call to the next
+    argv = ["generate", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci",
+            "--box=-200:200"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(argv + ["--out", str(a)]) == 0
+    assert run(argv + ["--mode", "fast", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "invalid choice: 'fast'" in capsys.readouterr().err
+    assert run(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_builtin_scheme_is_shared():
+    assert cli.load_scheme("builtin:fibonacci") is fibonacci_scheme()
+    assert cli.load_scheme("builtin:fibonacci", "exact") is fibonacci_scheme()
+    shared = cli.load_scheme("builtin:fibonacci", "float")
+    assert cli.load_scheme("builtin:fibonacci", "float") is shared
+    # the same scheme the old per-call round trip through to_obj built
+    fresh = CutProjectScheme.from_obj(cli._floatify(fibonacci_scheme().to_obj()))
+    assert shared.to_obj() == fresh.to_obj()
+    assert shared.scheme_id == fresh.scheme_id
+    assert not shared.generators[1][0][0].is_exact

@@ -751,6 +751,21 @@ def filter_cases():
         LINE, Scalar.from_float(-1 - 5e-10), GOLDEN - 1 + Fraction(1, 2 * 10 ** 9), False, False
     )
     float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
+    # golden/3: the k-th translate's window ends are the stars of (1, j) and
+    # (0, j + 3) with k = 3s + r, j = -s on residue r = 0 and 1 - s on r = 2
+    twisted = translate_cps(fib, (GOLDEN / 3,), 100).scheme
+    # residue 1's ends lie off every star, so only residue 0's reach contains
+    residues = TwistedRegion(
+        twisted.space.factors[0],
+        {0: half_open, 1: interval_window(LINE, Fraction(-6, 7), GOLDEN - Fraction(8, 7), True, True)},
+    )
+    # a two-piece base window has no single interval to decide on
+    split = ProductWindow(
+        LINE,
+        (RealRegion((IntervalSet.single(-1, Fraction(-1, 5)).union(
+            IntervalSet.single(Fraction(1, 10), GOLDEN - 1)),)),),
+    )
+    small = Box.interval(-60, 60)
     return [
         (fib, box, half_open, True, dict(zip(ends, (True, False)))),
         (fib, box, half_open.closure(), True, dict(zip(ends, (True, True)))),
@@ -770,10 +785,19 @@ def filter_cases():
         (float_scheme(), box, float_window, True, dict(zip(ends, (True, False)))),
         rounding_case(),
         (torus, Box.interval(-150, 150), seam, False, {}),
+        (twisted, small, lift_window(half_open, -3, twisted), True,
+         {(1, 3): True, (0, 6): False}),
+        (twisted, small, lift_window(half_open.interior(), 0, twisted), True,
+         {(1, 0): False, (0, 3): False}),
+        (twisted, small, lift_window(half_open.closure(), 2, twisted), True,
+         {(1, -2): True, (0, 1): True}),
+        (twisted, small, ProductWindow(twisted.space, (residues,)), True,
+         {(1, 0): True, (0, 3): False}),
+        (twisted, small, lift_window(split, 1, twisted), False, {}),
     ]
 
 
-@pytest.mark.parametrize("case", range(15))
+@pytest.mark.parametrize("case", range(20))
 def test_leaf_filter_matches_exact_path(case, monkeypatch):
     # deciding leaves on their row enclosures must give the patch the exact
     # path gives for every leaf, bit for bit, and leave only the leaves whose
@@ -790,7 +814,7 @@ def test_leaf_filter_matches_exact_path(case, monkeypatch):
     monkeypatch.setattr(type(window), "contains", counted)
     filtered = scheme.project_points(box, window)
     filtered_calls, calls = calls, 0
-    for region in (RealRegion, IntSetRegion, ResidueRegion, TorusRegion):
+    for region in (RealRegion, IntSetRegion, ResidueRegion, TorusRegion, TwistedRegion):
         monkeypatch.setattr(region, "decided_rows", lambda self: None)
     exact = scheme.project_points(box, window)
     assert len(exact) > 10 and calls >= len(exact)
@@ -817,8 +841,10 @@ def test_augmented_window_certifier_still_raises():
 
 
 def test_leaf_filter_work_count(monkeypatch):
-    # on Fibonacci, exact or float, only the two leaves whose stars are the
-    # window's endpoints reach Window.contains
+    # on Fibonacci, exact or float, and on a lifted window of the golden/3
+    # extension, only the two leaves whose stars are the window's endpoints
+    # reach Window.contains (twice each on the extension: its window and
+    # the residue's base window)
     window_calls = 0
     contains = ProductWindow.contains
 
@@ -830,16 +856,18 @@ def test_leaf_filter_work_count(monkeypatch):
     monkeypatch.setattr(ProductWindow, "contains", counted)
     window = interval_window(LINE, -1, GOLDEN - 1)
     float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
+    twisted = translate_cps(fibonacci_scheme(), (GOLDEN / 3,), 100).scheme
     cases = [
-        (fibonacci_scheme(), window),
-        (differential_cases()[1][0], window),
-        (float_scheme(), float_window),
+        (fibonacci_scheme(), window, 800, 1000, 2),
+        (differential_cases()[1][0], window, 800, 1000, 2),
+        (float_scheme(), float_window, 800, 1000, 2),
+        (twisted, lift_window(window, 1, twisted), 60, 80, 4),
     ]
-    for scheme, window in cases:
+    for scheme, window, radius, points, calls in cases:
         window_calls = 0
-        patch = scheme.project_points(Box.symmetric(800), window)
-        assert len(patch) > 1000
-        assert window_calls <= 2
+        patch = scheme.project_points(Box.symmetric(radius), window)
+        assert len(patch) > points
+        assert window_calls <= calls
 
 
 def test_patch_order_falls_back_to_scalar_sort(monkeypatch):
@@ -936,6 +964,20 @@ def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
                 brute.add((n1, n2))
     assert len(brute) == 58
     assert set(patch.coords) == brute
+
+
+def test_enumeration_set_up_lets_bugs_through(monkeypatch):
+    # only what inexact input raises falls back to interval elimination; any
+    # other error in the exact inverse is a bug and must not be swallowed
+    def broken(*args):
+        raise TypeError("not an inexact input")
+
+    monkeypatch.setattr(linalg, "solve_exact", broken)
+    scheme = CutProjectScheme(
+        1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
+    )
+    with pytest.raises(TypeError, match="not an inexact input"):
+        scheme.project_points(Box.interval(-10, 10), interval_window(LINE, -1, GOLDEN - 1))
 
 
 def test_lattice_coords_float_mode():
