@@ -751,8 +751,8 @@ def filter_cases():
         LINE, Scalar.from_float(-1 - 5e-10), GOLDEN - 1 + Fraction(1, 2 * 10 ** 9), False, False
     )
     float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
-    # golden/3: the k-th translate's window ends are the stars of (1, j) and
-    # (0, j + 3) with k = 3s + r, j = -s on residue r = 0 and 1 - s on r = 2
+    # golden/3: the ends of the k-th translate's lifted window are the stars
+    # of (1, -k) and (0, 3 - k)
     twisted = translate_cps(fib, (GOLDEN / 3,), 100).scheme
     # residue 1's ends lie off every star, so only residue 0's reach contains
     residues = TwistedRegion(
