@@ -39,26 +39,49 @@ def _dump_json(obj, path: str | None):
             fh.write(text)
 
 
-def _load_json(path: str | None):
+def _read_text(path: str | None) -> str:
+    """The UTF-8 text of ``path``; a missing, unreadable or undecodable file
+    is an input error."""
     if path is None:
         raise InputError("a required file option is missing")
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _load_json(path: str | None):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def load_scheme(source: str, mode: str = "exact") -> CutProjectScheme:
+    """The scheme named by ``source``.  A file is read on every call, so a
+    rewritten file is seen; equal contents share one scheme (``_scheme_of``)."""
     if source == "builtin:fibonacci":
         return _builtin_fibonacci(mode)
-    obj = _load_json(source)
-    if mode == "float":
-        obj = _floatify(obj)
+    text = _read_text(source)
     try:
-        return CutProjectScheme.from_obj(obj)
+        return _scheme_of(text, mode)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"cannot read JSON from {source}: {exc}") from exc
     except Exception as exc:
         raise InputError(f"invalid scheme file {source}: {exc}") from exc
+
+
+@lru_cache(maxsize=8)
+def _scheme_of(text: str, mode: str) -> CutProjectScheme:
+    """The scheme of a file's text, shared by every call in a process that
+    reads the same text in the same mode, so that its interval inverse and
+    enumeration plan are built once; errors are raised, not kept."""
+    obj = json.loads(text)
+    if mode == "float":
+        obj = _floatify(obj)
+    return CutProjectScheme.from_obj(obj)
 
 
 @lru_cache(maxsize=2)

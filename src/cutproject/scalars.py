@@ -677,7 +677,8 @@ class Scalar:
     def _bounds_per_term(self, digits: int) -> tuple[int, int]:
         """Integer enclosure at scale 10**digits, each term rounded on its own.
 
-        This rounding fixes the values ``bounds()`` and ``float()`` return.
+        This rounding fixes the values ``bounds()`` returns; ``floats``
+        rounds each term the same way at 18 digits.
         """
         lo = 0
         hi = 0
@@ -824,8 +825,7 @@ class Scalar:
     def to_float(self) -> float:
         f = self._float
         if f is None:
-            lo, hi = self._bounds_per_term(18)
-            f = self._float = (lo + hi) / (2 * 10 ** 18)
+            f = floats((self,))[0]
         return f
 
     __float__ = to_float
@@ -908,6 +908,37 @@ class Scalar:
                 terms[(rad, sym)] = Fraction(t["c"])
             return cls._make(terms)
         raise ValueError(f"unknown scalar encoding {kind!r}")
+
+
+def floats(values) -> list[float]:
+    """The float of each scalar in ``values``, in order.
+
+    An exact value's float is the midpoint of its enclosure at scale 10**18,
+    each term rounded on its own as in ``bounds(18)``, and is kept on the
+    scalar; a float value gives its own.  Each monomial's enclosure is looked
+    up once per call, so a column of patch coordinates costs integer
+    arithmetic per term.  ``Scalar.to_float`` is this on one value.
+    """
+    mono = {}
+    out = []
+    for v in values:
+        f = v._float
+        if f is None:
+            lo = hi = 0
+            den = v._den
+            for i, c in v._num.items():
+                m = mono.get(i)
+                if m is None:
+                    m = mono[i] = _mono_int_bounds(i, 18)
+                if c >= 0:
+                    lo += c * m[0] // den
+                    hi -= -c * m[1] // den
+                else:
+                    lo += c * m[1] // den
+                    hi -= -c * m[0] // den
+            f = v._float = (lo + hi) / (2 * 10 ** 18)
+        out.append(f)
+    return out
 
 
 class LinearForm:

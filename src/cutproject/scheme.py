@@ -34,7 +34,7 @@ from operator import gt, le, lt, mul
 
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
-from .scalars import FLOAT_EPS, ExactnessError, LinearForm, Scalar
+from .scalars import FLOAT_EPS, ExactnessError, LinearForm, Scalar, floats
 from .windows import Window, row_bounds
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
@@ -228,16 +228,17 @@ class Patch:
 
     def to_csv_text(self) -> str:
         dim = len(self.box.lo)
-        header = [f"x{i + 1}" for i in range(dim)]
         rank = len(self.coords[0]) if self.coords else 0
-        if self.coords is not None and self.points:
-            header += [f"n{j + 1}" for j in range(rank)]
+        header = [f"x{i + 1}" for i in range(dim)] + [f"n{j + 1}" for j in range(rank)]
+        # one float pass over the values in row order, one template per row;
+        # a d = 0 patch still has a (empty) row per point
+        n = len(self.points)
+        flat = iter(floats([v for p in self.points for v in p]))
+        values = zip(*[flat] * dim) if dim else [()] * n
+        coords = self.coords if self.coords is not None else [()] * n
+        row = ",".join(["{!r}"] * dim + ["{}"] * rank).format
         lines = [",".join(header)]
-        for i, p in enumerate(self.points):
-            row = [repr(float(v)) for v in p]
-            if self.coords is not None and self.points:
-                row += [str(x) for x in self.coords[i]]
-            lines.append(",".join(row))
+        lines += [row(*x, *c) for x, c in zip(values, coords)]
         return "\n".join(lines) + "\n"
 
 

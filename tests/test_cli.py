@@ -268,13 +268,29 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
           "--chi-bound=-2"], "--chi-bound must be positive"),
         (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open"],
          "scheme has no torus factor"),
+        # a file that is not UTF-8 is unreadable input, not a failed check
+        (["generate", "--scheme", "{undecodable}", "--window", "builtin:fibonacci", "--box", "0:5"],
+         "cannot read JSON from"),
+        (["generate", "--window", "{undecodable}", "--box", "0:5"], "cannot read JSON from"),
+        # --mode float converts the scalars after parsing; a malformed one is
+        # an invalid scheme file there too
+        (["generate", "--scheme", "{bad-scalar}", "--mode", "float", "--window", "builtin:fibonacci",
+          "--box", "0:5"], "invalid scheme file"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": 3}')
-    argv = [str(bad) if a == "{bad}" else a for a in argv]
-    argv += ["--scheme", "builtin:fibonacci"]
+    files = {
+        "{bad}": b'{"kind": 3}',
+        "{undecodable}": b"\xff\xfe\x00x",
+        "{bad-scalar}": json.dumps(
+            {**fibonacci_scheme().to_obj(), "generators": [{"g": [{"type": "quad", "d": 5}]}]}
+        ).encode(),
+    }
+    for name, content in files.items():
+        (tmp_path / name.strip("{}")).write_bytes(content)
+    argv = [str(tmp_path / a.strip("{}")) if a in files else a for a in argv]
+    if "--scheme" not in argv:
+        argv += ["--scheme", "builtin:fibonacci"]
     if argv[0] == "transform":
         argv += ["--out-scheme", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")]
     assert run(argv) == 2
@@ -707,3 +723,49 @@ def test_builtin_scheme_is_shared():
     assert shared.to_obj() == fresh.to_obj()
     assert shared.scheme_id == fresh.scheme_id
     assert not shared.generators[1][0][0].is_exact
+
+
+def test_file_scheme_is_shared_by_content(tmp_path, capsys):
+    fib = fibonacci_scheme().to_obj()
+    path, copy = tmp_path / "scheme.json", tmp_path / "copy.json"
+    path.write_text(json.dumps(fib))
+    copy.write_text(json.dumps(fib))
+    first = cli.load_scheme(str(path))
+    assert cli.load_scheme(str(path)) is first
+    assert cli.load_scheme(str(copy)) is first  # the key is the text, not the path
+    floated = cli.load_scheme(str(path), "float")
+    assert floated is not first and not floated.generators[1][0][0].is_exact
+    assert cli.load_scheme(str(path), "float") is floated
+
+    gen = ["generate", "--scheme", str(path), "--window", "builtin:fibonacci", "--box=-50:50"]
+    a, b, c = (tmp_path / f"{name}.csv" for name in "abc")
+    assert run(gen + ["--out", str(a)]) == 0
+    # a rewritten file is read again: another scheme, another patch
+    swapped = {**fib, "generators": fib["generators"][::-1]}
+    path.write_text(json.dumps(swapped))
+    second = cli.load_scheme(str(path))
+    assert second is not first and second.to_obj() == swapped
+    assert run(gen + ["--out", str(b)]) == 0
+    assert read(b) != read(a)
+    assert read(b) == second.project_points(Box.interval(-50, 50), fibonacci_window()).to_csv_text()
+
+    # an invalid file is an input error and leaves nothing behind in the cache
+    size = cli._scheme_of.cache_info().currsize
+    for text, message in (("{", "cannot read JSON"), ('{"d": 1}', "invalid scheme file")):
+        path.write_text(text)
+        assert run(gen + ["--out", str(c)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err and str(path) in err
+        assert cli._scheme_of.cache_info().currsize == size
+    path.write_text(json.dumps(fib))
+    assert run(gen + ["--out", str(c)]) == 0
+    assert read(c) == read(a)
+
+    # distinct texts past the bound evict the oldest; the cache stays bounded
+    maxsize = cli._scheme_of.cache_info().maxsize
+    for indent in range(maxsize + 1):
+        path.write_text(json.dumps(fib, indent=indent))
+        cli.load_scheme(str(path))
+    assert cli._scheme_of.cache_info().currsize <= maxsize
+    path.write_text(json.dumps(fib))
+    assert cli.load_scheme(str(path)) is not first

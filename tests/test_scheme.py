@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cutproject import linalg
-from cutproject.fibonacci import fibonacci_scheme
+from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import (
     FiniteCyclicFactor,
     IntegerRankFactor,
@@ -454,6 +454,91 @@ def test_patch_serialization_and_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "x1,n1,n2"
     assert len(lines) == len(patch) + 1
+
+
+def per_point_csv(patch):
+    """``Patch.to_csv_text`` written out value by value: an exact value's float
+    is the midpoint of ``bounds(18)``, a float value's its own."""
+    def text(v):
+        return repr(float(sum(v.bounds(18)) / 2)) if v.is_exact else repr(v.to_float())
+
+    dim = len(patch.box.lo)
+    rank = len(patch.coords[0]) if patch.coords else 0
+    lines = [",".join([f"x{i + 1}" for i in range(dim)] + [f"n{j + 1}" for j in range(rank)])]
+    for k, p in enumerate(patch.points):
+        row = [text(v) for v in p]
+        if patch.coords is not None:
+            row += [str(x) for x in patch.coords[k]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _fib_patch(lo, hi):
+    return fibonacci_scheme().project_points(Box.interval(lo, hi), fibonacci_window())
+
+
+def _sqrt2_patch():
+    # the translation extension by sqrt(2): values in 1, sqrt(5) and sqrt(2)
+    ext = translate_cps(fibonacci_scheme(), (Scalar.sqrt(2),), 10 ** 6).scheme
+    return ext.project_points(Box.interval(-40, 40), lift_window(fibonacci_window(), 1, ext))
+
+
+def _pi_patch():
+    scheme = CutProjectScheme(
+        1,
+        LINE,
+        [
+            ((Scalar(1),), LINE.point((1,))),
+            ((1 + Scalar.const("pi"),), LINE.point((Scalar.sqrt(2),))),
+        ],
+    )
+    return scheme.project_points(Box.interval(-20, 20), interval_window(LINE, -1, 1))
+
+
+def _cached_patch():
+    patch = _fib_patch(-40, 40)
+    for p in patch.points[::2]:
+        p[0].to_float()
+    return patch
+
+
+CSV_CASES = {
+    "fibonacci-left": lambda: _fib_patch(-90, -10),
+    "fibonacci-right": lambda: _fib_patch(10, 90),
+    "fibonacci-straddling": lambda: _fib_patch(-45, 45),
+    "float-mode": lambda: float_scheme().project_points(Box.interval(-45, 45), fibonacci_window()),
+    "sqrt2-extension": _sqrt2_patch,
+    "pi": _pi_patch,
+    "two-dimensional": lambda: golden_square_scheme()[0].project_points(
+        Box([-5, -5], [5, 5]), golden_square_scheme()[1]
+    ),
+    "no-coords": lambda: Patch(_fib_patch(-20, 20).points, Box.interval(-20, 20)),
+    "zero-dimensional": lambda: Patch([()], Box([], [])),
+    "zero-dimensional-coords": lambda: Patch([()], Box([], []), coords=[(3, -1)]),
+    "empty": lambda: fibonacci_scheme().project_points(Box.interval(0, 10), empty_window(LINE)),
+    "empty-no-coords": lambda: Patch([], Box.interval(0, 5)),
+    "mixed-column": lambda: Patch(
+        [(Scalar(-1) / 3,), (Scalar.from_float(0.25),), (GOLDEN,), (-GOLDEN_CONJ / 7,)],
+        Box.interval(-5, 5),
+    ),
+    # near 0 a float keeps digits below 10**-18, so these show the rounding
+    "near-zero": lambda: Patch(
+        [(GOLDEN_CONJ ** k / (1 + k % 3),) for k in range(25, 33)], Box.interval(-1, 1)
+    ),
+    "cached-floats": _cached_patch,
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_csv_matches_per_point_floats(case):
+    patch = CSV_CASES[case]()
+    if case.startswith("empty"):
+        assert not patch.points
+    expected = per_point_csv(patch)
+    assert patch.to_csv_text() == expected
+    # every exact value now keeps its float, and a second pass reads it back
+    assert all(v._float is not None for p in patch.points for v in p)
+    assert patch.to_csv_text() == expected
 
 
 def test_scheme_serialization_roundtrip():
