@@ -14,7 +14,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import linalg
-from .internal_space import InternalSpace
 from .scalars import FLOAT_EPS, Scalar
 from .scheme import Box, CutProjectScheme, Patch
 from .windows import Window
@@ -210,7 +209,9 @@ def equidistribution_check(
     torus_idx, chars = torus_characters(scheme, chi_bound)
     factor = scheme.space.factors[torus_idx]
     if window.space != scheme.space:
-        window = _cross_with_full_torus(scheme.space, window, torus_idx)
+        from .transforms import lift_window_torus
+
+        window = lift_window_torus(window, scheme.space, torus_idx)
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
     torus = [h.coords[torus_idx] for _, h in scheme.generators]
     hit = set()
@@ -244,12 +245,6 @@ def equidistribution_check(
     return EquidistributionReport(
         status, len(hit), cells_total, len(patch), max_fb, fb_values
     )
-
-
-def _cross_with_full_torus(space: InternalSpace, window: Window, torus_idx: int) -> Window:
-    from .transforms import lift_window_torus
-
-    return lift_window_torus(window, space, torus_idx)
 
 
 def verify_inclusion(a: Patch, b: Patch) -> bool:

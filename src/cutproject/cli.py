@@ -16,7 +16,7 @@ from functools import cache, lru_cache
 from . import analysis, hull, transforms
 from .fibonacci import fibonacci_scheme, fibonacci_window
 from .scalars import Scalar, parse_scalar
-from .scheme import Box, CutProjectScheme, EnumerationOverflowError
+from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, EnumerationOverflowError
 from .windows import Window, interval_window, window_from_obj
 
 EXIT_OK = 0
@@ -30,13 +30,17 @@ class InputError(ValueError):
     pass
 
 
-def _dump_json(obj, path: str | None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: str | None):
+    """Write ``text`` to ``path``, or to stdout when it is None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _dump_json(obj, path: str | None):
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _read_text(path: str | None) -> str:
@@ -211,12 +215,7 @@ def cmd_generate(args) -> int:
     box = parse_box(args.box, scheme.d)
     patch = scheme.project_points(box, window, max_candidates=args.max_candidates)
     if args.format == "csv":
-        text = patch.to_csv_text()
-        if args.out is None or args.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+        _write_text(patch.to_csv_text(), args.out)
     else:
         _dump_json(patch.to_obj(), args.out)
     return EXIT_OK
@@ -285,12 +284,7 @@ def cmd_verify(args) -> int:
         closest = abs(rep.empirical[-1] - (rep.lower + rep.upper) / 2)
         passed = rep.sandwich_ok and (not rep.counts or closest <= tol + (rep.upper - rep.lower))
         if args.format == "csv":
-            text = rep.to_csv_text()
-            if args.out is None or args.out == "-":
-                sys.stdout.write(text)
-            else:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
+            _write_text(rep.to_csv_text(), args.out)
             return EXIT_OK if passed else EXIT_VERIFY
         report = {"suite": suite, "tolerance": tol, "report": rep.to_obj()}
     elif suite == "fb":
@@ -412,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
     gen.add_argument("--mode", choices=("exact", "float"), default="exact")
-    gen.add_argument("--max-candidates", type=int, default=5_000_000)
+    gen.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
     gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("transform", help="build a derived scheme with a certificate")

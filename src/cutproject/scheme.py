@@ -35,11 +35,13 @@ from operator import gt, le, lt, mul
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
 from .scalars import FLOAT_EPS, ExactnessError, LinearForm, Scalar, floats
-from .windows import Window, row_bounds
+from .windows import Window
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
 _PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
 _SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
+_ROW_MARGIN = Fraction(1, 10 ** 9)  # clearance of a non-integral row's rational bounds
+_DENSITY_CELLS = 8  # cells per continuous axis in ``internal_density_heuristic``
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -388,13 +390,9 @@ class CutProjectScheme:
             raise SchemeError("box dimension mismatch")
         if window.space != self.space:
             raise SpaceMismatchError("window lives in a different internal space")
-        if not window.properties().precompact:
-            raise SchemeError("window closure is not compact")
         found: dict[tuple[int, ...], tuple] = {}
-        pieces = window.enum_pieces()
-        decided = window.decided_pieces() or [None] * len(pieces)
-        for piece, rows in zip(pieces, decided):
-            leaves = self._enumerate_piece(box, window, piece, rows, max_candidates)
+        for rows, decides in window.enum_pieces():
+            leaves = self._enumerate_piece(box, window, rows, decides, max_candidates)
             for n, leaf in leaves.items():
                 found.setdefault(n, leaf)
         forms, names, sizes = self._leaf_data()
@@ -408,21 +406,23 @@ class CutProjectScheme:
             [(leaf[0], n) for n, leaf in found.items()], box, self.scheme_id
         )
 
-    def _enumerate_piece(self, box, window, piece, decided, max_candidates):
+    def _enumerate_piece(self, box, window, rows, decides, max_candidates):
         """Triangular walk over the lifted coordinates of one window piece.
 
         The budget bounds the volume of the interval-inverse candidate box,
         which the walk never leaves.  Every level only drops constraints, so
-        the walk is exhaustive.  Each leaf comes with integer enclosures of
-        all its lifted rows at scale 10**_PLAN_DIGITS.  When the piece's
-        rows decide membership (``decided``, see ``_inner_bounds``), a leaf
-        whose rows all lie inside their inner bounds is accepted on the
-        enclosures alone, and a leaf with a row outside its outer bound is
-        rejected.  An accepted leaf of an exact scheme gets its exact direct
-        vector from ``LinearForm``s.  Every other leaf, and an accepted leaf
-        of a float scheme, builds its direct vector from the kept partial
-        sums over the coordinates it shares with the last candidate summed,
-        and so does the star point of a leaf on the exact path.  Each step
+        the walk is exhaustive, and a leaf of the window that this piece
+        rejects is found by the walk of a piece that holds it.  Each leaf
+        comes with integer enclosures of all its lifted rows at scale
+        10**_PLAN_DIGITS.  When the piece's exact ``rows`` decide membership
+        in it (``decides``, see ``_inner_bounds``), a leaf whose rows all lie
+        inside their inner bounds is accepted on the enclosures alone, and a
+        leaf with a row outside its outer bound is rejected.  An accepted
+        leaf of an exact scheme gets its exact direct vector from
+        ``LinearForm``s.  Every other leaf, and an accepted leaf of a float
+        scheme, builds its direct vector from the kept partial sums over the
+        coordinates it shares with the last candidate summed, and so does
+        the star point of a leaf on the exact path.  Each step
         is the addition ``direct`` or ``star`` makes, in the same order, so
         exact values are equal and float values bit-identical; the star sum
         is only taken for candidates inside the box, and the exact
@@ -432,7 +432,7 @@ class CutProjectScheme:
         enclosure of the first direct coordinate as computed: the row's
         enclosure, widened by the float rounding bound for a float scheme.
         """
-        rhs = self._piece_rhs(box, piece)
+        rhs = self._piece_rhs(box, rows)
         ranges = self._candidate_ranges(rhs)
         count = 1
         for lo, hi in ranges:
@@ -453,7 +453,7 @@ class CutProjectScheme:
         ]
         forms, _, sizes = self._leaf_data()
         errors = None if sizes is None else self._float_errors(sizes, ranges)
-        bounds = self._inner_bounds(box, decided, targets, errors)
+        bounds = self._inner_bounds(box, rows if decides else None, targets, errors)
         if bounds is not None:
             in_lo, in_hi, out_lo, out_hi = bounds
         lead = errors[0] if errors else 0
@@ -601,9 +601,16 @@ class CutProjectScheme:
             for row in sizes
         ]
 
-    def _piece_rhs(self, box: Box, piece) -> list[tuple[Fraction, Fraction]]:
-        """Bounds on every lifted row: the box, then a window piece's rows."""
-        return [row_bounds(lo, hi) for lo, hi in zip(box.lo, box.hi)] + piece
+    def _piece_rhs(self, box: Box, rows) -> list[tuple[Fraction, Fraction]]:
+        """Rational bounds on every lifted row: the box, then a window
+        piece's exact ``(lo, hi, integral)`` rows.  Integral rows keep their
+        exact bounds; the others enclose [lo, hi] at 10**-_PLAN_DIGITS and
+        clear it by ``_ROW_MARGIN``."""
+        return [
+            (lo.as_fraction(), hi.as_fraction()) if integral else
+            (lo.bounds(_PLAN_DIGITS)[0] - _ROW_MARGIN, hi.bounds(_PLAN_DIGITS)[1] + _ROW_MARGIN)
+            for lo, hi, integral in [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
+        ]
 
     def _inverse_enclosure(self):
         """Interval enclosure of the inverse coordinate matrix, cached."""
@@ -789,11 +796,11 @@ class CutProjectScheme:
 
     # -- heuristics ------------------------------------------------------------------------
 
-    def internal_density_heuristic(self, bound: int = 10, cells: int = 8) -> bool:
+    def internal_density_heuristic(self, bound: int = 10) -> bool:
         """Star image looks dense: every coarse cell of a compact probe is hit.
 
         An attribute of the scheme, not a validity condition; each call
-        probes anew with its own ``bound`` and ``cells``.
+        probes anew with its own ``bound``.
         """
         hits: dict[tuple[int, int], set] = {}
         axes = 0
@@ -803,10 +810,10 @@ class CutProjectScheme:
             axes = len(values)
             for ax, v in enumerate(values):
                 frac = v - v.floor()
-                cell = min(int(frac.to_float() * cells), cells - 1)
+                cell = min(int(frac.to_float() * _DENSITY_CELLS), _DENSITY_CELLS - 1)
                 hits.setdefault(("cont", ax), set()).add(cell)
         return all(
-            len(hits.get(("cont", ax), set())) == cells for ax in range(axes)
+            len(hits.get(("cont", ax), set())) == _DENSITY_CELLS for ax in range(axes)
         )
 
     # -- serialization ------------------------------------------------------------------------

@@ -670,8 +670,8 @@ def certified_box(scheme: CutProjectScheme, window: Window, truncation: int) -> 
         return Box.symmetric(truncation, scheme.d)
 
     def fits(radius: int) -> bool:
-        for piece in pieces:
-            rhs = scheme._piece_rhs(Box.symmetric(radius, scheme.d), piece)
+        for rows, _ in pieces:
+            rhs = scheme._piece_rhs(Box.symmetric(radius, scheme.d), rows)
             for lo, hi in scheme._candidate_ranges(rhs):
                 if lo < -truncation or hi > truncation:
                     return False

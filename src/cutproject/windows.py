@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .internal_space import (
     FiniteCyclicFactor,
@@ -25,8 +24,6 @@ from .internal_space import (
     TwistedExtensionFactor,
 )
 from .scalars import Scalar
-
-_ROW_MARGIN = Fraction(1, 10 ** 9)
 
 
 class OutOfCertifiedRangeError(LookupError):
@@ -260,25 +257,19 @@ def _pieces_overlap(p: Interval, q: Interval) -> bool:
 # Per-factor regions
 
 
-def row_bounds(lo: Scalar, hi: Scalar) -> tuple[Fraction, Fraction]:
-    """Rational enumeration bounds enclosing the exact range [lo, hi]."""
-    return (lo.bounds(25)[0] - _ROW_MARGIN, hi.bounds(25)[1] + _ROW_MARGIN)
-
-
 class Region:
     """One factor's part of a product window.
 
     ``factor`` is the factor a region fits and ``kind`` its JSON name, the
     same as the factor's; ``ball`` builds the closed ball around a
     coordinate.  ``enum_rows`` gives the lattice enumerator the region's
-    bounds on the factor's lifted rows (``Factor.lift_values``), as a list
-    of alternatives, each a list of (lo, hi) pairs.  ``decided_rows`` says
-    whether those rows alone decide membership: it gives, aligned one to
-    one with ``enum_rows``, one list of exact ``(lo, hi, integral)`` triples
-    per alternative when every coordinate whose rows lie strictly inside
-    (lo, hi) is in the region, or inside [lo, hi] for ``integral`` rows,
-    whose values are exact integers; else None.  The defaults describe a
-    finite set of coordinates of a discrete factor.
+    exact bounds on the factor's lifted rows (``Factor.lift_values``), as a
+    list of alternatives, each a pair ``(rows, decides)``: ``rows`` is a list
+    of ``(lo, hi, integral)`` triples, ``integral`` for rows whose values are
+    exact integers, and ``decides`` says whether the rows alone decide
+    membership: every coordinate whose rows lie strictly inside (lo, hi), or
+    inside [lo, hi] for integral rows, is in the region.  The other defaults
+    describe a finite set of coordinates of a discrete factor.
     """
 
     __slots__ = ()
@@ -297,12 +288,6 @@ class Region:
         return True
 
     def bounds(self):
-        return None
-
-    def enum_rows(self):
-        return [[]]
-
-    def decided_rows(self):
         return None
 
     def fill_gap(self, coord):
@@ -391,12 +376,8 @@ class RealRegion(_AxesRegion):
         return tuple(a.bounds() for a in self.axes)
 
     def enum_rows(self):
-        return [[row_bounds(lo, hi) for lo, hi in self.bounds()]]
-
-    def decided_rows(self):
-        if any(len(a.pieces) != 1 for a in self.axes):
-            return None
-        return [[(a.pieces[0].lo, a.pieces[0].hi, False) for a in self.axes]]
+        rows = [(lo, hi, False) for lo, hi in self.bounds()]
+        return [(rows, all(len(a.pieces) == 1 for a in self.axes))]
 
     def fill_gap(self, coord):
         (x,) = coord
@@ -472,13 +453,9 @@ class IntSetRegion(Region):
         )
 
     def enum_rows(self):
-        return [[(Fraction(lo), Fraction(hi)) for lo, hi in self.bounds()]]
-
-    def decided_rows(self):
         bounds = self.bounds()
-        if bounds is None or len(self.points) != math.prod(hi - lo + 1 for lo, hi in bounds):
-            return None
-        return [[(Scalar(lo), Scalar(hi), True) for lo, hi in bounds]]
+        full = len(self.points) == math.prod(hi - lo + 1 for lo, hi in bounds)
+        return [([(Scalar(lo), Scalar(hi), True) for lo, hi in bounds], full)]
 
     def corner_coords(self):
         return sorted(self.points)
@@ -526,8 +503,8 @@ class ResidueRegion(Region):
     def measure(self):
         return Scalar(len(self.residues))
 
-    def decided_rows(self):
-        return [[]] if len(self.residues) == self.modulus else None
+    def enum_rows(self):
+        return [([], len(self.residues) == self.modulus)]
 
     def translate(self, coord):
         return ResidueRegion(self.modulus, ((r + coord) % self.modulus for r in self.residues))
@@ -597,8 +574,8 @@ class TorusRegion(_AxesRegion):
     def is_open(self):
         return all(_is_full_circle(a) or a.is_open() for a in self.axes)
 
-    def decided_rows(self):
-        return [[]] if all(_is_full_circle(a) for a in self.axes) else None
+    def enum_rows(self):
+        return [([], all(_is_full_circle(a) for a in self.axes))]
 
     def is_top_regular(self):
         if self.is_empty():
@@ -715,24 +692,15 @@ class TwistedRegion(Region):
         return not (set(self.per_residue) & set(other.per_residue))
 
     def enum_rows(self):
-        return [
-            rows + [(Fraction(r), Fraction(r))]
-            for r, w in sorted(self.per_residue.items())
-            for rows in w.enum_pieces()
-        ]
-
-    def decided_rows(self):
         # A leaf's residue row is exactly r in [0, modulus), so its lifted
         # coordinate is already canonical (``TwistedExtensionFactor._reduce``
         # agrees with ``lift_relations``): its base rows are the base
-        # coordinate of its star, which the base window's pieces decide.
-        out = []
-        for r, w in sorted(self.per_residue.items()):
-            pieces = w.decided_pieces()
-            if pieces is None:
-                return None
-            out += [rows + [(Scalar(r), Scalar(r), True)] for rows in pieces]
-        return out
+        # coordinate of its star, which the base window's piece decides.
+        return [
+            (rows + [(Scalar(r), Scalar(r), True)], decides)
+            for r, w in sorted(self.per_residue.items())
+            for rows, decides in w.enum_pieces()
+        ]
 
     def fill_gap(self, coord):
         h, res = coord
@@ -886,16 +854,13 @@ class WindowProperties:
 class Window:
     """Base class; see ProductWindow, UnionWindow, AugmentedWindow.
 
-    ``enum_pieces`` gives the lattice enumerator one list of (lo, hi) row
-    bounds per piece.  ``decided_pieces`` gives, in the same order, each
-    piece's exact row bounds from ``Region.decided_rows`` when the rows of
-    every piece alone decide membership, and is None otherwise.
+    ``enum_pieces`` gives the lattice enumerator one ``(rows, decides)``
+    pair per piece, as ``Region.enum_rows`` does per alternative: the
+    piece's exact ``(lo, hi, integral)`` row bounds, and whether those rows
+    alone decide membership in the piece.
     """
 
     space: InternalSpace
-
-    def decided_pieces(self):
-        return None
 
     def boundary_measure(self) -> Scalar:
         return self.closure().measure() - self.interior().measure()
@@ -984,12 +949,6 @@ class ProductWindow(Window):
     def enum_pieces(self):
         return [] if self.is_empty() else _product_rows([r.enum_rows() for r in self.regions])
 
-    def decided_pieces(self):
-        if self.is_empty():
-            return []
-        rows = [r.decided_rows() for r in self.regions]
-        return None if None in rows else _product_rows(rows)
-
     def to_obj(self):
         return {"kind": "product", "regions": [r.to_obj() for r in self.regions]}
 
@@ -1064,15 +1023,6 @@ class UnionWindow(Window):
         out = []
         for m in self.members_:
             out.extend(m.enum_pieces())
-        return out
-
-    def decided_pieces(self):
-        out = []
-        for m in self.members_:
-            rows = m.decided_pieces()
-            if rows is None:
-                return None
-            out.extend(rows)
         return out
 
     def to_obj(self):
@@ -1166,10 +1116,12 @@ class AugmentedWindow(Window):
         raise ValueError("augmented windows cannot be union members")
 
     def enum_pieces(self):
+        # no piece decides: ``contains`` may call the certifier, which must
+        # see every leaf
         out = self.open_part.enum_pieces()
         for p in self.stars:
-            out.extend(_product_rows([r.enum_rows() for r in point_window(self.space, p).regions]))
-        return out
+            out.extend(point_window(self.space, p).enum_pieces())
+        return [(rows, False) for rows, _ in out]
 
     def to_obj(self):
         return {
@@ -1179,12 +1131,13 @@ class AugmentedWindow(Window):
         }
 
 
-def _product_rows(alternatives) -> list[list]:
-    """Row lists of a product, given each region's alternatives: one per
-    choice of an alternative from each, earlier regions varying fastest."""
-    pieces = [[]]
-    for rows in alternatives:
-        pieces = [p + r for r in rows for p in pieces]
+def _product_rows(alternatives) -> list[tuple[list, bool]]:
+    """Pieces of a product, given each region's alternatives: one per choice
+    of an alternative from each, earlier regions varying fastest; a piece
+    decides when every alternative chosen does."""
+    pieces = [([], True)]
+    for region in alternatives:
+        pieces = [(p + r, pd and rd) for r, rd in region for p, pd in pieces]
     return pieces
 
 

@@ -304,11 +304,11 @@ def test_factor_protocol_conformance(space, make):
         assert w.contains(x)
         y = space.add(x, make(rng))
         assert w.contains(y) == (y == x)
-        # the point window's one enumeration piece bounds every lifted row of x
-        (rows,) = w.enum_pieces()
+        # the point window's one enumeration piece pins every lifted row of x exactly
+        ((rows, _),) = w.enum_pieces()
         values = space.lift_values(x)
         assert len(rows) == len(values)
-        assert all(Scalar(lo) <= v <= Scalar(hi) for v, (lo, hi) in zip(values, rows))
+        assert all(lo == v == hi for v, (lo, hi, _) in zip(values, rows))
     # a region built for another factor is refused
     regions = point_window(space, zero).regions
     candidates = list(regions) + _foreign_regions(space)

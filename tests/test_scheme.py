@@ -34,7 +34,6 @@ from cutproject.transforms import (
 from cutproject.windows import (
     AugmentedWindow,
     IntervalSet,
-    IntSetRegion,
     OutOfCertifiedRangeError,
     ProductWindow,
     RealRegion,
@@ -803,8 +802,9 @@ def filter_cases():
     """Boundary-heavy cases: window endpoints that are stars of lattice points.
 
     Each case is (scheme, box, window, decided, memberships), ``decided``
-    telling whether the enumeration may decide leaves on enclosures and
-    ``memberships`` the expected patch membership of endpoint coordinates.
+    telling whether the enumeration may decide leaves on enclosures (True
+    for every piece, False for none, None for some) and ``memberships`` the
+    expected patch membership of endpoint coordinates.
     """
     fib = fibonacci_scheme()
     # the ends -1 and golden - 1 are star(-1, 0) and star(0, -1)
@@ -850,6 +850,15 @@ def filter_cases():
         (RealRegion((IntervalSet.single(-1, Fraction(-1, 5)).union(
             IntervalSet.single(Fraction(1, 10), GOLDEN - 1)),)),),
     )
+    # one member decides, the other has two pieces on its real axis
+    mixed = UnionWindow(
+        LINE,
+        [
+            interval_window(LINE, Fraction(-1, 2), GOLDEN - 2),
+            ProductWindow(LINE, (RealRegion((IntervalSet.single(Fraction(1, 5), Fraction(3, 10)).union(
+                IntervalSet.single(Fraction(7, 20), Fraction(1, 2), False, True)),)),)),
+        ],
+    )
     small = Box.interval(-60, 60)
     return [
         (fib, box, half_open, True, dict(zip(ends, (True, False)))),
@@ -879,10 +888,11 @@ def filter_cases():
         (twisted, small, ProductWindow(twisted.space, (residues,)), True,
          {(1, 0): True, (0, 3): False}),
         (twisted, small, lift_window(split, 1, twisted), False, {}),
+        (fib, Box.interval(-400, 400), mixed, None, {}),
     ]
 
 
-@pytest.mark.parametrize("case", range(20))
+@pytest.mark.parametrize("case", range(21))
 def test_leaf_filter_matches_exact_path(case, monkeypatch):
     # deciding leaves on their row enclosures must give the patch the exact
     # path gives for every leaf, bit for bit, and leave only the leaves whose
@@ -899,8 +909,7 @@ def test_leaf_filter_matches_exact_path(case, monkeypatch):
     monkeypatch.setattr(type(window), "contains", counted)
     filtered = scheme.project_points(box, window)
     filtered_calls, calls = calls, 0
-    for region in (RealRegion, IntSetRegion, ResidueRegion, TorusRegion, TwistedRegion):
-        monkeypatch.setattr(region, "decided_rows", lambda self: None)
+    monkeypatch.setattr(CutProjectScheme, "_inner_bounds", lambda self, *args: None)
     exact = scheme.project_points(box, window)
     assert len(exact) > 10 and calls >= len(exact)
     assert [repr(p) for p in filtered.points] == [repr(p) for p in exact.points]
@@ -910,6 +919,8 @@ def test_leaf_filter_matches_exact_path(case, monkeypatch):
         assert (n in filtered.coords) == member, n
     if decided:
         assert filtered_calls <= 4
+    elif decided is None:
+        assert filtered_calls < calls
     else:
         assert filtered_calls == calls
 

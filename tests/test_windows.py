@@ -318,3 +318,42 @@ def test_point_window():
     assert w.contains(p)
     assert not w.contains(LINE.point((1,)))
     assert w.measure().is_zero()
+
+
+def test_enum_rows_decide_per_piece():
+    # every region kind gives its exact rows with whether they alone decide
+    # membership: a twisted region residue by residue, a product when every
+    # region does, an augmented window never
+    torus = TorusFactor(1, ((Scalar(1),),))
+    twisted = TwistedExtensionFactor(LINE, 2, LINE.point((GOLDEN_CONJ,)))
+    two = iv(0, 1).union(iv(2, 3))
+    S = Scalar
+    cases = [
+        (RealRegion((iv(0, 1),)), [([(S(0), S(1), False)], True)]),
+        (RealRegion((iv(0, 1), two)), [([(S(0), S(1), False), (S(0), S(3), False)], False)]),
+        (IntSetRegion(2, {(0, 5), (0, 6), (1, 5), (1, 6)}),
+         [([(S(0), S(1), True), (S(5), S(6), True)], True)]),
+        (IntSetRegion(2, {(0, 5), (1, 6)}), [([(S(0), S(1), True), (S(5), S(6), True)], False)]),
+        (ResidueRegion(3, {0, 1, 2}), [([], True)]),
+        (ResidueRegion(3, {0, 2}), [([], False)]),
+        (TorusRegion.full(torus), [([], True)]),
+        (TorusRegion(torus, (iv(0, Fraction(1, 2)),)), [([], False)]),
+        (
+            TwistedRegion(
+                twisted, {1: ProductWindow(LINE, (RealRegion((two,)),)), 0: interval_window(LINE, 0, 1)}
+            ),
+            [([(S(0), S(1), False), (S(0), S(0), True)], True),
+             ([(S(0), S(3), False), (S(1), S(1), True)], False)],
+        ),
+    ]
+    for region, pieces in cases:
+        assert region.enum_rows() == pieces, region.to_obj()
+    mixed = InternalSpace([RealFactor(1), FiniteCyclicFactor(3)])
+    product = ProductWindow(mixed, (RealRegion((iv(0, 1),)), ResidueRegion(3, {0})))
+    assert product.enum_pieces() == [([(S(0), S(1), False)], False)]
+    core = interval_window(LINE, 0, 1, False, False)
+    assert [decides for _, decides in core.enum_pieces()] == [True]
+    augmented = AugmentedWindow(core, [LINE.point((2,))])
+    assert augmented.enum_pieces() == [
+        ([(S(0), S(1), False)], False), ([(S(2), S(2), False)], False)
+    ]
