@@ -705,14 +705,19 @@ class Scalar:
     def magnitude(self) -> Fraction:
         """An upper bound on ``abs(self)`` and on every term of it: the sum of
         the terms' absolute values, each monomial counted as at least 1."""
+        return Fraction(*self.magnitude_ratio())
+
+    def magnitude_ratio(self) -> tuple[int, int]:
+        """``magnitude()`` as an integer ratio ``(num, den)``, not reduced."""
         if self._num is None:
-            return abs(Fraction(self._float))
+            num, den = self._float.as_integer_ratio()
+            return abs(num), den
         scale = 10 ** _ENCLOSURE_DIGITS
         total = sum(
             abs(c) * max(scale, _mono_int_bounds(i, _ENCLOSURE_DIGITS)[1])
             for i, c in self._num.items()
         )
-        return Fraction(total, self._den * scale)
+        return total, self._den * scale
 
     def sign(self) -> int:
         num = self._num

@@ -40,7 +40,7 @@ from .windows import Window
 DEFAULT_MAX_CANDIDATES = 5_000_000
 _PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
 _SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
-_ROW_MARGIN = Fraction(1, 10 ** 9)  # clearance of a non-integral row's rational bounds
+_ROW_MARGIN = 10 ** (_PLAN_DIGITS - 9)  # a non-integral row's clearance, 10**-9 at scale
 _DENSITY_CELLS = 8  # cells per continuous axis in ``internal_density_heuristic``
 
 
@@ -409,10 +409,15 @@ class CutProjectScheme:
     def _enumerate_piece(self, box, window, rows, decides, max_candidates):
         """Triangular walk over the lifted coordinates of one window piece.
 
-        The budget bounds the volume of the interval-inverse candidate box,
-        which the walk never leaves.  Every level only drops constraints, so
-        the walk is exhaustive, and a leaf of the window that this piece
-        rejects is found by the walk of a piece that holds it.  Each leaf
+        The per-call set-up is integer arithmetic on one 25-digit enclosure
+        of each row endpoint (``_piece_rhs``), from which come the candidate
+        box (``_candidate_ranges``), the walk's ``targets``, the inner and
+        outer bounds (``_inner_bounds``) and a float scheme's rounding bounds
+        (``_float_errors``); no ``Fraction`` is built.  The budget bounds the
+        volume of the interval-inverse candidate box, which the walk never
+        leaves.  Every level only drops constraints, so the walk is
+        exhaustive, and a leaf of the window that this piece rejects is
+        found by the walk of a piece that holds it.  Each leaf
         comes with integer enclosures of all its lifted rows at scale
         10**_PLAN_DIGITS.  When the piece's exact ``rows`` decide membership
         in it (``decides``, see ``_inner_bounds``), a leaf whose rows all lie
@@ -444,16 +449,10 @@ class CutProjectScheme:
         found: dict[tuple[int, ...], tuple] = {}
         if count == 0:
             return found
-        scale = 10 ** _PLAN_DIGITS
-        slack = 10 ** (_PLAN_DIGITS - 9)
-        targets = [
-            ((lo.numerator * scale) // lo.denominator - slack,
-             -((-hi.numerator * scale) // hi.denominator) + slack)
-            for lo, hi in rhs
-        ]
+        targets = _walk_targets(rhs)
         forms, _, sizes = self._leaf_data()
         errors = None if sizes is None else self._float_errors(sizes, ranges)
-        bounds = self._inner_bounds(box, rows if decides else None, targets, errors)
+        bounds = self._inner_bounds(box, rows, rhs, targets, errors) if decides else None
         if bounds is not None:
             in_lo, in_hi, out_lo, out_hi = bounds
         lead = errors[0] if errors else 0
@@ -497,57 +496,61 @@ class CutProjectScheme:
             found[n] = (directs[-1], r_lo[0] - lead, r_hi[0] + lead)
         return found
 
-    def _inner_bounds(self, box, decided, targets, errors):
+    def _inner_bounds(self, box, rows, rhs, targets, errors):
         """Scaled inner and outer bounds of every lifted row, or None.
 
-        A row inside its inner bound is inside the box or the window piece,
-        a row outside its outer bound is outside.  For an exact scheme the
-        inner bounds are the exact endpoints rounded inwards at scale
-        10**_PLAN_DIGITS and cleared by 10**-9, except on integral rows,
-        whose exact integer values meet closed integer bounds, and the outer
-        bounds are the walk's ``targets``.  A float scheme (``errors`` given,
-        see ``_float_errors``) compares within ``FLOAT_EPS``: a row is
-        inside ``[lo + FLOAT_EPS + delta, hi - FLOAT_EPS - delta]`` and
-        outside ``[lo - FLOAT_EPS - delta, hi + FLOAT_EPS + delta]``, with
-        ``lo`` and ``hi`` the endpoints' ``to_float()`` and ``delta`` the
-        row's rounding bound plus four roundings of the endpoints'
-        magnitude, which also covers an exact comparison of a mixed
-        scheme's exact values.  None when the piece's rows do not decide
-        membership, when a float scheme has an integral row, or when an
-        exact comparison could answer differently from the enclosures: float
-        endpoints of an exact scheme, or two named constants, whose
-        comparison raises ``ExactnessError``.
+        ``rows`` are a window piece's rows, which decide membership in it,
+        and ``rhs`` is ``_piece_rhs`` of the box and those rows.  A row
+        inside its inner bound is inside the box or the window piece, a row
+        outside its outer bound is outside.  For an exact scheme the inner
+        bounds are the endpoints' 25-digit enclosures, as ``_piece_rhs``
+        gives them, rounded inwards and cleared by ``_ROW_MARGIN``, except on
+        integral rows, whose exact integer values meet closed integer
+        bounds, and the outer bounds are the walk's ``targets``.  A float
+        scheme (``errors`` given, see ``_float_errors``) compares within
+        ``FLOAT_EPS``: a row is inside ``[lo + FLOAT_EPS + delta, hi -
+        FLOAT_EPS - delta]`` and outside ``[lo - FLOAT_EPS - delta, hi +
+        FLOAT_EPS + delta]``, with ``lo`` and ``hi`` the endpoints'
+        ``to_float()``, rounded outwards or inwards at scale
+        10**_PLAN_DIGITS from their integer ratios, and ``delta`` the row's
+        rounding bound plus four roundings of the endpoints' magnitude
+        (``Scalar.magnitude_ratio``), which also covers an exact comparison
+        of a mixed scheme's exact values.  None when a float scheme has an
+        integral row, or when an exact comparison could answer differently
+        from the enclosures: float endpoints of an exact scheme, or two
+        named constants, whose comparison raises ``ExactnessError``.
         """
-        if decided is None:
-            return None
         forms, names, _ = self._leaf_data()
-        rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + decided
+        rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
         ends = [v for lo, hi, _ in rows for v in (lo, hi)]
         if len(names | {v.constant for v in ends} - {None}) > 1:
             return None
-        scale = 10 ** _PLAN_DIGITS
         if errors is None:
             if forms is None or not all(v.is_exact for v in ends):
                 return None
-            margin = 10 ** (_PLAN_DIGITS - 9)
-            in_lo, in_hi = [], []
-            for lo, hi, integral in rows:
-                pad = 0 if integral else margin
-                in_lo.append(math.ceil(lo.bounds(_PLAN_DIGITS)[1] * scale) + pad)
-                in_hi.append(math.floor(hi.bounds(_PLAN_DIGITS)[0] * scale) - pad)
-            return in_lo, in_hi, [lo for lo, _ in targets], [hi for _, hi in targets]
+            # every endpoint is exact, so ``rhs`` is at scale 10**_PLAN_DIGITS
+            _, bounds = rhs
+            return (
+                [b[1] for b in bounds],
+                [b[2] for b in bounds],
+                [lo for lo, _ in targets],
+                [hi for _, hi in targets],
+            )
         if any(integral for _, _, integral in rows):
             return None
+        scale = 10 ** _PLAN_DIGITS
         in_lo, in_hi, out_lo, out_hi = [], [], [], []
         for (lo, hi, _), error in zip(rows, errors):
-            size = max(lo.magnitude(), hi.magnitude())
-            band = _SCALED_EPS + error + math.ceil(4 * size * scale / 2 ** 53)
-            lo = Fraction(lo.to_float()) * scale
-            hi = Fraction(hi.to_float()) * scale
-            in_lo.append(math.ceil(lo + band))
-            in_hi.append(math.floor(hi - band))
-            out_lo.append(math.floor(lo - band))
-            out_hi.append(math.ceil(hi + band))
+            band = _SCALED_EPS + error + max(
+                -(-4 * scale * num // (den << 53))
+                for num, den in (lo.magnitude_ratio(), hi.magnitude_ratio())
+            )
+            lo_num, lo_den = lo.to_float().as_integer_ratio()
+            hi_num, hi_den = hi.to_float().as_integer_ratio()
+            in_lo.append(-(-lo_num * scale // lo_den) + band)
+            in_hi.append(hi_num * scale // hi_den - band)
+            out_lo.append(lo_num * scale // lo_den - band)
+            out_hi.append(-(-hi_num * scale // hi_den) + band)
         return in_lo, in_hi, out_lo, out_hi
 
     def _leaf_data(self):
@@ -558,8 +561,9 @@ class CutProjectScheme:
         exact and involve at most one named constant, else None; ``names``
         are the named constants among the generators.  ``sizes`` is set for
         a float scheme, one with a float generator value, whose internal
-        factors are all real: the ``Scalar.magnitude`` of every entry of the
-        lifted matrix, row by row.  Else None.
+        factors are all real: per row of the lifted matrix, the
+        ``Scalar.magnitude_ratio`` of every entry as numerators over the
+        row's least common denominator, ``(nums, den)``.  Else None.
         """
         if self._leaf is None:
             values = [
@@ -573,7 +577,10 @@ class CutProjectScheme:
                         LinearForm([g[i] for g, _ in self.generators]) for i in range(self.d)
                     )
             elif all(f.kind == "real" for f in self.space.factors):
-                sizes = tuple(tuple(v.magnitude() for v in row) for row in self.matrix)
+                sizes = tuple(
+                    _over_common_denominator([v.magnitude_ratio() for v in row])
+                    for row in self.matrix
+                )
             self._leaf = (forms, names, sizes)
         return self._leaf
 
@@ -589,33 +596,67 @@ class CutProjectScheme:
         relative size ``2**-53``, each of a value below the sum of the
         terms' magnitudes, the entries' ``sizes`` times the coordinates'
         reach over the candidate ``ranges``.  Each bound is twice that
-        first-order bound, plus 10**-12 for the 18-digit enclosures exact
+        first-order bound, rounded up by one integer division over the row's
+        common denominator, plus 10**-12 for the 18-digit enclosures exact
         values are rounded from.
         """
         reach = [max(-lo, hi) for lo, hi in ranges]
         rounds = 2 * (2 * len(reach) + 3)
         scale = 10 ** _PLAN_DIGITS
         return [
-            math.ceil(rounds * sum(map(mul, reach, row)) * scale / 2 ** 53)
+            -(-rounds * scale * sum(map(mul, reach, nums)) // (den << 53))
             + 10 ** (_PLAN_DIGITS - 12)
-            for row in sizes
+            for nums, den in sizes
         ]
 
-    def _piece_rhs(self, box: Box, rows) -> list[tuple[Fraction, Fraction]]:
-        """Rational bounds on every lifted row: the box, then a window
-        piece's exact ``(lo, hi, integral)`` rows.  Integral rows keep their
-        exact bounds; the others enclose [lo, hi] at 10**-_PLAN_DIGITS and
-        clear it by ``_ROW_MARGIN``."""
-        return [
-            (lo.as_fraction(), hi.as_fraction()) if integral else
-            (lo.bounds(_PLAN_DIGITS)[0] - _ROW_MARGIN, hi.bounds(_PLAN_DIGITS)[1] + _ROW_MARGIN)
-            for lo, hi, integral in [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
+    def _piece_rhs(self, box: Box, rows):
+        """Integer bounds on every lifted row, from one enclosure per endpoint.
+
+        The rows are the box, then a window piece's exact ``(lo, hi,
+        integral)`` rows.  Returns ``(shift, bounds)`` with one ``(out_lo,
+        in_lo, in_hi, out_hi)`` per row at scale ``10**_PLAN_DIGITS <<
+        shift``.  An exact endpoint is enclosed once, at 10**-_PLAN_DIGITS
+        with each term rounded on its own, as ``bounds(_PLAN_DIGITS)``
+        encloses it; a float endpoint is its exact dyadic value, and
+        ``shift`` is the least that puts every float on the scale (0 when
+        all endpoints are exact).  ``[out_lo, out_hi]`` encloses the row's
+        [lo, hi] and clears it by ``_ROW_MARGIN``, and ``[in_lo, in_hi]``
+        lies inside [lo, hi] by the same margin; integral rows, whose
+        endpoints are integers, are exact on the scale, with no margin.
+        """
+        rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
+        dyadic = [
+            v.to_float().as_integer_ratio()[1].bit_length() - 1 - _PLAN_DIGITS
+            for lo, hi, _ in rows
+            for v in (lo, hi)
+            if not v.is_exact
         ]
+        shift = max([0] + dyadic)
+        margin = _ROW_MARGIN << shift
+        bounds = []
+        for lo, hi, integral in rows:
+            lo_lo, lo_hi = _end_enclosure(lo, shift)
+            hi_lo, hi_hi = _end_enclosure(hi, shift)
+            pad = 0 if integral else margin
+            bounds.append((lo_lo - pad, lo_hi + pad, hi_lo - pad, hi_hi + pad))
+        return shift, bounds
 
     def _inverse_enclosure(self):
-        """Interval enclosure of the inverse coordinate matrix, cached."""
+        """Integer enclosure of the inverse coordinate matrix, cached.
+
+        ``(den, rows)``: the rational enclosures of ``_inverse_rows`` as
+        integer ``(lo, hi)`` numerators over one common denominator ``den``,
+        the least common multiple of theirs.  That is 10**_PLAN_DIGITS, or a
+        divisor of it, for an exact inverse, and takes in a float entry's
+        dyadic or interval elimination's denominators otherwise, so no entry
+        is rounded.
+        """
         if self._inverse_enc is None:
-            self._inverse_enc = _inverse_rows(self.matrix, _PLAN_DIGITS)
+            rows = _inverse_rows(self.matrix, _PLAN_DIGITS)
+            den = math.lcm(*(v.denominator for row in rows for pair in row for v in pair))
+            self._inverse_enc = (
+                den, [[(int(lo * den), int(hi * den)) for lo, hi in row] for row in rows]
+            )
         return self._inverse_enc
 
     def _enumeration_plan(self):
@@ -667,18 +708,28 @@ class CutProjectScheme:
         return plan
 
     def _candidate_ranges(self, rhs) -> list[tuple[int, int]]:
+        """The outermost candidate box, one integer range per lifted column.
+
+        Each range is the least and greatest value of a row of the inverse
+        enclosure over the ``[out_lo, out_hi]`` box of ``rhs``
+        (``_piece_rhs``), rounded inwards to integers.  Products and sums
+        are exact integers over the inverse's common denominator times the
+        rhs scale, and one floor or ceil division per row rounds them, so
+        the ranges are those of the same computation in rationals.
+        """
         if self.lift_size == 0:
             return []
-        inv = self._inverse_enclosure()
+        shift, bounds = rhs
+        den, inv = self._inverse_enclosure()
+        total = den * 10 ** _PLAN_DIGITS << shift
         out = []
         for row in inv:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for (alo, ahi), (ylo, yhi) in zip(row, rhs):
+            lo = hi = 0
+            for (alo, ahi), (ylo, _, _, yhi) in zip(row, bounds):
                 products = (alo * ylo, alo * yhi, ahi * ylo, ahi * yhi)
                 lo += min(products)
                 hi += max(products)
-            out.append((math.ceil(lo), math.floor(hi)))
+            out.append((-(-lo // total), hi // total))
         return out
 
     # -- exact lattice membership ----------------------------------------------------
@@ -963,13 +1014,40 @@ def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
 def _scaled_enclosure(v: Scalar, digits: int) -> tuple[int, int]:
     """Integer enclosure of ``v`` at scale 10**digits; a float's exact
     dyadic value is enclosed and then padded by 10**-9 on either side."""
-    scale = 10 ** digits
     if v.is_exact:
-        lo, hi = v.bounds(digits)
-        return int(lo * scale), int(hi * scale)
-    value = Fraction(v._float) * scale
-    pad = int(1e-9 * scale) + 1
-    return (math.floor(value) - pad, math.ceil(value) + pad)
+        return v._bounds_per_term(digits)
+    num, den = v.to_float().as_integer_ratio()
+    num *= 10 ** digits
+    pad = int(1e-9 * 10 ** digits) + 1
+    return (num // den - pad, -(-num // den) + pad)
+
+
+def _end_enclosure(v: Scalar, shift: int) -> tuple[int, int]:
+    """A row endpoint at scale ``10**_PLAN_DIGITS << shift``: an exact
+    value's enclosure as ``bounds(_PLAN_DIGITS)`` gives it, a float's exact
+    dyadic value, whose denominator ``shift`` makes divide the scale."""
+    if v.is_exact:
+        lo, hi = v._bounds_per_term(_PLAN_DIGITS)
+        return lo << shift, hi << shift
+    num, den = v.to_float().as_integer_ratio()
+    value = (num * 10 ** _PLAN_DIGITS << shift) // den
+    return value, value
+
+
+def _walk_targets(rhs) -> list[tuple[int, int]]:
+    """The walk's scaled rhs enclosure per row: ``[out_lo, out_hi]`` of
+    ``_piece_rhs`` rounded outwards to scale 10**_PLAN_DIGITS and widened
+    by 10**-9 on either side."""
+    shift, bounds = rhs
+    slack = 10 ** (_PLAN_DIGITS - 9)
+    return [((lo >> shift) - slack, -(-hi >> shift) + slack) for lo, _, _, hi in bounds]
+
+
+def _over_common_denominator(ratios) -> tuple[list[int], int]:
+    """``(nums, den)``: integer ``(num, den)`` ratios as numerators over
+    their least common denominator."""
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _float_solve(mat, rhs):

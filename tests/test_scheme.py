@@ -1,5 +1,8 @@
+import collections
+import fractions
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -964,6 +967,74 @@ def test_leaf_filter_work_count(monkeypatch):
         patch = scheme.project_points(Box.symmetric(radius), window)
         assert len(patch) > points
         assert window_calls <= calls
+
+
+def set_up_counts(call):
+    """Run ``call`` under a profile hook; count calls of ``Scalar.bounds``,
+    ``Scalar.as_fraction`` and ``Scalar.magnitude`` from anywhere, and
+    calls into ``fractions`` made straight from ``scheme.py``.
+
+    The hook sees every Python-level ``Fraction`` method: the constructor,
+    arithmetic and comparison operators, ``__floor__`` and ``__ceil__``,
+    also on CPython 3.12+, whose operators build results without
+    ``Fraction.__new__``.
+    """
+    from cutproject import scheme as scheme_module
+
+    watched = {
+        Scalar.bounds.__code__: "bounds",
+        Scalar.as_fraction.__code__: "as_fraction",
+        Scalar.magnitude.__code__: "magnitude",
+    }
+    fractions_file = fractions.__file__
+    scheme_file = scheme_module.__file__
+    counts = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code in watched:
+            counts[watched[code]] += 1
+        elif code.co_filename == fractions_file and frame.f_back.f_code.co_filename == scheme_file:
+            counts["Fraction"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        out = call()
+    finally:
+        sys.setprofile(previous)
+    return counts, out
+
+
+def test_project_points_set_up_work_count():
+    # after one warm-up call, the set-up of a project_points call is integer
+    # arithmetic on one enclosure per row endpoint: no Scalar.bounds,
+    # as_fraction or magnitude call and no Fraction operation in scheme.py
+    from cutproject import scheme as scheme_module
+
+    # the hook counts what the set-up used to do
+    counts, _ = set_up_counts(lambda: scheme_module._inverse_rows([[GOLDEN]], 25))
+    assert counts["bounds"] == 1
+    counts, _ = set_up_counts(lambda: scheme_module._monomial_matrix([[Scalar(2)]]))
+    assert counts["Fraction"] > 0
+    counts, _ = set_up_counts(lambda: (Scalar(3).as_fraction(), GOLDEN.magnitude()))
+    assert counts["as_fraction"] == counts["magnitude"] == 1
+    fib = fibonacci_scheme()
+    window = interval_window(LINE, -1, GOLDEN - 1)
+    float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
+    cases = [
+        (fib, window.translate(LINE.point((Fraction(-3, 20),))), Box.interval(4182, 4202),
+         window.translate(LINE.point((Fraction(7, 100),))), Box.interval(-1311, -1291)),
+        (float_scheme(), float_window, Box.interval(-300, 250),
+         float_window.translate(LINE.point((Scalar.from_float(0.15),))), Box.interval(-60, 80)),
+    ]
+    for scheme, warm_window, warm_box, probe_window, probe_box in cases:
+        assert len(scheme.project_points(warm_box, warm_window)) > 0
+        counts, patch = set_up_counts(lambda: scheme.project_points(probe_box, probe_window))
+        assert len(patch) > 0
+        assert counts == {}, counts
 
 
 def test_patch_order_falls_back_to_scalar_sort(monkeypatch):
