@@ -69,9 +69,6 @@ class Factor:
     def kernel_relations(self) -> list:
         return []
 
-    def continuous_values(self, c):
-        return ()
-
     def real_constant(self, value):
         """The coordinate with ``value`` on every real axis, zero elsewhere."""
         return self.zero()
@@ -137,9 +134,6 @@ class RealFactor(_VectorFactor):
 
     def lift_values(self, c):
         return list(c)
-
-    def continuous_values(self, c):
-        return c
 
     def real_constant(self, value):
         return tuple(value for _ in range(self.dim))
@@ -335,9 +329,6 @@ class TorusFactor(Factor):
             for i in range(self.dim)
         ]
 
-    def continuous_values(self, c):
-        return c
-
     def annihilator_shifts(self, coords):
         raise ValueError("annihilator projection needs the base factor family")
 
@@ -449,9 +440,6 @@ class TwistedExtensionFactor(Factor):
     def kernel_relations(self):
         return [(h, 0) for h in self.base.kernel_relations()] + [(self.twist, -self.modulus)]
 
-    def continuous_values(self, c):
-        return self.base.continuous_values(c[0])
-
     def annihilator_shifts(self, coords):
         raise ValueError("annihilator projection needs the base factor family")
 
@@ -525,9 +513,6 @@ class InternalSpace:
 
     def kernel_values(self, h: "HPoint") -> list[Scalar]:
         return [v for f, c in zip(self.factors, h.coords) for v in f.kernel_values(c)]
-
-    def continuous_values(self, h: "HPoint") -> list[Scalar]:
-        return [v for f, c in zip(self.factors, h.coords) for v in f.continuous_values(c)]
 
     def lift_relations(self) -> list["HPoint"]:
         return self._embed_relations(lambda f: f.lift_relations())

@@ -918,32 +918,44 @@ class Scalar:
 def floats(values) -> list[float]:
     """The float of each scalar in ``values``, in order.
 
-    An exact value's float is the midpoint of its enclosure at scale 10**18,
-    each term rounded on its own as in ``bounds(18)``, and is kept on the
-    scalar; a float value gives its own.  Each monomial's enclosure is looked
-    up once per call, so a column of patch coordinates costs integer
-    arithmetic per term.  ``Scalar.to_float`` is this on one value.
+    An exact value's float is ``_midpoint`` of its terms, as in
+    ``bounds(18)``, and is kept on the scalar; a float value gives its own.
+    ``Scalar.to_float`` is this on one value.
     """
-    mono = {}
     out = []
     for v in values:
         f = v._float
         if f is None:
-            lo = hi = 0
-            den = v._den
-            for i, c in v._num.items():
-                m = mono.get(i)
-                if m is None:
-                    m = mono[i] = _mono_int_bounds(i, 18)
-                if c >= 0:
-                    lo += c * m[0] // den
-                    hi -= -c * m[1] // den
-                else:
-                    lo += c * m[1] // den
-                    hi -= -c * m[0] // den
-            f = v._float = (lo + hi) / (2 * 10 ** 18)
+            f = v._float = _midpoint(v._num.items(), v._den)
         out.append(f)
     return out
+
+
+class _Bounds18(dict):
+    """Monomial id -> its integer enclosure at scale 10**18, filled on first use."""
+
+    def __missing__(self, i):
+        out = self[i] = _mono_int_bounds(i, 18)
+        return out
+
+
+_MONO_FLOAT = _Bounds18()
+
+
+def _midpoint(terms, den: int) -> float:
+    """The float of ``sum(c * monomial i) / den`` over ``(i, c)`` terms, the
+    midpoint of its 10**18 enclosure with each term floored and ceiled over
+    ``den`` on its own; floor(g*c*m / (g*den)) = floor(c*m / den)."""
+    lo = hi = 0
+    for i, c in terms:
+        mlo, mhi = _MONO_FLOAT[i]
+        if c >= 0:
+            lo += c * mlo // den
+            hi -= -c * mhi // den
+        else:
+            lo += c * mhi // den
+            hi -= -c * mlo // den
+    return (lo + hi) / (2 * 10 ** 18)
 
 
 class LinearForm:
@@ -979,6 +991,38 @@ class LinearForm:
             if c:
                 num[i] = c
         return _reduced(num, self.den, _symbol(num) if self.has_constant else None)
+
+    def floats(self, vectors) -> list[float]:
+        """``[self(n).to_float() for n in vectors]`` without building a value:
+        ``_midpoint`` of one dot product per monomial over ``den``."""
+        den, rows, mul = self.den, self.rows, operator.mul
+        dots = ([(i, sum(map(mul, n, coeffs))) for i, coeffs in rows] for n in vectors)
+        return [_midpoint(terms, den) for terms in dots]
+
+
+class FloatForm:
+    """``sum(n[j] * values[j])`` over float values as ``Scalar`` float
+    arithmetic sums it: ``0.0 + x * k`` at the first nonzero ``k``, then
+    ``acc + x * k``, and the exact ``Scalar(0)`` when every ``k`` is 0."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = [v.to_float() for v in values]
+
+    def _sum(self, n) -> float | None:
+        acc = None
+        for k, x in zip(n, self.values):
+            if k:
+                acc = 0.0 + x * k if acc is None else acc + x * k
+        return acc
+
+    def __call__(self, n) -> Scalar:
+        acc = self._sum(n)
+        return Scalar(0) if acc is None else Scalar(acc)
+
+    def floats(self, vectors) -> list[float]:
+        return [0.0 if acc is None else acc for acc in map(self._sum, vectors)]
 
 
 ZERO = Scalar(0)

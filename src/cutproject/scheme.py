@@ -30,18 +30,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import gt, le, lt, mul
 
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
-from .scalars import FLOAT_EPS, ExactnessError, LinearForm, Scalar, floats
+from .scalars import FLOAT_EPS, ExactnessError, FloatForm, LinearForm, Scalar, floats
 from .windows import Window
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
 _PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
 _SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
 _ROW_MARGIN = 10 ** (_PLAN_DIGITS - 9)  # a non-integral row's clearance, 10**-9 at scale
-_DENSITY_CELLS = 8  # cells per continuous axis in ``internal_density_heuristic``
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -118,9 +118,12 @@ class AveragingSequence:
 
 
 class Patch:
-    """Finite sorted point set in direct space with provenance."""
+    """Finite sorted point set in direct space with provenance.
 
-    __slots__ = ("points", "box", "scheme_id", "coords")
+    An ordered patch of ``_of_leaves`` builds its points from ``coords`` by
+    its scheme's direct map on first access; its CSV floats come from ``coords``."""
+
+    __slots__ = ("_points", "box", "scheme_id", "coords", "_scheme")
 
     def __init__(self, points, box: Box, scheme_id: str = "", coords=None):
         pairs = list(zip(points, coords)) if coords is not None else [(p, None) for p in points]
@@ -133,29 +136,19 @@ class Patch:
         self._fill(checked, box, scheme_id, coords is not None)
 
     @classmethod
-    def _of_checked(cls, pairs, box: Box, scheme_id: str) -> "Patch":
-        """Patch of ``(point, coords)`` pairs known to be Scalar points in ``box``.
+    def _of_leaves(cls, coords, box: Box, scheme, ordered: bool) -> "Patch":
+        """Patch of ``scheme``'s lattice points ``coords``, known to lie in ``box``.
 
-        For ``project_points``, whose leaves have just decided exactly that;
-        the points are sorted and deduplicated as in ``__init__``.
+        With ``ordered``, ``coords`` come in the order of their distinct direct
+        images (``_separated``), and the points are built on first access;
+        else they are built, sorted and deduplicated as in ``__init__``.
         """
         patch = cls.__new__(cls)
-        patch._fill(pairs, box, scheme_id, True)
-        return patch
-
-    @classmethod
-    def _of_ordered(cls, points, coords, box: Box, scheme_id: str) -> "Patch":
-        """Patch of distinct Scalar points in ``box``, given in sorted order.
-
-        For ``project_points`` when its points' enclosures are separated
-        (``_separated``), which fixes the order ``__init__`` would sort them
-        into; no point is compared.
-        """
-        patch = cls.__new__(cls)
-        patch.points = tuple(points)
-        patch.box = box
-        patch.scheme_id = scheme_id
-        patch.coords = tuple(coords)
+        if not ordered:
+            patch._fill(list(zip(scheme._maps[1](coords), coords)), box, scheme.scheme_id, True)
+            return patch
+        patch.box, patch.scheme_id, patch._scheme = box, scheme.scheme_id, scheme
+        patch._points, patch.coords = None, tuple(coords)
         return patch
 
     def _fill(self, pairs, box, scheme_id, with_coords):
@@ -167,13 +160,20 @@ class Patch:
                 continue
             pts.append(p)
             crd.append(c)
-        self.points = tuple(pts)
+        self._points = tuple(pts)
         self.box = box
         self.scheme_id = scheme_id
         self.coords = tuple(crd) if with_coords else None
+        self._scheme = None
+
+    @property
+    def points(self) -> tuple:
+        if self._points is None:
+            self._points = self._scheme._maps[1](self.coords)
+        return self._points
 
     def __len__(self):
-        return len(self.points)
+        return len(self.coords if self._points is None else self._points)
 
     def __iter__(self):
         return iter(self.points)
@@ -234,8 +234,9 @@ class Patch:
         header = [f"x{i + 1}" for i in range(dim)] + [f"n{j + 1}" for j in range(rank)]
         # one float pass over the values in row order, one template per row;
         # a d = 0 patch still has a (empty) row per point
-        n = len(self.points)
-        flat = iter(floats([v for p in self.points for v in p]))
+        n = len(self)
+        lazy = self._points is None and self._scheme._maps[2]
+        flat = iter(lazy(self.coords) if lazy else floats([v for p in self.points for v in p]))
         values = zip(*[flat] * dim) if dim else [()] * n
         coords = self.coords if self.coords is not None else [()] * n
         row = ",".join(["{!r}"] * dim + ["{}"] * rank).format
@@ -279,6 +280,7 @@ class CutProjectScheme:
         self._inverse_enc = None
         self._enum_plan = None
         self._leaf = None
+        self._maps = None
 
     # -- lifted presentation -------------------------------------------------
 
@@ -340,17 +342,18 @@ class CutProjectScheme:
     # -- basic maps -------------------------------------------------------------
 
     def direct(self, n) -> tuple[Scalar, ...]:
-        out = [Scalar(0)] * self.d
-        for k, (g, _) in zip(n, self.generators):
-            if k:
-                for i in range(self.d):
-                    out[i] = out[i] + g[i] * k
-        return tuple(out)
+        """``sum(n[j] * g_j)``, by the one map ``_leaf_data`` chose."""
+        if self._maps is None:
+            self._leaf_data()
+        return self._maps[0](n)
 
     def star(self, n) -> HPoint:
         """Internal coordinate of the lattice point with coordinates n."""
         if len(n) != self.rank:
             raise SchemeError("lattice coordinate arity mismatch")
+        return self._star(n)
+
+    def _star(self, n) -> HPoint:
         acc = self.space.zero()
         for k, (_, h) in zip(n, self.generators):
             if k:
@@ -383,28 +386,25 @@ class CutProjectScheme:
         order, so the result is deterministic.  The points are put in order
         by the lower ends of their first coordinates' enclosures; when every
         neighbouring pair is separated (``_separated``), that is the patch's
-        order, and otherwise the points are sorted and deduplicated by
-        ``Scalar`` comparison.
+        order, and the patch keeps the coordinates and builds its points on
+        first access.  Otherwise the points are built and sorted and
+        deduplicated by ``Scalar`` comparison.
         """
         if box.dim != self.d:
             raise SchemeError("box dimension mismatch")
         if window.space != self.space:
             raise SpaceMismatchError("window lives in a different internal space")
-        found: dict[tuple[int, ...], tuple] = {}
+        found: dict[tuple[int, ...], tuple[int, int]] = {}
         for rows, decides in window.enum_pieces():
             leaves = self._enumerate_piece(box, window, rows, decides, max_candidates)
             for n, leaf in leaves.items():
                 found.setdefault(n, leaf)
         forms, names, sizes = self._leaf_data()
         if self.d and len(names) <= 1 and (forms is not None or sizes is not None):
-            leaves = sorted(found.items(), key=lambda item: item[1][1])
-            if _separated([leaf for _, leaf in leaves]):
-                return Patch._of_ordered(
-                    [leaf[0] for _, leaf in leaves], [n for n, _ in leaves], box, self.scheme_id
-                )
-        return Patch._of_checked(
-            [(leaf[0], n) for n, leaf in found.items()], box, self.scheme_id
-        )
+            order = sorted(found, key=lambda n: found[n][0])
+            if _separated([found[n] for n in order]):
+                return Patch._of_leaves(order, box, self, True)
+        return Patch._of_leaves(found, box, self, False)
 
     def _enumerate_piece(self, box, window, rows, decides, max_candidates):
         """Triangular walk over the lifted coordinates of one window piece.
@@ -422,19 +422,13 @@ class CutProjectScheme:
         10**_PLAN_DIGITS.  When the piece's exact ``rows`` decide membership
         in it (``decides``, see ``_inner_bounds``), a leaf whose rows all lie
         inside their inner bounds is accepted on the enclosures alone, and a
-        leaf with a row outside its outer bound is rejected.  An accepted
-        leaf of an exact scheme gets its exact direct vector from
-        ``LinearForm``s.  Every other leaf, and an accepted leaf of a float
-        scheme, builds its direct vector from the kept partial sums over the
-        coordinates it shares with the last candidate summed, and so does
-        the star point of a leaf on the exact path.  Each step
-        is the addition ``direct`` or ``star`` makes, in the same order, so
-        exact values are equal and float values bit-identical; the star sum
-        is only taken for candidates inside the box, and the exact
+        leaf with a row outside its outer bound is rejected.  Neither builds
+        a point.  Every other leaf takes the exact path: ``direct`` and the
+        star sum, taken only for leaves inside the box, and the exact
         ``Box.contains`` and ``Window.contains`` decide.
 
-        Returns ``{n: (direct, lo, hi)}`` with ``[lo, hi]`` a scaled
-        enclosure of the first direct coordinate as computed: the row's
+        Returns ``{n: (lo, hi)}`` with ``[lo, hi]`` a scaled enclosure of
+        the first direct coordinate as ``direct`` computes it: the row's
         enclosure, widened by the float rounding bound for a float scheme.
         """
         rhs = self._piece_rhs(box, rows)
@@ -450,50 +444,26 @@ class CutProjectScheme:
         if count == 0:
             return found
         targets = _walk_targets(rhs)
-        forms, _, sizes = self._leaf_data()
+        sizes = self._leaf_data()[2]
         errors = None if sizes is None else self._float_errors(sizes, ranges)
         bounds = self._inner_bounds(box, rows, rhs, targets, errors) if decides else None
         if bounds is not None:
             in_lo, in_hi, out_lo, out_hi = bounds
         lead = errors[0] if errors else 0
-        gens = self.generators
-        space = self.space
-        # directs[j] and stars[j] sum n[:j] for the last n each was taken for
-        d_last, directs = (), [tuple(Scalar(0) for _ in range(self.d))]
-        s_last, stars = (), [space.zero()]
         zero = [0] * max(self.lift_size, 1)  # a rank-0 scheme's leaf still has a row 0
         walk = _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero)
         for lifted, r_lo, r_hi in walk:
             n = lifted[: self.rank]
             if n in found:
                 continue
-            inside = False
             if bounds is not None:
                 if all(map(le, in_lo, r_lo)) and all(map(le, r_hi, in_hi)):
-                    if forms is not None:
-                        found[n] = (tuple([form(n) for form in forms]), r_lo[0], r_hi[0])
-                        continue
-                    inside = True
-                elif any(map(lt, r_hi, out_lo)) or any(map(gt, r_lo, out_hi)):
+                    found[n] = (r_lo[0] - lead, r_hi[0] + lead)
                     continue
-            j = _shared_prefix(n, d_last)
-            del directs[j + 1 :]
-            for (g, _), k in zip(gens[j:], n[j:]):
-                acc = directs[-1]
-                directs.append(tuple([a + x * k for a, x in zip(acc, g)]) if k else acc)
-            d_last = n
-            if not inside:
-                if not box.contains(directs[-1]):
+                if any(map(lt, r_hi, out_lo)) or any(map(gt, r_lo, out_hi)):
                     continue
-                j = _shared_prefix(n, s_last)
-                del stars[j + 1 :]
-                for (_, h), k in zip(gens[j:], n[j:]):
-                    acc = stars[-1]
-                    stars.append(space.add(acc, space.scale(h, k)) if k else acc)
-                s_last = n
-                if not window.contains(stars[-1]):
-                    continue
-            found[n] = (directs[-1], r_lo[0] - lead, r_hi[0] + lead)
+            if box.contains(self.direct(n)) and window.contains(self._star(n)):
+                found[n] = (r_lo[0] - lead, r_hi[0] + lead)
         return found
 
     def _inner_bounds(self, box, rows, rhs, targets, errors):
@@ -564,24 +534,33 @@ class CutProjectScheme:
         factors are all real: per row of the lifted matrix, the
         ``Scalar.magnitude_ratio`` of every entry as numerators over the
         row's least common denominator, ``(nums, den)``.  Else None.
+
+        It also keeps ``_maps = (direct, points_of, floats_of)`` over one form
+        per coordinate: the ``forms``, ``FloatForm``s when every direct entry
+        is a float, else ``_scalar_sum``s, whose ``floats_of`` is None.
         """
         if self._leaf is None:
-            values = [
-                v for g, h in self.generators for v in (*g, *self.space.kernel_values(h))
-            ]
+            gens = self.generators
+            values = [v for g, h in gens for v in (*g, *self.space.kernel_values(h))]
             names = {v.constant for v in values} - {None}
             forms = sizes = None
+            rows = [[g[i] for g, _ in gens] for i in range(self.d)]
             if all(v.is_exact for v in values):
                 if len(names) <= 1:
-                    forms = tuple(
-                        LinearForm([g[i] for g, _ in self.generators]) for i in range(self.d)
-                    )
+                    forms = tuple(LinearForm(row) for row in rows)
             elif all(f.kind == "real" for f in self.space.factors):
                 sizes = tuple(
                     _over_common_denominator([v.magnitude_ratio() for v in row])
                     for row in self.matrix
                 )
+            maps, floats_of = forms, _form_floats
+            if forms is None and rows and not any(v.is_exact for row in rows for v in row):
+                maps = tuple(FloatForm(row) for row in rows)
+            elif forms is None:
+                maps, floats_of = tuple(partial(_scalar_sum, row) for row in rows), None
             self._leaf = (forms, names, sizes)
+            self._maps = (partial(_form_direct, maps), partial(_form_points, maps),
+                          floats_of and partial(floats_of, maps))
         return self._leaf
 
     def _float_errors(self, sizes, ranges) -> list[int]:
@@ -845,28 +824,6 @@ class CutProjectScheme:
                 return n
         return None
 
-    # -- heuristics ------------------------------------------------------------------------
-
-    def internal_density_heuristic(self, bound: int = 10) -> bool:
-        """Star image looks dense: every coarse cell of a compact probe is hit.
-
-        An attribute of the scheme, not a validity condition; each call
-        probes anew with its own ``bound``.
-        """
-        hits: dict[tuple[int, int], set] = {}
-        axes = 0
-        for n in itertools.product(range(-bound, bound + 1), repeat=self.rank):
-            h = self.star(n)
-            values = self.space.continuous_values(h)
-            axes = len(values)
-            for ax, v in enumerate(values):
-                frac = v - v.floor()
-                cell = min(int(frac.to_float() * _DENSITY_CELLS), _DENSITY_CELLS - 1)
-                hits.setdefault(("cont", ax), set()).add(cell)
-        return all(
-            len(hits.get(("cont", ax), set())) == _DENSITY_CELLS for ax in range(axes)
-        )
-
     # -- serialization ------------------------------------------------------------------------
 
     def to_obj(self):
@@ -965,23 +922,36 @@ def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
 
 
 def _separated(leaves) -> bool:
-    """True when each leaf's scaled enclosure ``(_, lo, hi)`` ends more
-    than ``FLOAT_EPS`` below the next one's start.
+    """True when each leaf's scaled enclosure ``(lo, hi)`` ends more than
+    ``FLOAT_EPS`` below the next one's start.
 
     The leaves are then in increasing order, and pairwise distinct, under
     exact and under ``FLOAT_EPS`` comparison alike.
     """
-    return all(b[1] - a[2] > _SCALED_EPS for a, b in zip(leaves, leaves[1:]))
+    return all(b[0] - a[1] > _SCALED_EPS for a, b in zip(leaves, leaves[1:]))
 
 
-def _shared_prefix(a, b) -> int:
-    """Length of the common prefix of two coordinate tuples."""
-    j = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        j += 1
-    return j
+def _scalar_sum(values, n) -> Scalar:
+    """``sum(n[j] * values[j])`` in ``Scalar`` arithmetic, term by term."""
+    out = Scalar(0)
+    for k, x in zip(n, values):
+        if k:
+            out = out + x * k
+    return out
+
+
+def _form_direct(forms, n) -> tuple[Scalar, ...]:
+    return tuple([form(n) for form in forms])
+
+
+def _form_points(forms, coords) -> tuple:
+    columns = [[form(n) for n in coords] for form in forms]
+    return tuple(zip(*columns)) if columns else ((),) * len(coords)
+
+
+def _form_floats(forms, coords) -> list[float]:
+    columns = [form.floats(coords) for form in forms]
+    return columns[0] if len(columns) == 1 else [x for row in zip(*columns) for x in row]
 
 
 def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import linalg
+from cutproject import cli, linalg
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import (
     FiniteCyclicFactor,
@@ -17,7 +17,15 @@ from cutproject.internal_space import (
     TorusFactor,
     TwistedExtensionFactor,
 )
-from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, ExactnessError, Scalar
+from cutproject.scalars import (
+    GOLDEN,
+    GOLDEN_CONJ,
+    SQRT5,
+    ExactnessError,
+    FloatForm,
+    LinearForm,
+    Scalar,
+)
 from cutproject.scheme import (
     AveragingSequence,
     Box,
@@ -531,14 +539,30 @@ CSV_CASES = {
 }
 
 
+# project_points patches whose order is fixed without comparing points
+LAZY_CSV_CASES = {
+    "fibonacci-left", "fibonacci-right", "fibonacci-straddling", "float-mode",
+    "sqrt2-extension", "pi", "empty",
+}
+
+
 @pytest.mark.parametrize("case", list(CSV_CASES))
 def test_csv_matches_per_point_floats(case):
+    # the CSV of a fresh patch, whose points have not been read, so that a
+    # project_points patch takes its floats from its lattice coordinates,
+    # against the floats of a second, separately built patch's points
+    fresh = CSV_CASES[case]()
+    text = fresh.to_csv_text()
+    assert (fresh._points is None) == (case in LAZY_CSV_CASES)
     patch = CSV_CASES[case]()
     if case.startswith("empty"):
         assert not patch.points
     expected = per_point_csv(patch)
+    assert text == expected
+    assert fresh.to_csv_text() == expected
     assert patch.to_csv_text() == expected
-    # every exact value now keeps its float, and a second pass reads it back
+    # every exact value of a patch built from points now keeps its float,
+    # and a second pass reads it back
     assert all(v._float is not None for p in patch.points for v in p)
     assert patch.to_csv_text() == expected
 
@@ -562,25 +586,6 @@ def test_scheme_serialization_roundtrip():
         t = CutProjectScheme.from_obj(s.to_obj())
         assert t == s
         assert t.scheme_id == s.scheme_id
-
-
-def test_internal_density_heuristic():
-    assert fibonacci_scheme().internal_density_heuristic(bound=15) is True
-    space = InternalSpace([RealFactor(1)])
-    sparse = CutProjectScheme(
-        1, space, [((Scalar(1),), space.point((0,))), ((GOLDEN,), space.point((1,)))]
-    )
-    # star image is the integers: nowhere near dense
-    assert sparse.internal_density_heuristic(bound=6) is False
-
-
-def test_internal_density_heuristic_answers_each_bound():
-    # fibonacci_scheme() is shared, so an answer kept from one call would
-    # decide every later call in the process
-    scheme = fibonacci_scheme()
-    assert scheme.internal_density_heuristic(bound=1) is False
-    assert scheme.internal_density_heuristic(bound=15) is True
-    assert fibonacci_scheme().internal_density_heuristic(bound=1) is False
 
 
 def golden_square_scheme():
@@ -1035,6 +1040,141 @@ def test_project_points_set_up_work_count():
         counts, patch = set_up_counts(lambda: scheme.project_points(probe_box, probe_window))
         assert len(patch) > 0
         assert counts == {}, counts
+
+
+def test_patch_csv_from_coords_work_count():
+    # project_points and the CSV of the fresh patch build no point of a
+    # decided leaf: on exact Fibonacci only the two leaves that take the
+    # exact path (see test_leaf_filter_work_count) evaluate a LinearForm, and
+    # on float Fibonacci the only float Scalar additions are those leaves'
+    # star sums, at most one per nonzero coordinate (rank 2)
+    watched = {LinearForm.__call__.__code__: "LinearForm", Scalar.__add__.__code__: "add"}
+    counts = collections.Counter()
+
+    def hook(frame, event, arg):
+        name = watched.get(frame.f_code) if event == "call" else None
+        if name == "LinearForm":
+            counts[name] += 1
+        elif name == "add":
+            other = frame.f_locals["other"]
+            if frame.f_locals["self"]._num is None or getattr(other, "_num", 0) is None:
+                counts["float add"] += 1
+
+    window = interval_window(LINE, -1, GOLDEN - 1)
+    float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
+    # the hook sees what it counts, and an exact addition is not counted
+    fib, half = fibonacci_scheme(), Scalar.from_float(0.5)
+    fib.direct((0, 0))
+    sys.setprofile(hook)
+    try:
+        fib.direct((1, 1))
+        (half + Scalar(1), Scalar(1) + half, GOLDEN + GOLDEN)
+    finally:
+        sys.setprofile(None)
+    assert counts == {"LinearForm": 1, "float add": 2}
+    for scheme, window, limits in [
+        (fibonacci_scheme(), window, {"LinearForm": 2}),
+        (float_scheme(), float_window, {"float add": 4}),
+    ]:
+        assert len(scheme.project_points(Box.interval(-20, 20), window)) > 0
+        counts.clear()
+        sys.setprofile(hook)
+        try:
+            text = scheme.project_points(Box.symmetric(800), window).to_csv_text()
+        finally:
+            sys.setprofile(None)
+        assert text.count("\n") > 1000
+        assert all(counts[name] <= limit for name, limit in limits.items()), counts
+        assert set(counts) <= set(limits), counts
+
+
+def scalar_loop_direct(scheme, n):
+    """``direct`` as ``Scalar`` arithmetic, one generator after another."""
+    out = [Scalar(0)] * scheme.d
+    for k, (g, _) in zip(n, scheme.generators):
+        if k:
+            for i in range(scheme.d):
+                out[i] = out[i] + g[i] * k
+    return tuple(out)
+
+
+def direct_map_cases():
+    """Schemes of each direct map, with the map ``_leaf_data`` must choose."""
+    sqrt2 = translate_cps(fibonacci_scheme(), (Scalar.sqrt(2),), 10 ** 6).scheme
+    mixed2 = CutProjectScheme(
+        2,
+        InternalSpace([RealFactor(2)]),
+        [
+            ((Scalar(1), Scalar.from_float(0.5)), InternalSpace([RealFactor(2)]).point((1, 0))),
+            ((Scalar.from_float(float(GOLDEN)), Scalar(0)),
+             InternalSpace([RealFactor(2)]).point((GOLDEN_CONJ, 0))),
+            ((Scalar(0), GOLDEN), InternalSpace([RealFactor(2)]).point((0, GOLDEN_CONJ))),
+            ((Scalar.from_float(-0.0), Scalar(1)), InternalSpace([RealFactor(2)]).point((0, 1))),
+        ],
+    )
+    # the direct row involves pi, the internal row e
+    constants = CutProjectScheme(
+        1,
+        LINE,
+        [((Scalar(1),), LINE.point((0,))), ((Scalar.const("pi"),), LINE.point((Scalar.const("e"),)))],
+    )
+    return [
+        (fibonacci_scheme(), "forms"),
+        (golden_square_scheme()[0], "forms"),
+        (float_scheme(), "float"),
+        (float_scheme(2 ** -3), "float"),
+        (CutProjectScheme.from_obj(cli._floatify(sqrt2.to_obj())), "float"),
+        # its 0.0 entries make -0.0 terms, which the loop adds to 0.0
+        (CutProjectScheme.from_obj(cli._floatify(golden_square_scheme()[0].to_obj())), "float"),
+        (differential_cases()[1][0], "loop"),
+        (mixed2, "loop"),
+        (constants, "loop"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_direct_map_matches_scalar_loop(case):
+    # the one direct map of each scheme gives the Scalar loop's values: the
+    # same exact values, the same float bits, the same exact or float kind
+    from cutproject import scheme as scheme_module
+
+    scheme, kind = direct_map_cases()[case]
+    scheme._leaf_data()
+    direct, points_of, floats_of = scheme._maps
+    forms = direct.args[0]
+    assert kind == (
+        "forms" if all(isinstance(f, LinearForm) for f in forms)
+        else "float" if all(isinstance(f, FloatForm) for f in forms)
+        else "loop" if all(f.func is scheme_module._scalar_sum for f in forms) else None
+    )
+    assert (floats_of is None) == (kind == "loop")
+    rng = random.Random(1700 + case)
+    vectors = [(0,) * scheme.rank] + [
+        tuple(rng.randint(-10 ** 4, 10 ** 4) for _ in range(scheme.rank)) for _ in range(300)
+    ]
+    vectors += [tuple(rng.choice((0, 0, 1, -1)) * x for x in v) for v in vectors[1:40]]
+    for n in vectors:
+        got, want = scheme.direct(n), scalar_loop_direct(scheme, n)
+        assert [repr(v) for v in got] == [repr(v) for v in want], n
+        assert [v.is_exact for v in got] == [v.is_exact for v in want], n
+    # the points of a patch are built one coordinate at a time
+    want = [scalar_loop_direct(scheme, n) for n in vectors]
+    assert [repr(p) for p in points_of(vectors)] == [repr(p) for p in want]
+    assert scheme.direct((0,) * scheme.rank) == (Scalar(0),) * scheme.d
+    assert all(v.is_exact for v in scheme.direct((0,) * scheme.rank))
+    if floats_of is not None:
+        want = [v.to_float() for n in vectors for v in scalar_loop_direct(scheme, n)]
+        assert [repr(x) for x in floats_of(vectors)] == [repr(x) for x in want]
+
+
+def test_zero_dimensional_scheme_patch():
+    # d = 0: every lattice point projects to (), so the patch has one point
+    space = InternalSpace([FiniteCyclicFactor(3)])
+    scheme = CutProjectScheme(0, space, [])
+    patch = scheme.project_points(Box([], []), ProductWindow(space, (ResidueRegion(3, {0}),)))
+    assert patch.points == ((),) and patch.coords == ((),)
+    assert patch.to_csv_text() == "\n\n"
+    assert scheme.direct(()) == ()
 
 
 def test_patch_order_falls_back_to_scalar_sort(monkeypatch):
