@@ -28,7 +28,6 @@ from .windows import (
     ProductWindow,
     UnionWindow,
     Window,
-    check_properties,
     empty_window,
     interval_window,
     window_from_obj,
@@ -56,7 +55,6 @@ __all__ = [
     "TwistedExtensionFactor",
     "UnionWindow",
     "Window",
-    "check_properties",
     "dens_lattice",
     "empty_window",
     "haar_measure",

@@ -257,11 +257,14 @@ def verify_inclusion(a: Patch, b: Patch) -> bool:
 
 
 def verify_equality(a: Patch, b: Patch):
-    """Exact set equality with a first-difference witness: (ok, witness)."""
+    """Exact set equality with a first-difference witness: (ok, witness).
+
+    Exact patches are sorted and distinct, so their sets are equal exactly
+    when their point sequences are."""
     if a.box != b.box:
         raise ValueError("patch boxes differ")
     if _all_exact(a) and _all_exact(b):
-        if a.point_set() == b.point_set():
+        if a.points == b.points:
             return True, None
         diff = sorted(a.point_set() ^ b.point_set())
         return False, diff[0]

@@ -149,7 +149,8 @@ class AlmostModelSetWitness:
             if self.rule(n):
                 points.append(p)
                 coords.append(n)
-        return Patch(points, box, self.scheme.scheme_id, coords)
+        # a filter of a projected patch keeps its order
+        return Patch._kept(tuple(points), box, self.scheme.scheme_id, tuple(coords))
 
     def to_obj(self):
         return {
@@ -267,8 +268,7 @@ def limit_patch_check(
             if improved or not patches:
                 s_k = scheme.direct(best[0])
                 neg = tuple(-v for v in s_k)
-                gamma = witness.gamma_patch(K.translate(neg)).translate(s_k)
-                patches.append(Patch(gamma.points, K))
+                patches.append(witness.gamma_patch(K.translate(neg)).translate(s_k))
             else:
                 patches.append(patches[-1])
             final_set = patches[-1].point_set()
@@ -422,7 +422,7 @@ def hull_classification_check(
     if corrupt is not None:
         config = corrupt(config)
     shifted_box = K.translate(x.s)
-    config = Patch([tuple(c + v for c, v in zip(p, x.s)) for p in config.points], shifted_box)
+    config = config.translate(x.s)
     if all(v.is_zero() for v in x.s):
         scheme2 = scheme
         lift = lambda w: w  # noqa: E731

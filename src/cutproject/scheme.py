@@ -120,8 +120,11 @@ class AveragingSequence:
 class Patch:
     """Finite sorted point set in direct space with provenance.
 
-    An ordered patch of ``_of_leaves`` builds its points from ``coords`` by
-    its scheme's direct map on first access; its CSV floats come from ``coords``."""
+    The points are sorted, distinct and inside the box.  ``__init__`` makes
+    them so for data from outside; a patch derived inside the library keeps
+    its parent's order (``_kept``).  An ordered patch of ``_of_leaves``
+    builds its points from ``coords`` by its scheme's direct map on first
+    access; its CSV floats come from ``coords``."""
 
     __slots__ = ("_points", "box", "scheme_id", "coords", "_scheme")
 
@@ -133,7 +136,21 @@ class Patch:
             if not box.contains(p):
                 raise ValueError(f"patch point {p!r} outside its box")
             checked.append((p, tuple(int(x) for x in c) if c is not None else None))
-        self._fill(checked, box, scheme_id, coords is not None)
+        pts, crd = _sorted_distinct(checked)
+        self._points, self.box, self.scheme_id, self._scheme = pts, box, scheme_id, None
+        self.coords = crd if coords is not None else None
+
+    @classmethod
+    def _kept(cls, points, box: Box, scheme_id: str, coords, scheme=None) -> "Patch":
+        """Patch of ``points`` already sorted, distinct and inside ``box``, unchecked.
+
+        With ``points`` None, the points are ``scheme``'s direct images of
+        ``coords``, built on first access.
+        """
+        patch = cls.__new__(cls)
+        patch._points, patch.box, patch.scheme_id = points, box, scheme_id
+        patch.coords, patch._scheme = coords, scheme
+        return patch
 
     @classmethod
     def _of_leaves(cls, coords, box: Box, scheme, ordered: bool) -> "Patch":
@@ -143,28 +160,10 @@ class Patch:
         images (``_separated``), and the points are built on first access;
         else they are built, sorted and deduplicated as in ``__init__``.
         """
-        patch = cls.__new__(cls)
-        if not ordered:
-            patch._fill(list(zip(scheme._maps[1](coords), coords)), box, scheme.scheme_id, True)
-            return patch
-        patch.box, patch.scheme_id, patch._scheme = box, scheme.scheme_id, scheme
-        patch._points, patch.coords = None, tuple(coords)
-        return patch
-
-    def _fill(self, pairs, box, scheme_id, with_coords):
-        pairs.sort(key=lambda pc: pc[0])
-        pts = []
-        crd = []
-        for p, c in pairs:
-            if pts and pts[-1] == p:
-                continue
-            pts.append(p)
-            crd.append(c)
-        self._points = tuple(pts)
-        self.box = box
-        self.scheme_id = scheme_id
-        self.coords = tuple(crd) if with_coords else None
-        self._scheme = None
+        if ordered:
+            return cls._kept(None, box, scheme.scheme_id, tuple(coords), scheme)
+        pts, crd = _sorted_distinct(list(zip(scheme._maps[1](coords), coords)))
+        return cls._kept(pts, box, scheme.scheme_id, crd)
 
     @property
     def points(self) -> tuple:
@@ -192,22 +191,21 @@ class Patch:
         return frozenset(self.points)
 
     def translate(self, vec) -> "Patch":
+        """The patch moved by ``vec``.  Exact addition of one vector keeps the
+        strict order and the closed box's membership; a float point takes the
+        checked path, since rounding keeps neither."""
         vec = tuple(Scalar.of(v) for v in vec)
-        return Patch(
-            [tuple(x + v for x, v in zip(p, vec)) for p in self.points],
-            self.box.translate(vec),
-            self.scheme_id,
-            self.coords,
-        )
+        points = tuple(tuple(x + v for x, v in zip(p, vec)) for p in self.points)
+        box = self.box.translate(vec)
+        if all(v.is_exact for v in vec) and all(x.is_exact for p in points for x in p):
+            return Patch._kept(points, box, self.scheme_id, self.coords)
+        return Patch(points, box, self.scheme_id, self.coords)
 
     def restrict(self, box: Box) -> "Patch":
+        """The points inside ``box``, a subsequence in the patch's order."""
         keep = [i for i, p in enumerate(self.points) if box.contains(p)]
-        return Patch(
-            [self.points[i] for i in keep],
-            box,
-            self.scheme_id,
-            [self.coords[i] for i in keep] if self.coords is not None else None,
-        )
+        coords = tuple(self.coords[i] for i in keep) if self.coords is not None else None
+        return Patch._kept(tuple(self.points[i] for i in keep), box, self.scheme_id, coords)
 
     def to_obj(self):
         out = {
@@ -919,6 +917,20 @@ def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
             yield prefix + (v,), c_lo, c_hi
         else:
             yield from _triangular_walk(levels, ranges, targets, prefix + (v,), c_lo, c_hi)
+
+
+def _sorted_distinct(pairs) -> tuple[tuple, tuple]:
+    """The points of ``(point, coords)`` pairs sorted and deduplicated by
+    ``Scalar`` comparison, and the coordinates of the points kept."""
+    pairs.sort(key=lambda pc: pc[0])
+    pts = []
+    crd = []
+    for p, c in pairs:
+        if pts and pts[-1] == p:
+            continue
+        pts.append(p)
+        crd.append(c)
+    return tuple(pts), tuple(crd)
 
 
 def _separated(leaves) -> bool:

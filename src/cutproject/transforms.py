@@ -225,8 +225,7 @@ def _translation_patch_check(scheme, scheme2, a, window, box, n: int) -> bool:
     back = tuple(-v for v in shift)
     lhs = scheme.project_points(box.translate(back), window).translate(shift)
     rhs = scheme2.project_points(box, lift_window(window, n, scheme2))
-    lhs = Patch(lhs.points, box, lhs.scheme_id)
-    ok, _ = verify_equality(lhs, Patch(rhs.points, box, rhs.scheme_id))
+    ok, _ = verify_equality(lhs, rhs)
     return ok
 
 
@@ -234,9 +233,7 @@ def _full_torus_patch_check(scheme, scheme2, window, box) -> bool:
     lifted = lift_window_torus(window, scheme2.space, len(scheme2.space.factors) - 1)
     lhs = scheme.project_points(box, window)
     rhs = scheme2.project_points(box, lifted)
-    ok, _ = verify_equality(
-        Patch(lhs.points, box, lhs.scheme_id), Patch(rhs.points, box, rhs.scheme_id)
-    )
+    ok, _ = verify_equality(lhs, rhs)
     return ok
 
 
@@ -580,7 +577,7 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     directs = (scheme.direct(n) for n, _, _ in witness.admitted)
     gamma_patch = Patch([g for g in directs if box.contains(g)], box)
     projected = scheme.project_points(box, window2)
-    ok, diff = verify_equality(gamma_patch, Patch(projected.points, box))
+    ok, diff = verify_equality(gamma_patch, projected)
     cert = TransformCertificate(
         kind="WindowAugmentation",
         input_scheme=scheme.scheme_id,

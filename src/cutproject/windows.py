@@ -835,20 +835,9 @@ def _circle_shift(iset: IntervalSet, s) -> IntervalSet:
 
 @dataclass(frozen=True)
 class WindowProperties:
-    precompact: bool
     has_interior: bool
     topologically_regular: bool
     measure_regular: bool
-    measurable: bool = True
-
-    def to_obj(self):
-        return {
-            "precompact": self.precompact,
-            "has_interior": self.has_interior,
-            "topologically_regular": self.topologically_regular,
-            "measure_regular": self.measure_regular,
-            "measurable": self.measurable,
-        }
 
 
 class Window:
@@ -867,7 +856,6 @@ class Window:
 
     def properties(self) -> WindowProperties:
         return WindowProperties(
-            precompact=True,
             has_interior=not self.interior().is_empty(),
             topologically_regular=self._top_regular(),
             measure_regular=self.boundary_measure().is_zero(),
@@ -1245,11 +1233,6 @@ def _region_from_obj(factor, obj):
     if kind not in _REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
     return _REGION_KINDS[kind].from_obj(factor, obj)
-
-
-def check_properties(window: Window) -> WindowProperties:
-    """Precompactness, interior, topological and measure regularity flags."""
-    return window.properties()
 
 
 def eq11_chain(base: Window, augmented: Window) -> bool:

@@ -1042,6 +1042,117 @@ def test_project_points_set_up_work_count():
         assert counts == {}, counts
 
 
+def profile_counts(call, watched):
+    """Run ``call`` under a profile hook counting calls of the code objects
+    ``watched`` maps to names."""
+    counts = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[watched[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def test_patch_checks_work_count():
+    # the certificate checks compare the patches they were given: no patch is
+    # rebuilt through the checked constructor, and two equal exact patches
+    # are compared on their order without hashing a point
+    from cutproject.analysis import verify_equality
+
+    watched = {Patch.__init__.__code__: "Patch.__init__", Scalar.__hash__.__code__: "hash"}
+    fib, window = fibonacci_scheme(), fibonacci_window()
+    # the hook sees what it counts
+    counts = profile_counts(lambda: hash(Patch([(Scalar(1) / 3,)], Box.interval(0, 1))), watched)
+    assert counts["Patch.__init__"] == 1 and counts["hash"] >= 1
+    calls = [
+        lambda: translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6, window=window),
+        lambda: extend_injective(fib, (Scalar.root(2, 3),), window=window),
+    ]
+    for call in calls:
+        assert profile_counts(call, watched)["Patch.__init__"] == 0
+    a = fib.project_points(Box.symmetric(40), window)
+    b = fib.project_points(Box.symmetric(40), window)
+    assert profile_counts(lambda: verify_equality(a, b), watched) == {}
+    assert verify_equality(a, b) == (True, None)
+    # a point outside its box is still refused from outside
+    obj = a.to_obj()
+    obj["box"] = Box.symmetric(10).to_obj()
+    with pytest.raises(ValueError, match="outside its box"):
+        Patch.from_obj(obj)
+
+
+def derived_patch_cases():
+    """(name, patch, exact vector, float vector or None, sub-box) for each kind
+    of patch: the ordered patch of a separated enumeration, the sorted patches
+    of a non-injective scheme and of d = 2, a float scheme's, d = 0, empty."""
+    coincident = CutProjectScheme(
+        1,
+        LINE,
+        [((Scalar(1),), LINE.point((1,))), ((Scalar(1),), LINE.point((Scalar.sqrt(2),)))],
+        require_injective=False,
+    )
+    square, square_w = golden_square_scheme()
+    zero_space = InternalSpace([FiniteCyclicFactor(3)])
+    zero = CutProjectScheme(0, zero_space, [])
+    half = Scalar.from_float(0.25)
+    fib_w = interval_window(LINE, -1, GOLDEN - 1)
+    return [
+        ("ordered", fibonacci_scheme().project_points(Box.interval(-300, 250), fib_w),
+         (Scalar.sqrt(2),), (half,), Box.interval(-40, GOLDEN * 20)),
+        ("coincident", coincident.project_points(Box.interval(-5, 5), interval_window(LINE, -3, 3)),
+         (Fraction(1, 3),), (half,), Box.interval(-2, 4)),
+        ("square", square.project_points(Box([-8, -8], [8, 8]), square_w),
+         (GOLDEN, Fraction(-1, 2)), (half, half), Box([-3, -8], [GOLDEN, 5])),
+        ("float", float_scheme().project_points(
+            Box.interval(-300, 250), interval_window(LINE, -1.0, float(GOLDEN - 1))),
+         (GOLDEN,), (half,), Box.interval(Scalar.from_float(-40.5), 70)),
+        ("d = 0", zero.project_points(Box([], []), ProductWindow(zero_space, (ResidueRegion(3, {0}),))),
+         (), None, Box([], [])),
+        ("empty", fibonacci_scheme().project_points(Box.interval(Fraction(1, 10), Fraction(1, 5)), fib_w),
+         (Fraction(1, 3),), (half,), Box.interval(0, 1)),
+    ]
+
+
+def test_derived_patches_match_checked_constructor():
+    # translate and restrict keep their parent's order; the checked
+    # constructor, given the same points shuffled, must agree on every field
+    rng = random.Random(18)
+
+    def checked(points, box, patch, coords):
+        pairs = list(zip(points, coords)) if coords is not None else [(p, None) for p in points]
+        rng.shuffle(pairs)
+        return Patch(
+            [p for p, _ in pairs], box, patch.scheme_id,
+            [c for _, c in pairs] if coords is not None else None,
+        )
+
+    def same(derived, oracle):
+        assert [repr(p) for p in derived.points] == [repr(p) for p in oracle.points]
+        assert derived.coords == oracle.coords
+        assert derived.box == oracle.box and derived.scheme_id == oracle.scheme_id
+        assert len(derived) == len(oracle)
+
+    for name, patch, exact_v, float_v, sub_box in derived_patch_cases():
+        assert (len(patch) == 0) == (name == "empty"), name
+        for vec in (exact_v, float_v):
+            if vec is None:
+                continue
+            moved = [tuple(x + v for x, v in zip(p, vec)) for p in patch.points]
+            oracle = checked(moved, patch.box.translate(vec), patch, patch.coords)
+            same(patch.translate(vec), oracle)
+        keep = [i for i, p in enumerate(patch.points) if sub_box.contains(p)]
+        assert name in ("d = 0", "empty") or 0 < len(keep) < len(patch), name
+        coords = [patch.coords[i] for i in keep]
+        same(patch.restrict(sub_box), checked([patch.points[i] for i in keep], sub_box, patch, coords))
+
+
 def test_patch_csv_from_coords_work_count():
     # project_points and the CSV of the fresh patch build no point of a
     # decided leaf: on exact Fibonacci only the two leaves that take the
@@ -1185,14 +1296,14 @@ def test_patch_order_falls_back_to_scalar_sort(monkeypatch):
     from cutproject import scheme as scheme_module
 
     fills = 0
-    fill = Patch._fill
+    fill = scheme_module._sorted_distinct
 
-    def counted(self, *args):
+    def counted(*args):
         nonlocal fills
         fills += 1
-        return fill(self, *args)
+        return fill(*args)
 
-    monkeypatch.setattr(Patch, "_fill", counted)
+    monkeypatch.setattr(scheme_module, "_sorted_distinct", counted)
     coincident = CutProjectScheme(
         1,
         LINE,

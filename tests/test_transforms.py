@@ -395,3 +395,62 @@ def test_theorem_suite_redecides_injectivity(tmp_path):
     ])
     assert code == 1
     assert json.loads(out.read_text())["checks"][0]["passed"] is False
+
+
+def test_theorem_suite_fails_a_tampered_translation(tmp_path):
+    # the certificate of sqrt(2), re-verified as if it were sqrt(3): the
+    # re-run patch comparison must find the patches differ
+    from cutproject import cli
+
+    files = {name: tmp_path / f"{name}.json" for name in ("base", "ext", "cert", "report")}
+    files["base"].write_text(json.dumps(fibonacci_scheme().to_obj()))
+    code = cli.main([
+        "transform", "translate", "--scheme", "builtin:fibonacci", "--a", "sqrt(2)",
+        "--window", "builtin:fibonacci", "--box=-40:40",
+        "--out-scheme", str(files["ext"]), "--out-cert", str(files["cert"]),
+    ])
+    assert code == 0
+    cert = json.loads(files["cert"].read_text())
+    assert cert["data"]["a"] == [Scalar.sqrt(2).to_obj()]
+    cert["data"]["a"] = [Scalar.sqrt(3).to_obj()]
+    files["cert"].write_text(json.dumps(cert))
+    code = cli.main([
+        "verify", "--suite", "theorem", "--scheme", str(files["base"]),
+        "--scheme2", str(files["ext"]), "--cert", str(files["cert"]),
+        "--out", str(files["report"]),
+    ])
+    assert code == 1
+    checks = {c["name"]: c["passed"] for c in json.loads(files["report"].read_text())["checks"]}
+    assert checks["patch-translation"] is False
+
+
+def test_full_torus_patch_check_fails_on_another_base():
+    # the extension of Fibonacci against a base whose direct generators are
+    # doubled: every patch point moves, so the comparison must fail
+    scheme, w = fibonacci_scheme(), fib_window()
+    ext = extend_injective(scheme, (Scalar.root(2, 3),), window=w)
+    box = Box.symmetric(20)
+    assert transforms._full_torus_patch_check(scheme, ext.scheme, w, box)
+    doubled = CutProjectScheme(
+        1, scheme.space, [(tuple(2 * v for v in g), h) for g, h in scheme.generators]
+    )
+    assert not transforms._full_torus_patch_check(doubled, ext.scheme, w, box)
+
+
+def test_almost_to_model_fails_a_tampered_witness():
+    # a point the rule admits outside the lower window, marked as a lower
+    # point, loses its star from the augmented window but stays in the rule's
+    # set: the membership patch check must see the difference
+    from cutproject.hull import AlmostModelSetWitness, GammaRule
+
+    scheme, upper = fibonacci_scheme(), fib_window()
+    lower = upper.interior()
+    witness = AlmostModelSetWitness(scheme, lower, upper, GammaRule(upper.closure()), 30)
+    assert transforms.almost_to_model(witness).certificate.passed
+    dropped = next(n for n, _, in_lower in witness.admitted if not in_lower)
+    witness.admitted = [(n, h, in_lower or n == dropped) for n, h, in_lower in witness.admitted]
+    with pytest.raises(CertificationError) as info:
+        transforms.almost_to_model(witness)
+    checks = {c.name: c for c in info.value.witness.checks}
+    assert not checks["membership-patch"].passed
+    assert checks["membership-patch"].detail["witness_point"] == [float(scheme.direct(dropped)[0])]

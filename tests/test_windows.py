@@ -59,7 +59,7 @@ def test_fibonacci_interval_window_ops():
     assert w.closure() == interval_window(LINE, -1, GOLDEN - 1, True, True)
     assert w.boundary_measure().is_zero()
     props = w.properties()
-    assert props.precompact and props.has_interior
+    assert props.has_interior
     assert props.topologically_regular and props.measure_regular
 
 
