@@ -16,8 +16,14 @@ from functools import cache, lru_cache
 from . import analysis, hull, transforms
 from .fibonacci import fibonacci_scheme, fibonacci_window
 from .scalars import Scalar, parse_scalar
-from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, EnumerationOverflowError
-from .windows import Window, interval_window, window_from_obj
+from .scheme import (
+    DEFAULT_MAX_CANDIDATES,
+    Box,
+    CutProjectScheme,
+    EnumerationOverflowError,
+    SchemeError,
+)
+from .windows import OutOfCertifiedRangeError, Window, interval_window, window_from_obj
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -263,7 +269,10 @@ def cmd_transform(args) -> int:
             raise InputError("augment needs --witness")
         witness = load_witness(args.witness, scheme)
         box = parse_box(args.box, scheme.d) if args.box else None
-        aug = transforms.almost_to_model(witness, box=box)
+        try:
+            aug = transforms.almost_to_model(witness, box=box)
+        except OutOfCertifiedRangeError as exc:
+            raise InputError(f"--box reaches beyond the witness's truncation: {exc}") from exc
         _dump_json(aug.window.to_obj(), args.out_window)
         _dump_json(aug.certificate.to_obj(), args.out_cert)
         return EXIT_OK
@@ -458,7 +467,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, SchemeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EnumerationOverflowError as exc:

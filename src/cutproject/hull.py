@@ -327,7 +327,7 @@ def _member_corner_points(space: InternalSpace, member: ProductWindow) -> list[H
 def _shifted_star_hits(scheme: CutProjectScheme, t: HPoint, difference_points, truncation: int):
     """Yield, in order over the points e, truncated n with star(n) = t + e."""
     for e in difference_points:
-        n = transforms.star_preimage(scheme, scheme.space.add(t, e), 2)
+        n = scheme.star_preimage(scheme.space.add(t, e))
         if n is not None and all(abs(x) <= truncation for x in n):
             yield n
 

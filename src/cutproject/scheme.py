@@ -796,31 +796,53 @@ class CutProjectScheme:
                 return Commensurability("commensurate", m=m, n=tuple(n), heuristic=True)
         return Commensurability("unknown", heuristic=True)
 
-    # -- star-map injectivity -----------------------------------------------------------
+    # -- the star map's exact system ----------------------------------------------------
 
-    def star_kernel_witness(self):
-        """Exact search for nonzero n with star(n) = 0; None means injective.
+    def _star_system(self, p: HPoint):
+        """Rational system equivalent to ``star(n) = p``.
 
-        Builds the combined linear/congruence system over the generator
-        coordinates plus one auxiliary unknown per congruence (cyclic
-        modulus, torus lattice vector, twist carry, also inside a twisted
-        base) and inspects its rational kernel.
+        Its unknowns are the generator coordinates n, then one auxiliary
+        unknown per congruence (cyclic modulus, torus lattice vector, twist
+        carry, also inside a twisted base).
         """
         space = self.space
         cols = [space.kernel_values(h) for _, h in self.generators]
         cols += [space.kernel_values(rel) for rel in space.kernel_relations()]
-        if not all(v.is_exact for col in cols for v in col):
-            raise SchemeError("exact star-injectivity needs exact generators")
-        rows_scalar = [list(row) for row in zip(*cols)]
-        if not rows_scalar:
-            return None
-        mono, _ = _monomial_system(rows_scalar, [Scalar(0)] * len(rows_scalar))
-        for vec in ratmath.kernel(mono):
+        target = space.kernel_values(p)
+        if not all(v.is_exact for col in cols for v in col) or not all(
+            v.is_exact for v in target
+        ):
+            raise SchemeError("exact star-map questions need exact generators")
+        return _monomial_system([list(row) for row in zip(*cols)], target)
+
+    def star_kernel_witness(self):
+        """Exact search for nonzero n with star(n) = 0; None means injective.
+
+        Inspects the rational kernel of the star system over all of Z^r.
+        """
+        mat, _ = self._star_system(self.space.zero())
+        for vec in ratmath.kernel(mat):
             ints = ratmath.clear_denominators(vec)
             n = tuple(ints[: self.rank])
             if any(n) and self.star(n) == self.space.zero():
                 return n
         return None
+
+    def star_preimage(self, p: HPoint):
+        """The lattice coordinates n with star(n) = p, or None.
+
+        Raises ``SchemeError`` when the star map is not injective, since a
+        preimage is then not unique; otherwise the generator part of one
+        rational solution is the only candidate.
+        """
+        mat, rhs = self._star_system(p)
+        if any(any(vec[: self.rank]) for vec in ratmath.kernel(mat)):
+            raise SchemeError("star map is not injective: preimages are not unique")
+        sol = ratmath.solve(mat, rhs)
+        if sol is None or any(x.denominator != 1 for x in sol[: self.rank]):
+            return None
+        n = tuple(int(x) for x in sol[: self.rank])
+        return n if self.star(n) == p else None
 
     # -- serialization ------------------------------------------------------------------------
 

@@ -12,7 +12,6 @@ on, and heuristic bounds where a complete decision is impossible.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .internal_space import (
 )
 from .relations import RelationCertificate, certify_independent
 from .scalars import Scalar
-from .scheme import Box, CutProjectScheme, Patch, SchemeError, _monomial_system
+from .scheme import Box, CutProjectScheme, SchemeError
 from .windows import (
     AugmentedWindow,
     IntSetRegion,
@@ -446,10 +445,10 @@ def extend_injective(
     The diagonal must pass the generic-lattice certification against the
     generator direct parts together with the annihilator projection
     generators, which must be exact (float ones raise ``ValueError``).
-    Injectivity is then decided once by ``star_kernel``: the exact kernel
-    proof, or the pairwise walk over ``|n_i| <= injectivity_bound`` for an
-    inexact extended scheme.  The certificate records that decision and,
-    given a window, a full-torus patch-equality check.
+    Injectivity is then decided once by the exact kernel proof
+    ``star_kernel_witness``; ``injectivity_bound`` is only recorded.  The
+    certificate records that decision and, given a window, a full-torus
+    patch-equality check.
     """
     diag = tuple(Scalar.of(c) for c in (diag if isinstance(diag, (tuple, list)) else (diag,)))
     if len(diag) != scheme.d:
@@ -471,7 +470,7 @@ def extend_injective(
     for g, h in scheme.generators:
         gens2.append((g, space2.point(*h.coords, g)))
     scheme2 = CutProjectScheme(scheme.d, space2, gens2)
-    kernel, detail = star_kernel(scheme2, injectivity_bound)
+    kernel = scheme2.star_kernel_witness()
     if kernel is not None:
         raise InjectivityError("extended star map has a kernel vector", kernel)
     cert = TransformCertificate(
@@ -484,7 +483,7 @@ def extend_injective(
             "injectivity_bound": injectivity_bound,
         },
     )
-    cert.checks.append(CertCheck("star-injective", True, detail))
+    cert.checks.append(CertCheck("star-injective", True, {"method": "exact-kernel"}))
     if window is not None:
         if box is None:
             box = Box.symmetric(DEFAULT_CHECK_RADIUS, scheme.d)
@@ -531,19 +530,6 @@ def star_injectivity_exhaustive(scheme: CutProjectScheme, bound: int):
     return True, None
 
 
-def star_kernel(scheme: CutProjectScheme, bound: int):
-    """A nonzero n with star(n) = 0 (None when injective) and how it was decided.
-
-    Exact generators get ``star_kernel_witness``, a proof over all of Z^r;
-    float generators fall back to the pairwise walk over ``|n_i| <= bound``.
-    """
-    try:
-        return scheme.star_kernel_witness(), {"method": "exact-kernel"}
-    except SchemeError:
-        _, collision = star_injectivity_exhaustive(scheme, bound)
-        return collision, {"method": "exhaustive", "bound": bound}
-
-
 # ---------------------------------------------------------------------------
 # Window augmentation for almost model sets
 
@@ -561,12 +547,13 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     a membership rule on lattice coordinates with U-points mandatory and
     W-points permitted, bracketed on its truncation cube when it was built.
     The augmented window is U plus the stars of the points the rule admits
-    outside U, taken from the cube points the witness admitted.  The
-    contract patch equality is checked on ``box`` (default: the largest
-    symmetric box certified by the truncation).
+    outside U, taken from the cube points the witness admitted.  Its
+    projection is checked against the rule's own patch
+    (``witness.gamma_patch``) on ``box`` (default: the largest symmetric box
+    certified by the truncation).
     """
     scheme, truncation = witness.scheme, witness.truncation
-    kernel, _ = star_kernel(scheme, truncation)
+    kernel = scheme.star_kernel_witness()
     if kernel is not None:
         raise InjectivityError("star map is not injective", kernel)
     stars = [h for _, h, in_lower in witness.admitted if not in_lower]
@@ -574,8 +561,7 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     window2 = AugmentedWindow(witness.lower, stars, certifier)
     if box is None:
         box = certified_box(scheme, witness.upper.closure(), truncation)
-    directs = (scheme.direct(n) for n, _, _ in witness.admitted)
-    gamma_patch = Patch([g for g in directs if box.contains(g)], box)
+    gamma_patch = witness.gamma_patch(box)
     projected = scheme.project_points(box, window2)
     ok, diff = verify_equality(gamma_patch, projected)
     cert = TransformCertificate(
@@ -609,55 +595,12 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
 
 def _star_range_certifier(scheme: CutProjectScheme, truncation: int):
     def certifier(p: HPoint) -> bool:
-        n = star_preimage(scheme, p, truncation)
+        n = scheme.star_preimage(p)
         if n is None:
             return True
         return all(abs(x) <= truncation for x in n)
 
     return certifier
-
-
-def star_preimage(scheme: CutProjectScheme, p: HPoint, search_bound: int = 0):
-    """Lattice coordinates with star(n) = p, or None.
-
-    Solves the continuous part exactly; when that system is degenerate a
-    bounded search over the kernel directions finishes the job.
-    """
-    rows = []
-    rhs = []
-    for idx, f in enumerate(scheme.space.factors):
-        if f.kernel_relations():
-            continue  # coordinates under congruences are not linear in n
-        cols = [f.kernel_values(h.coords[idx]) for _, h in scheme.generators]
-        for w, target in enumerate(f.kernel_values(p.coords[idx])):
-            rows.append([col[w] for col in cols])
-            rhs.append(target)
-    if not rows:
-        return None
-    if not all(v.is_exact for row in rows for v in row) or not all(
-        v.is_exact for v in rhs
-    ):
-        return None
-    mat, vec = _monomial_system(rows, rhs)
-    sol = ratmath.solve(mat, vec)
-    if sol is None:
-        return None
-    kern = ratmath.kernel(mat)
-    if not kern:
-        if any(x.denominator != 1 for x in sol):
-            return None
-        n = tuple(int(x) for x in sol)
-        return n if scheme.star(n) == p else None
-    # degenerate continuous part: finish with a bounded search
-    for shifts in itertools.product(range(-search_bound, search_bound + 1), repeat=len(kern)):
-        cand = list(sol)
-        for s, k in zip(shifts, kern):
-            cand = [c + s * kc for c, kc in zip(cand, k)]
-        if all(x.denominator == 1 for x in cand):
-            n = tuple(int(x) for x in cand)
-            if scheme.star(n) == p:
-                return n
-    return None
 
 
 def certified_box(scheme: CutProjectScheme, window: Window, truncation: int) -> Box:
@@ -720,8 +663,8 @@ def reverify_certificate(
             ok = _full_torus_patch_check(scheme, scheme2, window, box)
             out.append(CertCheck(check.name, ok, check.detail))
         elif check.name == "star-injective":
-            kernel, detail = star_kernel(scheme2, cert.data["injectivity_bound"])
-            out.append(CertCheck(check.name, kernel is None, detail))
+            kernel = scheme2.star_kernel_witness()
+            out.append(CertCheck(check.name, kernel is None, {"method": "exact-kernel"}))
         elif check.name == "pair-in-lattice":
             a = tuple(Scalar.from_obj(v) for v in cert.data["a"])
             b = HPoint.from_obj(scheme2.space, cert.data["b"])

@@ -371,6 +371,32 @@ def witness_file(tmp_path, truncation=25):
     return path
 
 
+@pytest.mark.parametrize("command", ["augment", "hull", "theorem"])
+def test_float_scheme_star_questions_are_input_errors(tmp_path, capsys, command):
+    # injectivity and star preimages are decided on exact generators only,
+    # so a float scheme is refused with exit 2, not walked or passed
+    float_file = str(float_fibonacci_file(tmp_path))
+    wfile = str(witness_file(tmp_path))
+    out = str(tmp_path / "out.json")
+    if command == "augment":
+        argv = ["transform", "augment", "--scheme", float_file, "--witness", wfile,
+                "--out-window", out, "--out-cert", str(tmp_path / "c.json")]
+    elif command == "hull":
+        argv = ["verify", "--suite", "hull", "--scheme", float_file, "--witness", wfile,
+                "--box=-8:8", "--targets", "1", "--truncation", "100", "--out", out]
+    else:
+        ext, cert = tmp_path / "ext.json", tmp_path / "cert.json"
+        assert run(["transform", "extend", "--scheme", "builtin:fibonacci", "--c", "root(2,3)",
+                    "--out-scheme", str(ext), "--out-cert", str(cert)]) == 0
+        ext.write_text(json.dumps(cli._floatify(json.loads(read(ext)))))
+        argv = ["verify", "--suite", "theorem", "--scheme", "builtin:fibonacci",
+                "--scheme2", str(ext), "--cert", str(cert), "--out", out]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "exact generators" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_transform_augment(tmp_path):
     wfile = witness_file(tmp_path)
     code = run(
@@ -386,6 +412,24 @@ def test_transform_augment(tmp_path):
     w = json.loads(read(tmp_path / "w.json"))
     assert w["kind"] == "augmented"
     assert len(w["stars"]) >= 1
+
+
+def test_transform_augment_box_beyond_the_truncation(tmp_path, capsys):
+    # the rule is known on the truncation cube only, so a box that reaches
+    # past it cannot be checked: an input error, not a failed certificate
+    code = run(
+        [
+            "transform", "augment",
+            "--scheme", "builtin:fibonacci",
+            "--witness", str(witness_file(tmp_path)),
+            "--box=-500:500",
+            "--out-window", str(tmp_path / "w.json"),
+            "--out-cert", str(tmp_path / "c.json"),
+        ]
+    )
+    assert code == 2
+    assert "beyond the witness's truncation" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_verify_density(tmp_path):

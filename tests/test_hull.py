@@ -331,3 +331,31 @@ def test_witness_serialization():
     again = AlmostModelSetWitness.from_obj(scheme, obj)
     box = Box.symmetric(20)
     assert again.gamma_patch(box) == witness.gamma_patch(box)
+
+
+def golden_third_extension():
+    """The golden/3 translation extension: its one factor is twisted."""
+    return transforms.translate_cps(fibonacci_scheme(), (GOLDEN / 3,), 100).scheme
+
+
+def test_shift_avoidance_sees_twisted_stars():
+    # a shift onto a star of the twisted extension is not avoiding
+    tw = golden_third_extension()
+    assert check_shift_avoidance(tw, tw.star((1, 2)), [tw.space.zero()], 10) == (False, (1, 2))
+
+
+def test_twisted_augmented_window_refuses_far_stars():
+    # the certifier recognises stars of lattice points beyond the truncation
+    # in the twisted extension and refuses to answer for them
+    from cutproject.windows import OutOfCertifiedRangeError
+
+    tw = golden_third_extension()
+    upper = transforms.lift_window(fibonacci_window().closure(), 1, tw)
+    lower = transforms.lift_window(fibonacci_window().interior(), 1, tw)
+    aug = transforms.almost_to_model(AlmostModelSetWitness(tw, lower, upper, GammaRule(upper), 30))
+    assert aug.certificate.passed
+    for n in ((200, -100), (-150, 90), (300, 7), (-80, -250)):
+        far = tw.star(n)
+        assert not aug.window.open_part.contains(far)
+        with pytest.raises(OutOfCertifiedRangeError):
+            aug.window.contains(far)

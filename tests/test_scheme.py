@@ -37,6 +37,7 @@ from cutproject.scheme import (
 )
 from cutproject.transforms import (
     extend_injective,
+    iter_lattice_stars,
     lift_window,
     lift_window_torus,
     star_injectivity_exhaustive,
@@ -430,6 +431,38 @@ def test_kernel_proof_agrees_with_the_cube_walk():
             assert injective_on_cube or witness is not None
             outcomes.add((family, injective_on_cube))
     assert len(outcomes) == 10, sorted(outcomes)
+
+
+def test_star_preimage_inverts_the_star_map():
+    # every star of the cube |n_i| <= 3 has its own coordinates as its one
+    # preimage, on every factor family and on the golden/3 twisted extension;
+    # a scheme with a star kernel has no unique preimage
+    rng = random.Random(2024)
+    injective, kernels = [], []
+    for family in ("real", "integer", "cyclic", "torus", "twisted"):
+        for _ in range(12):
+            scheme = random_kernel_scheme(rng, family)
+            (kernels if scheme.star_kernel_witness() else injective).append(scheme)
+    assert injective and kernels
+    injective.append(translate_cps(fibonacci_scheme(), (GOLDEN / 3,), 100).scheme)
+    for scheme in injective:
+        for n, h in iter_lattice_stars(scheme, 3):
+            assert scheme.star_preimage(h) == n
+    for scheme in kernels:
+        with pytest.raises(SchemeError, match="not injective"):
+            scheme.star_preimage(scheme.space.zero())
+
+
+def test_star_preimage_on_a_twisted_scheme():
+    # the twisted factor carries the whole internal space: its coordinates
+    # take part in the system like any other factor's
+    tw = translate_cps(fibonacci_scheme(), (GOLDEN / 3,), 100).scheme
+    assert isinstance(tw.space.factors[0], TwistedExtensionFactor)
+    assert tw.star_preimage(tw.star((0, 0))) == (0, 0)
+    assert tw.star_preimage(tw.star((1, 2))) == (1, 2)
+    base = tw.space.factors[0].base
+    off = tw.space.add(tw.star((1, 2)), tw.space.point((base.point((Fraction(1, 7),)), 0)))
+    assert tw.star_preimage(off) is None
 
 
 def test_rank_law_enforced():

@@ -240,19 +240,30 @@ def test_exhaustive_injectivity_collision_detection():
 
 
 def test_star_kernel_walks_only_float_generators():
+    # no cube walk is left: a float scheme is refused wherever injectivity
+    # is decided, since only exact generators have a kernel proof
+    from cutproject.hull import AlmostModelSetWitness, GammaRule
+    from cutproject.scheme import SchemeError
+
     f = Scalar.from_float
-    assert transforms.star_kernel(fibonacci_scheme(), 3) == (None, {"method": "exact-kernel"})
-    golden = f(1.618033988749895)
-    float_fib = CutProjectScheme(
-        1, LINE, [((f(1.0),), LINE.point((f(1.0),))), ((golden,), LINE.point((f(-0.618033988749895),)))]
+    assert fibonacci_scheme().star_kernel_witness() is None
+    float_fib = CutProjectScheme(1, LINE, [
+        ((f(1.0),), LINE.point((f(1.0),))),
+        ((f(1.618033988749895),), LINE.point((f(-0.618033988749895),))),
+    ])
+    upper = fib_window()
+    witness = AlmostModelSetWitness(
+        float_fib, upper.interior(), upper, GammaRule(upper.closure()), 10
     )
-    assert transforms.star_kernel(float_fib, 3) == (None, {"method": "exhaustive", "bound": 3})
-    degenerate = CutProjectScheme(
-        1, LINE, [((f(1.0),), LINE.point((f(0.0),))), ((golden,), LINE.point((f(1.0),)))]
+    with pytest.raises(SchemeError, match="exact generators"):
+        transforms.almost_to_model(witness)
+    cert = TransformCertificate(
+        "InjectiveExtension", fibonacci_scheme().scheme_id, float_fib.scheme_id,
+        {"injectivity_bound": 3},
+        [transforms.CertCheck("star-injective", True, {"method": "exhaustive", "bound": 3})],
     )
-    witness, method = transforms.star_kernel(degenerate, 3)
-    assert method == {"method": "exhaustive", "bound": 3}
-    assert any(witness) and degenerate.star(witness) == LINE.zero()
+    with pytest.raises(SchemeError, match="exact generators"):
+        reverify_certificate(cert, fibonacci_scheme(), float_fib)
 
 
 def test_embed_internal_routes():
@@ -454,3 +465,19 @@ def test_almost_to_model_fails_a_tampered_witness():
     checks = {c.name: c for c in info.value.witness.checks}
     assert not checks["membership-patch"].passed
     assert checks["membership-patch"].detail["witness_point"] == [float(scheme.direct(dropped)[0])]
+
+
+def test_membership_patch_checks_the_rule_not_the_admitted_list():
+    # dropping a point the rule admits outside the lower window from
+    # ``admitted`` drops its star from the augmented window too; the rule's
+    # own patch still holds the point, so the check must see the difference
+    from cutproject.hull import AlmostModelSetWitness, GammaRule
+
+    scheme, upper = fibonacci_scheme(), fib_window()
+    witness = AlmostModelSetWitness(scheme, upper.interior(), upper, GammaRule(upper.closure()), 30)
+    assert (0, -1) in [n for n, _, in_lower in witness.admitted if not in_lower]
+    witness.admitted = [entry for entry in witness.admitted if entry[0] != (0, -1)]
+    with pytest.raises(CertificationError) as info:
+        transforms.almost_to_model(witness)
+    checks = {c.name: c for c in info.value.witness.checks}
+    assert checks["membership-patch"].detail["witness_point"] == [float(scheme.direct((0, -1))[0])]
