@@ -91,7 +91,8 @@ def annihilator_projection(scheme: CutProjectScheme, count: int) -> list[tuple[S
     size = scheme.lift_size
     transpose = [[scheme.matrix[j][i] for j in range(size)] for i in range(size)]
     units = [[Scalar(1 if i == k else 0) for i in range(size)] for k in range(size)]
-    return [tuple(linalg.solve_exact(transpose, t)[: scheme.d]) for t in (units + shifts)[:count]]
+    sols = linalg.solve_exact(transpose, (units + shifts)[:count])
+    return [tuple(sol[: scheme.d]) for sol in sols]
 
 
 def empirical_density(scheme: CutProjectScheme, window: Window, n_values) -> DensityReport:

@@ -115,6 +115,14 @@ def _floatify(obj):
 
 
 def load_window(source: str | None, scheme: CutProjectScheme) -> Window:
+    """The window ``source`` names, which must lie in the scheme's internal space."""
+    window = _read_window(source, scheme)
+    if window.space != scheme.space:
+        raise InputError(f"window {source} is not in the scheme's internal space")
+    return window
+
+
+def _read_window(source: str | None, scheme: CutProjectScheme) -> Window:
     if source is None:
         raise InputError("--window is required")
     if source == "builtin:fibonacci":
@@ -251,7 +259,7 @@ def cmd_transform(args) -> int:
         else:
             gens = [g for g, _ in scheme.generators]
             diag, _cert = transforms.choose_generic_lattice(
-                gens, scheme.d, args.strategy, args.bound
+                gens, scheme.d, relation_bound=args.bound
             )
         ext = transforms.extend_injective(
             scheme,
@@ -330,7 +338,8 @@ def cmd_verify(args) -> int:
         }
     elif suite == "equidist":
         scheme = load_scheme(args.scheme)
-        window = load_window(args.window, scheme)
+        # the suite crosses a window over the torus-free part with the torus
+        window = _read_window(args.window, scheme)
         tol = args.tol if args.tol is not None else 0.05
         _require_positive([args.n], "--n")
         if not args.chi_bound > 0:
@@ -423,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--scheme", required=True)
     tr.add_argument("--a", default=None, help="translation vector (semicolon-separated scalars)")
     tr.add_argument("--c", default=None, help="torus diagonal entries (semicolon-separated)")
-    tr.add_argument("--strategy", choices=("named-constants",), default="named-constants")
     tr.add_argument("--witness", default=None)
     tr.add_argument("--window", default=None)
     tr.add_argument("--box", default=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import linalg
 from .internal_space import InternalSpace, RealFactor
 from .scalars import GOLDEN, GOLDEN_CONJ, Scalar
 from .scheme import Box, CutProjectScheme
@@ -41,22 +42,12 @@ def fibonacci_substitution() -> SubstitutionSystem:
 
 def ring_coordinates(x: Scalar) -> tuple[int, int]:
     """Integer (p, q) with x = p + q*golden, for x in the golden ring."""
-    from fractions import Fraction
-
-    from .scalars import SQRT5
-
     if not x.is_exact:
         raise ValueError("ring coordinates need an exact value")
-    (root_mono,) = SQRT5.terms()
-    terms = x.terms()
-    u = terms.pop(((), ()), Fraction(0))
-    v = terms.pop(root_mono, Fraction(0))
-    if terms:
+    sol = linalg.rational_solve([[Scalar(1), GOLDEN]], [x])
+    if sol is None or any(v.denominator != 1 for v in sol):
         raise ValueError(f"{x!r} is not in the golden ring")
-    q = 2 * v
-    p = u - v
-    if q.denominator != 1 or p.denominator != 1:
-        raise ValueError(f"{x!r} is not in the golden ring")
+    p, q = sol
     return int(p), int(q)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import transforms
 from .internal_space import HPoint, InternalSpace
 from .scalars import Scalar
-from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, Patch
+from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, Patch, SchemeError
 from .windows import AugmentedWindow, ProductWindow, Window, point_window
 
 LADDER = (
@@ -237,7 +237,7 @@ def limit_patch_check(
     s_lo = [k - c for k, c in zip(K.hi, certified.hi)]
     s_hi = [k - c for k, c in zip(K.lo, certified.lo)]
     if any(a > b for a, b in zip(s_lo, s_hi)):
-        raise ValueError("witness truncation too small for the requested box")
+        raise SchemeError("witness truncation too small for the requested box")
     budget = min(float(b) for b in s_hi)
     lower_w = witness.lower.translate(t_target)
     upper_w = witness.upper.closure().translate(t_target)

@@ -261,7 +261,7 @@ class TorusFactor(Factor):
             coeffs = [ambient[i] / self.basis[i][i] for i in range(self.dim)]
         else:
             mat = [[self.basis[i][j] for i in range(self.dim)] for j in range(self.dim)]
-            coeffs = linalg.solve_exact(mat, list(ambient))
+            (coeffs,) = linalg.solve_exact(mat, [list(ambient)])
         return tuple(c - c.floor() for c in coeffs)
 
     def ambient(self, fractional) -> tuple[Scalar, ...]:

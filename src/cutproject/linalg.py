@@ -2,13 +2,19 @@
 
 Exact Gaussian elimination is used where the entries are algebraic (division
 is available); rigorous Fraction-interval elimination provides enclosures for
-integer-coordinate bounding boxes regardless of the entry type.
+integer-coordinate bounding boxes regardless of the entry type.  Both take
+several right-hand sides per elimination.
+
+A system with exact entries and rational unknowns is decided by expanding it
+into one rational equation per monomial (the order-basis form of Cohen 1993,
+section 4.2) and row-reducing that with ``ratmath``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import ratmath
 from .scalars import Scalar
 
 Interval = tuple[Fraction, Fraction]
@@ -31,10 +37,16 @@ def det(mat: list[list[Scalar]]) -> Scalar:
     return total
 
 
-def solve_exact(mat: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
-    """Solve a nonsingular square system by Gaussian elimination."""
+def solve_exact(
+    mat: list[list[Scalar]], rhs: list[list[Scalar]]
+) -> list[list[Scalar]]:
+    """Solve a nonsingular square system for each right-hand side in ``rhs``.
+
+    One Gauss-Jordan elimination carries every right-hand side along as an
+    extra column, so each solution equals that of a single-column call.
+    """
     n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    a = [row[:] + [b[i] for b in rhs] for i, row in enumerate(mat)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
         if piv is None:
@@ -46,7 +58,39 @@ def solve_exact(mat: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
             if r != col and not a[r][col].is_zero():
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    return [[a[i][n + k] for i in range(n)] for k in range(len(rhs))]
+
+
+def rational_system(rows, rhs=None) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Rational system equivalent to the exact Scalar system ``rows . x = rhs``.
+
+    Each scalar equation splits into one rational equation per monomial
+    appearing anywhere on either side; unknowns are rational.  A missing
+    ``rhs`` is zero.
+    """
+    if rhs is None:
+        rhs = [Scalar(0)] * len(rows)
+    row_terms = [[v.terms() for v in row] for row in rows]
+    rhs_terms = [v.terms() for v in rhs]
+    monos = sorted(set().union(*rhs_terms, *(t for row in row_terms for t in row)))
+    mat = []
+    vec = []
+    for row, rv in zip(row_terms, rhs_terms):
+        for mono in monos:
+            mat.append([t.get(mono, Fraction(0)) for t in row])
+            vec.append(rv.get(mono, Fraction(0)))
+    return mat, vec
+
+
+def integer_kernel(rows) -> list[list[int]]:
+    """Primitive integer vectors spanning the rational kernel of ``rows``."""
+    mat, _ = rational_system(rows)
+    return [ratmath.clear_denominators(v) for v in ratmath.kernel(mat)]
+
+
+def rational_solve(rows, rhs) -> list[Fraction] | None:
+    """One rational solution of ``rows . x = rhs``, or None if there is none."""
+    return ratmath.solve(*rational_system(rows, rhs))
 
 
 def _iv_sub(x: Interval, y: Interval) -> Interval:
@@ -66,17 +110,18 @@ def _iv_div(x: Interval, y: Interval) -> Interval:
 
 
 def interval_solve(
-    mat: list[list[Scalar]], rhs: list[Interval], digits: int
-) -> list[Interval]:
-    """Enclosure of all solutions of ``mat x = y`` for y in the rhs box.
+    mat: list[list[Scalar]], rhs: list[list[Interval]], digits: int
+) -> list[list[Interval]]:
+    """Enclosures of all solutions of ``mat x = y``, for y in each rhs box.
 
-    Retries at doubled precision if an interval pivot straddles zero; the
-    matrix must be nonsingular.
+    One elimination serves every right-hand side in ``rhs``.  Retries at
+    doubled precision if an interval pivot straddles zero; the matrix must be
+    nonsingular.
     """
     n = len(mat)
     for attempt in range(5):
         d = digits * (2 ** attempt)
-        a = [[m.bounds(d) for m in row] + [rhs[i]] for i, row in enumerate(mat)]
+        a = [[x.bounds(d) for x in row] + [b[i] for b in rhs] for i, row in enumerate(mat)]
         try:
             for col in range(n):
                 piv = max(
@@ -94,13 +139,16 @@ def interval_solve(
                         _iv_sub(x, _iv_mul(f, y)) for x, y in zip(a[r], a[col])
                     ]
                     a[r][col] = (Fraction(0), Fraction(0))
-            out: list[Interval] = [None] * n  # type: ignore[list-item]
-            for row in range(n - 1, -1, -1):
-                acc = a[row][n]
-                for col in range(row + 1, n):
-                    acc = _iv_sub(acc, _iv_mul(a[row][col], out[col]))
-                out[row] = _iv_div(acc, a[row][row])
-            return out
+            outs = []
+            for k in range(n, n + len(rhs)):
+                out: list[Interval] = [None] * n  # type: ignore[list-item]
+                for row in range(n - 1, -1, -1):
+                    acc = a[row][k]
+                    for col in range(row + 1, n):
+                        acc = _iv_sub(acc, _iv_mul(a[row][col], out[col]))
+                    out[row] = _iv_div(acc, a[row][row])
+                outs.append(out)
+            return outs
         except ZeroDivisionError:
             continue
     raise ZeroDivisionError("interval elimination failed; matrix near-singular")

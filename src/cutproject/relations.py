@@ -10,9 +10,8 @@ exactly when the inputs allow it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import ratmath
+from . import linalg, ratmath
 from .scalars import Scalar
 
 
@@ -44,18 +43,14 @@ def exact_relation(values: list[Scalar]) -> list[int] | None:
     """A nonzero integer relation among exact values, or None if independent."""
     if not all(v.is_exact for v in values):
         raise ValueError("exact_relation needs exact scalars")
-    terms = [v.terms() for v in values]
-    monos = set().union(*terms)
-    rows = [[t.get(mono, Fraction(0)) for t in terms] for mono in sorted(monos)]
-    for vec in ratmath.kernel(rows):
-        ints = ratmath.clear_denominators(vec)
-        if any(ints):
-            acc = Scalar(0)
-            for c, v in zip(ints, values):
-                acc = acc + v * c
-            assert acc.is_zero()
-            return ints
-    return None
+    kernel = linalg.integer_kernel([values])
+    if not kernel:
+        return None
+    acc = Scalar(0)
+    for c, v in zip(kernel[0], values):
+        acc = acc + v * c
+    assert acc.is_zero()
+    return kernel[0]
 
 
 def lll_relation(values, bound: int) -> list[int] | None:

@@ -42,6 +42,7 @@ DEFAULT_MAX_CANDIDATES = 5_000_000
 _PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
 _SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
 _ROW_MARGIN = 10 ** (_PLAN_DIGITS - 9)  # a non-integral row's clearance, 10**-9 at scale
+_UNDECIDED = object()  # star_kernel_witness not computed yet; None means injective
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -276,6 +277,7 @@ class CutProjectScheme:
         self.direct_injective = self._check_direct_injective(require_injective)
         self._id = None
         self._inverse_enc = None
+        self._star_witness = _UNDECIDED
         self._enum_plan = None
         self._leaf = None
         self._maps = None
@@ -306,16 +308,12 @@ class CutProjectScheme:
         """Exact check that no nonzero integer combination projects to 0 in G."""
         if not all(v.is_exact for g, _ in self.generators for v in g):
             return True  # float schemes rely on the heuristic mode downstream
-        mat = _monomial_matrix([[g[i] for g, _ in self.generators] for i in range(self.d)])
-        for vec in ratmath.kernel(mat):
-            ints = ratmath.clear_denominators(vec)
-            if any(ints):
-                if required:
-                    raise SchemeError(
-                        f"direct projection is not injective: kernel vector {ints}"
-                    )
-                return False
-        return True
+        kernel = linalg.integer_kernel(
+            [[g[i] for g, _ in self.generators] for i in range(self.d)]
+        )
+        if kernel and required:
+            raise SchemeError(f"direct projection is not injective: kernel vector {kernel[0]}")
+        return not kernel
 
     # -- identity -------------------------------------------------------------
 
@@ -719,8 +717,7 @@ class CutProjectScheme:
             v.is_exact for row in self.matrix for v in row
         ):
             return self._lattice_coords_float(gvec, h, target)
-        mono_rows, mono_rhs = _monomial_system(self.matrix, target)
-        sol = ratmath.solve(mono_rows, mono_rhs)
+        sol = linalg.rational_solve(self.matrix, target)
         if sol is None:
             return None
         if any(x.denominator != 1 for x in sol):
@@ -732,12 +729,13 @@ class CutProjectScheme:
         return None
 
     def _lattice_coords_float(self, gvec, h, target):
-        mat = [[float(v) for v in row] for row in self.matrix]
-        rhs = [float(v) for v in target]
-        sol = _float_solve(mat, rhs)
-        if sol is None:
+        mat = [[Scalar.from_float(float(v)) for v in row] for row in self.matrix]
+        rhs = [Scalar.from_float(float(v)) for v in target]
+        try:
+            (sol,) = linalg.solve_exact(mat, [rhs])
+        except ZeroDivisionError:
             return None
-        n = tuple(round(x) for x in sol[: self.rank])
+        n = tuple(round(float(x)) for x in sol[: self.rank])
         direct, star = self.point_of(n)
         if all(abs(float(a) - float(b)) < 1e-6 for a, b in zip(direct, gvec)) and star == h:
             return n
@@ -757,8 +755,7 @@ class CutProjectScheme:
         )
         if exact:
             rows = [[g[i] for g, _ in self.generators] for i in range(self.d)]
-            mat, rhs = _monomial_system(rows, list(a))
-            sol = ratmath.solve(mat, rhs)
+            sol = linalg.rational_solve(rows, list(a))
             if sol is None:
                 return Commensurability("incommensurate")
             m = 1
@@ -799,11 +796,12 @@ class CutProjectScheme:
     # -- the star map's exact system ----------------------------------------------------
 
     def _star_system(self, p: HPoint):
-        """Rational system equivalent to ``star(n) = p``.
+        """Exact Scalar system ``(rows, rhs)`` equivalent to ``star(n) = p``.
 
         Its unknowns are the generator coordinates n, then one auxiliary
         unknown per congruence (cyclic modulus, torus lattice vector, twist
-        carry, also inside a twisted base).
+        carry, also inside a twisted base); ``linalg`` solves it over the
+        rationals.
         """
         space = self.space
         cols = [space.kernel_values(h) for _, h in self.generators]
@@ -813,20 +811,24 @@ class CutProjectScheme:
             v.is_exact for v in target
         ):
             raise SchemeError("exact star-map questions need exact generators")
-        return _monomial_system([list(row) for row in zip(*cols)], target)
+        return [list(row) for row in zip(*cols)], target
 
     def star_kernel_witness(self):
         """Exact search for nonzero n with star(n) = 0; None means injective.
 
-        Inspects the rational kernel of the star system over all of Z^r.
+        Inspects the rational kernel of the star system over all of Z^r,
+        once per scheme.
         """
-        mat, _ = self._star_system(self.space.zero())
-        for vec in ratmath.kernel(mat):
-            ints = ratmath.clear_denominators(vec)
-            n = tuple(ints[: self.rank])
-            if any(n) and self.star(n) == self.space.zero():
-                return n
-        return None
+        if self._star_witness is _UNDECIDED:
+            rows, _ = self._star_system(self.space.zero())
+            witness = None
+            for v in linalg.integer_kernel(rows):
+                n = tuple(v[: self.rank])
+                if any(n) and self.star(n) == self.space.zero():
+                    witness = n
+                    break
+            self._star_witness = witness
+        return self._star_witness
 
     def star_preimage(self, p: HPoint):
         """The lattice coordinates n with star(n) = p, or None.
@@ -835,10 +837,9 @@ class CutProjectScheme:
         preimage is then not unique; otherwise the generator part of one
         rational solution is the only candidate.
         """
-        mat, rhs = self._star_system(p)
-        if any(any(vec[: self.rank]) for vec in ratmath.kernel(mat)):
+        if self.star_kernel_witness() is not None:
             raise SchemeError("star map is not injective: preimages are not unique")
-        sol = ratmath.solve(mat, rhs)
+        sol = linalg.rational_solve(*self._star_system(p))
         if sol is None or any(x.denominator != 1 for x in sol[: self.rank]):
             return None
         n = tuple(int(x) for x in sol[: self.rank])
@@ -869,30 +870,6 @@ class CutProjectScheme:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _monomial_matrix(rows) -> list[list[Fraction]]:
-    """Expand a Scalar matrix into stacked rational rows, one per monomial."""
-    mat, _ = _monomial_system(rows, [Scalar(0)] * len(rows))
-    return mat
-
-
-def _monomial_system(rows, rhs) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rational system equivalent to the Scalar system ``rows . x = rhs``.
-
-    Each scalar equation splits into one rational equation per monomial
-    appearing anywhere on either side; unknowns are rational.
-    """
-    row_terms = [[v.terms() for v in row] for row in rows]
-    rhs_terms = [v.terms() for v in rhs]
-    monos = sorted(set().union(*rhs_terms, *(t for row in row_terms for t in row)))
-    mat = []
-    vec = []
-    for row, rv in zip(row_terms, rhs_terms):
-        for mono in monos:
-            mat.append([t.get(mono, Fraction(0)) for t in row])
-            vec.append(rv.get(mono, Fraction(0)))
-    return mat, vec
 
 
 def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
@@ -993,26 +970,19 @@ def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
 
     Exact inversion is used when the entries are algebraic; where it cannot
     decide (``ExactnessError``, or a pivot it cannot divide by), a rigorous
-    interval elimination per unit column.  Any other error is a bug and
-    propagates.
+    interval elimination.  Either is one elimination over all unit columns.
+    Any other error is a bug and propagates.
     """
     size = len(matrix)
+    units = [[int(i == k) for i in range(size)] for k in range(size)]
     try:
-        cols = [
-            linalg.solve_exact(matrix, [Scalar(1 if i == k else 0) for i in range(size)])
-            for k in range(size)
-        ]
+        cols = linalg.solve_exact(matrix, [[Scalar(v) for v in u] for u in units])
         return [[cols[j][i].bounds(digits) for j in range(size)] for i in range(size)]
     except (ExactnessError, ZeroDivisionError):
-        unit = [
-            linalg.interval_solve(
-                matrix,
-                [(Fraction(1 if i == k else 0), Fraction(1 if i == k else 0)) for i in range(size)],
-                digits,
-            )
-            for k in range(size)
-        ]
-        return [[unit[j][i] for j in range(size)] for i in range(size)]
+        cols = linalg.interval_solve(
+            matrix, [[(Fraction(v), Fraction(v)) for v in u] for u in units], digits
+        )
+        return [[cols[j][i] for j in range(size)] for i in range(size)]
 
 
 def _scaled_enclosure(v: Scalar, digits: int) -> tuple[int, int]:
@@ -1052,21 +1022,6 @@ def _over_common_denominator(ratios) -> tuple[list[int], int]:
     their least common denominator."""
     den = math.lcm(*(d for _, d in ratios))
     return [n * (den // d) for n, d in ratios], den
-
-
-def _float_solve(mat, rhs):
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-12:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(n):
-            if r != col:
-                f = a[r][col] / a[col][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] / a[i][i] for i in range(n)]
 
 
 # module-level operation aliases

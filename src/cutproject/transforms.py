@@ -396,17 +396,14 @@ def certify_generic_diagonal(points, diag, relation_bound: int) -> RelationCerti
 def choose_generic_lattice(
     points,
     d: int,
-    strategy: str = "named-constants",
     relation_bound: int = 10 ** 6,
 ):
     """Pick a diagonal lattice whose entries avoid the rational span of the data.
 
-    The only strategy, "named-constants", tries each of ``NAMED_CONSTANTS``
-    once, in order.  Returns (diagonal entries, certificate); raises
-    CertificationError when the constants run out first.
+    Tries each of ``NAMED_CONSTANTS`` once, in order.  Returns (diagonal
+    entries, certificate); raises CertificationError when the constants run
+    out first.
     """
-    if strategy != "named-constants":
-        raise ValueError(f"unknown strategy {strategy!r}")
     chosen: list[Scalar] = []
     last_cert = None
     for _name, make in NAMED_CONSTANTS:
@@ -419,7 +416,7 @@ def choose_generic_lattice(
             last_cert = cert
     if len(chosen) < d:
         raise CertificationError(
-            f"strategy {strategy!r} exhausted after {len(NAMED_CONSTANTS)} attempts",
+            f"named constants exhausted after {len(NAMED_CONSTANTS)} attempts",
             last_cert,
         )
     return tuple(chosen), last_cert

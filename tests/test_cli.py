@@ -326,7 +326,8 @@ def test_equidist_bound_below_every_character_is_an_input_error(tmp_path, capsys
 
 def test_transform_extend_rejects_unknown_strategy(tmp_path, capsys):
     # a float diagonal entry always has a bounded relation against the exact
-    # span, so a strategy drawing random reals could never succeed
+    # span, so a strategy drawing random reals could never succeed; the named
+    # constants are the only strategy, so there is no option to pick another
     code = run(
         [
             "transform", "extend",
@@ -337,7 +338,7 @@ def test_transform_extend_rejects_unknown_strategy(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert "unrecognized arguments: --strategy random-reals" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
 
 
@@ -430,6 +431,57 @@ def test_transform_augment_box_beyond_the_truncation(tmp_path, capsys):
     assert code == 2
     assert "beyond the witness's truncation" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+def test_verify_hull_box_beyond_the_truncation(tmp_path, capsys):
+    # limit patches are certified inside the witness's truncation only, so a
+    # larger box is an input error, not a failed verification or a traceback
+    out = tmp_path / "hull.json"
+    code = run(
+        [
+            "verify", "--suite", "hull",
+            "--scheme", "builtin:fibonacci",
+            "--witness", str(witness_file(tmp_path, truncation=40)),
+            "--box=-300:300",
+            "--targets", "1",
+            "--truncation", "300",
+            "--seed", "5",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "truncation too small" in err
+    assert not out.exists()
+
+
+def test_generate_window_in_another_space(tmp_path, capsys):
+    # the built-in window lies in the Fibonacci scheme's internal space, not
+    # in that of its sqrt(2) translation
+    scheme_file = tmp_path / "s2.json"
+    assert run(
+        [
+            "transform", "translate",
+            "--scheme", "builtin:fibonacci",
+            "--a", "sqrt(2)",
+            "--out-scheme", str(scheme_file),
+            "--out-cert", str(tmp_path / "cert.json"),
+        ]
+    ) == 0
+    out = tmp_path / "out.csv"
+    code = run(
+        [
+            "generate",
+            "--scheme", str(scheme_file),
+            "--window", "builtin:fibonacci",
+            "--box=-10:10",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "not in the scheme's internal space" in err
+    assert not out.exists()
 
 
 def test_verify_density(tmp_path):

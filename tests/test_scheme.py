@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import cli, linalg
+from cutproject import cli, linalg, ratmath
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import (
     FiniteCyclicFactor,
@@ -451,6 +451,26 @@ def test_star_preimage_inverts_the_star_map():
     for scheme in kernels:
         with pytest.raises(SchemeError, match="not injective"):
             scheme.star_preimage(scheme.space.zero())
+
+
+def test_star_preimage_decides_injectivity_once(monkeypatch):
+    # injectivity depends on the scheme alone: a fresh scheme row-reduces the
+    # star system's kernel once, however many preimages it is asked for
+    scheme = CutProjectScheme(
+        1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
+    )
+    calls = 0
+    kernel = ratmath.kernel
+
+    def counted(a):
+        nonlocal calls
+        calls += 1
+        return kernel(a)
+
+    monkeypatch.setattr(ratmath, "kernel", counted)
+    for n in itertools.product(range(-3, 4), repeat=2):
+        assert scheme.star_preimage(scheme.star(n)) == n
+    assert calls == 1
 
 
 def test_star_preimage_on_a_twisted_scheme():
@@ -1055,7 +1075,10 @@ def test_project_points_set_up_work_count():
     # the hook counts what the set-up used to do
     counts, _ = set_up_counts(lambda: scheme_module._inverse_rows([[GOLDEN]], 25))
     assert counts["bounds"] == 1
-    counts, _ = set_up_counts(lambda: scheme_module._monomial_matrix([[Scalar(2)]]))
+    fresh = CutProjectScheme(
+        1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
+    )
+    counts, _ = set_up_counts(fresh._inverse_enclosure)
     assert counts["Fraction"] > 0
     counts, _ = set_up_counts(lambda: (Scalar(3).as_fraction(), GOLDEN.magnitude()))
     assert counts["as_fraction"] == counts["magnitude"] == 1

@@ -70,8 +70,14 @@ def test_ring_coordinates():
     x = Scalar(3) + GOLDEN * 4
     assert ring_coordinates(x) == (3, 4)
     assert ring_coordinates(Scalar(0)) == (0, 0)
-    with pytest.raises(ValueError):
-        ring_coordinates(Scalar.sqrt(2))
+    for p in range(-20, 21):
+        for q in range(-20, 21):
+            assert ring_coordinates(Scalar(p) + GOLDEN * q) == (p, q)
+    for outside in (Scalar.sqrt(2), GOLDEN / 2, Scalar.const("pi")):
+        with pytest.raises(ValueError, match="is not in the golden ring"):
+            ring_coordinates(outside)
+    with pytest.raises(ValueError, match="need an exact value"):
+        ring_coordinates(Scalar.from_float(1.0))
 
 
 def test_derived_window_matches_oracle_two_sided():

@@ -181,11 +181,6 @@ def test_choose_generic_lattice():
         choose_generic_lattice([(Scalar(1),), (Scalar(2),)], 9)
 
 
-def test_choose_generic_lattice_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="unknown strategy"):
-        choose_generic_lattice([(Scalar(1),), (GOLDEN,)], 1, strategy="random-reals")
-
-
 def test_extend_injective_fibonacci():
     scheme = fibonacci_scheme()
     w = fib_window()
