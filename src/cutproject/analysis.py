@@ -3,6 +3,12 @@
 Counting runs over the centred cube sequence A_n = [-n, n]^d.  Finite-n
 estimates carry declared boundary-correction constants instead of limits;
 tolerances are the caller's business and live in the reports.
+
+The suites read a patch's lattice coordinates: counts bisect its sorted
+first coordinate (``Patch.restrict``), character sums run over its one float
+view (``Patch.float_points``, the floats its CSV writes), and a torus
+coordinate is one exact form per axis (``scheme.sum_form``).  An exact
+point is built only where an exact comparison needs one.
 """
 
 from __future__ import annotations
@@ -12,10 +18,12 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import linalg
+from .internal_space import SpaceMismatchError
 from .scalars import FLOAT_EPS, Scalar
-from .scheme import Box, CutProjectScheme, Patch
+from .scheme import Box, CutProjectScheme, Patch, sum_form
 from .windows import Window
 
 _EQUIDIST_CELLS = 8  # torus cells per fundamental coordinate in the coverage test
@@ -98,8 +106,10 @@ def annihilator_projection(scheme: CutProjectScheme, count: int) -> list[tuple[S
 def empirical_density(scheme: CutProjectScheme, window: Window, n_values) -> DensityReport:
     """Counts on A_n for each n, from one enumeration of the largest box.
 
-    The smaller boxes only restrict that patch, with the exact box test the
-    enumeration itself applies, so each count equals a patch of its own box.
+    Each box restricts that patch (``Patch.restrict``) with the exact box
+    test the enumeration itself applies, so each count equals a patch of its
+    own box.  On an exact patch a count is two bisections of the first
+    coordinate, and the patch's points are not built.
     """
     dens = scheme.lattice_density()
     lower = float(dens * window.interior().measure())
@@ -109,24 +119,25 @@ def empirical_density(scheme: CutProjectScheme, window: Window, n_values) -> Den
     )
     constant = 2 * scheme.d * (1.0 + upper) * (1.0 + gen_norm)
     n_values = sorted(n_values)
-    boxes = [Box.symmetric(n, scheme.d) for n in n_values]
     counts = []
-    if boxes:
-        inside = scheme.project_points(boxes[-1], window).points
-        counts.append(len(inside))
-        for box in reversed(boxes[:-1]):  # nested, so each filter narrows the last
-            inside = [p for p in inside if box.contains(p)]
-            counts.append(len(inside))
-        counts.reverse()
+    if n_values:
+        patch = scheme.project_points(Box.symmetric(n_values[-1], scheme.d), window)
+        counts = [len(patch.restrict(Box.symmetric(n, scheme.d))) for n in n_values]
     empirical = [c / (2 * n) ** scheme.d for n, c in zip(n_values, counts)]
     return DensityReport(list(n_values), counts, empirical, lower, upper, constant)
 
 
 def character_average(points, chi: CharacterRd, volume) -> complex:
-    """The conjugate character summed over ``points`` in order, over ``volume``."""
+    """The conjugate character summed over ``points`` in order, over ``volume``.
+
+    ``points`` are ``Scalar`` points or, cheaper, a patch's ``float_points``;
+    each phase is ``CharacterRd.value``'s expression over the same floats, so
+    either gives the same bits.
+    """
     total = 0j
+    coeffs, turn, exp = chi.chi, 2j * math.pi, cmath.exp
     for p in points:
-        total += chi.value(p).conjugate()
+        total += exp(turn * sum(map(mul, coeffs, map(float, p)))).conjugate()
     return total / volume
 
 
@@ -137,7 +148,7 @@ def fourier_bohr(scheme: CutProjectScheme, window: Window, chi, n: int) -> compl
     if len(chi.chi) != scheme.d:
         raise ValueError(f"character has {len(chi.chi)} components, direct space {scheme.d}")
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
-    return character_average(patch.points, chi, (2 * n) ** scheme.d)
+    return character_average(patch.float_points(), chi, (2 * n) ** scheme.d)
 
 
 @dataclass
@@ -190,6 +201,22 @@ def torus_characters(scheme: CutProjectScheme, chi_bound: float):
     return torus_idx, chars
 
 
+def torus_window(scheme: CutProjectScheme, window: Window, torus_idx: int) -> Window:
+    """``window`` in the scheme's internal space: itself, or, given over the
+    torus-free part (every factor but the last, the torus at ``torus_idx``),
+    crossed with the full torus.  ``SpaceMismatchError`` for any other space."""
+    if window.space == scheme.space:
+        return window
+    factors = scheme.space.factors
+    if window.space.factors + (factors[torus_idx],) != factors:
+        raise SpaceMismatchError(
+            "window lies in neither the scheme's internal space nor its torus-free part"
+        )
+    from .transforms import lift_window_torus
+
+    return lift_window_torus(window, scheme.space, torus_idx)
+
+
 def equidistribution_check(
     scheme: CutProjectScheme,
     window: Window,
@@ -202,28 +229,21 @@ def equidistribution_check(
     with the full torus.  Coverage asks every fundamental-coordinate cube of
     side 1/8 to contain a projected-point image; a sample of fewer than two
     points per cube reports "inconclusive" rather than failure.  A point's
-    torus coordinate is the fractional part of ``sum(n_j * c_j)`` over the
-    generators' torus coordinates ``c_j``, which is exact, so no full star
-    point is built.  The characters are ``torus_characters``, which raises
-    ``ValueError`` for a scheme or bound without any.
+    torus coordinate is the exact fractional part of ``sum(n_j * c_j)`` over
+    the generators' torus coordinates ``c_j``, one ``sum_form`` per axis as
+    the scheme computes a direct row, so no full star point is built.  The
+    characters are ``torus_characters``, which raises ``ValueError`` for a
+    scheme or bound without any; their sums share one ``float_points`` view.
     """
     torus_idx, chars = torus_characters(scheme, chi_bound)
     factor = scheme.space.factors[torus_idx]
-    if window.space != scheme.space:
-        from .transforms import lift_window_torus
-
-        window = lift_window_torus(window, scheme.space, torus_idx)
+    window = torus_window(scheme, window, torus_idx)
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
     torus = [h.coords[torus_idx] for _, h in scheme.generators]
+    axes = [sum_form([c[axis] for c in torus]) for axis in range(factor.dim)]
     hit = set()
     for coords in patch.coords or []:
-        fractional = []
-        for axis in range(factor.dim):
-            x = Scalar(0)
-            for c, k in zip(torus, coords):
-                if k:
-                    x = x + c[axis] * k
-            fractional.append(x - x.floor())
+        fractional = [x - x.floor() for x in (form(coords) for form in axes)]
         cell = tuple(
             min(int(x.to_float() * _EQUIDIST_CELLS) % _EQUIDIST_CELLS, _EQUIDIST_CELLS - 1)
             for x in fractional
@@ -231,9 +251,8 @@ def equidistribution_check(
         hit.add(cell)
     cells_total = _EQUIDIST_CELLS ** factor.dim
     volume = (2 * n) ** scheme.d
-    fb_values = {
-        kvec: character_average(patch.points, chi, volume) for kvec, chi in chars.items()
-    }
+    points = patch.float_points()
+    fb_values = {kvec: character_average(points, chi, volume) for kvec, chi in chars.items()}
     max_fb = max((abs(v) for v in fb_values.values()), default=0.0)
     if len(hit) == cells_total:
         status = "pass"

@@ -316,14 +316,15 @@ def cmd_verify(args) -> int:
             if len(chi) != scheme.d:
                 raise InputError(f"each --chi must have {scheme.d} entries separated by ','")
         _require_positive([args.n], "--n")
-        # one patch serves the density and every character
+        # one patch and one float view of it serve the density and every character
         patch = scheme.project_points(Box.symmetric(args.n, scheme.d), window)
+        points = patch.float_points()
         volume = (2 * args.n) ** scheme.d
         density = len(patch) / volume
         values = {}
         passed = True
         for chi in chis:
-            a = analysis.character_average(patch.points, analysis.CharacterRd(chi), volume)
+            a = analysis.character_average(points, analysis.CharacterRd(chi), volume)
             values[",".join(map(str, chi))] = [a.real, a.imag]
             if all(c == 0 for c in chi):
                 passed = passed and abs(a - density) < 1e-12
@@ -345,8 +346,9 @@ def cmd_verify(args) -> int:
         if not args.chi_bound > 0:
             raise InputError(f"--chi-bound must be positive, got {args.chi_bound}")
         try:
-            analysis.torus_characters(scheme, args.chi_bound)
-        except ValueError as exc:
+            torus_idx, _ = analysis.torus_characters(scheme, args.chi_bound)
+            analysis.torus_window(scheme, window, torus_idx)
+        except ValueError as exc:  # SpaceMismatchError is one
             raise InputError(str(exc)) from exc
         rep = analysis.equidistribution_check(scheme, window, args.chi_bound, args.n)
         passed = rep.status == "pass" and rep.max_fb < tol

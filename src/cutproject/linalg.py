@@ -66,13 +66,15 @@ def rational_system(rows, rhs=None) -> tuple[list[list[Fraction]], list[Fraction
 
     Each scalar equation splits into one rational equation per monomial
     appearing anywhere on either side; unknowns are rational.  A missing
-    ``rhs`` is zero.
+    ``rhs`` is zero.  Where no monomial appears, each scalar equation is one
+    zero equation, so the system keeps its unknowns: its kernel is the whole
+    space.
     """
     if rhs is None:
         rhs = [Scalar(0)] * len(rows)
     row_terms = [[v.terms() for v in row] for row in rows]
     rhs_terms = [v.terms() for v in rhs]
-    monos = sorted(set().union(*rhs_terms, *(t for row in row_terms for t in row)))
+    monos = sorted(set().union(*rhs_terms, *(t for row in row_terms for t in row))) or [None]
     mat = []
     vec = []
     for row, rv in zip(row_terms, rhs_terms):

@@ -28,10 +28,11 @@ import hashlib
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import gt, le, lt, mul
+from operator import gt, itemgetter, le, lt, mul
 
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
@@ -203,9 +204,40 @@ class Patch:
         return Patch(points, box, self.scheme_id, self.coords)
 
     def restrict(self, box: Box) -> "Patch":
-        """The points inside ``box``, a subsequence in the patch's order."""
-        keep = [i for i, p in enumerate(self.points) if box.contains(p)]
+        """The points inside ``box``, a subsequence in the patch's order.
+
+        Exact points in an exact box are counted by bisection: the patch is
+        sorted, so its first coordinate is nondecreasing, and only the slice
+        between the box's first ends is filtered on the other coordinates.
+        A lazy patch reads that coordinate by its scheme's first direct form,
+        building O(log N) values, and stays lazy.  A float value anywhere
+        takes the ``FLOAT_EPS``-tolerant filter of ``Box.contains`` on every
+        point.
+        """
+        lazy = self._points is None
+        # each coordinate of an item of ``seq``: the scheme's exact direct forms
+        # over a lazy patch's coordinates (None for float ones), else the point's
+        seq, keys = (
+            (self.coords, self._scheme._leaf[0]) if lazy
+            else (self._points, [itemgetter(k) for k in range(box.dim)])
+        )
+        if (
+            box.dim
+            and keys is not None
+            and all(v.is_exact for v in (*box.lo, *box.hi))
+            and (lazy or all(v.is_exact for p in seq for v in p))
+        ):
+            lo = bisect_left(seq, box.lo[0], key=keys[0])
+            keep = range(lo, bisect_right(seq, box.hi[0], lo, key=keys[0]))
+            if box.dim > 1:
+                rest = Box(box.lo[1:], box.hi[1:])
+                keep = [i for i in keep if rest.contains([f(seq[i]) for f in keys[1:]])]
+        else:
+            keep = [i for i, p in enumerate(self.points) if box.contains(p)]
+            lazy = False
         coords = tuple(self.coords[i] for i in keep) if self.coords is not None else None
+        if lazy:
+            return Patch._kept(None, box, self.scheme_id, coords, self._scheme)
         return Patch._kept(tuple(self.points[i] for i in keep), box, self.scheme_id, coords)
 
     def to_obj(self):
@@ -227,17 +259,28 @@ class Patch:
             obj.get("coords"),
         )
 
-    def to_csv_text(self) -> str:
-        dim = len(self.box.lo)
-        rank = len(self.coords[0]) if self.coords else 0
-        header = [f"x{i + 1}" for i in range(dim)] + [f"n{j + 1}" for j in range(rank)]
-        # one float pass over the values in row order, one template per row;
-        # a d = 0 patch still has a (empty) row per point
-        n = len(self)
+    def float_points(self) -> list[tuple[float, ...]]:
+        """Each point's ``tuple(x.to_float() for x in p)``, in patch order.
+
+        One float pass over the values in row order: a lazy patch of a scheme
+        with float forms (``LinearForm.floats``, ``FloatForm.floats``) reads
+        them from its coordinates without building a point, any other patch
+        takes ``scalars.floats`` of its points.  Nothing is cached, so each
+        call reads the patch as it is.
+        """
+        dim = self.box.dim
         lazy = self._points is None and self._scheme._maps[2]
         flat = iter(lazy(self.coords) if lazy else floats([v for p in self.points for v in p]))
-        values = zip(*[flat] * dim) if dim else [()] * n
-        coords = self.coords if self.coords is not None else [()] * n
+        # a d = 0 patch still has one (empty) tuple per point
+        return list(zip(*[flat] * dim)) if dim else [()] * len(self)
+
+    def to_csv_text(self) -> str:
+        dim = self.box.dim
+        rank = len(self.coords[0]) if self.coords else 0
+        header = [f"x{i + 1}" for i in range(dim)] + [f"n{j + 1}" for j in range(rank)]
+        # one template per row, over the patch's one float view
+        values = self.float_points()
+        coords = self.coords if self.coords is not None else [()] * len(values)
         row = ",".join(["{!r}"] * dim + ["{}"] * rank).format
         lines = [",".join(header)]
         lines += [row(*x, *c) for x, c in zip(values, coords)]
@@ -949,6 +992,16 @@ def _scalar_sum(values, n) -> Scalar:
         if k:
             out = out + x * k
     return out
+
+
+def sum_form(values):
+    """``n -> sum(n[j] * values[j])`` as a direct row computes it: a
+    ``LinearForm`` where one applies, else the term-by-term ``_scalar_sum``.
+    Both give the value ``Scalar`` arithmetic gives."""
+    try:
+        return LinearForm(values)
+    except ExactnessError:
+        return partial(_scalar_sum, values)
 
 
 def _form_direct(forms, n) -> tuple[Scalar, ...]:

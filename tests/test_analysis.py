@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_scheme import float_scheme, golden_square_scheme
 
 from cutproject.analysis import (
     CharacterRd,
@@ -393,3 +394,93 @@ def test_repetitivity_agrees_with_the_linear_scan():
         outcomes.add((fast.ok, empty))
     # passing and failing checks, with and without a reference pattern
     assert {(True, False), (False, False), (False, True)} <= outcomes
+
+
+def float_view_cases():
+    """(name, make) with ``make()`` a fresh patch of each kind the analysis
+    suites read: lazy exact and float patches, a two-piece union, a lifted
+    rank-3 scheme, and built points in d = 2."""
+    fib, w = fibonacci_scheme(), fibonacci_window()
+    union = UnionWindow(LINE, [
+        interval_window(LINE, -1, Fraction(-1, 5), True, False),
+        interval_window(LINE, Fraction(1, 20), GOLDEN - 1),
+    ])
+    sqrt2 = translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme
+    lifted = lift_window(w, 2, sqrt2)
+    flt = float_scheme()
+    flt_w = interval_window(LINE, -1.0, float(GOLDEN - 1))
+    square, square_w = golden_square_scheme()
+    return [
+        ("fibonacci", lambda: fib.project_points(Box.symmetric(300), w)),
+        ("union", lambda: fib.project_points(Box.interval(-250, 200), union)),
+        ("sqrt(2) lift", lambda: sqrt2.project_points(Box.symmetric(120), lifted)),
+        ("float", lambda: flt.project_points(Box.symmetric(300), flt_w)),
+        ("golden square", lambda: square.project_points(Box([-9, -9], [9, 9]), square_w)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_float_points_are_the_points_floats(case):
+    # the one float view, read from lattice coordinates while the patch is
+    # lazy and from the points once built, gives each point's to_float bits
+    name, make = float_view_cases()[case]
+    patch = make()
+    assert (patch._points is None) == (name != "golden square")
+    fresh = patch.float_points()
+    want = [tuple(x.to_float() for x in p) for p in patch.points]
+    assert len(want) > 20, name
+    assert [tuple(map(float.hex, p)) for p in fresh] == [tuple(map(float.hex, p)) for p in want]
+    assert patch.float_points() == want
+    dim = len(want[0])
+    for chi in ((0.5,) * dim, (-1.3,) + (0.25,) * (dim - 1)):
+        chi = CharacterRd(chi)
+        total = 0j
+        for p in patch.points:
+            total += chi.value(p).conjugate()
+        assert character_average(fresh, chi, 7) == total / 7
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_restrict_counts_equal_the_exact_filter(case):
+    # bisected counts equal Box.contains over every point, on boxes whose
+    # first ends are patch points, lie between them or miss the patch, from
+    # a lazy patch (which stays lazy unless its values are floats) and from
+    # built points
+    name, make = float_view_cases()[case]
+    points, coords = make().points, make().coords
+    dim = len(points[0])
+    rng = random.Random(2100 + case)
+    boxes = [Box([-1000] * dim, [-900] * dim), make().box]
+    for _ in range(10):
+        a, b = sorted(rng.sample(range(len(points)), 2))
+        lo, hi = points[a][0], points[b][0]
+        boxes.append(Box([lo] + [-4] * (dim - 1), [hi] + [rng.choice((3, 9))] * (dim - 1)))
+        boxes.append(Box([lo + Fraction(1, 7)] * dim, [hi + Fraction(1, 7)] * dim))
+    for box in boxes:
+        keep = [i for i, p in enumerate(points) if box.contains(p)]
+        lazy, built = make(), make()
+        built.points
+        was_lazy = lazy._points is None
+        for patch in (lazy, built):
+            got = patch.restrict(box)
+            assert (got._points is None) == (patch is lazy and was_lazy and name != "float")
+            assert len(got) == len(keep), (name, box)
+            assert got.points == tuple(points[i] for i in keep)
+            assert got.coords == tuple(coords[i] for i in keep)
+            assert got.box == box
+
+
+def test_empirical_density_builds_no_point_of_a_lazy_patch(monkeypatch):
+    patches = []
+    project = CutProjectScheme.project_points
+
+    def kept(self, box, window, **kw):
+        patches.append(project(self, box, window, **kw))
+        return patches[-1]
+
+    monkeypatch.setattr(CutProjectScheme, "project_points", kept)
+    report = empirical_density(fibonacci_scheme(), fibonacci_window(), [34, 55, 89, 300])
+    (patch,) = patches
+    assert patch._points is None
+    xs = [p[0] for p in patch.points]
+    assert report.counts == [sum(-n <= x <= n for x in xs) for n in (34, 55, 89, 300)]

@@ -324,6 +324,29 @@ def test_equidist_bound_below_every_character_is_an_input_error(tmp_path, capsys
     assert "input error" in err and "no nontrivial torus character has norm <= 0.5" in err
 
 
+def test_equidist_window_outside_the_torus_free_part_is_an_input_error(tmp_path, capsys):
+    # the root(2,3) extension of the sqrt(2) translation has internal space
+    # R x R x T; a window on one line is neither that space nor R x R
+    from cutproject.scalars import Scalar
+    from cutproject.transforms import extend_injective, translate_cps
+
+    sqrt2 = translate_cps(fibonacci_scheme(), (Scalar.sqrt(2),), 10 ** 6).scheme
+    ext = extend_injective(sqrt2, (Scalar.root(2, 3),), injectivity_bound=20)
+    scheme_file = tmp_path / "ext.json"
+    scheme_file.write_text(json.dumps(ext.scheme.to_obj()))
+    code = run(
+        [
+            "verify", "--suite", "equidist",
+            "--scheme", str(scheme_file),
+            "--window", "builtin:fibonacci-open",
+            "--n", "50",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "torus-free part" in err
+
+
 def test_transform_extend_rejects_unknown_strategy(tmp_path, capsys):
     # a float diagonal entry always has a bounded relation against the exact
     # span, so a strategy drawing random reals could never succeed; the named

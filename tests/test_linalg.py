@@ -110,3 +110,10 @@ def test_integer_kernel_and_rational_solve():
     assert linalg.integer_kernel([[Scalar(1), GOLDEN]]) == []
     assert linalg.rational_solve([[Scalar(1), GOLDEN]], [GOLDEN / 3]) == [0, Fraction(1, 3)]
     assert linalg.rational_solve([[Scalar(1), GOLDEN]], [Scalar.sqrt(2)]) is None
+
+
+def test_all_zero_system_keeps_its_unknowns():
+    # no monomial appears, yet the system still has one unknown per column
+    assert linalg.rational_solve([[Scalar(0)]], [Scalar(0)]) == [0]
+    assert linalg.rational_solve([[Scalar(0)]], [Scalar(1)]) is None
+    assert linalg.integer_kernel([[Scalar(0), Scalar(0)]]) == [[1, 0], [0, 1]]

@@ -49,3 +49,11 @@ def test_certify_independent_exact_and_float():
     )
     assert cert.method == "lll-heuristic"
     assert cert.passed
+
+
+def test_zero_is_a_relation():
+    # 1 * 0 = 0: an all-zero system keeps its unknown, so its kernel is whole
+    assert exact_relation([Scalar(0)]) == [1]
+    cert = certify_independent([Scalar(0)], 10)
+    assert cert.method == "exact-kernel"
+    assert not cert.passed and cert.witness == [1]
