@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -232,8 +231,10 @@ def equidistribution_check(
     torus coordinate is the exact fractional part of ``sum(n_j * c_j)`` over
     the generators' torus coordinates ``c_j``, one ``sum_form`` per axis as
     the scheme computes a direct row, so no full star point is built.  The
-    characters are ``torus_characters``, which raises ``ValueError`` for a
-    scheme or bound without any; their sums share one ``float_points`` view.
+    cell loop stops at the first point that completes the coverage; a run
+    that leaves a cell empty reads every point.  The characters are
+    ``torus_characters``, which raises ``ValueError`` for a scheme or bound
+    without any; their sums share one ``float_points`` view of every point.
     """
     torus_idx, chars = torus_characters(scheme, chi_bound)
     factor = scheme.space.factors[torus_idx]
@@ -241,6 +242,7 @@ def equidistribution_check(
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
     torus = [h.coords[torus_idx] for _, h in scheme.generators]
     axes = [sum_form([c[axis] for c in torus]) for axis in range(factor.dim)]
+    cells_total = _EQUIDIST_CELLS ** factor.dim
     hit = set()
     for coords in patch.coords or []:
         fractional = [x - x.floor() for x in (form(coords) for form in axes)]
@@ -249,7 +251,8 @@ def equidistribution_check(
             for x in fractional
         )
         hit.add(cell)
-    cells_total = _EQUIDIST_CELLS ** factor.dim
+        if len(hit) == cells_total:
+            break  # every cell is hit: no later point changes the coverage
     volume = (2 * n) ** scheme.d
     points = patch.float_points()
     fb_values = {kvec: character_average(points, chi, volume) for kvec, chi in chars.items()}
@@ -340,33 +343,43 @@ def repetitivity_check(patch_source, K: Box, radius, probe: Box) -> Repetitivity
 
     True iff every closed ball of the given radius centred in the probe box
     contains a translation t with (-t + patch) agreeing with the patch on K.
+
+    The patch is sorted, so its points in K are one slice ``ref`` of it.  A
+    candidate ``t = x_j - ref[0]`` is a return exactly when the slice of the
+    same length from ``x_j`` has the reference's differences to its first
+    point (by ``Scalar ==``, up to the first mismatch) and the points just
+    outside it lie outside ``K + t``.  The returns come out in order.
     """
     if K.dim != 1 or probe.dim != 1:
         raise NotImplementedError("repetitivity check implemented for dimension 1")
     radius = Scalar.of(radius)
     patch = patch_source(probe)
-    reference = frozenset(p for p in patch.points if K.contains(p))
+    xs = [p[0] for p in patch.points]
+    # the reference: the points in K, one slice xs[a:a + m] of the sorted patch
+    a = next((j for j, x in enumerate(xs) if x >= K.lo[0]), len(xs))
+    m = next((k for k, x in enumerate(xs[a:]) if x > K.hi[0]), len(xs) - a)
     # candidate returns map the reference pattern into the patch
     valid_lo = probe.lo[0] - K.lo[0]
     valid_hi = probe.hi[0] - K.hi[0]
-    if reference:
-        anchor = min(reference)[0]
-        candidates = {p[0] - anchor for p in patch.points}
+    if not m:
+        # the one candidate is t = 0, and K + 0 holds no point either
+        returns = [t for t in (Scalar(0),) if valid_lo <= t <= valid_hi]
     else:
-        candidates = {Scalar(0)}
-    # the patch is sorted, so the points in K + t are one slice of it
-    xs = [p[0] for p in patch.points]
-    returns = []
-    for t in candidates:
-        if t < valid_lo or t > valid_hi:
-            continue
-        lo = bisect_left(xs, K.lo[0] + t)
-        hi = bisect_right(xs, K.hi[0] + t)
-        expected = frozenset((p[0] + t,) for p in reference)
-        actual = frozenset(patch.points[lo:hi])
-        if expected == actual:
-            returns.append(t)
-    returns.sort()
+        anchor = xs[a]
+        offsets = [x - anchor for x in xs[a + 1 : a + m]]
+        returns = []
+        for j in range(len(xs) - m + 1):
+            t = xs[j] - anchor  # increases with j
+            if t > valid_hi:
+                break
+            if t < valid_lo:
+                continue
+            if (
+                all(xs[j + k] - xs[j] == d for k, d in enumerate(offsets, 1))
+                and (j == 0 or xs[j - 1] < K.lo[0] + t)
+                and (j + m == len(xs) or xs[j + m] > K.hi[0] + t)
+            ):
+                returns.append(t)
     if not returns:
         return RepetitivityReport(False, (probe.lo[0],), 0)
     # every ball [c - R, c + R] with c in the probe must contain a return

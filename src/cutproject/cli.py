@@ -210,7 +210,7 @@ def parse_box(text: str, dim: int) -> Box:
 
 
 def _require_positive(values, option: str):
-    """Every averaging box A_n = [-n, n]^d needs n > 0."""
+    """Every averaging box A_n = [-n, n]^d needs n > 0, and a ball its radius."""
     for n in values:
         if n <= 0:
             raise InputError(f"{option} must be positive, got {n}")
@@ -387,8 +387,10 @@ def cmd_verify(args) -> int:
         window = load_window(args.window, scheme)
         K = parse_box(args.k_box, scheme.d)
         probe = parse_box(args.box, scheme.d)
+        radius = _scalar(args.radius)
+        _require_positive([radius], "--radius")
         source = lambda b: scheme.project_points(b, window)  # noqa: E731
-        rep = analysis.repetitivity_check(source, K, _scalar(args.radius), probe)
+        rep = analysis.repetitivity_check(source, K, radius, probe)
         passed = rep.ok
         report = {"suite": suite, "report": rep.to_obj()}
     elif suite == "theorem":

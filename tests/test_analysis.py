@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from test_scheme import float_scheme, golden_square_scheme
 
+from cutproject import analysis
 from cutproject.analysis import (
     CharacterRd,
     RepetitivityReport,
@@ -18,8 +19,8 @@ from cutproject.analysis import (
 )
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import FiniteCyclicFactor, InternalSpace, RealFactor
-from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
-from cutproject.scheme import Box, CutProjectScheme, Patch
+from cutproject.scalars import FLOAT_EPS, GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
+from cutproject.scheme import Box, CutProjectScheme, Patch, sum_form
 from cutproject.transforms import extend_injective, lift_window, lift_window_torus, translate_cps
 from cutproject.windows import ProductWindow, UnionWindow, empty_window, interval_window
 
@@ -210,20 +211,44 @@ def test_equidistribution_reads_torus_coordinate_only(monkeypatch):
     # is star's torus coordinate exactly, so no star point is built
     ext = extend_injective(fibonacci_scheme(), (Scalar.root(2, 3),), injectivity_bound=25)
     u = fibonacci_window().interior()
-    before = equidistribution_check(ext.scheme, u, chi_bound=3.0, n=200)
+    before, oracle = {}, {}
+    # n = 200 covers all 8 cells; n = 10 leaves one empty
+    for n in (200, 10):
+        before[n] = equidistribution_check(ext.scheme, u, chi_bound=3.0, n=n)
+        patch = ext.scheme.project_points(
+            Box.symmetric(n), lift_window_torus(u, ext.scheme.space, 1)
+        )
+        cells = {
+            min(int(ext.scheme.star(c).coords[1][0].to_float() * 8), 7) for c in patch.coords
+        }
+        oracle[n] = (len(patch), len(cells))
 
     def refused(self, n):
         raise AssertionError("star called")
 
-    patch = ext.scheme.project_points(Box.symmetric(200), lift_window_torus(u, ext.scheme.space, 1))
-    cells = {
-        min(int(ext.scheme.star(n).coords[1][0].to_float() * 8), 7) for n in patch.coords
-    }
+    evaluations = []
+
+    def counted(values):
+        form = sum_form(values)
+
+        def count(coords):
+            evaluations.append(coords)
+            return form(coords)
+
+        return count
+
     monkeypatch.setattr(CutProjectScheme, "star", refused)
-    report = equidistribution_check(ext.scheme, u, chi_bound=3.0, n=200)
-    assert report.to_obj() == before.to_obj()
-    assert report.cells_hit == len(cells) == 8
-    assert report.point_count == len(patch)
+    monkeypatch.setattr(analysis, "sum_form", counted)
+    walked = {}
+    for n in (200, 10):
+        evaluations.clear()
+        report = equidistribution_check(ext.scheme, u, chi_bound=3.0, n=n)
+        assert report.to_obj() == before[n].to_obj()
+        assert (report.point_count, report.cells_hit) == oracle[n]
+        walked[n] = len(evaluations)  # one torus axis: one evaluation per point
+    assert before[200].cells_hit == 8 and walked[200] < before[200].point_count
+    # a run that leaves a cell empty reads every point
+    assert before[10].cells_hit < 8 and walked[10] == before[10].point_count
 
 
 @pytest.mark.parametrize("chi_bound", [0.0, -3.0, 0.5])
@@ -364,7 +389,9 @@ def repetitivity_linear_scan(patch_source, K, radius, probe):
     return RepetitivityReport(True, None, len(returns))
 
 
-def test_repetitivity_agrees_with_the_linear_scan():
+def repetitivity_trials(count):
+    """Seeded repetitivity trials: the sources by name, and ``count`` tuples
+    ``(name, K, probe, radius)`` cycling through them."""
     scheme = fibonacci_scheme()
     w = fibonacci_window()
     rng = random.Random(41)
@@ -376,14 +403,22 @@ def test_repetitivity_agrees_with_the_linear_scan():
             [(Scalar(x),) for x in scattered if box.contains((Scalar(x),))], box
         ),
     }
-    outcomes = set()
-    for trial in range(36):
+    trials = []
+    for trial in range(count):
         name = sorted(sources)[trial % 3]
         centre = rng.randint(-30, 30)
         probe = Box.interval(centre - rng.randint(5, 30), centre + rng.randint(5, 30))
         lo = centre + Fraction(rng.randint(-80, 40), rng.choice((2, 4)))
         K = Box.interval(lo, lo + Fraction(rng.randint(0, 24), rng.choice((1, 4))))
         radius = Fraction(rng.randint(1, 40), 2)
+        trials.append((name, K, probe, radius))
+    return sources, trials
+
+
+def test_repetitivity_agrees_with_the_linear_scan():
+    sources, trials = repetitivity_trials(36)
+    outcomes = set()
+    for name, K, probe, radius in trials:
         fast = repetitivity_check(sources[name], K, radius, probe)
         slow = repetitivity_linear_scan(sources[name], K, radius, probe)
         assert fast.to_obj() == slow.to_obj(), (name, K, probe, radius)
@@ -394,6 +429,26 @@ def test_repetitivity_agrees_with_the_linear_scan():
         outcomes.add((fast.ok, empty))
     # passing and failing checks, with and without a reference pattern
     assert {(True, False), (False, False), (False, True)} <= outcomes
+
+
+def test_float_repetitivity_agrees_with_exact():
+    # a float point hashes by its bits but compares within FLOAT_EPS, so a
+    # return whose translated points differ only by rounding must still match
+    sources, trials = repetitivity_trials(60)
+    scheme = float_scheme()
+    w = fibonacci_window()
+    outcomes = set()
+    for _, K, probe, radius in trials:
+        exact = repetitivity_check(sources["fibonacci"], K, radius, probe)
+        floating = repetitivity_check(lambda box: scheme.project_points(box, w), K, radius, probe)
+        assert (floating.ok, floating.returns_found) == (exact.ok, exact.returns_found), (K, probe)
+        if exact.witness_center is None:
+            assert floating.witness_center is None
+        else:
+            (c,) = floating.witness_center
+            assert abs(c.to_float() - exact.witness_center[0].to_float()) <= FLOAT_EPS
+        outcomes.add(exact.ok)
+    assert outcomes == {True, False}
 
 
 def float_view_cases():

@@ -276,6 +276,11 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
         # an invalid scheme file there too
         (["generate", "--scheme", "{bad-scalar}", "--mode", "float", "--window", "builtin:fibonacci",
           "--box", "0:5"], "invalid scheme file"),
+        # a ball radius is a size, positive like --n
+        (["verify", "--suite", "repetitivity", "--window", "builtin:fibonacci", "--k-box", "0:5",
+          "--box=-60:60", "--radius=-5"], "--radius must be positive"),
+        (["verify", "--suite", "repetitivity", "--window", "builtin:fibonacci", "--k-box", "0:5",
+          "--box=-60:60", "--radius", "0"], "--radius must be positive"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):
