@@ -3,12 +3,15 @@
 The scheme embeds the golden-ratio ring into the plane by pairing each
 element with its algebraic conjugate; the substitution system generates the
 same point set independently, which pins down the half-open acceptance
-window by exhaustive matching over low-height candidate endpoints.
+window among low-height candidate endpoints: one enumeration over a cover
+window, sorted by star, decides every candidate by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from operator import itemgetter
 
 from . import linalg
 from .internal_space import InternalSpace, RealFactor
@@ -42,13 +45,31 @@ def fibonacci_substitution() -> SubstitutionSystem:
 
 def ring_coordinates(x: Scalar) -> tuple[int, int]:
     """Integer (p, q) with x = p + q*golden, for x in the golden ring."""
-    if not x.is_exact:
+    (pq,) = ring_coordinates_of([x])
+    return pq
+
+
+def ring_coordinates_of(values) -> list[tuple[int, int]]:
+    """``ring_coordinates`` of each of ``values``, from one row reduction.
+
+    1 and golden are rationally independent, so each (p, q) is unique.
+    Raises ``ring_coordinates``' ``ValueError`` for a float value, or else
+    for the first value outside the golden ring.
+    """
+    if not all(x.is_exact for x in values):
         raise ValueError("ring coordinates need an exact value")
-    sol = linalg.rational_solve([[Scalar(1), GOLDEN]], [x])
-    if sol is None or any(v.denominator != 1 for v in sol):
-        raise ValueError(f"{x!r} is not in the golden ring")
-    p, q = sol
-    return int(p), int(q)
+    sols = linalg.rational_solve([[Scalar(1), GOLDEN]], [[x] for x in values])
+    out = []
+    for x, sol in zip(values, sols):
+        if sol is None or any(v.denominator != 1 for v in sol):
+            raise ValueError(f"{x!r} is not in the golden ring")
+        out.append((int(sol[0]), int(sol[1])))
+    return out
+
+
+def _star(p: int, q: int) -> Scalar:
+    """The star of lattice coordinates (p, q): p + q*conj(golden)."""
+    return Scalar(p) + GOLDEN_CONJ * q
 
 
 @lru_cache(maxsize=4)
@@ -58,38 +79,58 @@ def derive_fibonacci_window(radius: int = 55, height: int = 3) -> Window:
     Candidate endpoints are conjugate-ring elements e + f*conj(golden) of
     height at most ``height``; the unique half-open interval whose projection
     patch reproduces the oracle patch on [-radius, radius] is returned.
+
+    One enumeration serves every candidate.  Each candidate window lies in
+    the closed cover window from the lowest low end to the highest high end,
+    so its patch is the cover's points with a star inside it.  The oracle's
+    ring coordinates are its points' lattice coordinates; in the cover sorted
+    by star they must be one block, and a candidate matches exactly when
+    bisecting the star list at its two ends cuts out that block.
     """
     scheme = fibonacci_scheme()
-    system = fibonacci_substitution()
     box = Box.symmetric(radius)
-    oracle = fixed_point_patch(system, 8, box)
-    stars = []
-    for (x,) in oracle.points:
-        p, q = ring_coordinates(x)
-        stars.append(Scalar(p) + GOLDEN_CONJ * q)
+    oracle = fixed_point_patch(fibonacci_substitution(), 8, box)
+    coords = ring_coordinates_of([x for (x,) in oracle.points])
+    stars = [_star(p, q) for p, q in coords]
     lo_star = min(stars)
     hi_star = max(stars)
-    candidates = []
-    for e in range(-height, height + 1):
-        for f in range(-height, height + 1):
-            candidates.append(Scalar(e) + GOLDEN_CONJ * f)
+    candidates = [
+        Scalar(e) + GOLDEN_CONJ * f
+        for e in range(-height, height + 1)
+        for f in range(-height, height + 1)
+    ]
     half = Scalar.of(1) / 2
     lows = [c for c in candidates if lo_star - half <= c <= lo_star]
     highs = [c for c in candidates if hi_star <= c <= hi_star + half]
     matches = []
-    for alpha in lows:
-        for beta in highs:
-            for lo_closed in (True, False):
-                window = interval_window(
-                    scheme.space, alpha, beta, lo_closed, not lo_closed
-                )
-                if scheme.project_points(box, window) == oracle:
-                    matches.append(window)
+    if lows and highs:
+        cover_window = interval_window(scheme.space, min(lows), max(highs), True, True)
+        cover = sorted(
+            ((_star(*n), n) for n in scheme.project_points(box, cover_window).coords),
+            key=itemgetter(0),
+        )
+        place = {n: k for k, (_, n) in enumerate(cover)}
+        spots = sorted(place[n] for n in coords if n in place)
+        if len(spots) == len(coords) and spots[-1] - spots[0] + 1 == len(spots):
+            block = (spots[0], spots[-1] + 1)
+            cover_stars = [star for star, _ in cover]
+            # [alpha, beta) keeps the stars from bisect_left(alpha) up to
+            # bisect_left(beta), (alpha, beta] those between the bisect_rights
+            for lo_closed, cut in ((True, bisect_left), (False, bisect_right)):
+                starts = [cut(cover_stars, alpha) for alpha in lows]
+                stops = [cut(cover_stars, beta) for beta in highs]
+                matches += [
+                    (alpha, beta, lo_closed)
+                    for alpha, start in zip(lows, starts)
+                    for beta, stop in zip(highs, stops)
+                    if (start, stop) == block
+                ]
     if not matches:
         raise RuntimeError("no half-open window matches the substitution oracle")
     if len(matches) > 1:
         raise RuntimeError("window derivation ambiguous; enlarge the radius")
-    return matches[0]
+    alpha, beta, lo_closed = matches[0]
+    return interval_window(scheme.space, alpha, beta, lo_closed, not lo_closed)
 
 
 def fibonacci_window() -> Window:

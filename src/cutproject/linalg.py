@@ -7,7 +7,8 @@ several right-hand sides per elimination.
 
 A system with exact entries and rational unknowns is decided by expanding it
 into one rational equation per monomial (the order-basis form of Cohen 1993,
-section 4.2) and row-reducing that with ``ratmath``.
+section 4.2) and row-reducing that with ``ratmath``; it too takes several
+right-hand sides per row reduction.
 """
 
 from __future__ import annotations
@@ -61,27 +62,24 @@ def solve_exact(
     return [[a[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
-def rational_system(rows, rhs=None) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rational system equivalent to the exact Scalar system ``rows . x = rhs``.
+def rational_system(rows, rhs=()) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Rational systems equivalent to the exact Scalar systems ``rows . x = b``.
 
-    Each scalar equation splits into one rational equation per monomial
-    appearing anywhere on either side; unknowns are rational.  A missing
-    ``rhs`` is zero.  Where no monomial appears, each scalar equation is one
-    zero equation, so the system keeps its unknowns: its kernel is the whole
+    There is one system per right-hand side b in ``rhs``, all with one
+    matrix: each scalar equation splits into one rational equation per
+    monomial appearing anywhere in ``rows`` or ``rhs``; unknowns are
+    rational.  Where no monomial appears, each scalar equation is one zero
+    equation, so the system keeps its unknowns: its kernel is the whole
     space.
     """
-    if rhs is None:
-        rhs = [Scalar(0)] * len(rows)
     row_terms = [[v.terms() for v in row] for row in rows]
-    rhs_terms = [v.terms() for v in rhs]
-    monos = sorted(set().union(*rhs_terms, *(t for row in row_terms for t in row))) or [None]
-    mat = []
-    vec = []
-    for row, rv in zip(row_terms, rhs_terms):
-        for mono in monos:
-            mat.append([t.get(mono, Fraction(0)) for t in row])
-            vec.append(rv.get(mono, Fraction(0)))
-    return mat, vec
+    rhs_terms = [[v.terms() for v in b] for b in rhs]
+    monos = sorted(
+        set().union(*(t for b in rhs_terms for t in b), *(t for row in row_terms for t in row))
+    ) or [None]
+    mat = [[t.get(mono, Fraction(0)) for t in row] for row in row_terms for mono in monos]
+    vecs = [[t.get(mono, Fraction(0)) for t in b for mono in monos] for b in rhs_terms]
+    return mat, vecs
 
 
 def integer_kernel(rows) -> list[list[int]]:
@@ -90,9 +88,10 @@ def integer_kernel(rows) -> list[list[int]]:
     return [ratmath.clear_denominators(v) for v in ratmath.kernel(mat)]
 
 
-def rational_solve(rows, rhs) -> list[Fraction] | None:
-    """One rational solution of ``rows . x = rhs``, or None if there is none."""
-    return ratmath.solve(*rational_system(rows, rhs))
+def rational_solve(rows, rhs) -> list[list[Fraction] | None]:
+    """One rational solution of ``rows . x = b`` for each b in ``rhs``, None
+    where there is none.  One row reduction serves every right-hand side."""
+    return ratmath.solve_many(*rational_system(rows, rhs))
 
 
 def _iv_sub(x: Interval, y: Interval) -> Interval:

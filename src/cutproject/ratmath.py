@@ -10,12 +10,18 @@ from fractions import Fraction
 from math import gcd
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def rref(
+    rows: list[list[Fraction]], ncols: int | None = None
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Pivots are sought in the first ``ncols`` columns (all by default); the
+    columns after them are carried along.
+    """
     rows = [list(map(Fraction, r)) for r in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if ncols is None else ncols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -38,20 +44,32 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
 
 def solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """One particular solution of A x = b, or None if inconsistent."""
+    return solve_many(a, [b])[0]
+
+
+def solve_many(a: list[list[Fraction]], bs: list[list[Fraction]]) -> list[list[Fraction] | None]:
+    """``solve(a, b)`` for each b in ``bs``.
+
+    One row reduction carries every b as an extra column.  Pivots lie in A's
+    columns only, and the solution with zero free unknowns is unique, so each
+    solution equals that of a single-column call.
+    """
     if not a:
-        return [] if all(v == 0 for v in b) else None
+        return [[] if all(v == 0 for v in b) else None for b in bs]
     n = len(a[0])
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(a, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = red[r][-1]
-    return x
+    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(a)]
+    red, pivots = rref(aug, n)
+    out: list[list[Fraction] | None] = []
+    for k in range(n, n + len(bs)):
+        # the rows below the pivots are zero in A's columns
+        if any(row[k] != 0 for row in red[len(pivots):]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for r, c in enumerate(pivots):
+            x[c] = red[r][k]
+        out.append(x)
+    return out
 
 
 def kernel(a: list[list[Fraction]]) -> list[list[Fraction]]:

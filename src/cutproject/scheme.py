@@ -760,7 +760,7 @@ class CutProjectScheme:
             v.is_exact for row in self.matrix for v in row
         ):
             return self._lattice_coords_float(gvec, h, target)
-        sol = linalg.rational_solve(self.matrix, target)
+        (sol,) = linalg.rational_solve(self.matrix, [target])
         if sol is None:
             return None
         if any(x.denominator != 1 for x in sol):
@@ -798,7 +798,7 @@ class CutProjectScheme:
         )
         if exact:
             rows = [[g[i] for g, _ in self.generators] for i in range(self.d)]
-            sol = linalg.rational_solve(rows, list(a))
+            (sol,) = linalg.rational_solve(rows, [list(a)])
             if sol is None:
                 return Commensurability("incommensurate")
             m = 1
@@ -882,7 +882,8 @@ class CutProjectScheme:
         """
         if self.star_kernel_witness() is not None:
             raise SchemeError("star map is not injective: preimages are not unique")
-        sol = linalg.rational_solve(*self._star_system(p))
+        rows, target = self._star_system(p)
+        (sol,) = linalg.rational_solve(rows, [target])
         if sol is None or any(x.denominator != 1 for x in sol[: self.rank]):
             return None
         n = tuple(int(x) for x in sol[: self.rank])

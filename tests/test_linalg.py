@@ -108,12 +108,49 @@ def test_integer_kernel_and_rational_solve():
         [1, -2, 2]
     ]
     assert linalg.integer_kernel([[Scalar(1), GOLDEN]]) == []
-    assert linalg.rational_solve([[Scalar(1), GOLDEN]], [GOLDEN / 3]) == [0, Fraction(1, 3)]
-    assert linalg.rational_solve([[Scalar(1), GOLDEN]], [Scalar.sqrt(2)]) is None
+    assert linalg.rational_solve([[Scalar(1), GOLDEN]], [[GOLDEN / 3]]) == [[0, Fraction(1, 3)]]
+    assert linalg.rational_solve([[Scalar(1), GOLDEN]], [[Scalar.sqrt(2)]]) == [None]
 
 
 def test_all_zero_system_keeps_its_unknowns():
     # no monomial appears, yet the system still has one unknown per column
-    assert linalg.rational_solve([[Scalar(0)]], [Scalar(0)]) == [0]
-    assert linalg.rational_solve([[Scalar(0)]], [Scalar(1)]) is None
+    assert linalg.rational_solve([[Scalar(0)]], [[Scalar(0)]]) == [[0]]
+    assert linalg.rational_solve([[Scalar(0)]], [[Scalar(1)]]) == [None]
     assert linalg.integer_kernel([[Scalar(0), Scalar(0)]]) == [[1, 0], [0, 1]]
+
+
+def images(mat, rng):
+    """Right-hand sides ``mat . x`` for rational x, the unit vectors (mostly
+    without a rational solution), and one with a monomial no entry has."""
+    size = len(mat[0])
+    xs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)] for _ in range(3)]
+    consistent = [[sum((v * x for v, x in zip(row, xv)), Scalar(0)) for row in mat] for xv in xs]
+    return consistent + right_hand_sides(len(mat), rng) + [[Scalar.sqrt(7)] * len(mat)]
+
+
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        pytest.param(mat, images(mat, random.Random(22)), id=name)
+        for name in MATRICES[:3]
+        for mat in [lifted_matrix(name)]
+    ]
+    + [
+        pytest.param(
+            [[Scalar(1), GOLDEN]],
+            [[GOLDEN / 3], [Scalar.sqrt(2)], [Scalar(0)], [Scalar(3) + GOLDEN * 4], [Scalar.sqrt(2)]],
+            id="golden ring",
+        ),
+        pytest.param(
+            [[Scalar(0)], [Scalar(0)]],
+            [[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)], [Scalar(0), Scalar(0)]],
+            id="all zero",
+        ),
+    ],
+)
+def test_rational_solve_many_right_hand_sides(rows, rhs):
+    together = linalg.rational_solve(rows, rhs)
+    alone = [linalg.rational_solve(rows, [b])[0] for b in rhs]
+    assert together == alone
+    assert len(together) == len(rhs)
+    assert None in together and any(sol is not None for sol in together)

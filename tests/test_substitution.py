@@ -6,6 +6,7 @@ from cutproject.fibonacci import (
     fibonacci_substitution,
     fibonacci_window,
     ring_coordinates,
+    ring_coordinates_of,
 )
 from cutproject.scalars import GOLDEN, Scalar
 from cutproject.scheme import Box
@@ -80,6 +81,20 @@ def test_ring_coordinates():
         ring_coordinates(Scalar.from_float(1.0))
 
 
+def test_ring_coordinates_of_equals_one_call_per_value():
+    oracle = fixed_point_patch(fibonacci_substitution(), 8, Box.symmetric(55))
+    values = [x for (x,) in oracle.points]
+    assert len(values) == 79
+    grid = [Scalar(p) + GOLDEN * q for p in range(-20, 21) for q in range(-20, 21)]
+    for batch in (values, grid):
+        assert ring_coordinates_of(batch) == [ring_coordinates(x) for x in batch]
+    assert ring_coordinates_of([]) == []
+    with pytest.raises(ValueError, match="is not in the golden ring"):
+        ring_coordinates_of(values[:3] + [GOLDEN / 2] + values[3:])
+    with pytest.raises(ValueError, match="need an exact value"):
+        ring_coordinates_of(values[:3] + [Scalar.from_float(1.0)])
+
+
 def test_derived_window_matches_oracle_two_sided():
     window = fibonacci_window()
     scheme = fibonacci_scheme()
@@ -104,7 +119,59 @@ def test_derived_window_shape():
 
 
 def test_window_derivation_is_cached_and_deterministic():
-    assert derive_fibonacci_window() == derive_fibonacci_window()
+    first = derive_fibonacci_window.__wrapped__()
+    second = derive_fibonacci_window.__wrapped__()
+    assert first is not second
+    assert first == second == derive_fibonacci_window()
+    assert first.to_obj() == second.to_obj() == derive_fibonacci_window().to_obj()
+    assert derive_fibonacci_window() is derive_fibonacci_window()
+
+
+@pytest.mark.parametrize(
+    "radius, height", [(13, 3), (21, 3), (34, 2), (55, 1), (55, 3), (89, 3)]
+)
+def test_window_derivation_outcome_grid(radius, height):
+    window = derive_fibonacci_window.__wrapped__(radius, height)
+    (piece,) = window.regions[0].axes[0].pieces
+    assert (piece.lo, piece.hi) == (Scalar(-1), GOLDEN - 1)
+    assert not piece.lo_closed and piece.hi_closed
+    assert window.to_obj() == fibonacci_window().to_obj()
+
+
+@pytest.mark.parametrize(
+    "radius, height, message",
+    [
+        (3, 3, "window derivation ambiguous; enlarge the radius"),
+        (5, 3, "window derivation ambiguous; enlarge the radius"),
+        (8, 3, "window derivation ambiguous; enlarge the radius"),
+        # height 0 leaves no candidate low end at all
+        (55, 0, "no half-open window matches the substitution oracle"),
+    ],
+)
+def test_window_derivation_failures(radius, height, message):
+    with pytest.raises(RuntimeError, match=message):
+        derive_fibonacci_window.__wrapped__(radius, height)
+
+
+def test_window_derivation_makes_one_enumeration_and_one_elimination(monkeypatch):
+    from cutproject import linalg
+    from cutproject.scheme import CutProjectScheme
+
+    calls = {"project_points": 0, "rational_solve": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return original(*args, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(CutProjectScheme, "project_points")
+    counted(linalg, "rational_solve")
+    derive_fibonacci_window.__wrapped__()
+    assert calls == {"project_points": 1, "rational_solve": 1}
 
 
 def test_oracle_patch_is_repetitive_at_desk_scale():
