@@ -7,7 +7,7 @@ tolerances are the caller's business and live in the reports.
 The suites read a patch's lattice coordinates: counts bisect its sorted
 first coordinate (``Patch.restrict``), character sums run over its one float
 view (``Patch.float_points``, the floats its CSV writes), and a torus
-coordinate is one exact form per axis (``scheme.sum_form``).  An exact
+coordinate is one exact form per axis (``scalars.sum_form``).  An exact
 point is built only where an exact comparison needs one.
 """
 
@@ -16,13 +16,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 
 from . import linalg
 from .internal_space import SpaceMismatchError
-from .scalars import FLOAT_EPS, Scalar
-from .scheme import Box, CutProjectScheme, Patch, sum_form
+from .scalars import FLOAT_EPS, Scalar, sum_form
+from .scheme import Box, CutProjectScheme, Patch
 from .windows import Window
 
 _EQUIDIST_CELLS = 8  # torus cells per fundamental coordinate in the coverage test
@@ -130,14 +131,18 @@ def character_average(points, chi: CharacterRd, volume) -> complex:
     """The conjugate character summed over ``points`` in order, over ``volume``.
 
     ``points`` are ``Scalar`` points or, cheaper, a patch's ``float_points``;
-    each phase is ``CharacterRd.value``'s expression over the same floats, so
-    either gives the same bits.
+    each phase is ``CharacterRd.value``'s argument over the same floats, so
+    either gives the same bits.  The real and imaginary parts are summed as
+    two floats, ``cos`` and ``-sin`` of each phase, which on CPython gives the
+    bits of summing ``cmath.exp(2j * pi * phase).conjugate()``.
     """
-    total = 0j
-    coeffs, turn, exp = chi.chi, 2j * math.pi, cmath.exp
+    re = im = 0.0
+    coeffs, tau, cos, sin = chi.chi, 2 * math.pi, math.cos, math.sin
     for p in points:
-        total += exp(turn * sum(map(mul, coeffs, map(float, p)))).conjugate()
-    return total / volume
+        t = tau * sum(map(mul, coeffs, map(float, p)))
+        re += cos(t)
+        im -= sin(t)
+    return complex(re, im) / volume
 
 
 def fourier_bohr(scheme: CutProjectScheme, window: Window, chi, n: int) -> complex:
@@ -176,7 +181,8 @@ def torus_characters(scheme: CutProjectScheme, chi_bound: float):
 
     A scheme without a torus factor, or a bound under which no nontrivial
     character lies, is refused with ``ValueError``: a check of no character
-    would pass vacuously.
+    would pass vacuously.  So is a bound whose range of dual-lattice
+    coordinates overflows a float or an index.
     """
     torus_idx = None
     for idx, f in enumerate(scheme.space.factors):
@@ -187,6 +193,8 @@ def torus_characters(scheme: CutProjectScheme, chi_bound: float):
     factor = scheme.space.factors[torus_idx]
     # characters of the quotient: dual-lattice vectors below the norm bound
     inv_diag = [1.0 / float(factor.basis[i][i]) for i in range(factor.dim)]
+    if not all(chi_bound / v < sys.maxsize // 2 for v in inv_diag if v > 0):  # inf, nan too
+        raise ValueError(f"the torus characters of norm <= {chi_bound} overflow their range")
     kmax = [int(chi_bound / v) + 1 if v > 0 else 0 for v in inv_diag]
     chars = {}
     for kvec in itertools.product(*[range(-k, k + 1) for k in kmax]):

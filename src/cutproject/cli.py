@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from functools import cache, lru_cache
@@ -216,6 +217,22 @@ def _require_positive(values, option: str):
             raise InputError(f"{option} must be positive, got {n}")
 
 
+def _require_finite(values, option: str):
+    for v in values:
+        if not math.isfinite(v):
+            raise InputError(f"{option} must be finite, got {v}")
+
+
+def _phase_overflows(chi, n: int) -> bool:
+    """True when 2 pi n sum(|chi_i|), the largest phase a point of A_n can
+    take, is not a finite float."""
+    try:
+        reach = math.fsum(map(abs, chi))
+        return reach > 0 and not math.isfinite(2 * math.pi * (n * reach))
+    except OverflowError:  # the sum, or n, beyond the floats
+        return True
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -316,6 +333,10 @@ def cmd_verify(args) -> int:
             if len(chi) != scheme.d:
                 raise InputError(f"each --chi must have {scheme.d} entries separated by ','")
         _require_positive([args.n], "--n")
+        for chi in chis:
+            _require_finite(chi, "--chi")
+            if _phase_overflows(chi, args.n):
+                raise InputError(f"--chi {','.join(map(str, chi))} overflows a phase on A_{args.n}")
         # one patch and one float view of it serve the density and every character
         patch = scheme.project_points(Box.symmetric(args.n, scheme.d), window)
         points = patch.float_points()
@@ -343,6 +364,7 @@ def cmd_verify(args) -> int:
         window = _read_window(args.window, scheme)
         tol = args.tol if args.tol is not None else 0.05
         _require_positive([args.n], "--n")
+        _require_finite([args.chi_bound], "--chi-bound")
         if not args.chi_bound > 0:
             raise InputError(f"--chi-bound must be positive, got {args.chi_bound}")
         try:

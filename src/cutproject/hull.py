@@ -90,7 +90,7 @@ class AlmostModelSetWitness:
     enumerated through each window, and the rule is checked to lie between
     the two projection sets there; ``admitted`` keeps
     ``(n, star(n), star(n) in lower)`` for each n of the cube the rule
-    admits, in lexicographic order.
+    admits, in lexicographic order.  ``certified_box`` is computed once.
     """
 
     def __init__(self, scheme: CutProjectScheme, lower: Window, upper: Window, rule: GammaRule, truncation: int):
@@ -103,6 +103,7 @@ class AlmostModelSetWitness:
         self.upper = upper
         self.rule = rule.bind(scheme)
         self.truncation = truncation
+        self._certified = None
         # the box holds direct(n) for every cube point; the budget grows with the cube
         radii = [truncation * sum(abs(g[i]) for g, _ in scheme.generators) for i in range(scheme.d)]
         box = Box([-r for r in radii], radii)
@@ -133,6 +134,15 @@ class AlmostModelSetWitness:
                     f"rule admits a point outside the upper window at {n}"
                 )
             self.admitted.append((n, h, n in in_lower))
+
+    def certified_box(self) -> Box:
+        """The largest symmetric box whose enumeration through the upper
+        window's closure stays inside the truncation cube."""
+        if self._certified is None:
+            self._certified = transforms.certified_box(
+                self.scheme, self.upper.closure(), self.truncation
+            )
+        return self._certified
 
     def gamma_patch(self, box: Box) -> Patch:
         """The rule's point set inside a box within the certified range."""
@@ -231,9 +241,7 @@ def limit_patch_check(
     states whether the patches on K stabilize between the translated window
     projections.
     """
-    certified = transforms.certified_box(
-        scheme, witness.upper.closure(), witness.truncation
-    )
+    certified = witness.certified_box()
     s_lo = [k - c for k, c in zip(K.hi, certified.hi)]
     s_hi = [k - c for k, c in zip(K.lo, certified.lo)]
     if any(a > b for a, b in zip(s_lo, s_hi)):
@@ -350,18 +358,22 @@ def generic_shift(
     """A shift moving the window difference set off all truncated star points.
 
     Walks a fixed irrational ladder first for reproducibility, then falls
-    back to seeded random multiples of the first ladder entry.
+    back to seeded random multiples of the first ladder entry.  Each
+    candidate is built, and each multiple drawn, only when it is tried.
     """
     diff = window_difference_points(lower, upper)
     space = scheme.space
     if not diff:
         return space.zero()
-    candidates = [make() for make in LADDER]
     rng = rng or random.Random(0)
-    while len(candidates) < _SHIFT_ATTEMPTS:
-        q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        candidates.append(LADDER[0]() * q)
-    for value in candidates:
+
+    def candidates():
+        yield from (make() for make in LADDER)
+        for _ in range(_SHIFT_ATTEMPTS - len(LADDER)):
+            q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+            yield LADDER[0]() * q
+
+    for value in candidates():
         t = shift_point(space, value)
         ok, _ = check_shift_avoidance(scheme, t, diff, truncation)
         if ok:
@@ -449,12 +461,11 @@ def hull_classification_check(
         config_set = config.point_set()
         pairs = zip(upper_patch.points, upper_patch.coords)
         rule2 = GammaRule(lower_w, add=[n for p, n in pairs if p in config_set])
-        truncation2 = witness.truncation
         try:
-            wit2 = AlmostModelSetWitness(scheme2, lower_w, upper_w, rule2, truncation2)
+            wit2 = AlmostModelSetWitness(scheme2, lower_w, upper_w, rule2, witness.truncation)
             aug = transforms.almost_to_model(wit2)
             certificate = aug.certificate
-            inner = transforms.certified_box(scheme2, upper_w.closure(), truncation2)
+            inner = wit2.certified_box()
             check_box = _box_intersection(inner, shifted_box)
             reproduced = scheme2.project_points(check_box, aug.window)
             expected = config.restrict(check_box)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 from . import linalg
-from .scalars import Scalar
+from .scalars import ExactnessError, LinearForm, Scalar, _apply_each, sum_form
 
 
 class SpaceMismatchError(ValueError):
@@ -45,6 +46,12 @@ class Factor:
     Kernel rows (``kernel_values``) are all coordinates; ``kernel_relations``
     are coordinates whose kernel rows span the congruences under which a
     point is zero.  The defaults describe a factor with none of these.
+
+    ``star_map`` turns the generators' coordinates into the map ``n ->``
+    canonical coordinate of ``sum(n[j] * coords[j])``, the factor's part of
+    a scheme's star map.  The default folds ``add`` and ``scale`` over the
+    generators; a kind overrides it with a closed form where its values
+    give the fold's coordinates bit for bit.
     """
 
     __slots__ = ()
@@ -81,6 +88,22 @@ class Factor:
         """Targets of the fractional dual-lattice shifts the factor adds,
         given the generators' coordinates."""
         return []
+
+    def star_map(self, coords):
+        return partial(_fold, self, tuple(coords))
+
+
+def _fold(factor: Factor, coords, n):
+    """``sum(n[j] * coords[j])`` by the factor's group law, term by term."""
+    acc = factor.zero()
+    for k, c in zip(n, coords):
+        if k:
+            acc = factor.add(acc, factor.scale(c, k))
+    return acc
+
+
+def _dot(coeffs, n) -> int:
+    return sum(map(operator.mul, n, coeffs))
 
 
 class _VectorFactor(Factor):
@@ -141,6 +164,10 @@ class RealFactor(_VectorFactor):
     def distance_sq(self, a, b):
         return sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
 
+    def star_map(self, coords):
+        # a float axis's sum_form sums term by term, in the fold's order
+        return partial(_apply_each, [sum_form([c[i] for c in coords]) for i in range(self.dim)])
+
 
 @dataclass(frozen=True)
 class IntegerRankFactor(_VectorFactor):
@@ -179,6 +206,9 @@ class IntegerRankFactor(_VectorFactor):
 
     def lift_values(self, c):
         return [Scalar(v) for v in c]
+
+    def star_map(self, coords):
+        return partial(_apply_each, [partial(_dot, [c[i] for c in coords]) for i in range(self.rank)])
 
 
 @dataclass(frozen=True)
@@ -226,6 +256,13 @@ class FiniteCyclicFactor(Factor):
 
     def annihilator_shifts(self, coords):
         return [[-Scalar(c) / self.modulus for c in coords]]
+
+    def star_map(self, coords):
+        return partial(_residue, tuple(coords), self.modulus)
+
+
+def _residue(coeffs, modulus: int, n) -> int:
+    return _dot(coeffs, n) % modulus
 
 
 class TorusFactor(Factor):
@@ -332,6 +369,15 @@ class TorusFactor(Factor):
     def annihilator_shifts(self, coords):
         raise ValueError("annihilator projection needs the base factor family")
 
+    def star_map(self, coords):
+        # an exact sum's fractional part; a float one takes the fold, whose
+        # reductions after each term the closed form would not round alike
+        try:
+            forms = [LinearForm([c[i] for c in coords]) for i in range(self.dim)]
+        except ExactnessError:
+            return super().star_map(coords)
+        return partial(_fractional_parts, forms)
+
     def __eq__(self, other):
         return (
             isinstance(other, TorusFactor)
@@ -346,6 +392,11 @@ class TorusFactor(Factor):
 
     def __repr__(self):
         return f"TorusFactor({self.dim}, {self.basis!r})"
+
+
+def _fractional_parts(forms, n) -> tuple:
+    values = [form(n) for form in forms]
+    return tuple([v - v.floor() for v in values])
 
 
 class TwistedExtensionFactor(Factor):
@@ -443,6 +494,19 @@ class TwistedExtensionFactor(Factor):
     def annihilator_shifts(self, coords):
         raise ValueError("annihilator projection needs the base factor family")
 
+    def star_map(self, coords):
+        """The residue sum ``R``, and the base's maps over the generators and
+        the twist at ``(n, R // modulus)``: each of the ``R // modulus``
+        carries adds the twist once.  A float base takes the fold, whose
+        float sums run in another order."""
+        bases = [h for h, _ in coords] + [self.twist]
+        if not all(v.is_exact for h in bases for v in self.base.kernel_values(h)):
+            return super().star_map(coords)
+        maps = [
+            f.star_map([h.coords[i] for h in bases]) for i, f in enumerate(self.base.factors)
+        ]
+        return partial(_twisted, self.base, maps, tuple(r for _, r in coords), self.modulus)
+
     def __eq__(self, other):
         return (
             isinstance(other, TwistedExtensionFactor)
@@ -458,6 +522,12 @@ class TwistedExtensionFactor(Factor):
 
     def __repr__(self):
         return f"TwistedExtensionFactor({self.base!r}, {self.modulus}, {self.twist!r})"
+
+
+def _twisted(base: "InternalSpace", maps, residues, modulus: int, n) -> tuple:
+    carry, r = divmod(sum(map(operator.mul, n, residues)), modulus)
+    lifted = (*n, carry)
+    return (HPoint(base, tuple([f(lifted) for f in maps])), r)
 
 
 _FACTOR_KINDS = {

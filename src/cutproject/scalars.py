@@ -39,6 +39,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from .ratmath import factorize, iroot, solve
@@ -918,7 +919,7 @@ class Scalar:
 def floats(values) -> list[float]:
     """The float of each scalar in ``values``, in order.
 
-    An exact value's float is ``_midpoint`` of its terms, as in
+    An exact value's float is ``_midpoints`` of its terms, as in
     ``bounds(18)``, and is kept on the scalar; a float value gives its own.
     ``Scalar.to_float`` is this on one value.
     """
@@ -926,7 +927,8 @@ def floats(values) -> list[float]:
     for v in values:
         f = v._float
         if f is None:
-            f = v._float = _midpoint(v._num.items(), v._den)
+            rows = [((c,), *_MONO_FLOAT[i]) for i, c in v._num.items()]
+            f = v._float = _midpoints(_ONE_VECTOR, rows, v._den)[0]
         out.append(f)
     return out
 
@@ -940,22 +942,30 @@ class _Bounds18(dict):
 
 
 _MONO_FLOAT = _Bounds18()
+_ONE_VECTOR = ((1,),)  # a scalar's terms as one form over the vector (1,)
 
 
-def _midpoint(terms, den: int) -> float:
-    """The float of ``sum(c * monomial i) / den`` over ``(i, c)`` terms, the
-    midpoint of its 10**18 enclosure with each term floored and ceiled over
-    ``den`` on its own; floor(g*c*m / (g*den)) = floor(c*m / den)."""
-    lo = hi = 0
-    for i, c in terms:
-        mlo, mhi = _MONO_FLOAT[i]
-        if c >= 0:
-            lo += c * mlo // den
-            hi -= -c * mhi // den
-        else:
-            lo += c * mhi // den
-            hi -= -c * mlo // den
-    return (lo + hi) / (2 * 10 ** 18)
+def _midpoints(vectors, rows, den: int) -> list[float]:
+    """The float of ``sum(c * monomial) / den`` for each integer vector ``n``,
+    where each row ``(coeffs, mlo, mhi)`` gives one monomial's coefficient
+    ``c = sum(n[j] * coeffs[j])`` and its ``_MONO_FLOAT`` enclosure: the
+    midpoint of the value's 10**18 enclosure with each term floored and
+    ceiled over ``den`` on its own; floor(g*c*m / (g*den)) = floor(c*m / den).
+    """
+    out = []
+    mul = operator.mul
+    for n in vectors:
+        lo = hi = 0
+        for coeffs, mlo, mhi in rows:
+            c = sum(map(mul, n, coeffs))
+            if c >= 0:
+                lo += c * mlo // den
+                hi -= -c * mhi // den
+            else:
+                lo += c * mhi // den
+                hi -= -c * mlo // den
+        out.append((lo + hi) / (2 * 10 ** 18))
+    return out
 
 
 class LinearForm:
@@ -994,10 +1004,9 @@ class LinearForm:
 
     def floats(self, vectors) -> list[float]:
         """``[self(n).to_float() for n in vectors]`` without building a value:
-        ``_midpoint`` of one dot product per monomial over ``den``."""
-        den, rows, mul = self.den, self.rows, operator.mul
-        dots = ([(i, sum(map(mul, n, coeffs))) for i, coeffs in rows] for n in vectors)
-        return [_midpoint(terms, den) for terms in dots]
+        one ``_midpoints`` pass, each monomial's enclosure fetched once."""
+        rows = [(coeffs, *_MONO_FLOAT[i]) for i, coeffs in self.rows]
+        return _midpoints(vectors, rows, self.den)
 
 
 class FloatForm:
@@ -1023,6 +1032,30 @@ class FloatForm:
 
     def floats(self, vectors) -> list[float]:
         return [0.0 if acc is None else acc for acc in map(self._sum, vectors)]
+
+
+def _scalar_sum(values, n) -> Scalar:
+    """``sum(n[j] * values[j])`` in ``Scalar`` arithmetic, term by term."""
+    out = Scalar(0)
+    for k, x in zip(n, values):
+        if k:
+            out = out + x * k
+    return out
+
+
+def _apply_each(forms, n) -> tuple:
+    """``form(n)`` for each of ``forms``, as a tuple."""
+    return tuple([form(n) for form in forms])
+
+
+def sum_form(values):
+    """``n -> sum(n[j] * values[j])`` as a direct row computes it: a
+    ``LinearForm`` where one applies, else the term-by-term ``_scalar_sum``.
+    Both give the value ``Scalar`` arithmetic gives."""
+    try:
+        return LinearForm(values)
+    except ExactnessError:
+        return partial(_scalar_sum, values)
 
 
 ZERO = Scalar(0)

@@ -36,7 +36,16 @@ from operator import gt, itemgetter, le, lt, mul
 
 from . import linalg, ratmath
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
-from .scalars import FLOAT_EPS, ExactnessError, FloatForm, LinearForm, Scalar, floats
+from .scalars import (
+    FLOAT_EPS,
+    ExactnessError,
+    FloatForm,
+    LinearForm,
+    Scalar,
+    _apply_each,
+    _scalar_sum,
+    floats,
+)
 from .windows import Window
 
 DEFAULT_MAX_CANDIDATES = 5_000_000
@@ -324,6 +333,7 @@ class CutProjectScheme:
         self._enum_plan = None
         self._leaf = None
         self._maps = None
+        self._star_maps = None
 
     # -- lifted presentation -------------------------------------------------
 
@@ -387,17 +397,19 @@ class CutProjectScheme:
         return self._maps[0](n)
 
     def star(self, n) -> HPoint:
-        """Internal coordinate of the lattice point with coordinates n."""
+        """Internal coordinate of the lattice point with coordinates n: one
+        ``Factor.star_map`` per factor, built on first use."""
         if len(n) != self.rank:
             raise SchemeError("lattice coordinate arity mismatch")
         return self._star(n)
 
     def _star(self, n) -> HPoint:
-        acc = self.space.zero()
-        for k, (_, h) in zip(n, self.generators):
-            if k:
-                acc = self.space.add(acc, self.space.scale(h, k))
-        return acc
+        if self._star_maps is None:
+            coords = [h.coords for _, h in self.generators]
+            self._star_maps = tuple(
+                f.star_map([c[i] for c in coords]) for i, f in enumerate(self.space.factors)
+            )
+        return HPoint(self.space, _apply_each(self._star_maps, n))
 
     def point_of(self, n) -> tuple[tuple[Scalar, ...], HPoint]:
         return self.direct(n), self.star(n)
@@ -598,7 +610,7 @@ class CutProjectScheme:
             elif forms is None:
                 maps, floats_of = tuple(partial(_scalar_sum, row) for row in rows), None
             self._leaf = (forms, names, sizes)
-            self._maps = (partial(_form_direct, maps), partial(_form_points, maps),
+            self._maps = (partial(_apply_each, maps), partial(_form_points, maps),
                           floats_of and partial(floats_of, maps))
         return self._leaf
 
@@ -984,29 +996,6 @@ def _separated(leaves) -> bool:
     exact and under ``FLOAT_EPS`` comparison alike.
     """
     return all(b[0] - a[1] > _SCALED_EPS for a, b in zip(leaves, leaves[1:]))
-
-
-def _scalar_sum(values, n) -> Scalar:
-    """``sum(n[j] * values[j])`` in ``Scalar`` arithmetic, term by term."""
-    out = Scalar(0)
-    for k, x in zip(n, values):
-        if k:
-            out = out + x * k
-    return out
-
-
-def sum_form(values):
-    """``n -> sum(n[j] * values[j])`` as a direct row computes it: a
-    ``LinearForm`` where one applies, else the term-by-term ``_scalar_sum``.
-    Both give the value ``Scalar`` arithmetic gives."""
-    try:
-        return LinearForm(values)
-    except ExactnessError:
-        return partial(_scalar_sum, values)
-
-
-def _form_direct(forms, n) -> tuple[Scalar, ...]:
-    return tuple([form(n) for form in forms])
 
 
 def _form_points(forms, coords) -> tuple:

@@ -547,7 +547,7 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     outside U, taken from the cube points the witness admitted.  Its
     projection is checked against the rule's own patch
     (``witness.gamma_patch``) on ``box`` (default: the largest symmetric box
-    certified by the truncation).
+    certified by the truncation, ``witness.certified_box()``).
     """
     scheme, truncation = witness.scheme, witness.truncation
     kernel = scheme.star_kernel_witness()
@@ -557,7 +557,7 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     certifier = _star_range_certifier(scheme, truncation)
     window2 = AugmentedWindow(witness.lower, stars, certifier)
     if box is None:
-        box = certified_box(scheme, witness.upper.closure(), truncation)
+        box = witness.certified_box()
     gamma_patch = witness.gamma_patch(box)
     projected = scheme.project_points(box, window2)
     ok, diff = verify_equality(gamma_patch, projected)

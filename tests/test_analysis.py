@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +21,8 @@ from cutproject.analysis import (
 )
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import FiniteCyclicFactor, InternalSpace, RealFactor
-from cutproject.scalars import FLOAT_EPS, GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
-from cutproject.scheme import Box, CutProjectScheme, Patch, sum_form
+from cutproject.scalars import FLOAT_EPS, GOLDEN, GOLDEN_CONJ, SQRT5, Scalar, sum_form
+from cutproject.scheme import Box, CutProjectScheme, Patch
 from cutproject.transforms import extend_injective, lift_window, lift_window_torus, translate_cps
 from cutproject.windows import ProductWindow, UnionWindow, empty_window, interval_window
 
@@ -154,6 +156,60 @@ def test_character_average_is_the_fourier_bohr_sum():
     assert fourier_bohr(scheme, w, (0.5,), 80) == total / 160
     with pytest.raises(ValueError, match="components"):
         fourier_bohr(scheme, w, (0.5, 7.0), 80)
+
+
+def reference_character_average(points, chi, volume):
+    """The character sum in complex arithmetic, as ``CharacterRd.value``
+    writes each term."""
+    total = 0j
+    for p in points:
+        phase = sum(c * float(x) for c, x in zip(chi.chi, p))
+        total += cmath.exp(2j * math.pi * phase).conjugate()
+    return total / volume
+
+
+def complex_bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def character_cases():
+    """(points, chis, volume) in d = 1 and d = 2: patch floats and Scalar
+    points, signed zeros among the coordinates and the characters."""
+    rng = random.Random(24)
+    signed = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1 / 5 ** 0.5]
+    fib = fibonacci_scheme().project_points(Box.symmetric(120), fibonacci_window())
+    square, w = golden_square_scheme()
+    plane = square.project_points(Box.symmetric(6, 2), w)
+    line_points = [(x,) for x in signed] + [(rng.uniform(-120, 120),) for _ in range(40)]
+    plane_points = [(x, y) for x in signed for y in signed] + [
+        (rng.uniform(-9, 9), rng.choice(signed)) for _ in range(40)
+    ]
+    scalar_line = [(Scalar.from_float(x),) for x in signed] + [(GOLDEN * k,) for k in range(-9, 9)]
+    line_chis = [(c,) for c in signed + [rng.uniform(-3, 3) for _ in range(4)]]
+    plane_chis = [(a, b) for a in signed for b in signed[:3]] + [(1.3, -0.7)]
+    return [
+        (fib.points, line_chis, 240),
+        (fib.float_points(), line_chis, 240),
+        (line_points, line_chis, 3),
+        (scalar_line, line_chis, 7),
+        (plane.points, plane_chis, 144),
+        (plane.float_points(), plane_chis, 144),
+        (plane_points, plane_chis, 1),
+        ([], plane_chis, 5),
+    ]
+
+
+def test_character_average_matches_complex_arithmetic_bit_for_bit():
+    # the sum is two float loops, cos and -sin of each phase; it must give
+    # the bits of the complex sum, signed zeros included
+    checked = 0
+    for points, chis, volume in character_cases():
+        for chi in map(CharacterRd, chis):
+            got = character_average(points, chi, volume)
+            want = reference_character_average(points, chi, volume)
+            assert complex_bits(got) == complex_bits(want), (chi, points[:3])
+            checked += 1
+    assert checked == 4 * (11 + 22)
 
 
 def test_fourier_bohr_trivial_character_is_density():

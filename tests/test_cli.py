@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,21 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
           "--box=-60:60", "--radius=-5"], "--radius must be positive"),
         (["verify", "--suite", "repetitivity", "--window", "builtin:fibonacci", "--k-box", "0:5",
           "--box=-60:60", "--radius", "0"], "--radius must be positive"),
+        # a character must be finite, and so must every phase it takes on A_n
+        (["verify", "--suite", "fb", "--window", "builtin:fibonacci", "--chi", "nan"],
+         "--chi must be finite"),
+        (["verify", "--suite", "fb", "--window", "builtin:fibonacci", "--chi", "0;inf"],
+         "--chi must be finite"),
+        (["verify", "--suite", "fb", "--window", "builtin:fibonacci", "--chi=-inf"],
+         "--chi must be finite"),
+        (["verify", "--suite", "fb", "--window", "builtin:fibonacci", "--chi", "1e308"],
+         "overflows a phase on A_100"),
+        (["verify", "--suite", "fb", "--window", "builtin:fibonacci", "--n", "500",
+          "--chi", "0.5;-1e308"], "overflows a phase on A_500"),
+        (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open",
+          "--chi-bound", "inf"], "--chi-bound must be finite"),
+        (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open",
+          "--chi-bound", "nan"], "--chi-bound must be finite"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):
@@ -327,6 +343,37 @@ def test_equidist_bound_below_every_character_is_an_input_error(tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert "input error" in err and "no nontrivial torus character has norm <= 0.5" in err
+
+
+def test_overflowing_characters_are_input_errors_and_write_no_report(tmp_path, capsys):
+    # 1e308 times the root(2,3) torus's basis overflows the range of
+    # dual-lattice coordinates; an fb character of 1e306 overflows a phase
+    # on A_500 once times 2 pi n; neither writes a report
+    scheme_file = tmp_path / "ext.json"
+    extend = [
+        "transform", "extend", "--scheme", "builtin:fibonacci", "--c", "root(2,3)",
+        "--injectivity-bound", "20",
+        "--out-scheme", str(scheme_file), "--out-cert", str(tmp_path / "cert.json"),
+    ]
+    assert run(extend) == 0
+    out = tmp_path / "report.json"
+    for argv, message in [
+        (["verify", "--suite", "equidist", "--scheme", str(scheme_file),
+          "--window", "builtin:fibonacci-open", "--chi-bound", "1e308"],
+         "the torus characters of norm <= 1e+308 overflow their range"),
+        (["verify", "--suite", "fb", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci",
+          "--n", "500", "--chi", "1e306"], "--chi 1e+306 overflows a phase on A_500"),
+    ]:
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+        assert not out.exists()
+    # a large character whose phases stay finite is still summed
+    assert run(["verify", "--suite", "fb", "--scheme", "builtin:fibonacci", "--window",
+                "builtin:fibonacci", "--n", "500", "--chi", "1e300", "--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    assert all(map(math.isfinite, report["coefficients"]["1e+300"]))
 
 
 def test_equidist_window_outside_the_torus_free_part_is_an_input_error(tmp_path, capsys):

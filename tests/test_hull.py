@@ -359,3 +359,54 @@ def test_twisted_augmented_window_refuses_far_stars():
         assert not aug.window.open_part.contains(far)
         with pytest.raises(OutOfCertifiedRangeError):
             aug.window.contains(far)
+
+
+def test_certified_box_is_computed_once_per_witness(monkeypatch):
+    # every limit target and the augmentation read one certified box
+    calls = []
+    certified_box = transforms.certified_box
+
+    def counted(*args):
+        calls.append(args)
+        return certified_box(*args)
+
+    monkeypatch.setattr(transforms, "certified_box", counted)
+    scheme, lower, upper = units()
+    witness = witness_full()
+    for value in (Scalar(0), Scalar(Fraction(1, 10)), Scalar(Fraction(-1, 5))):
+        limit_patch_check(scheme, witness, LINE.point((value,)), Box.symmetric(8))
+    aug = transforms.almost_to_model(witness)
+    assert len(calls) == 1
+    assert calls[0] == (scheme, upper.closure(), TRUNCATION)
+    assert aug.certificate.checks[0].detail["box"] == certified_box(*calls[0]).to_obj()
+
+
+def test_generic_shift_builds_each_candidate_when_tried(monkeypatch):
+    # the ladder is built rung by rung, and the seeded multiples are drawn
+    # in order after it, only once every rung failed
+    from cutproject import hull
+
+    scheme, lower, upper = units()
+    built = []
+    ladder = tuple(
+        (lambda k=k, make=make: built.append(k) or make()) for k, make in enumerate(hull.LADDER)
+    )
+    monkeypatch.setattr(hull, "LADDER", ladder)
+    t = generic_shift(scheme, lower, upper, truncation=500)
+    assert built == [0] and t.coords[0][0] == Scalar(1) / Scalar.const("pi")
+    tried = []
+
+    def refuse(scheme, t, diff, truncation):
+        tried.append(t)
+        return False, None
+
+    monkeypatch.setattr(hull, "check_shift_avoidance", refuse)
+    rng = random.Random(3)
+    built.clear()
+    with pytest.raises(transforms.CertificationError, match="16 attempts"):
+        generic_shift(scheme, lower, upper, truncation=500, rng=rng)
+    assert built == [0, 1, 2, 3, 4] + [0] * 11
+    replay = random.Random(3)
+    fractions = [Fraction(replay.randint(1, 60), replay.randint(1, 60)) for _ in range(11)]
+    first = Scalar(1) / Scalar.const("pi")
+    assert [t.coords[0][0] for t in tried[5:]] == [first * q for q in fractions]

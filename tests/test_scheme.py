@@ -11,6 +11,7 @@ from cutproject import cli, linalg, ratmath
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import (
     FiniteCyclicFactor,
+    HPoint,
     IntegerRankFactor,
     InternalSpace,
     RealFactor,
@@ -1211,24 +1212,30 @@ def test_derived_patches_match_checked_constructor():
 
 def test_patch_csv_from_coords_work_count():
     # project_points and the CSV of the fresh patch build no point of a
-    # decided leaf: on exact Fibonacci only the two leaves that take the
-    # exact path (see test_leaf_filter_work_count) evaluate a LinearForm, and
-    # on float Fibonacci the only float Scalar additions are those leaves'
-    # star sums, at most one per nonzero coordinate (rank 2)
-    watched = {LinearForm.__call__.__code__: "LinearForm", Scalar.__add__.__code__: "add"}
+    # decided leaf: on exact Fibonacci only the leaves that take the exact
+    # path (see test_leaf_filter_work_count), at most two, reach
+    # Window.contains, and each evaluates exactly two LinearForms, its direct
+    # form and its star form; on float Fibonacci the only float Scalar
+    # additions are those leaves' star sums, at most one per nonzero
+    # coordinate (rank 2)
+    window = interval_window(LINE, -1, GOLDEN - 1)
+    float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
+    watched = {
+        LinearForm.__call__.__code__: "LinearForm",
+        Scalar.__add__.__code__: "add",
+        type(window).contains.__code__: "contains",
+    }
     counts = collections.Counter()
 
     def hook(frame, event, arg):
         name = watched.get(frame.f_code) if event == "call" else None
-        if name == "LinearForm":
+        if name in ("LinearForm", "contains"):
             counts[name] += 1
         elif name == "add":
             other = frame.f_locals["other"]
             if frame.f_locals["self"]._num is None or getattr(other, "_num", 0) is None:
                 counts["float add"] += 1
 
-    window = interval_window(LINE, -1, GOLDEN - 1)
-    float_window = interval_window(LINE, -1.0, float(GOLDEN - 1))
     # the hook sees what it counts, and an exact addition is not counted
     fib, half = fibonacci_scheme(), Scalar.from_float(0.5)
     fib.direct((0, 0))
@@ -1236,13 +1243,11 @@ def test_patch_csv_from_coords_work_count():
     try:
         fib.direct((1, 1))
         (half + Scalar(1), Scalar(1) + half, GOLDEN + GOLDEN)
+        window.contains(fib.star((1, 1)))
     finally:
         sys.setprofile(None)
-    assert counts == {"LinearForm": 1, "float add": 2}
-    for scheme, window, limits in [
-        (fibonacci_scheme(), window, {"LinearForm": 2}),
-        (float_scheme(), float_window, {"float add": 4}),
-    ]:
+    assert counts == {"LinearForm": 2, "float add": 2, "contains": 1}
+    for scheme, window in [(fibonacci_scheme(), window), (float_scheme(), float_window)]:
         assert len(scheme.project_points(Box.interval(-20, 20), window)) > 0
         counts.clear()
         sys.setprofile(hook)
@@ -1251,8 +1256,13 @@ def test_patch_csv_from_coords_work_count():
         finally:
             sys.setprofile(None)
         assert text.count("\n") > 1000
-        assert all(counts[name] <= limit for name, limit in limits.items()), counts
-        assert set(counts) <= set(limits), counts
+        if scheme.generators[0][0][0].is_exact:
+            assert counts["contains"] <= 2, counts
+            assert counts["LinearForm"] == 2 * counts["contains"], counts
+            assert set(counts) <= {"LinearForm", "contains"}, counts
+        else:
+            assert counts["float add"] <= 4, counts
+            assert set(counts) <= {"float add", "contains"}, counts
 
 
 def scalar_loop_direct(scheme, n):
@@ -1472,3 +1482,88 @@ def test_averaging_sequence():
     seq = AveragingSequence(1)
     b = seq.box(3)
     assert b.lo == (Scalar(-3),) and b.hi == (Scalar(3),)
+
+
+def folded_star(scheme, n):
+    """``star`` as the group law computes it: ``add`` and ``scale`` folded
+    over the generators."""
+    acc = scheme.space.zero()
+    for k, (_, h) in zip(n, scheme.generators):
+        if k:
+            acc = scheme.space.add(acc, scheme.space.scale(h, k))
+    return acc
+
+
+def star_bits(value):
+    """A star coordinate, every exact Scalar as its encoding, every float as
+    its ``hex()``, every HPoint as its coordinates."""
+    if isinstance(value, HPoint):
+        return ("point", star_bits(value.coords))
+    if isinstance(value, tuple):
+        return tuple(star_bits(v) for v in value)
+    if isinstance(value, Scalar):
+        return repr(value.to_obj()) if value.is_exact else value.to_float().hex()
+    return (type(value).__name__, value)
+
+
+def star_map_cases():
+    """A scheme of each factor kind, exact and float: {name: scheme}."""
+    fib = fibonacci_scheme()
+    torus = extend_injective(fib, (Scalar.root(2, 3),), injectivity_bound=20).scheme
+    twisted = translate_cps(fib, (GOLDEN / 3,), 10 ** 6).scheme
+    cyclic_space = InternalSpace([RealFactor(1), FiniteCyclicFactor(3)])
+    cases = {
+        "real": fib,
+        "real float": float_scheme(),
+        "integer": translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme,
+        "cyclic": CutProjectScheme(1, cyclic_space, [
+            (1, cyclic_space.point(GOLDEN, 2)), (GOLDEN, cyclic_space.point(-1, 1))]),
+        "torus": torus,
+        "torus float": CutProjectScheme.from_obj(cli._floatify(torus.to_obj())),
+        "torus halves": torus_kernel_scheme(),
+        "twisted": twisted,
+        "twisted float": CutProjectScheme.from_obj(cli._floatify(twisted.to_obj())),
+    }
+    rng = random.Random(24)
+    for family in ("real", "integer", "cyclic", "torus", "twisted"):
+        for k in range(3):
+            cases[f"random {family} {k}"] = random_kernel_scheme(rng, family)
+    return cases
+
+
+def test_star_map_cases_cover_every_factor_kind():
+    cases = star_map_cases()
+    kinds = {f.kind for s in cases.values() for f in s.space.factors}
+    assert kinds == {"real", "integer", "cyclic", "torus", "twisted"}
+    assert cases["torus"].space.factors[1].kind == "torus"
+    assert cases["twisted"].space.factors[0].kind == "twisted"
+    for name in ("real float", "torus float", "twisted float"):
+        assert not all(v.is_exact for _, h in cases[name].generators
+                       for v in cases[name].space.kernel_values(h)), name
+
+
+@pytest.mark.parametrize("name", sorted(star_map_cases()))
+def test_star_maps_equal_the_group_law_fold(name):
+    # one closed form per factor kind, or the fold where the values rule one
+    # out: the same points, hashes and float bits over a coordinate cube
+    # (float sums in another order than the fold's part at |n_j| of about 40)
+    scheme = star_map_cases()[name]
+    reach = {2: 40 if "float" in name else 8, 3: 4}[scheme.rank]
+    for n in itertools.product(range(-reach, reach + 1), repeat=scheme.rank):
+        got, want = scheme.star(n), folded_star(scheme, n)
+        assert got == want, (n, got, want)
+        assert hash(got) == hash(want), n
+        assert star_bits(got) == star_bits(want), n
+
+
+def test_exact_star_makes_no_group_law_call(monkeypatch):
+    cases = {name: s for name, s in star_map_cases().items() if "float" not in name}
+
+    def refused(*args):
+        raise AssertionError("InternalSpace group law called")
+
+    monkeypatch.setattr(InternalSpace, "add", refused)
+    monkeypatch.setattr(InternalSpace, "scale", refused)
+    for name, scheme in cases.items():
+        for n in itertools.product(range(-2, 3), repeat=scheme.rank):
+            scheme.star(n)
