@@ -23,7 +23,7 @@ from operator import mul
 from . import linalg
 from .internal_space import SpaceMismatchError
 from .scalars import FLOAT_EPS, Scalar, sum_form
-from .scheme import Box, CutProjectScheme, Patch
+from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, EnumerationOverflowError, Patch
 from .windows import Window
 
 _EQUIDIST_CELLS = 8  # torus cells per fundamental coordinate in the coverage test
@@ -182,7 +182,9 @@ def torus_characters(scheme: CutProjectScheme, chi_bound: float):
     A scheme without a torus factor, or a bound under which no nontrivial
     character lies, is refused with ``ValueError``: a check of no character
     would pass vacuously.  So is a bound whose range of dual-lattice
-    coordinates overflows a float or an index.
+    coordinates overflows a float or an index.  A box of dual-lattice
+    coordinates of more than ``DEFAULT_MAX_CANDIDATES`` vectors raises
+    ``EnumerationOverflowError`` before any of it is built.
     """
     torus_idx = None
     for idx, f in enumerate(scheme.space.factors):
@@ -196,6 +198,11 @@ def torus_characters(scheme: CutProjectScheme, chi_bound: float):
     if not all(chi_bound / v < sys.maxsize // 2 for v in inv_diag if v > 0):  # inf, nan too
         raise ValueError(f"the torus characters of norm <= {chi_bound} overflow their range")
     kmax = [int(chi_bound / v) + 1 if v > 0 else 0 for v in inv_diag]
+    count = math.prod(2 * k + 1 for k in kmax)
+    if count > DEFAULT_MAX_CANDIDATES:
+        raise EnumerationOverflowError(
+            f"torus character box of {count} exceeds budget {DEFAULT_MAX_CANDIDATES}"
+        )
     chars = {}
     for kvec in itertools.product(*[range(-k, k + 1) for k in kmax]):
         if not any(kvec):

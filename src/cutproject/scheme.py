@@ -9,9 +9,12 @@ coordinates are enumerated triangularly, in the manner of Fincke-Pohst with
 the box and the window slab in place of an ellipsoid: once the outer
 coordinates are fixed, a rigorous interval inverse of a square sub-block
 bounds the next one, so about one candidate is examined per accepted point.
-Compact factor coordinates (finite residues, torus positions) never affect
-boundedness and are handled by exact membership filtering.  The walk keeps
-integer enclosures of every lifted row; where a window piece's rows decide
+The walk itself is a kernel compiled once per plan shape (``walk``): one
+nested ``for`` loop per lifted column, with each row's partial sums in local
+variables and the plan's integers passed in at call time.  Compact factor
+coordinates (finite residues, torus positions) never affect boundedness and
+are handled by exact membership filtering.  The walk keeps integer
+enclosures of every lifted row; where a window piece's rows decide
 membership, a leaf is accepted or rejected on them, and only leaves whose
 enclosures straddle a boundary take exact ``Scalar`` arithmetic (a filtered
 predicate in the sense of Shewchuk 1997 and Bronnimann, Burnikel & Pion 2001).
@@ -32,9 +35,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import gt, itemgetter, le, lt, mul
+from operator import itemgetter, mul
 
-from . import linalg, ratmath
+from . import linalg, ratmath, walk
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
 from .scalars import (
     FLOAT_EPS,
@@ -52,6 +55,7 @@ DEFAULT_MAX_CANDIDATES = 5_000_000
 _PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
 _SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
 _ROW_MARGIN = 10 ** (_PLAN_DIGITS - 9)  # a non-integral row's clearance, 10**-9 at scale
+_SQUARE = 10 ** (2 * _PLAN_DIGITS)  # scale of a product of two enclosures
 _UNDECIDED = object()  # star_kernel_witness not computed yet; None means injective
 
 
@@ -331,6 +335,7 @@ class CutProjectScheme:
         self._inverse_enc = None
         self._star_witness = _UNDECIDED
         self._enum_plan = None
+        self._walk = None
         self._leaf = None
         self._maps = None
         self._star_maps = None
@@ -434,7 +439,9 @@ class CutProjectScheme:
         """All projected lattice points inside ``box`` with star inside ``window``.
 
         Window pieces are enumerated one after another and merged in piece
-        order, so the result is deterministic.  The points are put in order
+        order, so the result is deterministic: the first piece's leaves are
+        taken as they are, and a later piece adds only leaves not found
+        before.  The points are put in order
         by the lower ends of their first coordinates' enclosures; when every
         neighbouring pair is separated (``_separated``), that is the patch's
         order, and the patch keeps the coordinates and builds its points on
@@ -445,11 +452,16 @@ class CutProjectScheme:
             raise SchemeError("box dimension mismatch")
         if window.space != self.space:
             raise SpaceMismatchError("window lives in a different internal space")
-        found: dict[tuple[int, ...], tuple[int, int]] = {}
+        found: dict[tuple[int, ...], tuple[int, int]] | None = None
         for rows, decides in window.enum_pieces():
             leaves = self._enumerate_piece(box, window, rows, decides, max_candidates)
-            for n, leaf in leaves.items():
-                found.setdefault(n, leaf)
+            if found is None:  # the first piece's dict, then later pieces' new leaves
+                found = leaves
+            else:
+                for n, leaf in leaves.items():
+                    found.setdefault(n, leaf)
+        if found is None:
+            found = {}
         forms, names, sizes = self._leaf_data()
         if self.d and len(names) <= 1 and (forms is not None or sizes is not None):
             order = sorted(found, key=lambda n: found[n][0])
@@ -460,7 +472,8 @@ class CutProjectScheme:
     def _enumerate_piece(self, box, window, rows, decides, max_candidates):
         """Triangular walk over the lifted coordinates of one window piece.
 
-        The per-call set-up is integer arithmetic on one 25-digit enclosure
+        The walk is this scheme's compiled kernel (``_walk_kernel``).  The
+        per-call set-up is integer arithmetic on one 25-digit enclosure
         of each row endpoint (``_piece_rhs``), from which come the candidate
         box (``_candidate_ranges``), the walk's ``targets``, the inner and
         outer bounds (``_inner_bounds``) and a float scheme's rounding bounds
@@ -498,24 +511,20 @@ class CutProjectScheme:
         sizes = self._leaf_data()[2]
         errors = None if sizes is None else self._float_errors(sizes, ranges)
         bounds = self._inner_bounds(box, rows, rhs, targets, errors) if decides else None
-        if bounds is not None:
-            in_lo, in_hi, out_lo, out_hi = bounds
+        kernel, plan = self._walk_kernel(bounds is not None)
         lead = errors[0] if errors else 0
-        zero = [0] * max(self.lift_size, 1)  # a rank-0 scheme's leaf still has a row 0
-        walk = _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero)
-        for lifted, r_lo, r_hi in walk:
-            n = lifted[: self.rank]
-            if n in found:
-                continue
-            if bounds is not None:
-                if all(map(le, in_lo, r_lo)) and all(map(le, r_hi, in_hi)):
-                    found[n] = (r_lo[0] - lead, r_hi[0] + lead)
-                    continue
-                if any(map(lt, r_hi, out_lo)) or any(map(gt, r_lo, out_hi)):
-                    continue
-            if box.contains(self.direct(n)) and window.contains(self._star(n)):
-                found[n] = (r_lo[0] - lead, r_hi[0] + lead)
+        kernel(plan, ranges, targets, bounds, lead, found,
+               box.contains, self.direct, window.contains, self._star)
         return found
+
+    def _walk_kernel(self, bounded: bool):
+        """The compiled walk of this scheme's plan shape, deciding leaves on
+        enclosures when ``bounded``, and the plan's flat integers
+        (``walk.walk_kernel``, ``walk.plan_arguments``)."""
+        if self._walk is None:
+            self._walk = walk.plan_arguments(self._enumeration_plan())
+        levels, flat = self._walk
+        return walk.walk_kernel(levels, self.lift_size, self.rank, bounded, _SQUARE), flat
 
     def _inner_bounds(self, box, rows, rhs, targets, errors):
         """Scaled inner and outer bounds of every lifted row, or None.
@@ -926,52 +935,6 @@ class CutProjectScheme:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _triangular_walk(levels, ranges, targets, prefix, p_lo, p_hi):
-    """Yield the lifted vectors a level plan admits, outermost coordinate first.
-
-    ``targets`` are the scaled rhs enclosures per row, ``p_lo``/``p_hi`` the
-    scaled enclosures of each row's partial sum over the fixed ``prefix``.
-    Each vector comes as ``(vector, lo, hi)`` with the enclosures of its
-    full row sums.
-    """
-    k = len(prefix)
-    if k == len(levels):  # only for an empty plan: every level yields its own leaves
-        yield prefix, p_lo, p_hi
-        return
-    inverse, checks, updates = levels[k]
-    lo, hi = ranges[k]
-    if inverse:
-        s_lo = s_hi = 0
-        for i, a_lo, a_hi in inverse:
-            y_lo = targets[i][0] - p_hi[i]
-            y_hi = targets[i][1] - p_lo[i]
-            products = (a_lo * y_lo, a_lo * y_hi, a_hi * y_lo, a_hi * y_hi)
-            s_lo += min(products)
-            s_hi += max(products)
-        square = 10 ** (2 * _PLAN_DIGITS)
-        lo = max(lo, -((-s_lo) // square))
-        hi = min(hi, s_hi // square)
-    for i, a_lo, a_hi in checks:
-        y_lo = targets[i][0] - p_hi[i]
-        y_hi = targets[i][1] - p_lo[i]
-        if a_lo < 0:  # negate the row: coefficient enclosure in (0, inf)
-            a_lo, a_hi, y_lo, y_hi = -a_hi, -a_lo, -y_hi, -y_lo
-        lo = max(lo, -((-y_lo) // (a_hi if y_lo >= 0 else a_lo)))
-        hi = min(hi, y_hi // (a_lo if y_hi >= 0 else a_hi))
-    leaf = k + 1 == len(levels)
-    for v in range(lo, hi + 1):
-        c_lo, c_hi = p_lo, p_hi
-        if updates:
-            c_lo, c_hi = list(p_lo), list(p_hi)
-            for i, a_lo, a_hi in updates:
-                c_lo[i] += v * (a_lo if v >= 0 else a_hi)
-                c_hi[i] += v * (a_hi if v >= 0 else a_lo)
-        if leaf:
-            yield prefix + (v,), c_lo, c_hi
-        else:
-            yield from _triangular_walk(levels, ranges, targets, prefix + (v,), c_lo, c_hi)
 
 
 def _sorted_distinct(pairs) -> tuple[tuple, tuple]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,29 @@ def test_overflowing_characters_are_input_errors_and_write_no_report(tmp_path, c
                 "builtin:fibonacci", "--n", "500", "--chi", "1e300", "--out", str(out)]) in (0, 1)
     report = json.loads(out.read_text())
     assert all(map(math.isfinite, report["coefficients"]["1e+300"]))
+
+
+def test_equidist_character_box_over_the_budget_exits_3(tmp_path, capsys):
+    # --chi-bound 1e9 on the root(2,3) torus spans about 2.5e9 dual-lattice
+    # vectors: refused before any is built, as generate refuses a candidate
+    # box over the enumeration budget, and no report is written
+    scheme_file = tmp_path / "ext.json"
+    extend = [
+        "transform", "extend", "--scheme", "builtin:fibonacci", "--c", "root(2,3)",
+        "--injectivity-bound", "20",
+        "--out-scheme", str(scheme_file), "--out-cert", str(tmp_path / "cert.json"),
+    ]
+    assert run(extend) == 0
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = run(["verify", "--suite", "equidist", "--scheme", str(scheme_file),
+                "--window", "builtin:fibonacci-open", "--chi-bound", "1e9", "--out", str(out)])
+    assert code == 3
+    assert time.perf_counter() - start < 30
+    err = capsys.readouterr().err
+    assert "enumeration budget exceeded" in err and "torus character box" in err
+    assert not out.exists()
 
 
 def test_equidist_window_outside_the_torus_free_part_is_an_input_error(tmp_path, capsys):
