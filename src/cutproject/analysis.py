@@ -7,8 +7,9 @@ tolerances are the caller's business and live in the reports.
 The suites read a patch's lattice coordinates: counts bisect its sorted
 first coordinate (``Patch.restrict``), character sums run over its one float
 view (``Patch.float_points``, the floats its CSV writes), and a torus
-coordinate is one exact form per axis (``scalars.sum_form``).  An exact
-point is built only where an exact comparison needs one.
+coordinate is the torus factor's part of the star map
+(``TorusFactor.star_map``).  An exact point is built only where an exact
+comparison needs one.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from operator import mul
 
 from . import linalg
 from .internal_space import SpaceMismatchError
-from .scalars import FLOAT_EPS, Scalar, sum_form
+from .scalars import FLOAT_EPS, Scalar
 from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, EnumerationOverflowError, Patch
-from .windows import Window
+from .windows import TorusRegion, Window
 
 _EQUIDIST_CELLS = 8  # torus cells per fundamental coordinate in the coverage test
 
@@ -226,9 +227,7 @@ def torus_window(scheme: CutProjectScheme, window: Window, torus_idx: int) -> Wi
         raise SpaceMismatchError(
             "window lies in neither the scheme's internal space nor its torus-free part"
         )
-    from .transforms import lift_window_torus
-
-    return lift_window_torus(window, scheme.space, torus_idx)
+    return window.lifted(scheme.space, TorusRegion.full(factors[torus_idx]))
 
 
 def equidistribution_check(
@@ -243,27 +242,25 @@ def equidistribution_check(
     with the full torus.  Coverage asks every fundamental-coordinate cube of
     side 1/8 to contain a projected-point image; a sample of fewer than two
     points per cube reports "inconclusive" rather than failure.  A point's
-    torus coordinate is the exact fractional part of ``sum(n_j * c_j)`` over
-    the generators' torus coordinates ``c_j``, one ``sum_form`` per axis as
-    the scheme computes a direct row, so no full star point is built.  The
-    cell loop stops at the first point that completes the coverage; a run
-    that leaves a cell empty reads every point.  The characters are
-    ``torus_characters``, which raises ``ValueError`` for a scheme or bound
-    without any; their sums share one ``float_points`` view of every point.
+    torus coordinate is ``TorusFactor.star_map`` over the generators' torus
+    coordinates, the torus part of its star, so no full star point is
+    built.  The cell loop stops at the first point that completes the
+    coverage; a run that leaves a cell empty reads every point.  The
+    characters are ``torus_characters``, which raises ``ValueError`` for a
+    scheme or bound without any; their sums share one ``float_points`` view
+    of every point.
     """
     torus_idx, chars = torus_characters(scheme, chi_bound)
     factor = scheme.space.factors[torus_idx]
     window = torus_window(scheme, window, torus_idx)
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
-    torus = [h.coords[torus_idx] for _, h in scheme.generators]
-    axes = [sum_form([c[axis] for c in torus]) for axis in range(factor.dim)]
+    torus_coord = factor.star_map([h.coords[torus_idx] for _, h in scheme.generators])
     cells_total = _EQUIDIST_CELLS ** factor.dim
     hit = set()
     for coords in patch.coords or []:
-        fractional = [x - x.floor() for x in (form(coords) for form in axes)]
         cell = tuple(
             min(int(x.to_float() * _EQUIDIST_CELLS) % _EQUIDIST_CELLS, _EQUIDIST_CELLS - 1)
-            for x in fractional
+            for x in torus_coord(coords)
         )
         hit.add(cell)
         if len(hit) == cells_total:

@@ -9,7 +9,6 @@ truncation, which is where the limit collapses to a single model set.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from . import transforms
 from .internal_space import HPoint, InternalSpace
 from .scalars import Scalar
 from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, Patch, SchemeError
-from .windows import AugmentedWindow, ProductWindow, Window, point_window
+from .windows import OutOfCertifiedRangeError, Window, point_window, window_from_obj
 
 LADDER = (
     lambda: Scalar(1) / Scalar.const("pi"),
@@ -77,8 +76,6 @@ class GammaRule:
 
     @classmethod
     def from_obj(cls, space: InternalSpace, obj) -> "GammaRule":
-        from .windows import window_from_obj
-
         window = window_from_obj(space, obj["window"]) if obj.get("window") else None
         return cls(window, obj.get("add", ()), obj.get("remove", ()))
 
@@ -146,8 +143,6 @@ class AlmostModelSetWitness:
 
     def gamma_patch(self, box: Box) -> Patch:
         """The rule's point set inside a box within the certified range."""
-        from .windows import OutOfCertifiedRangeError
-
         candidates = self.scheme.project_points(box, self.upper.closure())
         points = []
         coords = []
@@ -172,8 +167,6 @@ class AlmostModelSetWitness:
 
     @classmethod
     def from_obj(cls, scheme: CutProjectScheme, obj) -> "AlmostModelSetWitness":
-        from .windows import window_from_obj
-
         return cls(
             scheme,
             window_from_obj(scheme.space, obj["lower"]),
@@ -308,28 +301,18 @@ def limit_patch_check(
 
 
 def window_difference_points(lower: Window, upper: Window) -> list[HPoint]:
-    """The difference set upper-closure minus lower, required to be finite."""
+    """The difference set upper-closure minus lower, required to be finite.
+
+    Its points are among the corner points of the two windows."""
     upper_cl = upper.closure()
     if not (upper_cl.measure() - lower.measure()).is_zero():
         raise ValueError("difference of the windows is not a finite point set")
-    space = lower.space
-    candidates: set[HPoint] = set()
-    for member in upper_cl.members():
-        candidates.update(_member_corner_points(space, member))
-    if not isinstance(lower, AugmentedWindow):
-        for member in lower.members():
-            candidates.update(_member_corner_points(space, member))
+    candidates = set(upper_cl.corner_points()) | set(lower.corner_points())
     out = []
     for p in candidates:
         if upper_cl.contains(p) and not lower.contains(p):
             out.append(p)
     return sorted(out, key=lambda p: str(p.to_obj()))
-
-
-def _member_corner_points(space: InternalSpace, member: ProductWindow) -> list[HPoint]:
-    """Endpoint combinations of a product window's per-factor regions."""
-    per_factor = [r.corner_coords() for r in member.regions]
-    return [space.point(*combo) for combo in itertools.product(*per_factor)]
 
 
 def _shifted_star_hits(scheme: CutProjectScheme, t: HPoint, difference_points, truncation: int):

@@ -537,14 +537,11 @@ _FACTOR_KINDS = {
 
 
 class InternalSpace:
-    __slots__ = ("factors", "_hash", "_zero", "_adds", "_scales")
+    __slots__ = ("factors", "_hash", "_zero")
 
     def __init__(self, factors=()):
         self.factors = tuple(factors)
         self._hash = self._zero = None
-        # bound once per space: add and scale are the package's hottest calls
-        self._adds = tuple(f.add for f in self.factors)
-        self._scales = tuple(f.scale for f in self.factors)
 
     def __eq__(self, other):
         if self is other:
@@ -619,8 +616,8 @@ class InternalSpace:
     def add(self, x: "HPoint", y: "HPoint") -> "HPoint":
         if x.space != self or y.space != self:
             raise SpaceMismatchError("operands from a different space")
-        ops = zip(self._adds, x.coords, y.coords)
-        return HPoint(self, tuple([add(a, b) for add, a, b in ops]))
+        ops = zip(self.factors, x.coords, y.coords)
+        return HPoint(self, tuple([f.add(a, b) for f, a, b in ops]))
 
     def negate(self, x: "HPoint") -> "HPoint":
         return self.scale(x, -1)
@@ -628,7 +625,7 @@ class InternalSpace:
     def scale(self, x: "HPoint", k: int) -> "HPoint":
         if x.space != self:
             raise SpaceMismatchError("operand from a different space")
-        return HPoint(self, tuple([scale(a, k) for scale, a in zip(self._scales, x.coords)]))
+        return HPoint(self, tuple([f.scale(a, k) for f, a in zip(self.factors, x.coords)]))
 
     # -- serialization -------------------------------------------------------
 

@@ -216,9 +216,6 @@ def _const_bounds(name: str, digits: int) -> tuple[Fraction, Fraction]:
 
 
 def _mono_bounds(m: Mono, digits: int) -> tuple[Fraction, Fraction]:
-    key = (m, digits)
-    if key in _ENCLOSURES:
-        return _ENCLOSURES[key]
     lo, hi = Fraction(1), Fraction(1)
     for p, e in m[0]:
         plo, phi = _pow_bounds(p, e, digits)
@@ -229,7 +226,6 @@ def _mono_bounds(m: Mono, digits: int) -> tuple[Fraction, Fraction]:
             lo, hi = lo * clo ** k, hi * chi ** k
         else:
             lo, hi = lo / chi ** (-k), hi / clo ** (-k)
-    _ENCLOSURES[key] = (lo, hi)
     return lo, hi
 
 
@@ -927,28 +923,20 @@ def floats(values) -> list[float]:
     for v in values:
         f = v._float
         if f is None:
-            rows = [((c,), *_MONO_FLOAT[i]) for i, c in v._num.items()]
+            rows = [((c,), *(_MONO_INT.get((i, 18)) or _mono_int_bounds(i, 18)))
+                    for i, c in v._num.items()]
             f = v._float = _midpoints(_ONE_VECTOR, rows, v._den)[0]
         out.append(f)
     return out
 
 
-class _Bounds18(dict):
-    """Monomial id -> its integer enclosure at scale 10**18, filled on first use."""
-
-    def __missing__(self, i):
-        out = self[i] = _mono_int_bounds(i, 18)
-        return out
-
-
-_MONO_FLOAT = _Bounds18()
 _ONE_VECTOR = ((1,),)  # a scalar's terms as one form over the vector (1,)
 
 
 def _midpoints(vectors, rows, den: int) -> list[float]:
     """The float of ``sum(c * monomial) / den`` for each integer vector ``n``,
     where each row ``(coeffs, mlo, mhi)`` gives one monomial's coefficient
-    ``c = sum(n[j] * coeffs[j])`` and its ``_MONO_FLOAT`` enclosure: the
+    ``c = sum(n[j] * coeffs[j])`` and its 10**18 ``_MONO_INT`` enclosure: the
     midpoint of the value's 10**18 enclosure with each term floored and
     ceiled over ``den`` on its own; floor(g*c*m / (g*den)) = floor(c*m / den).
     """
@@ -1005,7 +993,8 @@ class LinearForm:
     def floats(self, vectors) -> list[float]:
         """``[self(n).to_float() for n in vectors]`` without building a value:
         one ``_midpoints`` pass, each monomial's enclosure fetched once."""
-        rows = [(coeffs, *_MONO_FLOAT[i]) for i, coeffs in self.rows]
+        rows = [(coeffs, *(_MONO_INT.get((i, 18)) or _mono_int_bounds(i, 18)))
+                for i, coeffs in self.rows]
         return _midpoints(vectors, rows, self.den)
 
 

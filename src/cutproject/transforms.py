@@ -34,9 +34,9 @@ from .windows import (
     ProductWindow,
     TorusRegion,
     TwistedRegion,
-    UnionWindow,
     Window,
     eq11_chain,
+    window_from_obj,
 )
 
 _RESTRICTION_BOUND = 50  # |n_i| of the random combinations in check_lattice_restriction
@@ -163,23 +163,17 @@ def translate_cps(
         v = list(n_b) + [-m]
         u = ratmath.complete_unimodular(v)
         gens2 = []
+        # each further column w of the completion is the old lattice point
+        # w[:-1] plus w[-1] times (a, b).  The direct part sums the zero
+        # terms too: where w[:-1] is 0, scheme.direct gives an exact 0, and
+        # a float scheme's generator would not stay a float
+        directs = [g for g, _ in scheme.generators] + [a]
         for col in range(1, len(v)):
             w = [u[i][col] for i in range(len(v))]
-            direct = [Scalar(0)] * scheme.d
-            for wi, (g, _) in zip(w, scheme.generators):
-                for i in range(scheme.d):
-                    direct[i] = direct[i] + g[i] * wi
-            for i in range(scheme.d):
-                direct[i] = direct[i] + a[i] * w[-1]
-            internal = space2.zero()
-            for wi, (_, h) in zip(w, scheme.generators):
-                if wi:
-                    lifted = space2.point((h, 0))
-                    internal = space2.add(internal, space2.scale(lifted, wi))
-            if w[-1]:
-                new_gen = space2.point((scheme.space.zero(), 1))
-                internal = space2.add(internal, space2.scale(new_gen, w[-1]))
-            gens2.append((tuple(direct), internal))
+            direct = tuple(
+                sum((g[i] * wi for g, wi in zip(directs, w)), Scalar(0)) for i in range(scheme.d)
+            )
+            gens2.append((direct, space2.point((scheme.star(w[:-1]), w[-1]))))
         b = space2.point((scheme.space.zero(), 1))
         kind = "QuotientTranslation"
     scheme2 = CutProjectScheme(scheme.d, space2, gens2)
@@ -251,7 +245,7 @@ def lift_window(window: Window, n: int, scheme2: CutProjectScheme) -> Window:
     """The extended-scheme window whose projection set is the n-th translate."""
     f = _extension_twist(scheme2.space, window.space)
     if f is None:
-        return _lift_integer(window, n, scheme2.space)
+        return window.lifted(scheme2.space, IntSetRegion(1, {(n,)}), (n,))
     r = n % f.modulus
     s = (n - r) // f.modulus
     base = window
@@ -260,33 +254,9 @@ def lift_window(window: Window, n: int, scheme2: CutProjectScheme) -> Window:
     return ProductWindow(scheme2.space, (TwistedRegion(f, {r: base}),))
 
 
-def _lift_integer(window: Window, n: int, space2: InternalSpace) -> Window:
-    if isinstance(window, ProductWindow):
-        return ProductWindow(space2, window.regions + (IntSetRegion(1, {(n,)}),))
-    if isinstance(window, UnionWindow):
-        return UnionWindow(space2, [_lift_integer(m, n, space2) for m in window.members_])
-    if isinstance(window, AugmentedWindow):
-        stars = [HPoint(space2, p.coords + ((n,),)) for p in window.stars]
-        certifier = None
-        if window.certifier is not None:
-            orig = window.certifier
-            certifier = lambda p: orig(HPoint(window.space, p.coords[:-1]))  # noqa: E731
-        return AugmentedWindow(_lift_integer(window.open_part, n, space2), stars, certifier)
-    raise TypeError(f"cannot lift window {window!r}")
-
-
 def lift_window_torus(window: Window, space2: InternalSpace, torus_idx: int) -> Window:
     """Cross a window with the full torus of an extended scheme."""
-    factor = space2.factors[torus_idx]
-    if isinstance(window, ProductWindow):
-        return ProductWindow(space2, window.regions + (TorusRegion.full(factor),))
-    if isinstance(window, UnionWindow):
-        return UnionWindow(
-            space2, [lift_window_torus(m, space2, torus_idx) for m in window.members_]
-        )
-    if isinstance(window, AugmentedWindow):
-        raise TypeError("augmented windows are built after the extension, not lifted")
-    raise TypeError(f"cannot lift window {window!r}")
+    return window.lifted(space2, TorusRegion.full(space2.factors[torus_idx]))
 
 
 def check_lattice_restriction(
@@ -642,8 +612,6 @@ def reverify_certificate(
     Checks it cannot re-run (older ``star-injective-exhaustive`` entries and
     the augmentation checks) are copied as recorded.
     """
-    from .windows import window_from_obj
-
     out = []
     for check in cert.checks:
         if check.name == "patch-translation":

@@ -733,8 +733,7 @@ def _wrap_unit(iset: IntervalSet) -> IntervalSet:
         lo, hi = p.lo, p.hi
         if lo >= 0 and hi <= 1:
             if hi == 1 and p.hi_closed:
-                out.append(Interval(lo, 1, p.lo_closed, False))
-                out.append(Interval(0, 0, True, True))
+                out.extend(_closed_at_one(lo, p.lo_closed))
             else:
                 out.append(p)
             continue
@@ -744,8 +743,7 @@ def _wrap_unit(iset: IntervalSet) -> IntervalSet:
         lo2, hi2 = lo - k, hi - k
         if hi2 <= 1:
             if hi2 == 1 and p.hi_closed:
-                out.append(Interval(lo2, 1, p.lo_closed, False))
-                out.append(Interval(0, 0, True, True))
+                out.extend(_closed_at_one(lo2, p.lo_closed))
             else:
                 out.append(Interval(lo2, hi2, p.lo_closed, p.hi_closed))
         else:
@@ -757,6 +755,13 @@ def _wrap_unit(iset: IntervalSet) -> IntervalSet:
         if p.lo == Scalar(0) and p.lo_closed and p.hi == Scalar(1):
             return IntervalSet.single(0, 1)
     return result
+
+
+def _closed_at_one(lo, lo_closed) -> list[Interval]:
+    """A piece from ``lo`` to 1 closed at 1, on the circle where 1 is 0: the
+    point 0, and [lo, 1) unless ``lo`` is 1 itself."""
+    pieces = [Interval(lo, 1, lo_closed, False)] if lo < 1 else []
+    return pieces + [Interval(0, 0, True, True)]
 
 
 def _is_full_circle(iset: IntervalSet) -> bool:
@@ -817,8 +822,7 @@ def _circle_shift(iset: IntervalSet, s) -> IntervalSet:
         lo, hi = p.lo + s, p.hi + s
         if hi <= 1:
             if hi == 1 and p.hi_closed:
-                out.append(Interval(lo, 1, p.lo_closed, False))
-                out.append(Interval(0, 0, True, True))
+                out.extend(_closed_at_one(lo, p.lo_closed))
             else:
                 out.append(Interval(lo, hi, p.lo_closed, p.hi_closed))
         elif lo >= 1:
@@ -847,9 +851,28 @@ class Window:
     pair per piece, as ``Region.enum_rows`` does per alternative: the
     piece's exact ``(lo, hi, integral)`` row bounds, and whether those rows
     alone decide membership in the piece.
+
+    Each kind also lifts itself into an extended space (``lifted``) and
+    lists its corner points (``corner_points``).  Product and union windows
+    are equal, and hash alike, when their nonempty members have the same
+    regions, so a one-member union equals its member and all empty ones are
+    equal.
     """
 
     space: InternalSpace
+
+    def _member_regions(self) -> tuple:
+        return tuple(m.regions for m in self.members() if not m.is_empty())
+
+    def __eq__(self, other):
+        if not isinstance(other, (ProductWindow, UnionWindow)):
+            return NotImplemented
+        return self._member_regions() == other._member_regions()
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._member_regions())
+        return self._hash
 
     def boundary_measure(self) -> Scalar:
         return self.closure().measure() - self.interior().measure()
@@ -879,20 +902,6 @@ class ProductWindow(Window):
             if r.factor != f:
                 raise SpaceMismatchError(f"region {r!r} does not fit factor {f!r}")
         self._hash = None
-
-    def __eq__(self, other):
-        if isinstance(other, ProductWindow):
-            if self.is_empty() and other.is_empty():
-                return True
-            return self.space == other.space and self.regions == other.regions
-        if isinstance(other, UnionWindow):
-            return other.__eq__(self)
-        return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("empty", self.space)) if self.is_empty() else hash(self.regions)
-        return self._hash
 
     def is_empty(self):
         return any(r.is_empty() for r in self.regions)
@@ -934,6 +943,17 @@ class ProductWindow(Window):
     def members(self):
         return [self]
 
+    def lifted(self, space2: InternalSpace, region: Region, coord=None):
+        """This window crossed with ``region``, a region of the one factor
+        ``space2`` appends to this window's space.  ``coord`` is the
+        coordinate on that factor that an augmented window's stars take."""
+        return ProductWindow(space2, self.regions + (region,))
+
+    def corner_points(self) -> list[HPoint]:
+        """Endpoint combinations of the per-factor regions."""
+        per_factor = [r.corner_coords() for r in self.regions]
+        return [self.space.point(*combo) for combo in itertools.product(*per_factor)]
+
     def enum_pieces(self):
         return [] if self.is_empty() else _product_rows([r.enum_rows() for r in self.regions])
 
@@ -960,22 +980,6 @@ class UnionWindow(Window):
                     )
         self.members_ = tuple(sorted(flat, key=lambda w: w.key()))
         self._hash = None
-
-    def __eq__(self, other):
-        if isinstance(other, UnionWindow):
-            if self.is_empty() and other.is_empty():
-                return True
-            return self.members_ == other.members_
-        if isinstance(other, ProductWindow):
-            if self.is_empty() and other.is_empty():
-                return True
-            return len(self.members_) == 1 and self.members_[0] == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("empty", self.space)) if self.is_empty() else hash(self.members_)
-        return self._hash
 
     def is_empty(self):
         return not self.members_
@@ -1006,6 +1010,12 @@ class UnionWindow(Window):
 
     def members(self):
         return list(self.members_)
+
+    def lifted(self, space2: InternalSpace, region: Region, coord=None):
+        return UnionWindow(space2, [m.lifted(space2, region, coord) for m in self.members_])
+
+    def corner_points(self) -> list[HPoint]:
+        return [p for m in self.members_ for p in m.corner_points()]
 
     def enum_pieces(self):
         out = []
@@ -1102,6 +1112,23 @@ class AugmentedWindow(Window):
 
     def members(self):
         raise ValueError("augmented windows cannot be union members")
+
+    def lifted(self, space2: InternalSpace, region: Region, coord=None):
+        """The lifted open core with each star's ``coord`` appended; the
+        certifier is asked about a point without its last coordinate.  An
+        augmented window is built after a full-torus extension, where no
+        ``coord`` names its stars: ``TypeError`` without one."""
+        if coord is None:
+            raise TypeError("augmented windows are built after the extension, not lifted")
+        stars = [HPoint(space2, p.coords + (coord,)) for p in self.stars]
+        certifier = None
+        if self.certifier is not None:
+            orig = self.certifier
+            certifier = lambda p: orig(HPoint(self.space, p.coords[:-1]))  # noqa: E731
+        return AugmentedWindow(self.open_part.lifted(space2, region), stars, certifier)
+
+    def corner_points(self) -> list[HPoint]:
+        return self.open_part.corner_points()
 
     def enum_pieces(self):
         # no piece decides: ``contains`` may call the certifier, which must
@@ -1243,12 +1270,9 @@ def eq11_chain(base: Window, augmented: Window) -> bool:
     w_cl = base.closure()
     if not window_subset(w_int, a_int):
         return False
-    # interior(W') inside W': open core plus absorbed gap points
-    if isinstance(augmented, AugmentedWindow):
-        if not window_subset(augmented.open_part, a_cl):
-            return False
-        if not all(a_cl.contains(p) for p in augmented.stars):
-            return False
+    # W' inside cl(W'): an augmented window's open core and its stars
+    if not window_subset(augmented, a_cl):
+        return False
     if not window_subset(a_int, a_cl):
         return False
     return window_subset(a_cl, w_cl)

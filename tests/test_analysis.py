@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from test_scheme import float_scheme, golden_square_scheme
 
-from cutproject import analysis
 from cutproject.analysis import (
     CharacterRd,
     RepetitivityReport,
@@ -20,8 +19,8 @@ from cutproject.analysis import (
     verify_inclusion,
 )
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
-from cutproject.internal_space import FiniteCyclicFactor, InternalSpace, RealFactor
-from cutproject.scalars import FLOAT_EPS, GOLDEN, GOLDEN_CONJ, SQRT5, Scalar, sum_form
+from cutproject.internal_space import FiniteCyclicFactor, InternalSpace, RealFactor, TorusFactor
+from cutproject.scalars import FLOAT_EPS, GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
 from cutproject.scheme import Box, CutProjectScheme, Patch
 from cutproject.transforms import extend_injective, lift_window, lift_window_torus, translate_cps
 from cutproject.windows import ProductWindow, UnionWindow, empty_window, interval_window
@@ -263,8 +262,8 @@ def test_equidistribution_fibonacci_extension():
 
 
 def test_equidistribution_reads_torus_coordinate_only(monkeypatch):
-    # the torus coordinate is the fractional part of sum(n_j * c_j), which
-    # is star's torus coordinate exactly, so no star point is built
+    # the torus coordinate is the torus factor's own part of the star map,
+    # the fractional part of sum(n_j * c_j), so no star point is built
     ext = extend_injective(fibonacci_scheme(), (Scalar.root(2, 3),), injectivity_bound=25)
     u = fibonacci_window().interior()
     before, oracle = {}, {}
@@ -283,18 +282,19 @@ def test_equidistribution_reads_torus_coordinate_only(monkeypatch):
         raise AssertionError("star called")
 
     evaluations = []
+    star_map = TorusFactor.star_map
 
-    def counted(values):
-        form = sum_form(values)
+    def counted(self, coords):
+        form = star_map(self, coords)
 
-        def count(coords):
-            evaluations.append(coords)
-            return form(coords)
+        def count(n):
+            evaluations.append(n)
+            return form(n)
 
         return count
 
     monkeypatch.setattr(CutProjectScheme, "star", refused)
-    monkeypatch.setattr(analysis, "sum_form", counted)
+    monkeypatch.setattr(TorusFactor, "star_map", counted)
     walked = {}
     for n in (200, 10):
         evaluations.clear()

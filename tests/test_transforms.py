@@ -30,7 +30,9 @@ from cutproject.transforms import (
     strip_embedded,
     translate_cps,
 )
-from cutproject.windows import interval_window
+from cutproject.hull import AlmostModelSetWitness, GammaRule
+from cutproject.internal_space import HPoint
+from cutproject.windows import OutOfCertifiedRangeError, interval_window
 
 LINE = InternalSpace([RealFactor(1)])
 
@@ -476,3 +478,34 @@ def test_membership_patch_checks_the_rule_not_the_admitted_list():
         transforms.almost_to_model(witness)
     checks = {c.name: c for c in info.value.witness.checks}
     assert checks["membership-patch"].detail["witness_point"] == [float(scheme.direct((0, -1))[0])]
+
+
+def test_lift_augmented_window():
+    # the augmented window of the add-hi witness (one star, a certifier at
+    # truncation 40), lifted into the sqrt(2) translation extension
+    scheme = fibonacci_scheme()
+    upper = fib_window()
+    rule = GammaRule(upper.interior(), add=[(0, -1)])
+    witness = AlmostModelSetWitness(scheme, upper.interior(), upper, rule, 40)
+    aug = transforms.almost_to_model(witness).window
+    assert len(aug.stars) == 1 and aug.certifier is not None
+    a = Scalar.sqrt(2)
+    ext = translate_cps(scheme, (a,), 10 ** 6)
+    box = Box.symmetric(20)
+    for n in (-3, 0, 2):
+        lifted = lift_window(aug, n, ext.scheme)
+        shift = a * n
+        lhs = scheme.project_points(box.translate((-shift,)), aug).translate((shift,))
+        rhs = ext.scheme.project_points(box, lifted)
+        assert scheme.direct((0, -1))[0] + shift in {p[0] for p in rhs.points}
+        assert set(lhs.points) == set(rhs.points)
+        assert [p.coords[-1] for p in lifted.stars] == [(n,)]
+        assert [p.coords[:-1] for p in lifted.stars] == [p.coords for p in aug.stars]
+        # a star of lattice coordinates inside the truncation is decided,
+        # one past it is refused
+        assert not lifted.contains(HPoint(ext.scheme.space, scheme.star((5, 0)).coords + ((n,),)))
+        with pytest.raises(OutOfCertifiedRangeError):
+            lifted.contains(HPoint(ext.scheme.space, scheme.star((41, 0)).coords + ((n,),)))
+    torus = extend_injective(scheme, (Scalar.root(2, 3),), injectivity_bound=25)
+    with pytest.raises(TypeError):
+        lift_window_torus(aug, torus.scheme.space, 1)

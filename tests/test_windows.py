@@ -357,3 +357,31 @@ def test_enum_rows_decide_per_piece():
     assert augmented.enum_pieces() == [
         ([(S(0), S(1), False)], False), ([(S(2), S(2), False)], False)
     ]
+
+
+def test_torus_point_at_one_is_zero():
+    # a point moved onto 1 of the circle lies at 0, the same point
+    c = Scalar.root(2, 3)
+    f = TorusFactor(1, ((c,),))
+    space = InternalSpace([f])
+    p = space.point((c / 2,))
+    moved = point_window(space, p).translate(p)
+    assert moved == point_window(space, space.zero())
+    assert moved.contains(space.zero()) and not moved.contains(p)
+    at_one = TorusRegion(f, (IntervalSet.point(1),))
+    assert at_one == TorusRegion(f, (IntervalSet.point(0),))
+    assert at_one.contains((Scalar(0),))
+
+
+def test_product_and_union_equality_and_hash():
+    w = interval_window(LINE, 0, 1)
+    one = UnionWindow(LINE, [w])
+    assert one == w and w == one
+    assert hash(one) == hash(w)
+    assert one in {w} and w in {one}
+    empties = (empty_window(LINE), interval_window(LINE, 0, 0, False, False))
+    assert empties[0] == empties[1] and hash(empties[0]) == hash(empties[1])
+    both = UnionWindow(LINE, [w, interval_window(LINE, 2, 3)])
+    assert both != w and w != both
+    assert both != interval_window(LINE, 2, 3)
+    assert both not in {w, interval_window(LINE, 2, 3)}
