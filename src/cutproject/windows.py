@@ -10,6 +10,7 @@ which is how projection sets of almost model sets become genuine windows.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -184,14 +185,6 @@ class IntervalSet:
             out.append(p.hi)
         return out
 
-    def is_open(self) -> bool:
-        return all(
-            not p.lo_closed and not p.hi_closed for p in self.pieces
-        )
-
-    def is_top_regular(self) -> bool:
-        return self.interior().closure() == self.closure()
-
     def to_obj(self):
         return [p.to_obj() for p in self.pieces]
 
@@ -301,9 +294,23 @@ class Region:
 
 
 class _AxesRegion(Region):
-    """One interval set per axis; on a torus, in fundamental coordinates."""
+    """One interval set per axis; on a torus, in fundamental coordinates.
+
+    The set operations are written once, on the real line, through two
+    hooks: ``_with(axes)`` builds a region of the same kind, and
+    ``_line(a)`` is a real set that looks like axis ``a`` around every point
+    of [0, 1).  On R an axis is its own line.  On a torus an axis is a
+    circle set: pieces in [0, 1), where the point 1 is 0, in the unique
+    ``IntervalSet`` normal form (``_wrap_unit``); its line is the axis with
+    its copies one turn either side, and ``_with`` reads a result modulo 1.
+    Interior and closure are local and monotone, so what they add on the
+    copies lies inside the true answer, and the wrap absorbs it.
+    """
 
     __slots__ = ()
+
+    def _line(self, a):
+        return a
 
     def is_empty(self):
         return any(a.is_empty() for a in self.axes)
@@ -316,6 +323,39 @@ class _AxesRegion(Region):
             return True
         return all(a.subset(b) for a, b in zip(self.axes, other.axes))
 
+    def interior(self):
+        return self._with(self._line(a).interior() for a in self.axes)
+
+    def closure(self):
+        return self._with(self._line(a).closure() for a in self.axes)
+
+    def translate(self, coord):
+        return self._with(a.translate(t) for a, t in zip(self.axes, coord))
+
+    def is_open(self):
+        return self.interior() == self
+
+    def is_top_regular(self):
+        return self.is_empty() or self.interior().closure() == self.closure()
+
+    def separated_from(self, other):
+        if self.is_empty() or other.is_empty():
+            return True
+        return any(
+            not a.overlaps(b) for a, b in zip(self.closure().axes, other.closure().axes)
+        )
+
+    def fill_gap(self, coord):
+        """As ``Region.fill_gap``, on one-axis regions only: None on more."""
+        if self.contains(coord):
+            return self
+        if len(self.axes) == 1 and self._line(self.axes[0]).fills_gap(coord[0]):
+            return self._with((self.axes[0].with_point(coord[0]),))
+        return None
+
+    def to_obj(self):
+        return {"region": self.kind, "axes": [a.to_obj() for a in self.axes]}
+
 
 class RealRegion(_AxesRegion):
     __slots__ = ("axes",)
@@ -323,6 +363,9 @@ class RealRegion(_AxesRegion):
 
     def __init__(self, axes):
         self.axes = tuple(axes)
+
+    def _with(self, axes):
+        return RealRegion(axes)
 
     @property
     def factor(self):
@@ -342,35 +385,11 @@ class RealRegion(_AxesRegion):
     def __hash__(self):
         return hash(self.axes)
 
-    def interior(self):
-        return RealRegion(a.interior() for a in self.axes)
-
-    def closure(self):
-        return RealRegion(a.closure() for a in self.axes)
-
     def measure(self):
         total = Scalar(1)
         for a in self.axes:
             total = total * a.measure()
         return total
-
-    def translate(self, coord):
-        return RealRegion(a.translate(t) for a, t in zip(self.axes, coord))
-
-    def is_open(self):
-        return all(a.is_open() for a in self.axes)
-
-    def is_top_regular(self):
-        if self.is_empty():
-            return True
-        return all(a.is_top_regular() for a in self.axes)
-
-    def separated_from(self, other):
-        if self.is_empty() or other.is_empty():
-            return True
-        return any(
-            not a.closure().overlaps(b.closure()) for a, b in zip(self.axes, other.axes)
-        )
 
     def bounds(self):
         return tuple(a.bounds() for a in self.axes)
@@ -379,19 +398,8 @@ class RealRegion(_AxesRegion):
         rows = [(lo, hi, False) for lo, hi in self.bounds()]
         return [(rows, all(len(a.pieces) == 1 for a in self.axes))]
 
-    def fill_gap(self, coord):
-        (x,) = coord
-        if self.axes[0].contains(x):
-            return self
-        if self.axes[0].fills_gap(x):
-            return RealRegion((self.axes[0].with_point(x),))
-        return None
-
     def corner_coords(self):
         return list(itertools.product(*(list(dict.fromkeys(a.endpoints())) for a in self.axes)))
-
-    def to_obj(self):
-        return {"region": self.kind, "axes": [a.to_obj() for a in self.axes]}
 
 
 class IntSetRegion(Region):
@@ -523,7 +531,7 @@ class ResidueRegion(Region):
 
 
 class TorusRegion(_AxesRegion):
-    """Subset of a torus given by interval sets in fundamental coordinates."""
+    """Subset of a torus given by circle sets in fundamental coordinates."""
 
     __slots__ = ("factor", "axes")
     kind = "torus"
@@ -531,6 +539,12 @@ class TorusRegion(_AxesRegion):
     def __init__(self, factor: TorusFactor, axes):
         self.factor = factor
         self.axes = tuple(_wrap_unit(a) for a in axes)
+
+    def _with(self, axes):
+        return TorusRegion(self.factor, axes)
+
+    def _line(self, a):
+        return a.translate(-1).union(a).union(a.translate(1))
 
     @classmethod
     def full(cls, factor: TorusFactor):
@@ -554,53 +568,14 @@ class TorusRegion(_AxesRegion):
     def __hash__(self):
         return hash((self.factor, self.axes))
 
-    def interior(self):
-        return TorusRegion(self.factor, (_circle_interior(a) for a in self.axes))
-
-    def closure(self):
-        return TorusRegion(self.factor, (_circle_closure(a) for a in self.axes))
-
     def measure(self):
         total = self.factor.mass()
         for a in self.axes:
             total = total * a.measure()
         return total
 
-    def translate(self, coord):
-        return TorusRegion(
-            self.factor, (_circle_shift(a, s) for a, s in zip(self.axes, coord))
-        )
-
-    def is_open(self):
-        return all(_is_full_circle(a) or a.is_open() for a in self.axes)
-
     def enum_rows(self):
         return [([], all(_is_full_circle(a) for a in self.axes))]
-
-    def is_top_regular(self):
-        if self.is_empty():
-            return True
-        return all(
-            _circle_closure(_circle_interior(a)) == _circle_closure(a) for a in self.axes
-        )
-
-    def separated_from(self, other):
-        if self.is_empty() or other.is_empty():
-            return True
-        return any(
-            not _circle_closure(a).overlaps(_circle_closure(b))
-            for a, b in zip(self.axes, other.axes)
-        )
-
-    def fill_gap(self, coord):
-        if self.contains(coord):
-            return self
-        if self.factor.dim == 1 and _circle_fills_gap(self.axes[0], coord[0]):
-            return TorusRegion(self.factor, (_circle_with_point(self.axes[0], coord[0]),))
-        return None
-
-    def to_obj(self):
-        return {"region": self.kind, "axes": [a.to_obj() for a in self.axes]}
 
 
 class TwistedRegion(Region):
@@ -680,7 +655,7 @@ class TwistedRegion(Region):
         return all(w.is_open() for w in self.per_residue.values())
 
     def is_top_regular(self):
-        return all(w.properties().topologically_regular for w in self.per_residue.values())
+        return all(w._top_regular() for w in self.per_residue.values())
 
     def subset(self, other):
         for r, w in self.per_residue.items():
@@ -727,110 +702,26 @@ _REGION_KINDS = {
 
 
 def _wrap_unit(iset: IntervalSet) -> IntervalSet:
-    """Push interval pieces into [0, 1), splitting at integer boundaries."""
+    """The circle set of a real set: each piece cut at the integers and each
+    part moved into [0, 1), where a point at 1 is 0.  A piece longer than 1
+    is the full circle, [0, 1); one of length exactly 1 need not be.  The
+    result is in ``IntervalSet`` normal form, unique for each circle set."""
     out = []
     for p in iset.pieces:
-        lo, hi = p.lo, p.hi
-        if lo >= 0 and hi <= 1:
-            if hi == 1 and p.hi_closed:
-                out.extend(_closed_at_one(lo, p.lo_closed))
-            else:
-                out.append(p)
-            continue
-        if hi - lo >= 1:
+        if p.hi - p.lo > 1:
             return IntervalSet.single(0, 1)
-        k = lo.floor()
-        lo2, hi2 = lo - k, hi - k
-        if hi2 <= 1:
-            if hi2 == 1 and p.hi_closed:
-                out.extend(_closed_at_one(lo2, p.lo_closed))
-            else:
-                out.append(Interval(lo2, hi2, p.lo_closed, p.hi_closed))
+        n = p.lo.floor()
+        lo, hi = p.lo - n, p.hi - n
+        if hi > 1 or (hi == 1 and p.hi_closed):
+            out.append(Interval(lo, 1, p.lo_closed, False))
+            out.append(Interval(0, hi - 1, True, p.hi_closed))
         else:
-            out.append(Interval(lo2, 1, p.lo_closed, False))
-            out.append(Interval(0, hi2 - 1, True, p.hi_closed))
-    result = IntervalSet(out)
-    if len(result.pieces) == 1:
-        p = result.pieces[0]
-        if p.lo == Scalar(0) and p.lo_closed and p.hi == Scalar(1):
-            return IntervalSet.single(0, 1)
-    return result
-
-
-def _closed_at_one(lo, lo_closed) -> list[Interval]:
-    """A piece from ``lo`` to 1 closed at 1, on the circle where 1 is 0: the
-    point 0, and [lo, 1) unless ``lo`` is 1 itself."""
-    pieces = [Interval(lo, 1, lo_closed, False)] if lo < 1 else []
-    return pieces + [Interval(0, 0, True, True)]
+            out.append(Interval(lo, hi, p.lo_closed, p.hi_closed))
+    return IntervalSet(out)
 
 
 def _is_full_circle(iset: IntervalSet) -> bool:
     return iset == IntervalSet.single(0, 1)
-
-
-def _circle_gap_midpoint(iset: IntervalSet) -> Scalar:
-    pieces = iset.pieces
-    for a, b in zip(pieces, pieces[1:]):
-        if b.lo > a.hi:
-            return (a.hi + b.lo) / 2
-    # seam gap between the last piece and the first, wrapping through 1
-    last_hi = pieces[-1].hi
-    first_lo = pieces[0].lo + 1
-    if first_lo > last_hi:
-        mid = (last_hi + first_lo) / 2
-        return mid - 1 if mid >= 1 else mid
-    raise ValueError("circle set has no gap")
-
-
-def _circle_op(iset: IntervalSet, op) -> IntervalSet:
-    if _is_full_circle(iset) or iset.is_empty():
-        return iset
-    t0 = _circle_gap_midpoint(iset)
-    shifted = _circle_shift(iset, -t0)
-    done = op(shifted)
-    return _circle_shift(done, t0)
-
-
-def _circle_interior(iset: IntervalSet) -> IntervalSet:
-    return _circle_op(iset, lambda s: s.interior())
-
-
-def _circle_closure(iset: IntervalSet) -> IntervalSet:
-    return _circle_op(iset, lambda s: s.closure())
-
-
-def _circle_fills_gap(iset: IntervalSet, x: Scalar) -> bool:
-    if _is_full_circle(iset) or iset.is_empty():
-        return False
-    t0 = _circle_gap_midpoint(iset)
-    shifted_x = x - t0
-    shifted_x = shifted_x - shifted_x.floor()
-    return _circle_shift(iset, -t0).fills_gap(shifted_x)
-
-
-def _circle_with_point(iset: IntervalSet, x: Scalar) -> IntervalSet:
-    return _wrap_unit(iset.with_point(x - x.floor()))
-
-
-def _circle_shift(iset: IntervalSet, s) -> IntervalSet:
-    s = Scalar.of(s)
-    s = s - s.floor()
-    if _is_full_circle(iset):
-        return iset
-    out = []
-    for p in iset.pieces:
-        lo, hi = p.lo + s, p.hi + s
-        if hi <= 1:
-            if hi == 1 and p.hi_closed:
-                out.extend(_closed_at_one(lo, p.lo_closed))
-            else:
-                out.append(Interval(lo, hi, p.lo_closed, p.hi_closed))
-        elif lo >= 1:
-            out.append(Interval(lo - 1, hi - 1, p.lo_closed, p.hi_closed))
-        else:
-            out.append(Interval(lo, 1, p.lo_closed, False))
-            out.append(Interval(0, hi - 1, True, p.hi_closed))
-    return IntervalSet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +776,6 @@ class Window:
         )
 
     def key(self) -> str:
-        import json
-
         return json.dumps(self.to_obj(), sort_keys=True, default=str)
 
 

@@ -104,6 +104,10 @@ def test_augmented_gap_fill_interior():
     w = AugmentedWindow(core, [LINE.point((1,))])
     assert w.interior() == interval_window(LINE, 0, 2, False, False)
     assert w.properties().topologically_regular
+    # only a one-axis region has gaps to fill
+    square = RealRegion((iv(0, 1, False, False), iv(0, 1, False, False)))
+    assert square.fill_gap((Fraction(1, 2), Fraction(1, 2))) is square
+    assert square.fill_gap((1, Fraction(1, 2))) is None
 
 
 def _gap_case(kind):
@@ -385,3 +389,85 @@ def test_product_and_union_equality_and_hash():
     assert both != w and w != both
     assert both != interval_window(LINE, 2, 3)
     assert both not in {w, interval_window(LINE, 2, 3)}
+
+
+ROOT_TORUS = TorusFactor(1, ((Scalar.root(2, 3),),))
+
+
+def test_torus_open_piece_of_length_one_leaves_its_end_out():
+    # (1/4, 5/4) runs once round the circle and misses the point 1/4
+    region = TorusRegion(ROOT_TORUS, (iv(Fraction(1, 4), Fraction(5, 4), False, False),))
+    assert not region.contains((Fraction(1, 4),))
+    assert region.contains((Fraction(1, 8),)) and region.contains((0,))
+    assert region != TorusRegion.full(ROOT_TORUS)
+    assert region.is_open()
+
+
+def test_torus_circle_minus_a_point_is_open():
+    quarter = Fraction(1, 4)
+    axis = IntervalSet([Interval(0, quarter, True, False), Interval(quarter, 1, False, False)])
+    region = TorusRegion(ROOT_TORUS, (axis,))
+    assert region.interior() == region
+    assert region.closure() == TorusRegion.full(ROOT_TORUS)
+    assert region.fill_gap((quarter,)) == TorusRegion.full(ROOT_TORUS)
+
+
+def test_torus_open_arc_across_zero_is_open():
+    quarter = Fraction(1, 4)
+    region = TorusRegion(ROOT_TORUS, (iv(-quarter, quarter, False, False),))
+    assert region.is_open()
+    space = InternalSpace([ROOT_TORUS])
+    core = ProductWindow(space, (region,))
+    star = space.point((Fraction(1, 2),))
+    assert AugmentedWindow(core, [star]).contains(star)
+
+
+def _circle_oracle(iset):
+    """Membership of a real set read modulo 1, by its copies."""
+    return lambda x: any(iset.contains(Scalar(x + k)) for k in range(-4, 5))
+
+
+def _random_real_set(rng):
+    pieces = []
+    for _ in range(rng.randint(0, 3)):
+        lo = Fraction(rng.randint(-12, 20), 8)
+        hi = min(lo + Fraction(rng.randint(0, 10), 8), Fraction(5, 2))
+        lc, hc = rng.random() < 0.5, rng.random() < 0.5
+        if lo < hi or (lc and hc):
+            pieces.append(Interval(lo, hi, lc, hc))
+    return IntervalSet(pieces)
+
+
+def test_torus_region_ops_match_brute_force_on_the_circle():
+    # endpoints lie on the 1/8 grid, so around each point of the 1/16 grid a
+    # set is constant on either side within 1/64, and a closed set meets
+    # another on the grid if at all
+    rng = random.Random(28)
+    grid = [Fraction(i, 16) for i in range(16)]
+    eps = Fraction(1, 64)
+    previous = None
+    for _ in range(300):
+        iset = _random_real_set(rng)
+        inside = _circle_oracle(iset)
+        region = TorusRegion(ROOT_TORUS, (iset,))
+        interior, closure = region.interior(), region.closure()
+        is_open = True
+        closed_at = set()
+        for x in grid:
+            near = (inside(x - eps), inside(x), inside(x + eps))
+            assert region.contains((x,)) == near[1], (iset, x)
+            assert interior.contains((x,)) == all(near), (iset, x)
+            assert closure.contains((x,)) == any(near), (iset, x)
+            gap = near == (True, False, True)
+            filled = region.fill_gap((x,))
+            assert (filled is not None) == (near[1] or gap), (iset, x)
+            if gap:
+                assert filled.contains((x,)) and region.subset(filled)
+            is_open = is_open and (all(near) or not near[1])
+            if any(near):
+                closed_at.add(x)
+        assert region.is_open() == is_open, iset
+        if previous is not None:
+            other, other_closed_at = previous
+            assert region.separated_from(other) == (not closed_at & other_closed_at), iset
+        previous = (region, closed_at)
