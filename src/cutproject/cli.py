@@ -87,7 +87,7 @@ def load_scheme(source: str, mode: str = "exact") -> CutProjectScheme:
 @lru_cache(maxsize=8)
 def _scheme_of(text: str, mode: str) -> CutProjectScheme:
     """The scheme of a file's text, shared by every call in a process that
-    reads the same text in the same mode, so that its interval inverse and
+    reads the same text in the same mode, so that its inverse enclosure and
     enumeration plan are built once; errors are raised, not kept."""
     obj = json.loads(text)
     if mode == "float":
@@ -377,6 +377,7 @@ def cmd_verify(args) -> int:
         report = {"suite": suite, "tolerance": tol, "report": rep.to_obj()}
     elif suite == "hull":
         scheme = load_scheme(args.scheme)
+        _require_positive([args.targets], "--targets")
         witness = load_witness(args.witness, scheme)
         K = parse_box(args.box, scheme.d)
         shift = hull.generic_shift(
@@ -420,7 +421,8 @@ def cmd_verify(args) -> int:
         scheme2 = load_scheme(args.scheme2)
         cert = _load_obj(args.cert, "certificate", transforms.TransformCertificate.from_obj)
         rechecks = transforms.reverify_certificate(cert, scheme, scheme2)
-        passed = all(c.passed for c in rechecks)
+        # a certificate with no check proves nothing
+        passed = bool(rechecks) and all(c.passed for c in rechecks)
         report = {
             "suite": suite,
             "kind": cert.kind,

@@ -1,9 +1,11 @@
 """Small dense linear algebra over Scalar entries.
 
-Exact Gaussian elimination is used where the entries are algebraic (division
-is available); rigorous Fraction-interval elimination provides enclosures for
-integer-coordinate bounding boxes regardless of the entry type.  Both take
-several right-hand sides per elimination.
+``det`` expands cofactors, so it needs only ring operations: it also serves
+entries that ``Scalar`` cannot divide by, such as values with pi.  The
+enumeration encloses every inverse entry as a cofactor over the determinant,
+both from ``det``.  Exact Gauss-Jordan elimination (``solve_exact``) is used
+where the entries are algebraic (division is available); it takes several
+right-hand sides per elimination.
 
 A system with exact entries and rational unknowns is decided by expanding it
 into one rational equation per monomial (the order-basis form of Cohen 1993,
@@ -17,8 +19,6 @@ from fractions import Fraction
 
 from . import ratmath
 from .scalars import Scalar
-
-Interval = tuple[Fraction, Fraction]
 
 
 def det(mat: list[list[Scalar]]) -> Scalar:
@@ -92,64 +92,3 @@ def rational_solve(rows, rhs) -> list[list[Fraction] | None]:
     """One rational solution of ``rows . x = b`` for each b in ``rhs``, None
     where there is none.  One row reduction serves every right-hand side."""
     return ratmath.solve_many(*rational_system(rows, rhs))
-
-
-def _iv_sub(x: Interval, y: Interval) -> Interval:
-    return (x[0] - y[1], x[1] - y[0])
-
-
-def _iv_mul(x: Interval, y: Interval) -> Interval:
-    vals = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return (min(vals), max(vals))
-
-
-def _iv_div(x: Interval, y: Interval) -> Interval:
-    if y[0] <= 0 <= y[1]:
-        raise ZeroDivisionError("interval pivot contains zero")
-    vals = (x[0] / y[0], x[0] / y[1], x[1] / y[0], x[1] / y[1])
-    return (min(vals), max(vals))
-
-
-def interval_solve(
-    mat: list[list[Scalar]], rhs: list[list[Interval]], digits: int
-) -> list[list[Interval]]:
-    """Enclosures of all solutions of ``mat x = y``, for y in each rhs box.
-
-    One elimination serves every right-hand side in ``rhs``.  Retries at
-    doubled precision if an interval pivot straddles zero; the matrix must be
-    nonsingular.
-    """
-    n = len(mat)
-    for attempt in range(5):
-        d = digits * (2 ** attempt)
-        a = [[x.bounds(d) for x in row] + [b[i] for b in rhs] for i, row in enumerate(mat)]
-        try:
-            for col in range(n):
-                piv = max(
-                    range(col, n),
-                    key=lambda r: min(abs(a[r][col][0]), abs(a[r][col][1]))
-                    if not (a[r][col][0] <= 0 <= a[r][col][1])
-                    else Fraction(-1),
-                )
-                a[col], a[piv] = a[piv], a[col]
-                for r in range(col + 1, n):
-                    if a[r][col] == (0, 0):
-                        continue
-                    f = _iv_div(a[r][col], a[col][col])
-                    a[r] = [
-                        _iv_sub(x, _iv_mul(f, y)) for x, y in zip(a[r], a[col])
-                    ]
-                    a[r][col] = (Fraction(0), Fraction(0))
-            outs = []
-            for k in range(n, n + len(rhs)):
-                out: list[Interval] = [None] * n  # type: ignore[list-item]
-                for row in range(n - 1, -1, -1):
-                    acc = a[row][k]
-                    for col in range(row + 1, n):
-                        acc = _iv_sub(acc, _iv_mul(a[row][col], out[col]))
-                    out[row] = _iv_div(acc, a[row][row])
-                outs.append(out)
-            return outs
-        except ZeroDivisionError:
-            continue
-    raise ZeroDivisionError("interval elimination failed; matrix near-singular")

@@ -7,8 +7,11 @@ their base plus an explicit carry generator, so every continuous coordinate
 of a lattice point is linear in the lifted integer coordinates.  The lifted
 coordinates are enumerated triangularly, in the manner of Fincke-Pohst with
 the box and the window slab in place of an ellipsoid: once the outer
-coordinates are fixed, a rigorous interval inverse of a square sub-block
+coordinates are fixed, an enclosure of the inverse of a square sub-block
 bounds the next one, so about one candidate is examined per accepted point.
+Every inverse entry is enclosed by one rule (``_inverse_rows``): a signed
+cofactor over the determinant, both from ``linalg.det`` on the entries read
+exactly, a float entry as its binary value.
 The walk itself is a kernel compiled once per plan shape (``walk``): one
 nested ``for`` loop per lifted column, with each row's partial sums in local
 variables and the plan's integers passed in at call time.  Compact factor
@@ -45,6 +48,7 @@ from .scalars import (
     FloatForm,
     LinearForm,
     Scalar,
+    _DIGITS_LADDER,
     _apply_each,
     _scalar_sum,
     floats,
@@ -56,6 +60,7 @@ _PLAN_DIGITS = 25  # decimal scale of the enumeration's enclosures
 _SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
 _ROW_MARGIN = 10 ** (_PLAN_DIGITS - 9)  # a non-integral row's clearance, 10**-9 at scale
 _SQUARE = 10 ** (2 * _PLAN_DIGITS)  # scale of a product of two enclosures
+_INVERSE_DIGITS = tuple(d for d in _DIGITS_LADDER if d > _PLAN_DIGITS)
 _UNDECIDED = object()  # star_kernel_witness not computed yet; None means injective
 
 
@@ -478,16 +483,15 @@ class CutProjectScheme:
         box (``_candidate_ranges``), the walk's ``targets``, the inner and
         outer bounds (``_inner_bounds``) and a float scheme's rounding bounds
         (``_float_errors``); no ``Fraction`` is built.  The budget bounds the
-        volume of the interval-inverse candidate box, which the walk never
-        leaves.  Every level only drops constraints, so the walk is
-        exhaustive, and a leaf of the window that this piece rejects is
-        found by the walk of a piece that holds it.  Each leaf
-        comes with integer enclosures of all its lifted rows at scale
-        10**_PLAN_DIGITS.  When the piece's exact ``rows`` decide membership
-        in it (``decides``, see ``_inner_bounds``), a leaf whose rows all lie
-        inside their inner bounds is accepted on the enclosures alone, and a
-        leaf with a row outside its outer bound is rejected.  Neither builds
-        a point.  Every other leaf takes the exact path: ``direct`` and the
+        volume of the candidate box, which the walk never leaves.  Every
+        level only drops constraints, so the walk is exhaustive, and a leaf
+        of the window that this piece rejects is found by the walk of a
+        piece that holds it.  Each leaf comes with integer enclosures of all
+        its lifted rows at scale 10**_PLAN_DIGITS.  When the piece's exact
+        ``rows`` decide membership in it (``decides``, see
+        ``_inner_bounds``), a leaf whose rows all lie inside their inner
+        bounds is accepted on the enclosures alone, and a leaf with a row
+        outside its outer bound is rejected.  Neither builds a point.  Every other leaf takes the exact path: ``direct`` and the
         star sum, taken only for leaves inside the box, and the exact
         ``Box.contains`` and ``Window.contains`` decide.
 
@@ -681,31 +685,22 @@ class CutProjectScheme:
         return shift, bounds
 
     def _inverse_enclosure(self):
-        """Integer enclosure of the inverse coordinate matrix, cached.
-
-        ``(den, rows)``: the rational enclosures of ``_inverse_rows`` as
-        integer ``(lo, hi)`` numerators over one common denominator ``den``,
-        the least common multiple of theirs.  That is 10**_PLAN_DIGITS, or a
-        divisor of it, for an exact inverse, and takes in a float entry's
-        dyadic or interval elimination's denominators otherwise, so no entry
-        is rounded.
-        """
+        """Every row of ``_inverse_rows`` of the lifted matrix, cached: integer
+        ``(lo, hi)`` enclosures of the inverse coordinate matrix at scale
+        10**_PLAN_DIGITS."""
         if self._inverse_enc is None:
-            rows = _inverse_rows(self.matrix, _PLAN_DIGITS)
-            den = math.lcm(*(v.denominator for row in rows for pair in row for v in pair))
-            self._inverse_enc = (
-                den, [[(int(lo * den), int(hi * den)) for lo, hi in row] for row in rows]
-            )
+            self._inverse_enc = _inverse_rows(self.matrix, range(self.lift_size))
         return self._inverse_enc
 
     def _enumeration_plan(self):
         """Per-level data of the triangular walk, built once per scheme.
 
-        Level k fixes lifted column k.  Its range comes from the interval
-        inverse of a nonsingular square sub-block over the still-free columns,
-        with internal (window) rows preferred over direct (box) rows because
-        windows are narrow; the outermost level uses the full inverse through
-        ``_candidate_ranges`` instead.  Each row is also intersected, at the
+        Level k fixes lifted column k.  Its range comes from row 0 of the
+        inverse enclosure (``_inverse_rows``) of a nonsingular square
+        sub-block over the still-free columns, with internal (window) rows
+        preferred over direct (box) rows because windows are narrow; the
+        outermost level uses the full inverse through ``_candidate_ranges``
+        instead.  Each row is also intersected, at the
         level of its last nonzero column, as soon as the fixed coordinates
         determine it.  Entries are integer enclosures at scale
         10**_PLAN_DIGITS: one ``(inverse, checks, updates)`` per column, with
@@ -715,7 +710,6 @@ class CutProjectScheme:
         if self._enum_plan is not None:
             return self._enum_plan
         size = self.lift_size
-        scale = 10 ** _PLAN_DIGITS
         enc = [[_scaled_enclosure(v, _PLAN_DIGITS) for v in row] for row in self.matrix]
         preferred = list(range(self.d, size)) + list(range(self.d))
         plan = []
@@ -734,11 +728,8 @@ class CutProjectScheme:
                     for rows in itertools.combinations(preferred, len(free))
                 )
                 rows, sub = next((r, b) for r, b in blocks if not linalg.det(b).is_zero())
-                inverse = tuple(
-                    (i, math.floor(lo * scale), math.ceil(hi * scale))
-                    for i, (lo, hi) in zip(rows, _inverse_rows(sub, _PLAN_DIGITS)[0])
-                    if lo or hi
-                )
+                (first,) = _inverse_rows(sub, (0,))
+                inverse = tuple((i, lo, hi) for i, (lo, hi) in zip(rows, first) if lo or hi)
             updates = tuple(
                 (i, *enc[i][col]) for i in range(size) if enc[i][col] != (0, 0)
             )
@@ -752,17 +743,16 @@ class CutProjectScheme:
         Each range is the least and greatest value of a row of the inverse
         enclosure over the ``[out_lo, out_hi]`` box of ``rhs``
         (``_piece_rhs``), rounded inwards to integers.  Products and sums
-        are exact integers over the inverse's common denominator times the
-        rhs scale, and one floor or ceil division per row rounds them, so
-        the ranges are those of the same computation in rationals.
+        are exact integers at the inverse's scale times the rhs scale, and
+        one floor or ceil division per row rounds them, so the ranges are
+        those of the same computation in rationals.
         """
         if self.lift_size == 0:
             return []
         shift, bounds = rhs
-        den, inv = self._inverse_enclosure()
-        total = den * 10 ** _PLAN_DIGITS << shift
+        total = _SQUARE << shift
         out = []
-        for row in inv:
+        for row in self._inverse_enclosure():
             lo = hi = 0
             for (alo, ahi), (ylo, _, _, yhi) in zip(row, bounds):
                 products = (alo * ylo, alo * yhi, ahi * ylo, ahi * yhi)
@@ -971,24 +961,39 @@ def _form_floats(forms, coords) -> list[float]:
     return columns[0] if len(columns) == 1 else [x for row in zip(*columns) for x in row]
 
 
-def _inverse_rows(matrix, digits: int) -> list[list[tuple[Fraction, Fraction]]]:
-    """Interval enclosure of the rows of a nonsingular square matrix's inverse.
+def _inverse_rows(matrix, rows) -> list[list[tuple[int, int]]]:
+    """Integer enclosures at scale 10**_PLAN_DIGITS of the given ``rows`` of
+    a nonsingular square matrix's inverse.
 
-    Exact inversion is used when the entries are algebraic; where it cannot
-    decide (``ExactnessError``, or a pivot it cannot divide by), a rigorous
-    interval elimination.  Either is one elimination over all unit columns.
-    Any other error is a bug and propagates.
+    Every entry is read exactly, a float entry as its binary value.  Entry
+    (i, j) of the inverse is the signed cofactor of entry (j, i) over the
+    determinant, both from ``linalg.det``.  Both are enclosed at the first
+    rung of ``Scalar``'s digit ladder finer than 10**-_PLAN_DIGITS at which
+    the determinant's enclosure excludes 0, and the quotient of the
+    enclosures is rounded outwards.  One formula thus serves algebraic,
+    transcendental and float entries.
     """
-    size = len(matrix)
-    units = [[int(i == k) for i in range(size)] for k in range(size)]
-    try:
-        cols = linalg.solve_exact(matrix, [[Scalar(v) for v in u] for u in units])
-        return [[cols[j][i].bounds(digits) for j in range(size)] for i in range(size)]
-    except (ExactnessError, ZeroDivisionError):
-        cols = linalg.interval_solve(
-            matrix, [[(Fraction(v), Fraction(v)) for v in u] for u in units], digits
-        )
-        return [[cols[j][i] for j in range(size)] for i in range(size)]
+    exact = [[v if v.is_exact else Scalar(Fraction(v.to_float())) for v in row] for row in matrix]
+    det = linalg.det(exact)
+    for digits in _INVERSE_DIGITS:
+        dlo, dhi = det._bounds_scaled(digits)
+        if dlo > 0 or dhi < 0:
+            break
+    else:
+        raise ExactnessError(f"determinant {det!r} not separated from 0")
+    scale = 10 ** _PLAN_DIGITS
+    out = []
+    for i in rows:
+        row = []
+        for j in range(len(exact)):
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(exact) if k != j]
+            clo, chi = linalg.det(minor)._bounds_scaled(digits)
+            if (i + j) % 2:
+                clo, chi = -chi, -clo
+            corners = [(c * scale, d) for c in (clo, chi) for d in (dlo, dhi)]
+            row.append((min(n // d for n, d in corners), max(-(-n // d) for n, d in corners)))
+        out.append(row)
+    return out
 
 
 def _scaled_enclosure(v: Scalar, digits: int) -> tuple[int, int]:

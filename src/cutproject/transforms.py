@@ -76,6 +76,14 @@ class CertCheck:
         return cls(obj["name"], obj["passed"], obj.get("detail", {}))
 
 
+# the checks a certificate may record: the six the transforms write, and
+# the exhaustive injectivity check that older certificates hold
+_CHECK_NAMES = frozenset({
+    "pair-in-lattice", "patch-translation", "star-injective", "patch-full-torus",
+    "membership-patch", "interior-closure-chain", "star-injective-exhaustive",
+})
+
+
 @dataclass
 class TransformCertificate:
     kind: str  # Translation | QuotientTranslation | InjectiveExtension | WindowAugmentation
@@ -99,12 +107,12 @@ class TransformCertificate:
 
     @classmethod
     def from_obj(cls, obj):
+        checks = [CertCheck.from_obj(c) for c in obj.get("checks", [])]
+        for check in checks:
+            if check.name not in _CHECK_NAMES:
+                raise ValueError(f"unknown check {check.name!r}")
         return cls(
-            obj["kind"],
-            obj["input_scheme"],
-            obj["output_scheme"],
-            obj.get("data", {}),
-            [CertCheck.from_obj(c) for c in obj.get("checks", [])],
+            obj["kind"], obj["input_scheme"], obj["output_scheme"], obj.get("data", {}), checks
         )
 
 

@@ -1,7 +1,7 @@
 """Straight-line kernels for the triangular enumeration walk.
 
 ``CutProjectScheme._enumeration_plan`` gives one level per lifted column:
-the rows of an interval inverse that bound the column's value, the rows the
+the rows of an inverse enclosure that bound the column's value, the rows the
 column completes (``checks``), and the rows its value enters (``updates``),
 each row with a scaled integer enclosure of a coefficient.  ``walk_kernel``
 turns the *shape* of a plan, its row indices, the sign of each check, the

@@ -134,6 +134,31 @@ def test_transform_translate_and_theorem_suite(tmp_path):
     assert report["passed"] is True
 
 
+def test_theorem_suite_needs_known_checks(tmp_path, capsys):
+    # a certificate passes only on checks it re-runs or knows: with no check
+    # it fails (exit 1), and a check no transform writes is an input error
+    scheme_file = tmp_path / "s2.json"
+    cert_file = tmp_path / "cert.json"
+    translate = ["transform", "translate", "--scheme", "builtin:fibonacci", "--a", "sqrt(2)",
+                 "--box=-40:40", "--out-scheme", str(scheme_file), "--out-cert", str(cert_file)]
+    assert run(translate) == 0
+    cert = json.loads(read(cert_file))
+    report_file = tmp_path / "report.json"
+    theorem = ["verify", "--suite", "theorem", "--scheme", "builtin:fibonacci",
+               "--scheme2", str(scheme_file), "--cert", str(cert_file), "--out", str(report_file)]
+    assert run(theorem) == 0
+    cert_file.write_text(json.dumps({**cert, "checks": []}))
+    assert run(theorem) == 1
+    assert json.loads(read(report_file)) == {
+        "suite": "theorem", "kind": cert["kind"], "checks": [], "passed": False
+    }
+    report_file.unlink()
+    cert_file.write_text(json.dumps({**cert, "checks": [{"name": "made-up", "passed": True}]}))
+    assert run(theorem) == 2
+    assert "unknown check 'made-up'" in capsys.readouterr().err
+    assert not report_file.exists()
+
+
 def test_theorem_suite_reverifies_extension(tmp_path):
     scheme_file = tmp_path / "ext.json"
     cert_file = tmp_path / "cert.json"
@@ -298,6 +323,9 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
           "--chi-bound", "inf"], "--chi-bound must be finite"),
         (["verify", "--suite", "equidist", "--window", "builtin:fibonacci-open",
           "--chi-bound", "nan"], "--chi-bound must be finite"),
+        # a hull suite with no target checks no limit patch
+        (["verify", "--suite", "hull", "--targets", "0"], "--targets must be positive"),
+        (["verify", "--suite", "hull", "--targets=-3"], "--targets must be positive"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):

@@ -16,9 +16,9 @@ import pytest
 from test_hull import witness_full, witness_lower, witness_mixed
 from test_scheme import LINE, filter_cases, float_scheme
 
-from cutproject import linalg, transforms
+from cutproject import transforms
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
-from cutproject.scalars import GOLDEN, GOLDEN_CONJ, ExactnessError, Scalar
+from cutproject.scalars import GOLDEN, GOLDEN_CONJ, Scalar
 from cutproject.scheme import (
     Box,
     CutProjectScheme,
@@ -45,9 +45,10 @@ def oracle_ranges(scheme, rhs):
     if scheme.lift_size == 0:
         return []
     out = []
-    for row in _inverse_rows(scheme.matrix, 25):
+    for row in _inverse_rows(scheme.matrix, range(scheme.lift_size)):
         lo = hi = Fraction(0)
         for (alo, ahi), (ylo, yhi) in zip(row, rhs):
+            alo, ahi = Fraction(alo, SCALE), Fraction(ahi, SCALE)
             products = (alo * ylo, alo * yhi, ahi * ylo, ahi * yhi)
             lo += min(products)
             hi += max(products)
@@ -169,18 +170,12 @@ def test_float_windows_set_up_matches_rationals():
     assert 0 not in shifts
 
 
-def test_interval_inverse_set_up_matches_rationals(monkeypatch):
-    # with no exact inverse, the inverse enclosure comes from interval
-    # elimination, whose denominators are not powers of ten
-    def inexact(*args):
-        raise ExactnessError("forced onto interval elimination")
-
-    monkeypatch.setattr(linalg, "solve_exact", inexact)
+def test_interval_inverse_set_up_matches_rationals():
+    # the set-up on the inverse enclosure's integer rows, over boxes of
+    # widths 11 to 410 where the probe shapes are all of width 20
     scheme = CutProjectScheme(
         1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
     )
-    inverse = _inverse_rows(scheme.matrix, 25)
-    assert any(SCALE % v.denominator for row in inverse for pair in row for v in pair)
     window = interval_window(LINE, -1, GOLDEN - 1)
     rng = random.Random(18)
     for _ in range(40):

@@ -2,19 +2,20 @@
 
 A call with many right-hand sides must give, for each, exactly the solution
 of a call with that right-hand side alone, and the callers that need a whole
-inverse make one elimination for it.
+solution set make one elimination for it.  The enumeration's inverse
+enclosure must hold the exact inverse of every kind of matrix.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from test_scheme import float_scheme
+from test_scheme import float_scheme, golden_square_scheme
 
-from cutproject import analysis, linalg
+from cutproject import analysis, cli, linalg
 from cutproject.fibonacci import fibonacci_scheme
-from cutproject.scalars import GOLDEN, ExactnessError, Scalar, parse_scalar
-from cutproject.scheme import _inverse_rows
+from cutproject.scalars import GOLDEN, Scalar, parse_scalar
+from cutproject.scheme import CutProjectScheme, _inverse_rows
 from cutproject.transforms import extend_injective, translate_cps
 
 
@@ -27,6 +28,13 @@ def lifted_matrix(name):
     if name == "sqrt(2)+root(2,3)":
         base = translate_cps(fib, (Scalar.sqrt(2),), 100).scheme
         return extend_injective(base, (parse_scalar("root(2,3)"),)).scheme.matrix
+    if name == "sqrt(2)":
+        return translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme.matrix
+    if name == "golden square":
+        return golden_square_scheme()[0].matrix
+    if name == "float golden/3":
+        third = translate_cps(fib, (GOLDEN / 3,), 100).scheme
+        return CutProjectScheme.from_obj(cli._floatify(third.to_obj())).matrix
     return float_scheme().matrix
 
 
@@ -54,20 +62,6 @@ def test_solve_exact_many_right_hand_sides(name):
     ]
 
 
-@pytest.mark.parametrize("name", MATRICES)
-def test_interval_solve_many_right_hand_sides(name):
-    mat = lifted_matrix(name)
-    rng = random.Random(21)
-    rhs = [
-        [(Fraction(v.to_float()), Fraction(v.to_float())) for v in b]
-        for b in right_hand_sides(len(mat), rng)
-    ]
-    for b in rhs[len(mat):]:
-        b[0] = (b[0][0], b[0][1] + Fraction(rng.randint(1, 9), 7))
-    together = linalg.interval_solve(mat, rhs, 25)
-    assert together == [linalg.interval_solve(mat, [b], 25)[0] for b in rhs]
-
-
 def counting(monkeypatch, name):
     """Record the number of right-hand sides of each ``linalg.<name>`` call."""
     calls = []
@@ -82,25 +76,50 @@ def counting(monkeypatch, name):
 
 
 def test_inverse_and_annihilator_make_one_elimination(monkeypatch):
+    # the inverse enclosure is cofactors over the determinant, no elimination;
+    # the annihilator solves all its right-hand sides in one
     third = lifted_matrix("golden/3")
     exact = counting(monkeypatch, "solve_exact")
-    inverse = _inverse_rows(third, 25)
-    assert exact == [3]
-    exact.clear()
+    _inverse_rows(third, range(3))
+    assert exact == []
     analysis.annihilator_projection(fibonacci_scheme(), 4)
     assert exact == [2]
 
-    def inexact(*args):
-        raise ExactnessError("forced onto interval elimination")
 
-    monkeypatch.setattr(linalg, "solve_exact", inexact)
-    interval = counting(monkeypatch, "interval_solve")
-    enclosure = _inverse_rows(third, 25)
-    assert interval == [3]
-    # both enclose the same inverse entries
-    for row, enc in zip(inverse, enclosure):
-        for (lo, hi), (elo, ehi) in zip(row, enc):
-            assert elo <= hi and lo <= ehi
+def fraction_inverse(mat):
+    """The inverse of a matrix of Fractions, by Gauss-Jordan elimination."""
+    n = len(mat)
+    a = [row[:] + [Fraction(int(i == k)) for k in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+@pytest.mark.parametrize("name", MATRICES + ("sqrt(2)", "golden square", "float golden/3"))
+def test_inverse_enclosure_holds_the_exact_inverse(name):
+    # a float matrix's enclosure holds the exact inverse of its entries'
+    # binary values; an exact one's holds solve_exact's inverse, enclosed at
+    # 60 digits
+    mat = lifted_matrix(name)
+    size = len(mat)
+    got = _inverse_rows(mat, range(size))
+    if all(v.is_exact for row in mat for v in row):
+        units = [[Scalar(int(i == k)) for i in range(size)] for k in range(size)]
+        cols = linalg.solve_exact(mat, units)
+        want = [[cols[j][i].bounds(60) for j in range(size)] for i in range(size)]
+    else:
+        inv = fraction_inverse([[Fraction(v.to_float()) for v in row] for row in mat])
+        want = [[(v, v) for v in row] for row in inv]
+    scale = 10 ** 25
+    for row, want_row in zip(got, want):
+        for (lo, hi), (wlo, whi) in zip(row, want_row):
+            assert Fraction(lo, scale) <= wlo <= whi <= Fraction(hi, scale)
+            assert hi - lo <= 2
 
 
 def test_integer_kernel_and_rational_solve():

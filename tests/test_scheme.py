@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import cli, linalg, ratmath
+from cutproject import cli, ratmath
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import (
     FiniteCyclicFactor,
@@ -1071,15 +1071,12 @@ def test_project_points_set_up_work_count():
     # after one warm-up call, the set-up of a project_points call is integer
     # arithmetic on one enclosure per row endpoint: no Scalar.bounds,
     # as_fraction or magnitude call and no Fraction operation in scheme.py
-    from cutproject import scheme as scheme_module
 
-    # the hook counts what the set-up used to do
-    counts, _ = set_up_counts(lambda: scheme_module._inverse_rows([[GOLDEN]], 25))
+    # the hook sees a bounds call, and the Fraction a float scheme's
+    # inverse enclosure reads its binary entries as
+    counts, _ = set_up_counts(lambda: GOLDEN.bounds(25))
     assert counts["bounds"] == 1
-    fresh = CutProjectScheme(
-        1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
-    )
-    counts, _ = set_up_counts(fresh._inverse_enclosure)
+    counts, _ = set_up_counts(float_scheme()._inverse_enclosure)
     assert counts["Fraction"] > 0
     counts, _ = set_up_counts(lambda: (Scalar(3).as_fraction(), GOLDEN.magnitude()))
     assert counts["as_fraction"] == counts["magnitude"] == 1
@@ -1413,18 +1410,10 @@ def test_float_entry_enclosure_holds_its_value():
     assert hi - lo < 3 * 10 ** 16  # the value padded by about 10**-9 each way
 
 
-def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
+def test_enumeration_falls_back_to_interval_elimination():
     # det = sqrt(2) - 1 - pi has no exact inverse, so the candidate ranges come
-    # from interval elimination; |n2| <= 15 and |n1| <= 23 hold every point
-    calls = 0
-    solve = linalg.interval_solve
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return solve(*args)
-
-    monkeypatch.setattr(linalg, "interval_solve", counted)
+    # from cofactors over the determinant's enclosure; |n2| <= 15 and
+    # |n1| <= 23 hold every point
     det = Scalar.sqrt(2) - 1 - Scalar.const("pi")
     with pytest.raises(ExactnessError):
         det.inverse()
@@ -1439,7 +1428,6 @@ def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
     box = Box.interval(-40, 40)
     w = interval_window(LINE, -1, 1)
     patch = scheme.project_points(box, w)
-    assert calls > 0
     brute = set()
     for n1 in range(-200, 201):
         for n2 in range(-20, 21):
@@ -1448,20 +1436,6 @@ def test_enumeration_falls_back_to_interval_elimination(monkeypatch):
                 brute.add((n1, n2))
     assert len(brute) == 58
     assert set(patch.coords) == brute
-
-
-def test_enumeration_set_up_lets_bugs_through(monkeypatch):
-    # only what inexact input raises falls back to interval elimination; any
-    # other error in the exact inverse is a bug and must not be swallowed
-    def broken(*args):
-        raise TypeError("not an inexact input")
-
-    monkeypatch.setattr(linalg, "solve_exact", broken)
-    scheme = CutProjectScheme(
-        1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
-    )
-    with pytest.raises(TypeError, match="not an inexact input"):
-        scheme.project_points(Box.interval(-10, 10), interval_window(LINE, -1, GOLDEN - 1))
 
 
 def test_lattice_coords_float_mode():
