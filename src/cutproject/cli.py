@@ -234,13 +234,15 @@ def _phase_overflows(chi, n: int) -> bool:
 
 
 def _positive_float(text: str) -> float:
+    """A tolerance: positive and finite, since inf passes every check."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
     return value
 
 
 def cmd_generate(args) -> int:
+    _require_positive([args.max_candidates], "--max-candidates")
     scheme = load_scheme(args.scheme, args.mode)
     window = load_window(args.window, scheme)
     box = parse_box(args.box, scheme.d)
@@ -378,6 +380,7 @@ def cmd_verify(args) -> int:
     elif suite == "hull":
         scheme = load_scheme(args.scheme)
         _require_positive([args.targets], "--targets")
+        _require_positive([args.truncation], "--truncation")
         witness = load_witness(args.witness, scheme)
         K = parse_box(args.box, scheme.d)
         shift = hull.generic_shift(

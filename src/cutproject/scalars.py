@@ -19,12 +19,20 @@ representation of Cohen, *A Course in Computational Algebraic Number Theory*,
 equality is one integer comparison plus one dictionary comparison.
 ``Scalar.terms()`` gives the value back as ``{monomial: Fraction}``.
 
-Each exact scalar computes an integer enclosure of itself at 12 decimal
-digits once, as one dot product of its numerators with cached per-monomial
-integer enclosures followed by one division, and keeps it.  ``<``, ``<=``,
+Every integer enclosure of an exact scalar follows one rounding rule
+(``_bounds_per_term``): each term, its numerator times a cached
+per-monomial enclosure, is floored and ceiled over the denominator on its
+own.  ``bounds()``, ``to_float()``, the digit ladder of ``sign`` and
+``floor``, and the enumeration's enclosures in ``scheme`` all read it.  A
+scalar computes its 12-digit enclosure once and keeps it.  ``<``, ``<=``,
 ``>`` and ``>=`` answer equal operands exactly; otherwise two disjoint
 enclosures decide the order, and only when they overlap is the sign of the
 difference refined along the digit ladder.  Each step is a rigorous decision.
+
+``sum_form`` is the one chooser of the form of ``n -> sum(n[j] *
+values[j])``: an exact ``LinearForm``, a ``FloatForm`` when every value is a
+float, else the term-by-term ``ScalarSum``.  Each gives the value ``Scalar``
+arithmetic gives for the same sum.
 
 A scalar may instead carry a plain float; float scalars are contagious and
 compare within the fixed tolerance ``FLOAT_EPS``, which no option changes.
@@ -39,7 +47,6 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from functools import partial
 from typing import Union
 
 from .ratmath import factorize, iroot, solve
@@ -116,15 +123,20 @@ _MONO_HASHES: list[_MonoHash] = [_MonoHash(_UNIT)]
 _MONO_PRODUCTS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+def _single_name(names) -> str | None:
+    """The one named constant of the set ``names``, or None; refuses two."""
+    if len(names) > 1:
+        raise ExactnessError(f"cannot mix constants {sorted(names)} in one value")
+    return next(iter(names), None)
+
+
 def _intern(m: Mono) -> int:
     i = _MONO_IDS.get(m)
     if i is None:
-        names = sorted({s for s, _ in m[1]})
-        if len(names) > 1:
-            raise ExactnessError(f"cannot mix constants {names} in one value")
+        sym = _single_name({s for s, _ in m[1]})
         i = len(_MONOS)
         _MONOS.append(m)
-        _MONO_SYMS.append(names[0] if names else None)
+        _MONO_SYMS.append(sym)
         _MONO_HASHES.append(_MonoHash(m))
         _MONO_IDS[m] = i
     return i
@@ -261,10 +273,7 @@ def _symbol(num: dict[int, int]) -> str | None:
 
 def _joint_symbol(a: "Scalar", b: "Scalar") -> str | None:
     """The constant of a sum or product of ``a`` and ``b``; refuses two."""
-    if a._sym is not None and b._sym is not None and a._sym != b._sym:
-        names = sorted((a._sym, b._sym))
-        raise ExactnessError(f"cannot mix constants {names} in one value")
-    return a._sym or b._sym
+    return _single_name({a._sym, b._sym} - {None})
 
 
 _object_new = object.__new__
@@ -326,18 +335,11 @@ class Scalar:
             for m, c in terms.items()
             if c
         }
-        names = sorted({_MONO_SYMS[i] for i in num} - {None})
-        if len(names) > 1:
-            raise ExactnessError(f"cannot mix constants {names} in one value")
-        return _reduced(num, den, names[0] if names else None)
+        return _reduced(num, den, _single_name({_MONO_SYMS[i] for i in num} - {None}))
 
     @classmethod
     def from_float(cls, value: float) -> "Scalar":
         return cls(float(value))
-
-    @classmethod
-    def rational(cls, num: int, den: int = 1) -> "Scalar":
-        return cls(Fraction(num, den))
 
     @classmethod
     def root(cls, radicand: int | Fraction, index: int) -> "Scalar":
@@ -649,39 +651,14 @@ class Scalar:
 
     # -- order, sign, floor ---------------------------------------------
 
-    def _bounds_scaled(self, digits: int) -> tuple[int, int]:
-        """Integer enclosure at scale 10**digits: one dot product, one division."""
+    def _bounds_per_term(self, digits: int) -> tuple[int, int]:
+        """Integer enclosure at scale 10**digits, each term rounded on its own:
+        the one rounding rule of every enclosure of an exact scalar."""
         lo = 0
         hi = 0
+        den = self._den
         for i, c in self._num.items():
             mlo, mhi = _MONO_INT.get((i, digits)) or _mono_int_bounds(i, digits)
-            if c > 0:
-                lo += c * mlo
-                hi += c * mhi
-            else:
-                lo += c * mhi
-                hi += c * mlo
-        den = self._den
-        return lo // den, -((-hi) // den)
-
-    def _enclosure(self) -> tuple[int, int]:
-        """The 12-digit enclosure, computed once per scalar."""
-        enc = self._enc
-        if enc is None:
-            enc = self._enc = self._bounds_scaled(_ENCLOSURE_DIGITS)
-        return enc
-
-    def _bounds_per_term(self, digits: int) -> tuple[int, int]:
-        """Integer enclosure at scale 10**digits, each term rounded on its own.
-
-        This rounding fixes the values ``bounds()`` returns; ``floats``
-        rounds each term the same way at 18 digits.
-        """
-        lo = 0
-        hi = 0
-        den = self._den
-        for i, c in self._num.items():
-            mlo, mhi = _mono_int_bounds(i, digits)
             if c >= 0:
                 a, b = c * mlo, c * mhi
             else:
@@ -689,6 +666,20 @@ class Scalar:
             lo += a // den
             hi += -((-b) // den)
         return lo, hi
+
+    def _enclosure(self) -> tuple[int, int]:
+        """The 12-digit enclosure, computed once per scalar."""
+        enc = self._enc
+        if enc is None:
+            enc = self._enc = self._bounds_per_term(_ENCLOSURE_DIGITS)
+        return enc
+
+    def _ladder(self):
+        """``(digits, lo, hi)`` enclosures along the digit ladder, the kept
+        12-digit one first."""
+        yield (_ENCLOSURE_DIGITS, *self._enclosure())
+        for digits in _DIGITS_LADDER[1:]:
+            yield (digits, *self._bounds_per_term(digits))
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """A rigorous rational enclosure, roughly ``digits`` decimals wide."""
@@ -727,11 +718,7 @@ class Scalar:
         if len(num) == 1:
             (c,) = num.values()
             return 1 if c > 0 else -1
-        for digits in _DIGITS_LADDER:
-            if digits == _ENCLOSURE_DIGITS:
-                lo, hi = self._enclosure()
-            else:
-                lo, hi = self._bounds_scaled(digits)
+        for _, lo, hi in self._ladder():
             if lo > 0:
                 return 1
             if hi < 0:
@@ -811,11 +798,7 @@ class Scalar:
             return math.floor(self._float)
         if self.is_rational:
             return self._num.get(0, 0) // self._den
-        for digits in _DIGITS_LADDER:
-            if digits == _ENCLOSURE_DIGITS:
-                lo, hi = self._enclosure()
-            else:
-                lo, hi = self._bounds_scaled(digits)
+        for digits, lo, hi in self._ladder():
             scale = 10 ** digits
             flo, fhi = lo // scale, hi // scale
             if flo == fhi:
@@ -825,9 +808,11 @@ class Scalar:
     __floor__ = floor
 
     def to_float(self) -> float:
+        """The value as a float; an exact value's is the midpoint of its
+        ``_bounds_per_term(18)``, computed once and kept."""
         f = self._float
         if f is None:
-            f = floats((self,))[0]
+            f = self._float = sum(self._bounds_per_term(18)) / (2 * 10 ** 18)
         return f
 
     __float__ = to_float
@@ -913,32 +898,16 @@ class Scalar:
 
 
 def floats(values) -> list[float]:
-    """The float of each scalar in ``values``, in order.
-
-    An exact value's float is ``_midpoints`` of its terms, as in
-    ``bounds(18)``, and is kept on the scalar; a float value gives its own.
-    ``Scalar.to_float`` is this on one value.
-    """
-    out = []
-    for v in values:
-        f = v._float
-        if f is None:
-            rows = [((c,), *(_MONO_INT.get((i, 18)) or _mono_int_bounds(i, 18)))
-                    for i, c in v._num.items()]
-            f = v._float = _midpoints(_ONE_VECTOR, rows, v._den)[0]
-        out.append(f)
-    return out
-
-
-_ONE_VECTOR = ((1,),)  # a scalar's terms as one form over the vector (1,)
+    """``[v.to_float() for v in values]``, reading a kept float in place."""
+    return [v.to_float() if v._float is None else v._float for v in values]
 
 
 def _midpoints(vectors, rows, den: int) -> list[float]:
     """The float of ``sum(c * monomial) / den`` for each integer vector ``n``,
     where each row ``(coeffs, mlo, mhi)`` gives one monomial's coefficient
     ``c = sum(n[j] * coeffs[j])`` and its 10**18 ``_MONO_INT`` enclosure: the
-    midpoint of the value's 10**18 enclosure with each term floored and
-    ceiled over ``den`` on its own; floor(g*c*m / (g*den)) = floor(c*m / den).
+    midpoint of the value's ``_bounds_per_term(18)``, as ``to_float`` takes it;
+    floor(g*c*m / (g*den)) = floor(c*m / den).
     """
     out = []
     mul = operator.mul
@@ -971,16 +940,13 @@ class LinearForm:
     def __init__(self, values):
         if any(v._num is None for v in values):
             raise ExactnessError("a linear form needs exact values")
-        names = {v._sym for v in values} - {None}
-        if len(names) > 1:
-            raise ExactnessError(f"cannot mix constants {sorted(names)} in one value")
+        self.has_constant = _single_name({v._sym for v in values} - {None}) is not None
         self.den = math.lcm(*(v._den for v in values))
         monos = sorted({i for v in values for i in v._num})
         self.rows = tuple(
             (i, tuple(v._num.get(i, 0) * (self.den // v._den) for v in values))
             for i in monos
         )
-        self.has_constant = bool(names)
 
     def __call__(self, n) -> Scalar:
         num = {}
@@ -1023,13 +989,24 @@ class FloatForm:
         return [0.0 if acc is None else acc for acc in map(self._sum, vectors)]
 
 
-def _scalar_sum(values, n) -> Scalar:
-    """``sum(n[j] * values[j])`` in ``Scalar`` arithmetic, term by term."""
-    out = Scalar(0)
-    for k, x in zip(n, values):
-        if k:
-            out = out + x * k
-    return out
+class ScalarSum:
+    """``sum(n[j] * values[j])`` in ``Scalar`` arithmetic, term by term: the
+    form of values that mix exact and float ones, or two named constants."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+    def __call__(self, n) -> Scalar:
+        out = Scalar(0)
+        for k, x in zip(n, self.values):
+            if k:
+                out = out + x * k
+        return out
+
+    def floats(self, vectors) -> list[float]:
+        return floats([self(n) for n in vectors])
 
 
 def _apply_each(forms, n) -> tuple:
@@ -1038,16 +1015,17 @@ def _apply_each(forms, n) -> tuple:
 
 
 def sum_form(values):
-    """``n -> sum(n[j] * values[j])`` as a direct row computes it: a
-    ``LinearForm`` where one applies, else the term-by-term ``_scalar_sum``.
-    Both give the value ``Scalar`` arithmetic gives."""
+    """``n -> sum(n[j] * values[j])`` as ``Scalar`` arithmetic computes it: a
+    ``LinearForm`` where one applies, a ``FloatForm`` when every value is a
+    float, else the term-by-term ``ScalarSum``.  Each has ``floats``."""
     try:
         return LinearForm(values)
     except ExactnessError:
-        return partial(_scalar_sum, values)
+        if all(v._num is None for v in values):
+            return FloatForm(values)
+        return ScalarSum(values)
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 SQRT5 = Scalar.sqrt(5)
 GOLDEN = (ONE + SQRT5) / 2

@@ -37,21 +37,20 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from . import linalg, ratmath, walk
 from .internal_space import HPoint, InternalSpace, SpaceMismatchError
 from .scalars import (
     FLOAT_EPS,
     ExactnessError,
-    FloatForm,
-    LinearForm,
     Scalar,
     _DIGITS_LADDER,
     _apply_each,
-    _scalar_sum,
     floats,
+    sum_form,
 )
 from .windows import Window
 
@@ -61,7 +60,6 @@ _SCALED_EPS = math.ceil(Fraction(FLOAT_EPS) * 10 ** _PLAN_DIGITS)
 _ROW_MARGIN = 10 ** (_PLAN_DIGITS - 9)  # a non-integral row's clearance, 10**-9 at scale
 _SQUARE = 10 ** (2 * _PLAN_DIGITS)  # scale of a product of two enclosures
 _INVERSE_DIGITS = tuple(d for d in _DIGITS_LADDER if d > _PLAN_DIGITS)
-_UNDECIDED = object()  # star_kernel_witness not computed yet; None means injective
 
 
 class EnumerationOverflowError(RuntimeError):
@@ -182,13 +180,13 @@ class Patch:
         """
         if ordered:
             return cls._kept(None, box, scheme.scheme_id, tuple(coords), scheme)
-        pts, crd = _sorted_distinct(list(zip(scheme._maps[1](coords), coords)))
+        pts, crd = _sorted_distinct(list(zip(_form_points(scheme._direct_rows, coords), coords)))
         return cls._kept(pts, box, scheme.scheme_id, crd)
 
     @property
     def points(self) -> tuple:
         if self._points is None:
-            self._points = self._scheme._maps[1](self.coords)
+            self._points = _form_points(self._scheme._direct_rows, self.coords)
         return self._points
 
     def __len__(self):
@@ -236,7 +234,7 @@ class Patch:
         # each coordinate of an item of ``seq``: the scheme's exact direct forms
         # over a lazy patch's coordinates (None for float ones), else the point's
         seq, keys = (
-            (self.coords, self._scheme._leaf[0]) if lazy
+            (self.coords, self._scheme._leaf_data.forms) if lazy
             else (self._points, [itemgetter(k) for k in range(box.dim)])
         )
         if (
@@ -280,15 +278,16 @@ class Patch:
     def float_points(self) -> list[tuple[float, ...]]:
         """Each point's ``tuple(x.to_float() for x in p)``, in patch order.
 
-        One float pass over the values in row order: a lazy patch of a scheme
-        with float forms (``LinearForm.floats``, ``FloatForm.floats``) reads
-        them from its coordinates without building a point, any other patch
-        takes ``scalars.floats`` of its points.  Nothing is cached, so each
-        call reads the patch as it is.
+        One float pass over the values in row order: a lazy patch reads them
+        from its coordinates by the ``floats`` of its scheme's direct rows,
+        without keeping a point; any other patch takes ``scalars.floats`` of
+        its points.  Nothing is cached, so each call reads the patch as it is.
         """
         dim = self.box.dim
-        lazy = self._points is None and self._scheme._maps[2]
-        flat = iter(lazy(self.coords) if lazy else floats([v for p in self.points for v in p]))
+        if self._points is None:
+            flat = iter(_form_floats(self._scheme._direct_rows, self.coords))
+        else:
+            flat = iter(floats([v for p in self.points for v in p]))
         # a d = 0 patch still has one (empty) tuple per point
         return list(zip(*[flat] * dim)) if dim else [()] * len(self)
 
@@ -310,7 +309,7 @@ class Commensurability:
     """Outcome of testing whether multiples of a direct vector hit the lattice."""
 
     status: str  # "commensurate" | "incommensurate" | "unknown"
-    m: int | None = None
+    m: int | None = None  # the minimal multiple, also when it exceeds the bound
     n: tuple[int, ...] | None = None
     heuristic: bool = False
 
@@ -336,14 +335,6 @@ class CutProjectScheme:
             )
         self._build_lift()
         self.direct_injective = self._check_direct_injective(require_injective)
-        self._id = None
-        self._inverse_enc = None
-        self._star_witness = _UNDECIDED
-        self._enum_plan = None
-        self._walk = None
-        self._leaf = None
-        self._maps = None
-        self._star_maps = None
 
     # -- lifted presentation -------------------------------------------------
 
@@ -380,12 +371,10 @@ class CutProjectScheme:
 
     # -- identity -------------------------------------------------------------
 
-    @property
+    @cached_property
     def scheme_id(self) -> str:
-        if self._id is None:
-            blob = json.dumps(self.to_obj(), sort_keys=True).encode()
-            self._id = hashlib.sha256(blob).hexdigest()[:16]
-        return self._id
+        blob = json.dumps(self.to_obj(), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
 
     def __eq__(self, other):
         return (
@@ -401,25 +390,30 @@ class CutProjectScheme:
     # -- basic maps -------------------------------------------------------------
 
     def direct(self, n) -> tuple[Scalar, ...]:
-        """``sum(n[j] * g_j)``, by the one map ``_leaf_data`` chose."""
-        if self._maps is None:
-            self._leaf_data()
-        return self._maps[0](n)
+        """``sum(n[j] * g_j)``, one ``_direct_rows`` form per coordinate."""
+        return _apply_each(self._direct_rows, n)
+
+    @cached_property
+    def _direct_rows(self) -> tuple:
+        """Each direct coordinate's form of the lattice coordinates, as
+        ``scalars.sum_form`` chooses it for the row's generator entries."""
+        return tuple(sum_form([g[i] for g, _ in self.generators]) for i in range(self.d))
 
     def star(self, n) -> HPoint:
-        """Internal coordinate of the lattice point with coordinates n: one
-        ``Factor.star_map`` per factor, built on first use."""
+        """Internal coordinate of the lattice point with coordinates n, by
+        ``_star_maps``."""
         if len(n) != self.rank:
             raise SchemeError("lattice coordinate arity mismatch")
         return self._star(n)
 
     def _star(self, n) -> HPoint:
-        if self._star_maps is None:
-            coords = [h.coords for _, h in self.generators]
-            self._star_maps = tuple(
-                f.star_map([c[i] for c in coords]) for i, f in enumerate(self.space.factors)
-            )
         return HPoint(self.space, _apply_each(self._star_maps, n))
+
+    @cached_property
+    def _star_maps(self) -> tuple:
+        """One ``Factor.star_map`` per factor over the generators' coordinates."""
+        coords = [h.coords for _, h in self.generators]
+        return tuple(f.star_map([c[i] for c in coords]) for i, f in enumerate(self.space.factors))
 
     def point_of(self, n) -> tuple[tuple[Scalar, ...], HPoint]:
         return self.direct(n), self.star(n)
@@ -467,7 +461,7 @@ class CutProjectScheme:
                     found.setdefault(n, leaf)
         if found is None:
             found = {}
-        forms, names, sizes = self._leaf_data()
+        forms, names, sizes = self._leaf_data
         if self.d and len(names) <= 1 and (forms is not None or sizes is not None):
             order = sorted(found, key=lambda n: found[n][0])
             if _separated([found[n] for n in order]):
@@ -512,7 +506,7 @@ class CutProjectScheme:
         if count == 0:
             return found
         targets = _walk_targets(rhs)
-        sizes = self._leaf_data()[2]
+        sizes = self._leaf_data.sizes
         errors = None if sizes is None else self._float_errors(sizes, ranges)
         bounds = self._inner_bounds(box, rows, rhs, targets, errors) if decides else None
         kernel, plan = self._walk_kernel(bounds is not None)
@@ -525,10 +519,12 @@ class CutProjectScheme:
         """The compiled walk of this scheme's plan shape, deciding leaves on
         enclosures when ``bounded``, and the plan's flat integers
         (``walk.walk_kernel``, ``walk.plan_arguments``)."""
-        if self._walk is None:
-            self._walk = walk.plan_arguments(self._enumeration_plan())
-        levels, flat = self._walk
+        levels, flat = self._walk_arguments
         return walk.walk_kernel(levels, self.lift_size, self.rank, bounded, _SQUARE), flat
+
+    @cached_property
+    def _walk_arguments(self):
+        return walk.plan_arguments(self._enumeration_plan)
 
     def _inner_bounds(self, box, rows, rhs, targets, errors):
         """Scaled inner and outer bounds of every lifted row, or None.
@@ -554,7 +550,7 @@ class CutProjectScheme:
         from the enclosures: float endpoints of an exact scheme, or two
         named constants, whose comparison raises ``ExactnessError``.
         """
-        forms, names, _ = self._leaf_data()
+        forms, names, _ = self._leaf_data
         rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
         ends = [v for lo, hi, _ in rows for v in (lo, hi)]
         if len(names | {v.constant for v in ends} - {None}) > 1:
@@ -587,45 +583,30 @@ class CutProjectScheme:
             out_hi.append(-(-hi_num * scale // hi_den) + band)
         return in_lo, in_hi, out_lo, out_hi
 
-    def _leaf_data(self):
-        """What a leaf may be decided and ordered on; built once per scheme.
+    @cached_property
+    def _leaf_data(self) -> _LeafData:
+        """What a leaf may be decided and ordered on.
 
-        ``(forms, names, sizes)``: ``forms`` gives each direct coordinate as
-        a ``LinearForm`` of the lattice coordinates when the generators are
-        exact and involve at most one named constant, else None; ``names``
-        are the named constants among the generators.  ``sizes`` is set for
-        a float scheme, one with a float generator value, whose internal
-        factors are all real: per row of the lifted matrix, the
-        ``Scalar.magnitude_ratio`` of every entry as numerators over the
-        row's least common denominator, ``(nums, den)``.  Else None.
-
-        It also keeps ``_maps = (direct, points_of, floats_of)`` over one form
-        per coordinate: the ``forms``, ``FloatForm``s when every direct entry
-        is a float, else ``_scalar_sum``s, whose ``floats_of`` is None.
+        ``forms`` are the ``_direct_rows``, each a ``LinearForm``, when the
+        generators are exact and involve at most one named constant, else
+        None; ``names`` are the named constants among the generators.
+        ``sizes`` is set for a float scheme, one with a float generator
+        value, whose internal factors are all real: per row of the lifted
+        matrix, the ``Scalar.magnitude_ratio`` of every entry as numerators
+        over the row's least common denominator, ``(nums, den)``.  Else None.
         """
-        if self._leaf is None:
-            gens = self.generators
-            values = [v for g, h in gens for v in (*g, *self.space.kernel_values(h))]
-            names = {v.constant for v in values} - {None}
-            forms = sizes = None
-            rows = [[g[i] for g, _ in gens] for i in range(self.d)]
-            if all(v.is_exact for v in values):
-                if len(names) <= 1:
-                    forms = tuple(LinearForm(row) for row in rows)
-            elif all(f.kind == "real" for f in self.space.factors):
-                sizes = tuple(
-                    _over_common_denominator([v.magnitude_ratio() for v in row])
-                    for row in self.matrix
-                )
-            maps, floats_of = forms, _form_floats
-            if forms is None and rows and not any(v.is_exact for row in rows for v in row):
-                maps = tuple(FloatForm(row) for row in rows)
-            elif forms is None:
-                maps, floats_of = tuple(partial(_scalar_sum, row) for row in rows), None
-            self._leaf = (forms, names, sizes)
-            self._maps = (partial(_apply_each, maps), partial(_form_points, maps),
-                          floats_of and partial(floats_of, maps))
-        return self._leaf
+        values = [v for g, h in self.generators for v in (*g, *self.space.kernel_values(h))]
+        names = {v.constant for v in values} - {None}
+        forms = sizes = None
+        if all(v.is_exact for v in values):
+            if len(names) <= 1:
+                forms = self._direct_rows
+        elif all(f.kind == "real" for f in self.space.factors):
+            sizes = tuple(
+                _over_common_denominator([v.magnitude_ratio() for v in row])
+                for row in self.matrix
+            )
+        return _LeafData(forms, names, sizes)
 
     def _float_errors(self, sizes, ranges) -> list[int]:
         """A scaled bound, per lifted row, on a float scheme's rounding.
@@ -684,16 +665,16 @@ class CutProjectScheme:
             bounds.append((lo_lo - pad, lo_hi + pad, hi_lo - pad, hi_hi + pad))
         return shift, bounds
 
+    @cached_property
     def _inverse_enclosure(self):
-        """Every row of ``_inverse_rows`` of the lifted matrix, cached: integer
+        """Every row of ``_inverse_rows`` of the lifted matrix: integer
         ``(lo, hi)`` enclosures of the inverse coordinate matrix at scale
         10**_PLAN_DIGITS."""
-        if self._inverse_enc is None:
-            self._inverse_enc = _inverse_rows(self.matrix, range(self.lift_size))
-        return self._inverse_enc
+        return _inverse_rows(self.matrix, range(self.lift_size))
 
+    @cached_property
     def _enumeration_plan(self):
-        """Per-level data of the triangular walk, built once per scheme.
+        """Per-level data of the triangular walk.
 
         Level k fixes lifted column k.  Its range comes from row 0 of the
         inverse enclosure (``_inverse_rows``) of a nonsingular square
@@ -707,8 +688,6 @@ class CutProjectScheme:
         ``inverse`` and ``checks`` as ``(row, lo, hi)`` triples and
         ``updates`` the column's nonzero entries for the row partial sums.
         """
-        if self._enum_plan is not None:
-            return self._enum_plan
         size = self.lift_size
         enc = [[_scaled_enclosure(v, _PLAN_DIGITS) for v in row] for row in self.matrix]
         preferred = list(range(self.d, size)) + list(range(self.d))
@@ -734,7 +713,6 @@ class CutProjectScheme:
                 (i, *enc[i][col]) for i in range(size) if enc[i][col] != (0, 0)
             )
             plan.append((inverse, checks, updates))
-        self._enum_plan = plan
         return plan
 
     def _candidate_ranges(self, rhs) -> list[tuple[int, int]]:
@@ -752,7 +730,7 @@ class CutProjectScheme:
         shift, bounds = rhs
         total = _SQUARE << shift
         out = []
-        for row in self._inverse_enclosure():
+        for row in self._inverse_enclosure:
             lo = hi = 0
             for (alo, ahi), (ylo, _, _, yhi) in zip(row, bounds):
                 products = (alo * ylo, alo * yhi, ahi * ylo, ahi * yhi)
@@ -764,7 +742,12 @@ class CutProjectScheme:
     # -- exact lattice membership ----------------------------------------------------
 
     def lattice_coords_of(self, gvec, h: HPoint):
-        """Integer coordinates reproducing (g, h) exactly, or None."""
+        """Integer coordinates reproducing (g, h) exactly, or None.
+
+        An exact solution of the nonsingular lifted system has ``direct(n)
+        == gvec`` by its direct rows; only the star is checked, since compact
+        factor coordinates are not rows of that system.
+        """
         gvec = tuple(Scalar.of(v) for v in gvec)
         target = self._row_values(gvec, h)
         if not all(v.is_exact for v in target) or not all(
@@ -772,15 +755,10 @@ class CutProjectScheme:
         ):
             return self._lattice_coords_float(gvec, h, target)
         (sol,) = linalg.rational_solve(self.matrix, [target])
-        if sol is None:
-            return None
-        if any(x.denominator != 1 for x in sol):
+        if sol is None or any(x.denominator != 1 for x in sol):
             return None
         n = tuple(int(x) for x in sol[: self.rank])
-        direct, star = self.point_of(n)
-        if tuple(direct) == tuple(gvec) and star == h:
-            return n
-        return None
+        return n if self.star(n) == h else None
 
     def _lattice_coords_float(self, gvec, h, target):
         mat = [[Scalar.from_float(float(v)) for v in row] for row in self.matrix]
@@ -812,11 +790,9 @@ class CutProjectScheme:
             (sol,) = linalg.rational_solve(rows, [list(a)])
             if sol is None:
                 return Commensurability("incommensurate")
-            m = 1
-            for x in sol:
-                m = m * x.denominator // math.gcd(m, x.denominator)
+            m = math.lcm(*(x.denominator for x in sol))
             if m > bound:
-                return Commensurability("incommensurate")
+                return Commensurability("incommensurate", m=m)
             n = tuple(int(x * m) for x in sol)
             return Commensurability("commensurate", m=m, n=n)
         return self._commensurate_float(a, bound)
@@ -871,18 +847,15 @@ class CutProjectScheme:
         """Exact search for nonzero n with star(n) = 0; None means injective.
 
         Inspects the rational kernel of the star system over all of Z^r,
-        once per scheme.
+        once per scheme (``_star_witness``).
         """
-        if self._star_witness is _UNDECIDED:
-            rows, _ = self._star_system(self.space.zero())
-            witness = None
-            for v in linalg.integer_kernel(rows):
-                n = tuple(v[: self.rank])
-                if any(n) and self.star(n) == self.space.zero():
-                    witness = n
-                    break
-            self._star_witness = witness
         return self._star_witness
+
+    @cached_property
+    def _star_witness(self):
+        rows, _ = self._star_system(self.space.zero())
+        kernel = (tuple(v[: self.rank]) for v in linalg.integer_kernel(rows))
+        return next((n for n in kernel if any(n) and self.star(n) == self.space.zero()), None)
 
     def star_preimage(self, p: HPoint):
         """The lattice coordinates n with star(n) = p, or None.
@@ -925,6 +898,12 @@ class CutProjectScheme:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+class _LeafData(NamedTuple):  # CutProjectScheme._leaf_data
+    forms: tuple | None
+    names: set
+    sizes: tuple | None
 
 
 def _sorted_distinct(pairs) -> tuple[tuple, tuple]:
@@ -976,7 +955,7 @@ def _inverse_rows(matrix, rows) -> list[list[tuple[int, int]]]:
     exact = [[v if v.is_exact else Scalar(Fraction(v.to_float())) for v in row] for row in matrix]
     det = linalg.det(exact)
     for digits in _INVERSE_DIGITS:
-        dlo, dhi = det._bounds_scaled(digits)
+        dlo, dhi = det._bounds_per_term(digits)
         if dlo > 0 or dhi < 0:
             break
     else:
@@ -987,7 +966,7 @@ def _inverse_rows(matrix, rows) -> list[list[tuple[int, int]]]:
         row = []
         for j in range(len(exact)):
             minor = [r[:i] + r[i + 1:] for k, r in enumerate(exact) if k != j]
-            clo, chi = linalg.det(minor)._bounds_scaled(digits)
+            clo, chi = linalg.det(minor)._bounds_per_term(digits)
             if (i + j) % 2:
                 clo, chi = -chi, -clo
             corners = [(c * scale, d) for c in (clo, chi) for d in (dlo, dhi)]

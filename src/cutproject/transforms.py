@@ -142,8 +142,10 @@ def translate_cps(
 
     Incommensurate ``a`` appends a free integer factor; when a minimal
     multiple m a hits the projected lattice the internal space becomes the
-    twisted cyclic extension carrying that multiple.  Returns the new scheme,
-    the internal element paired with ``a``, and a certificate.
+    twisted cyclic extension carrying that multiple.  A minimal multiple
+    above ``bound`` is refused with ``SchemeError``: a free factor would
+    make the direct projection non-injective.  Returns the new scheme, the
+    internal element paired with ``a``, and a certificate.
     """
     a = tuple(Scalar.of(v) for v in (a if isinstance(a, (tuple, list)) else (a,)))
     if all(v.is_zero() for v in a):
@@ -153,6 +155,8 @@ def translate_cps(
         raise CommensurabilityUndecidedError(
             f"commensurability of {a!r} undecided at bound {bound}"
         )
+    if res.status == "incommensurate" and res.m is not None:
+        raise SchemeError(f"a is commensurate with minimal multiple m = {res.m}, above the bound {bound}")
     if res.status == "incommensurate":
         space2 = InternalSpace(scheme.space.factors + (IntegerRankFactor(1),))
         gens2 = [

@@ -31,14 +31,14 @@ def _enumerate_piece(self, box, window, rows, decides, max_candidates):
     if count == 0:
         return found
     targets = _walk_targets(rhs)
-    sizes = self._leaf_data()[2]
+    sizes = self._leaf_data[2]
     errors = None if sizes is None else self._float_errors(sizes, ranges)
     bounds = self._inner_bounds(box, rows, rhs, targets, errors) if decides else None
     if bounds is not None:
         in_lo, in_hi, out_lo, out_hi = bounds
     lead = errors[0] if errors else 0
     zero = [0] * max(self.lift_size, 1)  # a rank-0 scheme's leaf still has a row 0
-    walk = _triangular_walk(self._enumeration_plan(), ranges, targets, (), zero, zero)
+    walk = _triangular_walk(self._enumeration_plan, ranges, targets, (), zero, zero)
     for lifted, r_lo, r_hi in walk:
         n = lifted[: self.rank]
         if n in found:

@@ -191,6 +191,54 @@ def test_theorem_suite_reverifies_extension(tmp_path):
     assert json.loads(read(out))["passed"] is True
 
 
+def test_translate_multiple_above_the_bound_is_an_input_error(tmp_path, capsys):
+    # golden/3 hits the lattice at m = 3 only: with --bound 2 the translation
+    # is refused before a scheme is built, not reported as non-injective
+    out_scheme, out_cert = tmp_path / "s.json", tmp_path / "c.json"
+    argv = ["transform", "translate", "--scheme", "builtin:fibonacci", "--a", "golden/3",
+            "--bound", "2", "--out-scheme", str(out_scheme), "--out-cert", str(out_cert)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "minimal multiple m = 3, above the bound 2" in err
+    assert "not injective" not in err
+    assert not out_scheme.exists() and not out_cert.exists()
+
+
+def test_theorem_suite_fails_a_tampered_pair(tmp_path):
+    # b of a sqrt(2) translation is (0, 1); with integer coordinate 2 the
+    # vector a no longer pairs with b in the lattice of the new scheme
+    scheme_file, cert_file, report = tmp_path / "s2.json", tmp_path / "c.json", tmp_path / "r.json"
+    assert run(["transform", "translate", "--scheme", "builtin:fibonacci", "--a", "sqrt(2)",
+                "--out-scheme", str(scheme_file), "--out-cert", str(cert_file)]) == 0
+    cert = json.loads(read(cert_file))
+    assert cert["data"]["b"]["coords"][1] == [1]
+    cert["data"]["b"]["coords"][1] = [2]
+    cert_file.write_text(json.dumps(cert))
+    theorem = ["verify", "--suite", "theorem", "--scheme", "builtin:fibonacci",
+               "--scheme2", str(scheme_file), "--cert", str(cert_file), "--out", str(report)]
+    assert run(theorem) == 1
+    checks = {c["name"]: c["passed"] for c in json.loads(read(report))["checks"]}
+    assert checks == {"pair-in-lattice": False}
+
+
+def test_theorem_suite_fails_an_extension_of_another_base(tmp_path):
+    # the root(2,3) extension re-verified against a base whose direct
+    # generators are doubled: the full-torus patches no longer agree
+    scheme_file, cert_file, report = tmp_path / "ext.json", tmp_path / "c.json", tmp_path / "r.json"
+    assert run(["transform", "extend", "--scheme", "builtin:fibonacci", "--c", "root(2,3)",
+                "--injectivity-bound", "20", "--window", "builtin:fibonacci", "--box=-10:10",
+                "--out-scheme", str(scheme_file), "--out-cert", str(cert_file)]) == 0
+    fib = fibonacci_scheme()
+    doubled = CutProjectScheme(1, fib.space, [((2 * g[0],), h) for g, h in fib.generators])
+    base_file = tmp_path / "doubled.json"
+    base_file.write_text(json.dumps(doubled.to_obj(), sort_keys=True))
+    theorem = ["verify", "--suite", "theorem", "--scheme", str(base_file),
+               "--scheme2", str(scheme_file), "--cert", str(cert_file), "--out", str(report)]
+    assert run(theorem) == 1
+    checks = {c["name"]: c["passed"] for c in json.loads(read(report))["checks"]}
+    assert checks == {"star-injective": True, "patch-full-torus": False}
+
+
 def float_fibonacci_file(tmp_path):
     """The Fibonacci scheme with every scalar replaced by its float value."""
 
@@ -326,6 +374,12 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch):
         # a hull suite with no target checks no limit patch
         (["verify", "--suite", "hull", "--targets", "0"], "--targets must be positive"),
         (["verify", "--suite", "hull", "--targets=-3"], "--targets must be positive"),
+        # a truncation below 1 leaves the avoidance check no lattice point
+        (["verify", "--suite", "hull", "--truncation", "0"], "--truncation must be positive"),
+        (["verify", "--suite", "hull", "--truncation=-5"], "--truncation must be positive"),
+        # a negative budget is no budget, not an exceeded one (exit 3)
+        (["generate", "--window", "builtin:fibonacci", "--box", "0:5", "--max-candidates=-5"],
+         "--max-candidates must be positive"),
     ],
 )
 def test_malformed_options_and_files_are_input_errors(tmp_path, capsys, argv, message):
@@ -634,7 +688,7 @@ def test_tol_zero_is_an_input_error(tmp_path, capsys):
         ["verify", "--suite", "fb", *common, "--n", "100"],
     ):
         out = tmp_path / "out"
-        for tol in ("0", "-1e-3", "nan"):
+        for tol in ("0", "-1e-3", "nan", "inf"):
             assert run([*argv, "--tol", tol, "--out", str(out)]) == 2, (argv, tol)
             assert "argument --tol" in capsys.readouterr().err
         assert not out.exists()

@@ -72,7 +72,7 @@ def oracle_float_errors(scheme, ranges):
 
 
 def oracle_inner_bounds(scheme, box, rows, targets, errors):
-    forms, names, _ = scheme._leaf_data()
+    forms, names, _ = scheme._leaf_data
     rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
     ends = [v for lo, hi, _ in rows for v in (lo, hi)]
     if len(names | {v.constant for v in ends} - {None}) > 1:
@@ -113,7 +113,7 @@ def check_piece(scheme, box, rows, decides):
     assert ranges == oracle_ranges(scheme, want)
     targets = _walk_targets(rhs)
     assert targets == oracle_targets(want)
-    sizes = scheme._leaf_data()[2]
+    sizes = scheme._leaf_data[2]
     errors = None
     if sizes is not None:
         errors = scheme._float_errors(sizes, ranges)

@@ -26,6 +26,7 @@ from cutproject.scalars import (
     FloatForm,
     LinearForm,
     Scalar,
+    ScalarSum,
 )
 from cutproject.scheme import (
     AveragingSequence,
@@ -339,6 +340,17 @@ def test_lattice_coords_roundtrip():
         assert scheme.lattice_coords_of(g, h) == n
     # a point off the lattice
     assert scheme.lattice_coords_of((Scalar.sqrt(2),), LINE.zero()) is None
+
+
+def test_lattice_coords_check_the_compact_coordinates():
+    # a cyclic residue is no row of the lifted system: the exact solution
+    # fits the real coordinates, and only the star tells the residue apart
+    space = InternalSpace([RealFactor(1), FiniteCyclicFactor(2)])
+    scheme = CutProjectScheme(
+        1, space, [(1, space.point(1, 1)), (GOLDEN, space.point(GOLDEN_CONJ, 0))]
+    )
+    assert scheme.lattice_coords_of((1,), space.point(1, 1)) == (1, 0)
+    assert scheme.lattice_coords_of((1,), space.point(1, 0)) is None
 
 
 def test_star_kernel_witness():
@@ -1076,7 +1088,7 @@ def test_project_points_set_up_work_count():
     # inverse enclosure reads its binary entries as
     counts, _ = set_up_counts(lambda: GOLDEN.bounds(25))
     assert counts["bounds"] == 1
-    counts, _ = set_up_counts(float_scheme()._inverse_enclosure)
+    counts, _ = set_up_counts(lambda: float_scheme()._inverse_enclosure)
     assert counts["Fraction"] > 0
     counts, _ = set_up_counts(lambda: (Scalar(3).as_fraction(), GOLDEN.magnitude()))
     assert counts["as_fraction"] == counts["magnitude"] == 1
@@ -1273,7 +1285,7 @@ def scalar_loop_direct(scheme, n):
 
 
 def direct_map_cases():
-    """Schemes of each direct map, with the map ``_leaf_data`` must choose."""
+    """Schemes of each direct map, with the rows ``sum_form`` must choose."""
     sqrt2 = translate_cps(fibonacci_scheme(), (Scalar.sqrt(2),), 10 ** 6).scheme
     mixed2 = CutProjectScheme(
         2,
@@ -1286,7 +1298,8 @@ def direct_map_cases():
             ((Scalar.from_float(-0.0), Scalar(1)), InternalSpace([RealFactor(2)]).point((0, 1))),
         ],
     )
-    # the direct row involves pi, the internal row e
+    # the direct row involves pi, the internal row e: the direct row alone
+    # has one constant, so it is a linear form
     constants = CutProjectScheme(
         1,
         LINE,
@@ -1302,26 +1315,23 @@ def direct_map_cases():
         (CutProjectScheme.from_obj(cli._floatify(golden_square_scheme()[0].to_obj())), "float"),
         (differential_cases()[1][0], "loop"),
         (mixed2, "loop"),
-        (constants, "loop"),
+        (constants, "forms"),
     ]
 
 
 @pytest.mark.parametrize("case", range(9))
 def test_direct_map_matches_scalar_loop(case):
-    # the one direct map of each scheme gives the Scalar loop's values: the
+    # the direct rows of each scheme give the Scalar loop's values: the
     # same exact values, the same float bits, the same exact or float kind
     from cutproject import scheme as scheme_module
 
     scheme, kind = direct_map_cases()[case]
-    scheme._leaf_data()
-    direct, points_of, floats_of = scheme._maps
-    forms = direct.args[0]
+    forms = scheme._direct_rows
     assert kind == (
         "forms" if all(isinstance(f, LinearForm) for f in forms)
         else "float" if all(isinstance(f, FloatForm) for f in forms)
-        else "loop" if all(f.func is scheme_module._scalar_sum for f in forms) else None
+        else "loop" if all(isinstance(f, ScalarSum) for f in forms) else None
     )
-    assert (floats_of is None) == (kind == "loop")
     rng = random.Random(1700 + case)
     vectors = [(0,) * scheme.rank] + [
         tuple(rng.randint(-10 ** 4, 10 ** 4) for _ in range(scheme.rank)) for _ in range(300)
@@ -1333,12 +1343,12 @@ def test_direct_map_matches_scalar_loop(case):
         assert [v.is_exact for v in got] == [v.is_exact for v in want], n
     # the points of a patch are built one coordinate at a time
     want = [scalar_loop_direct(scheme, n) for n in vectors]
-    assert [repr(p) for p in points_of(vectors)] == [repr(p) for p in want]
+    assert [repr(p) for p in scheme_module._form_points(forms, vectors)] == [repr(p) for p in want]
     assert scheme.direct((0,) * scheme.rank) == (Scalar(0),) * scheme.d
     assert all(v.is_exact for v in scheme.direct((0,) * scheme.rank))
-    if floats_of is not None:
-        want = [v.to_float() for n in vectors for v in scalar_loop_direct(scheme, n)]
-        assert [repr(x) for x in floats_of(vectors)] == [repr(x) for x in want]
+    want = [v.to_float() for n in vectors for v in scalar_loop_direct(scheme, n)]
+    got = scheme_module._form_floats(forms, vectors)
+    assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
 def test_zero_dimensional_scheme_patch():

@@ -13,7 +13,7 @@ from cutproject.internal_space import (
     TwistedExtensionFactor,
 )
 from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
-from cutproject.scheme import Box, CutProjectScheme
+from cutproject.scheme import Box, CutProjectScheme, SchemeError
 from cutproject import transforms
 from cutproject.transforms import (
     CertificationError,
@@ -108,6 +108,14 @@ def test_translate_unknown_raises():
     )
     with pytest.raises(transforms.CommensurabilityUndecidedError):
         translate_cps(scheme, (Scalar.from_float(2 ** 0.5),), 50)
+
+
+def test_translate_refuses_a_multiple_above_the_bound():
+    # golden/3 lies in the projected lattice at m = 3 only; a free integer
+    # factor would pair it with a lattice direction and break injectivity
+    with pytest.raises(SchemeError, match=r"minimal multiple m = 3, above the bound 2"):
+        translate_cps(fibonacci_scheme(), (GOLDEN / 3,), 2)
+    assert translate_cps(fibonacci_scheme(), (GOLDEN / 3,), 3).certificate.data["m"] == 3
 
 
 def test_lift_window_examples():

@@ -40,7 +40,7 @@ def seeded_boxes(scheme, box, seed):
     """Sub-boxes of ``box`` with rational ends, float ends for half of a
     float scheme's boxes."""
     rng = random.Random(seed)
-    floats = scheme._leaf_data()[2] is not None
+    floats = scheme._leaf_data[2] is not None
     out = []
     for _ in range(BOXES):
         lo, hi = [], []
@@ -128,7 +128,7 @@ def test_one_kernel_per_plan_shape():
     # value but share the shape of their plan
     cases = differential_cases()
     exact, inexact = cases[0][0], cases[1][0]
-    assert exact._enumeration_plan() != inexact._enumeration_plan()
+    assert exact._enumeration_plan != inexact._enumeration_plan
     for bounded in (True, False):
         kernel, flat = exact._walk_kernel(bounded)
         other, other_flat = inexact._walk_kernel(bounded)
@@ -149,7 +149,7 @@ def test_kernel_skips_a_second_lift_of_one_point(monkeypatch):
     rhs = scheme._piece_rhs(box, wide)
     zero = [0] * scheme.lift_size
     walk = enumeration_oracle._triangular_walk(
-        scheme._enumeration_plan(), scheme._candidate_ranges(rhs), _walk_targets(rhs), (), zero, zero
+        scheme._enumeration_plan, scheme._candidate_ranges(rhs), _walk_targets(rhs), (), zero, zero
     )
     leaves = [lifted[: scheme.rank] for lifted, _, _ in walk]
     assert len(leaves) > len(set(leaves)) > 10
