@@ -23,8 +23,15 @@ from operator import mul
 
 from . import linalg
 from .internal_space import SpaceMismatchError
-from .scalars import FLOAT_EPS, Scalar
-from .scheme import DEFAULT_MAX_CANDIDATES, Box, CutProjectScheme, EnumerationOverflowError, Patch
+from .scalars import FLOAT_EPS, ExactnessError, Scalar
+from .scheme import (
+    DEFAULT_MAX_CANDIDATES,
+    Box,
+    CutProjectScheme,
+    EnumerationOverflowError,
+    Patch,
+    SchemeError,
+)
 from .windows import TorusRegion, Window
 
 _EQUIDIST_CELLS = 8  # torus cells per fundamental coordinate in the coverage test
@@ -90,7 +97,8 @@ def annihilator_projection(scheme: CutProjectScheme, count: int) -> list[tuple[S
     Solves the defining integrality conditions exactly by inverting the
     transposed coordinate matrix; finite cyclic factors contribute one
     fractional shift generator each.  Only the base factor family (real,
-    integer, finite cyclic) is supported.
+    integer, finite cyclic) is supported.  A coordinate matrix with no
+    exact inverse, such as one with an entry 1 + pi, is a ``SchemeError``.
     """
     shifts = [
         target
@@ -100,7 +108,10 @@ def annihilator_projection(scheme: CutProjectScheme, count: int) -> list[tuple[S
     size = scheme.lift_size
     transpose = [[scheme.matrix[j][i] for j in range(size)] for i in range(size)]
     units = [[Scalar(1 if i == k else 0) for i in range(size)] for k in range(size)]
-    sols = linalg.solve_exact(transpose, (units + shifts)[:count])
+    try:
+        sols = linalg.solve_exact(transpose, (units + shifts)[:count])
+    except ExactnessError as exc:
+        raise SchemeError(f"the dual lattice has no exact generators: {exc}") from exc
     return [tuple(sol[: scheme.d]) for sol in sols]
 
 

@@ -1,8 +1,9 @@
 """Command-line interface: generate patches, transform schemes, verify claims.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 enumeration
-budget exceeded, 4 certification failure.  All outputs are deterministic for
-a fixed configuration and seed.
+budget exceeded, 4 certification failure, 70 internal error (any other
+exception, printed with its traceback).  All outputs are deterministic for a
+fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import random
 import sys
+import traceback
 from functools import cache, lru_cache
 
 from . import analysis, hull, transforms
@@ -31,6 +33,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_CERT = 4
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 
 class InputError(ValueError):
@@ -410,6 +413,8 @@ def cmd_verify(args) -> int:
         }
     elif suite == "repetitivity":
         scheme = load_scheme(args.scheme)
+        if scheme.d != 1:
+            raise InputError(f"the repetitivity suite needs direct dimension 1, got {scheme.d}")
         window = load_window(args.window, scheme)
         K = parse_box(args.k_box, scheme.d)
         probe = parse_box(args.box, scheme.d)
@@ -523,6 +528,10 @@ def main(argv=None) -> int:
         if witness is not None:
             print(f"witness: {witness}", file=sys.stderr)
         return EXIT_CERT
+    except Exception as exc:  # a bug, not a failed verification
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

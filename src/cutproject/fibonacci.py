@@ -1,10 +1,11 @@
-"""The Fibonacci chain: canned scheme, substitution system, derived window.
+"""The Fibonacci chain: canned scheme, substitution system, window.
 
 The scheme embeds the golden-ratio ring into the plane by pairing each
 element with its algebraic conjugate; the substitution system generates the
 same point set independently, which pins down the half-open acceptance
 window among low-height candidate endpoints: one enumeration over a cover
-window, sorted by star, decides every candidate by bisection.
+window, sorted by star, decides every candidate by bisection.  The window
+the library uses is that derivation's closed form, (-1, golden - 1].
 """
 
 from __future__ import annotations
@@ -133,5 +134,8 @@ def derive_fibonacci_window(radius: int = 55, height: int = 3) -> Window:
     return interval_window(scheme.space, alpha, beta, lo_closed, not lo_closed)
 
 
+@lru_cache(maxsize=1)
 def fibonacci_window() -> Window:
-    return derive_fibonacci_window()
+    """The half-open window (-1, golden - 1], the closed form of
+    ``derive_fibonacci_window()``."""
+    return interval_window(fibonacci_scheme().space, -1, GOLDEN - 1, False, True)

@@ -342,8 +342,11 @@ def generic_shift(
 
     Walks a fixed irrational ladder first for reproducibility, then falls
     back to seeded random multiples of the first ladder entry.  Each
-    candidate is built, and each multiple drawn, only when it is tried.
+    candidate is built, and each multiple drawn, only when it is tried.  A
+    ``truncation`` below 1 is refused with ``ValueError``.
     """
+    if truncation < 1:
+        raise ValueError(f"truncation must be at least 1, got {truncation}")
     diff = window_difference_points(lower, upper)
     space = scheme.space
     if not diff:

@@ -1,8 +1,11 @@
 """Integer relation detection over exact scalars and floats.
 
-Exact algebraic values admit a complete decision: a rational relation among
-them corresponds to a kernel vector of their monomial coordinate matrix.
-Float inputs fall back to a classic LLL search on a scaled value column,
+Exact values that involve at most one of pi and e admit a complete
+decision: a rational relation among them corresponds to a kernel vector of
+their monomial coordinate matrix.  Their monomials are algebraic numbers
+times powers of one constant, which are linearly independent over the
+rationals because pi (Lindemann 1882) and e (Hermite 1873) are
+transcendental.  Float inputs, and sets that mix pi and e, fall back to a classic LLL search on a scaled value column,
 which is heuristic and bounded; every candidate found that way is re-checked
 exactly when the inputs allow it.
 """
@@ -91,10 +94,12 @@ def lll_relation(values, bound: int) -> list[int] | None:
 def certify_independent(values: list[Scalar], bound: int) -> RelationCertificate:
     """Certify that no bounded integer relation exists among the values.
 
-    With exact algebraic inputs the kernel computation is complete, so a pass
-    is a proof; otherwise the certificate is an explicitly bounded LLL search.
+    With exact inputs that involve at most one of pi and e the kernel
+    computation is complete, so a pass is a proof; otherwise the certificate
+    is an explicitly bounded LLL search.
     """
-    if all(v.is_exact and v.is_algebraic for v in values):
+    exact = all(v.is_exact for v in values)
+    if exact and len({v.constant for v in values} - {None}) <= 1:
         witness = exact_relation(values)
         return RelationCertificate(
             method="exact-kernel",
@@ -104,7 +109,7 @@ def certify_independent(values: list[Scalar], bound: int) -> RelationCertificate
             note="complete over the monomial span",
         )
     witness = lll_relation(list(values), bound)
-    if witness is not None and all(v.is_exact for v in values):
+    if witness is not None and exact:
         acc = Scalar(0)
         for c, v in zip(witness, values):
             acc = acc + v * c

@@ -445,8 +445,11 @@ class CutProjectScheme:
         neighbouring pair is separated (``_separated``), that is the patch's
         order, and the patch keeps the coordinates and builds its points on
         first access.  Otherwise the points are built and sorted and
-        deduplicated by ``Scalar`` comparison.
+        deduplicated by ``Scalar`` comparison.  A ``max_candidates`` below 1
+        is refused with ``ValueError``.
         """
+        if max_candidates < 1:
+            raise ValueError(f"max_candidates must be at least 1, got {max_candidates}")
         if box.dim != self.d:
             raise SchemeError("box dimension mismatch")
         if window.space != self.space:

@@ -261,12 +261,20 @@ class Region:
     of ``(lo, hi, integral)`` triples, ``integral`` for rows whose values are
     exact integers, and ``decides`` says whether the rows alone decide
     membership: every coordinate whose rows lie strictly inside (lo, hi), or
-    inside [lo, hi] for integral rows, is in the region.  The other defaults
-    describe a finite set of coordinates of a discrete factor.
+    inside [lo, hi] for integral rows, is in the region.  Two regions are
+    equal, and hash alike, when they are of one kind and their ``_key()``
+    values are equal.  The other defaults describe a finite set of
+    coordinates of a discrete factor.
     """
 
     __slots__ = ()
     kind = ""
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def interior(self):
         return self
@@ -279,9 +287,6 @@ class Region:
 
     def is_top_regular(self):
         return True
-
-    def bounds(self):
-        return None
 
     def fill_gap(self, coord):
         """The region with ``coord`` adjoined when it fills a gap between two
@@ -379,11 +384,8 @@ class RealRegion(_AxesRegion):
     def from_obj(cls, factor, obj):
         return cls(IntervalSet.from_obj(a) for a in obj["axes"])
 
-    def __eq__(self, other):
-        return isinstance(other, RealRegion) and self.axes == other.axes
-
-    def __hash__(self):
-        return hash(self.axes)
+    def _key(self):
+        return self.axes
 
     def measure(self):
         total = Scalar(1)
@@ -402,132 +404,100 @@ class RealRegion(_AxesRegion):
         return list(itertools.product(*(list(dict.fromkeys(a.endpoints())) for a in self.axes)))
 
 
-class IntSetRegion(Region):
-    __slots__ = ("rank", "points")
-    kind = "integer"
+class _FiniteRegion(Region):
+    """A finite set of a discrete factor's canonical coordinates.
 
-    def __init__(self, rank, points):
-        self.rank = rank
-        self.points = frozenset(tuple(int(x) for x in p) for p in points)
+    A discrete coordinate is its own neighbourhood, so a coordinate counts 1
+    towards the measure and two sets are separated when they share no
+    coordinate.  Each kind keeps its constructor, its JSON spelling and its
+    enumeration rows.
+    """
 
-    @property
-    def factor(self):
-        return IntegerRankFactor(self.rank)
+    __slots__ = ("factor", "points")
+
+    def _set(self, factor, points):
+        self.factor = factor
+        self.points = frozenset(map(factor.canonical, points))
+        return self
+
+    @classmethod
+    def _of(cls, factor, points):
+        return object.__new__(cls)._set(factor, points)
 
     @classmethod
     def ball(cls, factor, coord, radius):
-        return cls(factor.rank, {tuple(coord)})
+        return cls._of(factor, (coord,))
 
-    @classmethod
-    def from_obj(cls, factor, obj):
-        return cls(obj["rank"], obj["points"])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntSetRegion)
-            and self.rank == other.rank
-            and self.points == other.points
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.points))
+    def _key(self):
+        return (self.factor, self.points)
 
     def is_empty(self):
         return not self.points
 
     def contains(self, coord):
-        return tuple(coord) in self.points
+        return coord in self.points
 
     def measure(self):
         return Scalar(len(self.points))
 
     def translate(self, coord):
-        return IntSetRegion(
-            self.rank, ((tuple(x + t for x, t in zip(p, coord))) for p in self.points)
-        )
+        return self._of(self.factor, (self.factor.add(p, coord) for p in self.points))
 
     def subset(self, other):
         return self.points <= other.points
 
     def separated_from(self, other):
-        return not (self.points & other.points)
+        return self.points.isdisjoint(other.points)
+
+    def corner_coords(self):
+        return sorted(self.points)
+
+
+class IntSetRegion(_FiniteRegion):
+    __slots__ = ()
+    kind = "integer"
+
+    def __init__(self, rank, points):
+        self._set(IntegerRankFactor(rank), points)
+
+    @classmethod
+    def from_obj(cls, factor, obj):
+        return cls(obj["rank"], obj["points"])
 
     def bounds(self):
         if not self.points:
             return None
-        return tuple(
-            (min(p[i] for p in self.points), max(p[i] for p in self.points))
-            for i in range(self.rank)
-        )
+        return tuple((min(a), max(a)) for a in zip(*self.points))
 
     def enum_rows(self):
         bounds = self.bounds()
         full = len(self.points) == math.prod(hi - lo + 1 for lo, hi in bounds)
         return [([(Scalar(lo), Scalar(hi), True) for lo, hi in bounds], full)]
 
-    def corner_coords(self):
-        return sorted(self.points)
-
     def to_obj(self):
-        return {"region": self.kind, "rank": self.rank, "points": sorted(map(list, self.points))}
+        return {
+            "region": self.kind,
+            "rank": self.factor.rank,
+            "points": sorted(map(list, self.points)),
+        }
 
 
-class ResidueRegion(Region):
-    __slots__ = ("modulus", "residues")
+class ResidueRegion(_FiniteRegion):
+    __slots__ = ()
     kind = "cyclic"
 
     def __init__(self, modulus, residues):
-        self.modulus = modulus
-        self.residues = frozenset(int(r) % modulus for r in residues)
-
-    @property
-    def factor(self):
-        return FiniteCyclicFactor(self.modulus)
-
-    @classmethod
-    def ball(cls, factor, coord, radius):
-        return cls(factor.modulus, {coord})
+        self._set(FiniteCyclicFactor(modulus), residues)
 
     @classmethod
     def from_obj(cls, factor, obj):
         return cls(obj["modulus"], obj["residues"])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueRegion)
-            and self.modulus == other.modulus
-            and self.residues == other.residues
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.residues))
-
-    def is_empty(self):
-        return not self.residues
-
-    def contains(self, coord):
-        return coord in self.residues
-
-    def measure(self):
-        return Scalar(len(self.residues))
-
     def enum_rows(self):
-        return [([], len(self.residues) == self.modulus)]
-
-    def translate(self, coord):
-        return ResidueRegion(self.modulus, ((r + coord) % self.modulus for r in self.residues))
-
-    def subset(self, other):
-        return self.residues <= other.residues
-
-    def separated_from(self, other):
-        return not (self.residues & other.residues)
-
-    def corner_coords(self):
-        return sorted(self.residues)
+        return [([], len(self.points) == self.factor.modulus)]
 
     def to_obj(self):
-        return {"region": self.kind, "modulus": self.modulus, "residues": sorted(self.residues)}
+        return {"region": self.kind, "modulus": self.factor.modulus, "residues": sorted(self.points)}
 
 
 class TorusRegion(_AxesRegion):
@@ -558,15 +528,8 @@ class TorusRegion(_AxesRegion):
     def from_obj(cls, factor, obj):
         return cls(factor, tuple(IntervalSet.from_obj(a) for a in obj["axes"]))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TorusRegion)
-            and self.factor == other.factor
-            and self.axes == other.axes
-        )
-
-    def __hash__(self):
-        return hash((self.factor, self.axes))
+    def _key(self):
+        return (self.factor, self.axes)
 
     def measure(self):
         total = self.factor.mass()
@@ -605,15 +568,8 @@ class TwistedRegion(Region):
             {int(r): window_from_obj(factor.base, w) for r, w in obj["per_residue"].items()},
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedRegion)
-            and self.factor == other.factor
-            and self.per_residue == other.per_residue
-        )
-
-    def __hash__(self):
-        return hash((self.factor, tuple(sorted((r, hash(w)) for r, w in self.per_residue.items()))))
+    def _key(self):
+        return (self.factor, tuple(sorted(self.per_residue.items())))
 
     def is_empty(self):
         return not self.per_residue

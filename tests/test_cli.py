@@ -10,10 +10,11 @@ from cutproject import cli, scalars
 from cutproject.cli import main
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_substitution, fibonacci_window
 from cutproject.hull import AlmostModelSetWitness, GammaRule
-from cutproject.scalars import GOLDEN
+from cutproject.scalars import GOLDEN, Scalar
 from cutproject.scheme import Box, CutProjectScheme
 from cutproject.substitution import fixed_point_patch
 from cutproject.windows import UnionWindow, interval_window
+from test_scheme import golden_square_scheme
 
 
 def run(argv):
@@ -305,15 +306,64 @@ def test_transform_extend_refuses_float_scheme(tmp_path, capsys):
     assert "input error" in err and "exact generators" in err
 
 
-def test_internal_value_error_is_not_an_input_error(monkeypatch):
+def test_internal_value_error_is_not_an_input_error(monkeypatch, capsys):
     # only parsing and loading map to exit 2; a ValueError from the
-    # library's own work is a bug and must surface as one
+    # library's own work is a bug and must surface as one: exit 70 with its
+    # message and traceback, never exit 1, which means a failed verification
     def broken(self, box, window, **kw):
         raise ValueError("internal failure")
 
     monkeypatch.setattr(CutProjectScheme, "project_points", broken)
-    with pytest.raises(ValueError, match="internal failure"):
-        run(["generate", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci", "--box", "0:5"])
+    code = run(["generate", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci", "--box", "0:5"])
+    assert code == 70
+    err = capsys.readouterr().err
+    assert "internal error: internal failure" in err and "Traceback" in err
+    assert "input error" not in err
+
+
+def test_scheme_without_exact_dual_lattice_is_an_input_error(tmp_path, capsys):
+    # 1 + pi as a generator: the dual lattice's generators need the inverse
+    # of the coordinate matrix, which has no exact form
+    line = fibonacci_scheme().space
+    pi = CutProjectScheme(1, line, [((Scalar(1),), line.point((1,))),
+                                    ((1 + Scalar.const("pi"),), line.point((Scalar.sqrt(2),)))])
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(pi.to_obj()))
+    code = run(["transform", "extend", "--scheme", str(path), "--c", "root(2,3)",
+                "--out-scheme", str(tmp_path / "s.json"), "--out-cert", str(tmp_path / "c.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "no exact generators" in err and "pi or e" in err
+    assert "Traceback" not in err
+
+
+def test_repetitivity_suite_in_two_dimensions_is_an_input_error(tmp_path, capsys):
+    scheme, window = golden_square_scheme()
+    paths = {}
+    for name, obj in (("scheme", scheme.to_obj()), ("window", window.to_obj())):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    code = run(["verify", "--suite", "repetitivity", "--scheme", str(paths["scheme"]),
+                "--window", str(paths["window"]), "--k-box", "0:5;0:5", "--box=-20:20;-20:20",
+                "--out", str(tmp_path / "rep.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "direct dimension 1, got 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("c", ["pi", "e"])
+def test_extend_by_one_constant_is_decided_exactly(tmp_path, c):
+    # pi and e are transcendental, so the relation check over the golden
+    # ring, c and 1/c is a complete kernel computation, not a bounded search
+    cert_path = tmp_path / "c.json"
+    code = run(["transform", "extend", "--scheme", "builtin:fibonacci", "--c", c,
+                "--out-scheme", str(tmp_path / "s.json"), "--out-cert", str(cert_path)])
+    assert code == 0
+    relation = json.loads(read(cert_path))["data"]["relation"]
+    assert relation == {"method": "exact-kernel", "bound": 10 ** 6, "passed": True,
+                        "witness": None, "note": "complete over the monomial span"}
 
 
 @pytest.mark.parametrize(

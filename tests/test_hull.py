@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import transforms
+from cutproject import hull, transforms
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.hull import (
     AlmostModelSetWitness,
@@ -255,6 +255,15 @@ def test_generic_shift_ladder():
     diff = window_difference_points(lower, upper)
     ok, _ = check_shift_avoidance(scheme, t, diff, 1000)
     assert ok
+
+
+@pytest.mark.parametrize("truncation", [0, -5])
+def test_generic_shift_refuses_a_truncation_below_one(truncation, monkeypatch):
+    # refused before any lattice point is checked
+    scheme, lower, upper = units()
+    monkeypatch.setattr(hull, "check_shift_avoidance", lambda *a: pytest.fail("checked"))
+    with pytest.raises(ValueError, match=f"truncation must be at least 1, got {truncation}"):
+        generic_shift(scheme, lower, upper, truncation=truncation)
 
 
 def test_generic_shift_trivial_when_no_difference():

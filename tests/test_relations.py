@@ -57,3 +57,23 @@ def test_zero_is_a_relation():
     cert = certify_independent([Scalar(0)], 10)
     assert cert.method == "exact-kernel"
     assert not cert.passed and cert.witness == [1]
+
+
+@pytest.mark.parametrize("name", ["pi", "e"])
+def test_one_constant_is_decided_by_the_kernel(name):
+    # algebraic multiples of powers of one transcendental constant are
+    # rationally independent, so the monomial kernel decides exactly
+    c = Scalar.const(name)
+    cert = certify_independent([Scalar(1), GOLDEN, c, c.inverse(), c * Scalar.sqrt(2)], 10 ** 6)
+    assert cert.method == "exact-kernel" and cert.passed
+    cert = certify_independent([Scalar(1), c, c * c, c * GOLDEN], 10 ** 6)
+    assert cert.method == "exact-kernel" and cert.passed
+    # golden = (1 + sqrt(5)) / 2, times c
+    cert = certify_independent([c * GOLDEN, c, c * SQRT5], 10 ** 6)
+    assert cert.method == "exact-kernel" and cert.witness in ([2, -1, -1], [-2, 1, 1])
+
+
+def test_pi_and_e_together_stay_heuristic():
+    cert = certify_independent([Scalar(1), Scalar.const("pi"), Scalar.const("e")], 10 ** 6)
+    assert cert.method == "lll-heuristic"
+    assert cert.passed and cert.note == "bounded search, not a proof"

@@ -520,6 +520,16 @@ def test_enumeration_overflow_budget():
         scheme.project_points(Box.interval(-10000, 10000), w, max_candidates=100)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_enumeration_budget_below_one_is_refused(budget, monkeypatch):
+    # refused before any work: no window piece is asked for
+    scheme = fibonacci_scheme()
+    w = interval_window(LINE, -1, GOLDEN - 1)
+    monkeypatch.setattr(ProductWindow, "enum_pieces", lambda self: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match=f"max_candidates must be at least 1, got {budget}"):
+        scheme.project_points(Box.interval(-3, 3), w, max_candidates=budget)
+
+
 def test_patch_serialization_and_csv():
     scheme = fibonacci_scheme()
     w = interval_window(LINE, -1, GOLDEN - 1)

@@ -1,5 +1,6 @@
 import pytest
 
+from cutproject import fibonacci
 from cutproject.fibonacci import (
     derive_fibonacci_window,
     fibonacci_scheme,
@@ -11,6 +12,7 @@ from cutproject.fibonacci import (
 from cutproject.scalars import GOLDEN, Scalar
 from cutproject.scheme import Box
 from cutproject.substitution import CoverageError, SubstitutionSystem, fixed_point_patch
+from cutproject.windows import interval_window
 
 
 def test_first_endpoints_by_hand():
@@ -125,6 +127,16 @@ def test_window_derivation_is_cached_and_deterministic():
     assert first == second == derive_fibonacci_window()
     assert first.to_obj() == second.to_obj() == derive_fibonacci_window().to_obj()
     assert derive_fibonacci_window() is derive_fibonacci_window()
+
+
+def test_builtin_window_is_the_closed_form_of_the_derivation(monkeypatch):
+    # fibonacci_window() is (-1, golden - 1] as written, not a derivation
+    derived = derive_fibonacci_window()
+    monkeypatch.setattr(fibonacci, "derive_fibonacci_window", lambda *a: pytest.fail("derived"))
+    window = fibonacci_window.__wrapped__()
+    closed_form = interval_window(fibonacci_scheme().space, -1, GOLDEN - 1, False, True)
+    assert window.to_obj() == closed_form.to_obj() == derived.to_obj()
+    assert window == derived
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from cutproject.internal_space import (
     IntegerRankFactor,
     InternalSpace,
     RealFactor,
+    SpaceMismatchError,
     TorusFactor,
     TwistedExtensionFactor,
 )
@@ -471,3 +474,115 @@ def test_torus_region_ops_match_brute_force_on_the_circle():
             other, other_closed_at = previous
             assert region.separated_from(other) == (not closed_at & other_closed_at), iset
         previous = (region, closed_at)
+
+
+def _random_points(rng, factor):
+    """A random finite set of canonical coordinates of a discrete factor:
+    integer vectors in a small cube, or residues."""
+    if factor.kind == "integer":
+        return {
+            tuple(rng.randint(-3, 3) for _ in range(factor.rank)) for _ in range(rng.randint(0, 6))
+        }
+    return {rng.randrange(factor.modulus) for _ in range(rng.randint(0, factor.modulus))}
+
+
+def _finite_region(factor, points):
+    if factor.kind == "integer":
+        return IntSetRegion(factor.rank, points)
+    return ResidueRegion(factor.modulus, points)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [IntegerRankFactor(1), IntegerRankFactor(2)],
+        [FiniteCyclicFactor(m) for m in range(2, 7)],
+    ],
+    ids=["integer", "cyclic"],
+)
+def test_finite_region_ops_match_python_sets(factors):
+    rng = random.Random(31)
+    for _ in range(200):
+        f = rng.choice(factors)
+        pa, pb = _random_points(rng, f), _random_points(rng, f)
+        a, b = _finite_region(f, pa), _finite_region(f, pb)
+        probe = next(iter(_random_points(rng, f) or {f.zero()}))
+        if f.kind == "integer":
+            shift = tuple(rng.randint(-4, 4) for _ in range(f.rank))
+            moved = {tuple(x + t for x, t in zip(p, shift)) for p in pa}
+        else:
+            shift = rng.randrange(f.modulus)
+            moved = {(r + shift) % f.modulus for r in pa}
+        assert a.factor == f and a.points == frozenset(pa)
+        assert a.is_empty() == (not pa)
+        assert a.contains(probe) == (probe in pa)
+        assert a.measure() == Scalar(len(pa))
+        assert a.translate(shift) == _finite_region(f, moved)
+        assert a.subset(b) == (pa <= pb)
+        assert a.separated_from(b) == (not pa & pb)
+        assert a.corner_coords() == sorted(pa)
+        assert a.interior() == a == a.closure() and a.is_open() and a.is_top_regular()
+        if f.kind == "cyclic":
+            assert a.enum_rows() == [([], len(pa) == f.modulus)]
+        elif pa:
+            axes = list(zip(*pa))
+            full = set(itertools.product(*(range(min(x), max(x) + 1) for x in axes)))
+            rows = [(Scalar(min(x)), Scalar(max(x)), True) for x in axes]
+            assert a.enum_rows() == [(rows, pa == full)]
+
+
+def test_finite_region_json_spelling():
+    # the JSON of both discrete kinds, byte for byte, and back
+    ints = IntSetRegion(2, {(1, -2), (0, 5), (1, -3)})
+    residues = ResidueRegion(5, {7, 0, -1})
+    assert json.dumps(ints.to_obj()) == (
+        '{"region": "integer", "rank": 2, "points": [[0, 5], [1, -3], [1, -2]]}'
+    )
+    assert json.dumps(residues.to_obj()) == '{"region": "cyclic", "modulus": 5, "residues": [0, 2, 4]}'
+    space = InternalSpace([IntegerRankFactor(2), FiniteCyclicFactor(5)])
+    w = ProductWindow(space, (ints, residues))
+    assert json.dumps(w.to_obj()) == (
+        '{"kind": "product", "regions": ['
+        '{"region": "integer", "rank": 2, "points": [[0, 5], [1, -3], [1, -2]]}, '
+        '{"region": "cyclic", "modulus": 5, "residues": [0, 2, 4]}]}'
+    )
+    assert window_from_obj(space, json.loads(json.dumps(w.to_obj()))) == w
+
+
+def test_equal_regions_of_every_kind_hash_alike():
+    torus = TorusFactor(1, ((Scalar.root(2, 3),),))
+    twisted = TwistedExtensionFactor(LINE, 2, LINE.point((GOLDEN_CONJ,)))
+    pairs = [
+        (RealRegion((iv(0, 1),)), RealRegion((IntervalSet([Interval(0, Fraction(1, 2)),
+                                                           Interval(Fraction(1, 2), 1)]),))),
+        (IntSetRegion(1, [(2,), (3,)]), IntSetRegion(1, ([3], [2], (2,)))),
+        (ResidueRegion(4, {1, 3}), ResidueRegion(4, {-1, 5})),
+        (TorusRegion(torus, (iv(0, Fraction(1, 2)),)), TorusRegion(torus, (iv(1, Fraction(3, 2)),))),
+        (TwistedRegion(twisted, {1: interval_window(LINE, 0, 1)}),
+         TwistedRegion(twisted, {1: interval_window(LINE, 0, 1), 0: empty_window(LINE)})),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    regions = [a for a, _ in pairs]
+    for i, a in enumerate(regions):
+        for b in regions[i + 1:]:
+            assert a != b
+    # one coordinate set, two kinds: never equal
+    assert IntSetRegion(1, {(0,), (1,)}) != ResidueRegion(2, {0, 1})
+    assert ResidueRegion(2, {0}) != IntSetRegion(1, {(0,)})
+    assert IntSetRegion(1, ()) != ResidueRegion(2, ())
+    assert IntSetRegion(1, {(1,)}) != IntSetRegion(2, {(1, 0)})
+    assert ResidueRegion(2, {1}) != ResidueRegion(3, {1})
+
+
+def test_finite_region_refuses_a_point_of_the_wrong_arity():
+    with pytest.raises(SpaceMismatchError, match="arity"):
+        IntSetRegion(2, {(1,)})
+    with pytest.raises(SpaceMismatchError, match="arity"):
+        IntSetRegion(1, {(1, 2)})
+    with pytest.raises(SpaceMismatchError, match="arity"):
+        window_from_obj(
+            InternalSpace([IntegerRankFactor(2)]),
+            {"kind": "product", "regions": [{"region": "integer", "rank": 2, "points": [[1, 2, 3]]}]},
+        )
