@@ -428,6 +428,11 @@ def cmd_verify(args) -> int:
         scheme = load_scheme(args.scheme)
         scheme2 = load_scheme(args.scheme2)
         cert = _load_obj(args.cert, "certificate", transforms.TransformCertificate.from_obj)
+        # a certificate speaks of the schemes it names, and of no other
+        for option, given, named in (("--scheme", scheme, cert.input_scheme),
+                                     ("--scheme2", scheme2, cert.output_scheme)):
+            if given.scheme_id != named:
+                raise InputError(f"{option} is {given.scheme_id}; the certificate names {named}")
         rechecks = transforms.reverify_certificate(cert, scheme, scheme2)
         # a certificate with no check proves nothing
         passed = bool(rechecks) and all(c.passed for c in rechecks)

@@ -10,7 +10,8 @@ right-hand sides per elimination.
 A system with exact entries and rational unknowns is decided by expanding it
 into one rational equation per monomial (the order-basis form of Cohen 1993,
 section 4.2) and row-reducing that with ``ratmath``; it too takes several
-right-hand sides per row reduction.
+right-hand sides per row reduction.  Its integer kernel, a Z-basis of all
+integer solutions, comes from the one integer column reduction of ``ratmath``.
 """
 
 from __future__ import annotations
@@ -83,9 +84,12 @@ def rational_system(rows, rhs=()) -> tuple[list[list[Fraction]], list[list[Fract
 
 
 def integer_kernel(rows) -> list[list[int]]:
-    """Primitive integer vectors spanning the rational kernel of ``rows``."""
+    """A Z-basis of the integer kernel of ``rows``: the columns of
+    ``ratmath.column_reduce``'s U past the rank, last nonzero entry positive."""
     mat, _ = rational_system(rows)
-    return [ratmath.clear_denominators(v) for v in ratmath.kernel(mat)]
+    _, u, _, rank = ratmath.column_reduce([ratmath.clear_denominators(row) for row in mat])
+    basis = [list(col) for col in zip(*u)][rank:]
+    return [v if next(x for x in reversed(v) if x) > 0 else [-x for x in v] for v in basis]
 
 
 def rational_solve(rows, rhs) -> list[list[Fraction] | None]:

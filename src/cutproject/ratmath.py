@@ -1,7 +1,11 @@
 """Rational linear algebra and integer lattice helpers.
 
 Everything here works over ``fractions.Fraction`` (or plain ints), with no
-floating point involved, so results are exact.
+floating point involved, so results are exact.  One integer column reduction,
+``column_reduce`` (H = A U with U unimodular), answers every Z-basis
+question: U's columns past the rank span the integer kernel of A, and the
+transposed inverse of U for one primitive row completes that row to a
+unimodular matrix.
 """
 
 from __future__ import annotations
@@ -184,58 +188,48 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
     return b
 
 
+def column_reduce(a: list[list[int]]) -> tuple[list, list, list, int]:
+    """Integer column echelon form: (H, U, W, rank) with H = A U, U unimodular
+    and W = (U^-1)^T, the dual basis of U's columns.
+
+    Row by row, 2x2 Bezout column steps (``_xgcd``) fold each later column's
+    entry into the pivot column, which ends as the positive gcd; W takes the
+    inverse-transposed steps.  The columns of H past the rank are zero, so
+    those of U are a Z-basis of the integer kernel of A (Cohen 1993, 2.4).
+    """
+    h = [list(map(int, row)) for row in a]
+    n = len(h[0]) if h else 0
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [row[:] for row in u]
+    r = 0
+    for row in h:
+        for j in range(r + 1, n):
+            if row[j] == 0:
+                continue
+            g, x, y = _xgcd(row[r], row[j])
+            p, q = row[j] // g, row[r] // g
+            # columns (r, j) <- (x r + y j, q j - p r), a step of determinant 1
+            for v in h + u:
+                v[r], v[j] = x * v[r] + y * v[j], q * v[j] - p * v[r]
+            for v in w:
+                v[r], v[j] = q * v[r] + p * v[j], x * v[j] - y * v[r]
+        if r < n and row[r] < 0:
+            for v in h + u + w:
+                v[r] = -v[r]
+        if r < n and row[r]:
+            r += 1
+    return h, u, w, r
+
+
 def complete_unimodular(v: list[int]) -> list[list[int]]:
     """Complete a primitive integer vector to a unimodular matrix.
 
-    Returns a square matrix U with first column v and |det U| = 1.
+    Returns the square matrix W of ``column_reduce([v])``: v U = (1, 0, ...,
+    0) makes v its first column, and its determinant is +-1.
     """
-    n = len(v)
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g != 1:
+    if gcd(*v) != 1:
         raise ValueError("vector is not primitive")
-    # Start from U = I with first column v; clear the gcd chain by 2x2
-    # Bezout blocks acting on rows, tracking the inverse action on columns.
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        u[i][0] = v[i]
-    # Row-reduce column 0 to +-e_k using Euclid; the accumulated row ops are
-    # unimodular, so undoing them on the identity yields the completion.
-    work = list(v)
-    ops: list[tuple[int, int, int, int, int, int]] = []  # (i, j, a, b, c, d)
-    piv = 0
-    for j in range(1, n):
-        a, b = work[piv], work[j]
-        if b == 0:
-            continue
-        g2, x, y = _xgcd(a, b)
-        # rows: new_piv = x*piv + y*j ; new_j = -(b/g2)*piv + (a/g2)*j
-        p, q = -(b // g2), a // g2
-        work[piv], work[j] = g2, 0
-        ops.append((piv, j, x, y, p, q))
-    if work[piv] < 0:
-        ops.append((piv, piv, -1, 0, 0, -1))
-        work[piv] = -work[piv]
-    assert work[piv] == 1 and all(work[j] == 0 for j in range(n) if j != piv)
-    # Apply inverse ops to identity columns to get the full unimodular matrix
-    # with first column v: U = (product of op-inverses) applied to e-basis.
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j, a, bb, c, d) in reversed(ops):
-        if i == j:
-            for col in range(n):
-                m[i][col] = -m[i][col]
-            continue
-        det = a * d - bb * c
-        assert det in (1, -1)
-        # inverse of [[a, b], [c, d]] is [[d, -b], [-c, a]] / det
-        for col in range(n):
-            ri, rj = m[i][col], m[j][col]
-            m[i][col] = (d * ri - bb * rj) * det
-            m[j][col] = (-c * ri + a * rj) * det
-    # Columns of m: first column should be v.
-    assert [m[i][0] for i in range(n)] == list(v)
-    return m
+    return column_reduce([v])[2]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

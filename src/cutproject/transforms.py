@@ -12,11 +12,10 @@ on, and heuristic bounds where a complete decision is impossible.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import ratmath
+from . import linalg, ratmath
 from .analysis import annihilator_projection, verify_equality
 from .internal_space import (
     HPoint,
@@ -26,7 +25,7 @@ from .internal_space import (
     TwistedExtensionFactor,
 )
 from .relations import RelationCertificate, certify_independent
-from .scalars import Scalar
+from .scalars import ExactnessError, Scalar
 from .scheme import Box, CutProjectScheme, SchemeError
 from .windows import (
     AugmentedWindow,
@@ -38,9 +37,6 @@ from .windows import (
     eq11_chain,
     window_from_obj,
 )
-
-_RESTRICTION_BOUND = 50  # |n_i| of the random combinations in check_lattice_restriction
-
 
 class CertificationError(ValueError):
     def __init__(self, message, witness=None):
@@ -271,45 +267,28 @@ def lift_window_torus(window: Window, space2: InternalSpace, torus_idx: int) -> 
     return window.lifted(space2, TorusRegion.full(space2.factors[torus_idx]))
 
 
-def check_lattice_restriction(
-    scheme: CutProjectScheme,
-    scheme2: CutProjectScheme,
-    rng: random.Random,
-    combinations: int = 100,
-) -> CertCheck:
+def check_lattice_restriction(scheme: CutProjectScheme, scheme2: CutProjectScheme) -> CertCheck:
     """The extended lattice meets the embedded old internal space exactly in
-    the old lattice: checked on all generators plus random combinations both
-    ways."""
-    basis = [tuple(1 if j == i else 0 for j in range(scheme.rank)) for i in range(scheme.rank)]
-    combos = list(basis)
-    for _ in range(combinations):
-        combos.append(
-            tuple(rng.randint(-_RESTRICTION_BOUND, _RESTRICTION_BOUND) for _ in range(scheme.rank))
-        )
-    for n in combos:
-        g, h = scheme.point_of(n)
-        h2 = embed_internal(scheme2.space, h)
-        if scheme2.lattice_coords_of(g, h2) is None:
-            return CertCheck(
-                "lattice-restriction", False, {"direction": "old-into-new", "n": list(n)}
-            )
-    for _ in range(combinations):
-        n2 = tuple(
-            rng.randint(-_RESTRICTION_BOUND, _RESTRICTION_BOUND) for _ in range(scheme2.rank)
-        )
+    the old lattice.  Both inclusions follow homomorphisms, so generators
+    decide them: the old generators lie in the new lattice, and a Z-basis of
+    the new coordinates with extension coordinate 0 (the integer kernel of
+    the extension row, with a -m column for a twisted residue) maps into the
+    old lattice."""
+    for i, (g, h) in enumerate(scheme.generators):
+        if scheme2.lattice_coords_of(g, embed_internal(scheme2.space, h)) is None:
+            n = [int(j == i) for j in range(scheme.rank)]
+            return CertCheck("lattice-restriction", False, {"direction": "old-into-new", "n": n})
+    twisted = _extension_twist(scheme2.space, scheme.space)
+    if twisted is None:
+        row = [h.coords[-1][0] for _, h in scheme2.generators]
+    else:
+        row = [h.coords[0][1] for _, h in scheme2.generators] + [-twisted.modulus]
+    for v in linalg.integer_kernel([[Scalar(x) for x in row]]):
+        n2 = v[: scheme2.rank]
         g2, h2 = scheme2.point_of(n2)
-        stripped = strip_embedded(scheme2.space, scheme.space, h2)
-        if stripped is None:
-            continue  # not inside the embedded copy of H
-        if scheme.lattice_coords_of(g2, stripped) is None:
-            return CertCheck(
-                "lattice-restriction", False, {"direction": "new-into-old", "n": list(n2)}
-            )
-    return CertCheck(
-        "lattice-restriction",
-        True,
-        {"combinations": combinations, "coordinate_bound": _RESTRICTION_BOUND},
-    )
+        if scheme.lattice_coords_of(g2, strip_embedded(scheme2.space, scheme.space, h2)) is None:
+            return CertCheck("lattice-restriction", False, {"direction": "new-into-old", "n": n2})
+    return CertCheck("lattice-restriction", True, {"method": "exact-kernel"})
 
 
 def embed_internal(space2: InternalSpace, h: HPoint) -> HPoint:
@@ -371,7 +350,10 @@ def certify_generic_diagonal(points, diag, relation_bound: int) -> RelationCerti
                 note="rational diagonal entry always lies in the rational span",
             )
         values.append(c)
-        values.append(c.inverse() if c.is_exact else Scalar.from_float(1.0 / float(c)))
+        try:
+            values.append(c.inverse() if c.is_exact else Scalar.from_float(1.0 / float(c)))
+        except ExactnessError as exc:
+            raise SchemeError(f"diagonal entry {c} has no exact inverse: {exc}") from exc
     return certify_independent(values, relation_bound)
 
 
@@ -529,7 +511,9 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
     outside U, taken from the cube points the witness admitted.  Its
     projection is checked against the rule's own patch
     (``witness.gamma_patch``) on ``box`` (default: the largest symmetric box
-    certified by the truncation, ``witness.certified_box()``).
+    certified by the truncation, ``witness.certified_box()``).  When U is the
+    interior of W, the inclusion chain from int(W) to cl(W) is checked too.
+    A failed check raises ``CertificationError``.
     """
     scheme, truncation = witness.scheme, witness.truncation
     kernel = scheme.star_kernel_witness()
@@ -559,16 +543,18 @@ def almost_to_model(witness, box: Box | None = None) -> WindowAugmentation:
             },
         )
     )
-    chain_ok = eq11_chain(witness.upper, window2)
-    cert.checks.append(
-        CertCheck(
-            "interior-closure-chain",
-            chain_ok,
-            {"note": "meaningful when the lower window is the upper's interior"},
+    if witness.lower == witness.upper.interior():
+        cert.checks.append(
+            CertCheck(
+                "interior-closure-chain",
+                eq11_chain(witness.upper, window2),
+                {"note": "meaningful when the lower window is the upper's interior"},
+            )
         )
-    )
     if not ok:
         raise CertificationError("augmented window does not reproduce the rule", cert)
+    if not cert.passed:
+        raise CertificationError("augmented window breaks the interior-closure chain", cert)
     return WindowAugmentation(window2, cert)
 
 

@@ -126,10 +126,7 @@ def test_criterion_04_structural_checks():
     ok = True
     for a in ((Scalar.sqrt(2),), (GOLDEN / 3,)):
         ext = translate_cps(scheme, a, 10 ** 6)
-        restriction = check_lattice_restriction(
-            scheme, ext.scheme, rng, combinations=500
-        )
-        ok = ok and restriction.passed
+        ok = ok and check_lattice_restriction(scheme, ext.scheme).passed
         ok = ok and ext.scheme.lattice_coords_of(a, ext.b) is not None
         for _ in range(25):
             lo = Fraction(rng.randint(-9, 9), 4)
@@ -140,7 +137,7 @@ def test_criterion_04_structural_checks():
             w = interval_window(LINE, lo, lo + width, lc, hc)
             lifted = lift_window(w, rng.randint(-5, 5), ext.scheme)
             ok = ok and lifted.properties() == w.properties()
-    report(4, ok, "lattice restriction (1000 combos), pair membership, 50 window flags")
+    report(4, ok, "lattice restriction decided both ways, pair membership, 50 window flags")
 
 
 def test_criterion_05_injective_extension():

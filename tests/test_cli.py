@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import cli, scalars
+from cutproject import cli, scalars, transforms
 from cutproject.cli import main
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_substitution, fibonacci_window
 from cutproject.hull import AlmostModelSetWitness, GammaRule
@@ -233,11 +233,38 @@ def test_theorem_suite_fails_an_extension_of_another_base(tmp_path):
     doubled = CutProjectScheme(1, fib.space, [((2 * g[0],), h) for g, h in fib.generators])
     base_file = tmp_path / "doubled.json"
     base_file.write_text(json.dumps(doubled.to_obj(), sort_keys=True))
+    cert = transforms.TransformCertificate.from_obj(json.loads(read(cert_file)))
+    ext = CutProjectScheme.from_obj(json.loads(read(scheme_file)))
+    checks = {c.name: c.passed for c in transforms.reverify_certificate(cert, doubled, ext)}
+    assert checks == {"star-injective": True, "patch-full-torus": False}
+    # the certificate names its own base: the command refuses the doubled one
     theorem = ["verify", "--suite", "theorem", "--scheme", str(base_file),
                "--scheme2", str(scheme_file), "--cert", str(cert_file), "--out", str(report)]
-    assert run(theorem) == 1
-    checks = {c["name"]: c["passed"] for c in json.loads(read(report))["checks"]}
-    assert checks == {"star-injective": True, "patch-full-torus": False}
+    assert run(theorem) == 2
+    assert not report.exists()
+
+
+def test_theorem_suite_refuses_schemes_the_certificate_does_not_name(tmp_path, capsys):
+    # without --window a translation certificate holds pair-in-lattice alone,
+    # which reads the extension only: a doubled base would pass it
+    scheme_file, cert_file, report = tmp_path / "s2.json", tmp_path / "c.json", tmp_path / "r.json"
+    assert run(["transform", "translate", "--scheme", "builtin:fibonacci", "--a", "sqrt(2)",
+                "--out-scheme", str(scheme_file), "--out-cert", str(cert_file)]) == 0
+    fib = fibonacci_scheme()
+    doubled = CutProjectScheme(1, fib.space, [((2 * g[0],), h) for g, h in fib.generators])
+    base_file = tmp_path / "doubled.json"
+    base_file.write_text(json.dumps(doubled.to_obj(), sort_keys=True))
+    for base, ext in ((str(base_file), str(scheme_file)), ("builtin:fibonacci", str(base_file))):
+        theorem = ["verify", "--suite", "theorem", "--scheme", base, "--scheme2", ext,
+                   "--cert", str(cert_file), "--out", str(report)]
+        assert run(theorem) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "; the certificate names" in err
+        assert "Traceback" not in err
+        assert not report.exists()
+    theorem = ["verify", "--suite", "theorem", "--scheme", "builtin:fibonacci",
+               "--scheme2", str(scheme_file), "--cert", str(cert_file), "--out", str(report)]
+    assert run(theorem) == 0
 
 
 def float_fibonacci_file(tmp_path):
@@ -364,6 +391,18 @@ def test_extend_by_one_constant_is_decided_exactly(tmp_path, c):
     relation = json.loads(read(cert_path))["data"]["relation"]
     assert relation == {"method": "exact-kernel", "bound": 10 ** 6, "passed": True,
                         "witness": None, "note": "complete over the monomial span"}
+
+
+def test_extend_by_an_entry_without_exact_inverse_is_an_input_error(tmp_path, capsys):
+    # the relation check needs 1/c, and a sum involving pi has no exact inverse
+    out_scheme, out_cert = tmp_path / "s.json", tmp_path / "c.json"
+    code = run(["transform", "extend", "--scheme", "builtin:fibonacci", "--c", "1+pi",
+                "--out-scheme", str(out_scheme), "--out-cert", str(out_cert)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "has no exact inverse" in err
+    assert "Traceback" not in err
+    assert not out_scheme.exists() and not out_cert.exists()
 
 
 @pytest.mark.parametrize(
@@ -621,6 +660,10 @@ def test_float_scheme_star_questions_are_input_errors(tmp_path, capsys, command)
         assert run(["transform", "extend", "--scheme", "builtin:fibonacci", "--c", "root(2,3)",
                     "--out-scheme", str(ext), "--out-cert", str(cert)]) == 0
         ext.write_text(json.dumps(cli._floatify(json.loads(read(ext)))))
+        # the certificate names the floated scheme, so the suite reaches its checks
+        cert.write_text(json.dumps(
+            {**json.loads(read(cert)), "output_scheme": cli.load_scheme(str(ext)).scheme_id}
+        ))
         argv = ["verify", "--suite", "theorem", "--scheme", "builtin:fibonacci",
                 "--scheme2", str(ext), "--cert", str(cert), "--out", out]
     assert run(argv) == 2
@@ -662,6 +705,49 @@ def test_transform_augment_box_beyond_the_truncation(tmp_path, capsys):
     assert code == 2
     assert "beyond the witness's truncation" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+def narrow_lower_witness_file(tmp_path):
+    """A witness whose open lower window (-1/2, golden - 1) is smaller than
+    the interior of its upper window, the built-in one."""
+    scheme, upper = fibonacci_scheme(), fibonacci_window()
+    lower = interval_window(scheme.space, Fraction(-1, 2), GOLDEN - 1, False, False)
+    witness = AlmostModelSetWitness(scheme, lower, upper, GammaRule(upper.closure()), 10)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness.to_obj(), sort_keys=True))
+    return path
+
+
+def test_augment_writes_the_chain_only_for_the_upper_interior(tmp_path):
+    # the inclusion chain reads int(W) in int(W'), which the augmented
+    # window need not meet when its lower window is smaller than int(W)
+    cert_file = tmp_path / "c.json"
+    assert run(["transform", "augment", "--scheme", "builtin:fibonacci",
+                "--witness", str(narrow_lower_witness_file(tmp_path)),
+                "--out-window", str(tmp_path / "w.json"), "--out-cert", str(cert_file)]) == 0
+    checks = {c["name"]: c["passed"] for c in json.loads(read(cert_file))["checks"]}
+    assert checks == {"membership-patch": True}
+    assert run(["verify", "--suite", "theorem", "--scheme", "builtin:fibonacci",
+                "--scheme2", "builtin:fibonacci", "--cert", str(cert_file),
+                "--out", str(tmp_path / "r.json")]) == 0
+    # with the upper window's interior as the lower one, the chain is written
+    assert run(["transform", "augment", "--scheme", "builtin:fibonacci",
+                "--witness", str(witness_file(tmp_path)),
+                "--out-window", str(tmp_path / "w.json"), "--out-cert", str(cert_file)]) == 0
+    checks = {c["name"]: c["passed"] for c in json.loads(read(cert_file))["checks"]}
+    assert checks == {"membership-patch": True, "interior-closure-chain": True}
+
+
+def test_augment_with_a_failed_chain_is_a_certification_failure(tmp_path, capsys, monkeypatch):
+    # any check the certificate records must pass, the chain as well as the patch
+    monkeypatch.setattr(transforms, "eq11_chain", lambda base, augmented: False)
+    out_window, out_cert = tmp_path / "w.json", tmp_path / "c.json"
+    code = run(["transform", "augment", "--scheme", "builtin:fibonacci",
+                "--witness", str(witness_file(tmp_path)),
+                "--out-window", str(out_window), "--out-cert", str(out_cert)])
+    assert code == 4
+    assert "certification failed" in capsys.readouterr().err
+    assert not out_window.exists() and not out_cert.exists()
 
 
 def test_verify_hull_box_beyond_the_truncation(tmp_path, capsys):

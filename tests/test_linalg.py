@@ -6,13 +6,15 @@ solution set make one elimination for it.  The enumeration's inverse
 enclosure must hold the exact inverse of every kind of matrix.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from test_scheme import float_scheme, golden_square_scheme
 
-from cutproject import analysis, cli, linalg
+from cutproject import analysis, cli, linalg, ratmath
 from cutproject.fibonacci import fibonacci_scheme
 from cutproject.scalars import GOLDEN, Scalar, parse_scalar
 from cutproject.scheme import CutProjectScheme, _inverse_rows
@@ -129,6 +131,58 @@ def test_integer_kernel_and_rational_solve():
     assert linalg.integer_kernel([[Scalar(1), GOLDEN]]) == []
     assert linalg.rational_solve([[Scalar(1), GOLDEN]], [[GOLDEN / 3]]) == [[0, Fraction(1, 3)]]
     assert linalg.rational_solve([[Scalar(1), GOLDEN]], [[Scalar.sqrt(2)]]) == [None]
+
+
+def test_integer_kernel_is_saturated():
+    # 2x + y + z = 0: the rational kernel's vectors (-1, 2, 0), (-1, 0, 2)
+    # span an index-2 sublattice, which misses (0, 1, -1)
+    basis = linalg.integer_kernel([[Scalar(2), Scalar(1), Scalar(1)]])
+    assert len(basis) == 2
+    assert integer_coefficients(basis, [0, 1, -1]) is not None
+
+
+def integer_coefficients(basis, v):
+    """Integer c with sum c_k basis_k = v, or None."""
+    cols = [[Fraction(b[i]) for b in basis] for i in range(len(v))]
+    c = ratmath.solve(cols, [Fraction(x) for x in v])
+    return None if c is None or any(x.denominator != 1 for x in c) else c
+
+
+def det_int(mat):
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * x * det_int([row[:j] + row[j + 1:] for row in mat[1:]])
+        for j, x in enumerate(mat[0]) if x
+    )
+
+
+def test_integer_kernel_has_index_one_on_random_matrices():
+    # the rational kernel's primitive vectors lie in the Z-span of the basis,
+    # whose maximal minors are coprime (index 1 in the integer kernel); a
+    # kernel of rank 1 is the rational kernel's primitive vector, signed so
+    # its last nonzero entry is positive
+    rng = random.Random(32)
+    rank_one = 0
+    for _ in range(400):
+        rows, cols = rng.randint(1, 3), rng.randint(2, 5)
+        a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        basis = linalg.integer_kernel([[Scalar(x) for x in row] for row in a])
+        rational = [ratmath.clear_denominators(v) for v in ratmath.kernel(a)]
+        assert len(basis) == len(rational)
+        for v in basis:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+            assert next(x for x in reversed(v) if x) > 0
+        for v in rational:
+            assert integer_coefficients(basis, v) is not None
+        if basis:
+            minors = [det_int([[v[i] for i in idx] for v in basis])
+                      for idx in itertools.combinations(range(cols), len(basis))]
+            assert gcd(*minors) == 1
+        if len(basis) == 1:
+            assert basis == rational
+            rank_one += 1
+    assert rank_one > 50
 
 
 def test_all_zero_system_keeps_its_unknowns():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from cutproject.ratmath import (
     clear_denominators,
+    column_reduce,
     complete_unimodular,
     factorize,
     iroot,
@@ -73,12 +75,7 @@ def test_complete_unimodular():
     vectors = [[1], [-1], [0, 1, -3], [2, 3], [5, -7, 11, 3]]
     for _ in range(10):
         v = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
-        from math import gcd
-
-        g = 0
-        for x in v:
-            g = gcd(g, abs(x))
-        if g != 1:
+        if gcd(*v) != 1:
             continue
         vectors.append(v)
     for v in vectors:
@@ -87,3 +84,73 @@ def test_complete_unimodular():
         assert det_int(u) in (1, -1)
     with pytest.raises(ValueError):
         complete_unimodular([2, 4])
+
+
+def unimodular_by_row_steps(v):
+    """The completion by its own extended-gcd row steps, undone on the
+    identity: the oracle that the column reduction must reproduce."""
+
+    def xgcd(a, b):
+        x0, x1, y0, y1 = 1, 0, 0, 1
+        while b:
+            q, a, b = a // b, b, a % b
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        return a, x0, y0
+
+    n = len(v)
+    work = list(v)
+    ops = []  # (i, j, a, b, c, d): rows (i, j) <- (a i + b j, c i + d j)
+    for j in range(1, n):
+        a, b = work[0], work[j]
+        if b == 0:
+            continue
+        g, x, y = xgcd(a, b)
+        work[0], work[j] = g, 0
+        ops.append((0, j, x, y, -(b // g), a // g))
+    if work[0] < 0:
+        ops.append((0, 0, -1, 0, 0, -1))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, a, b, c, d in reversed(ops):
+        if i == j:
+            m[i] = [-x for x in m[i]]
+            continue
+        det = a * d - b * c
+        m[i], m[j] = (
+            [(d * x - b * y) * det for x, y in zip(m[i], m[j])],
+            [(-c * x + a * y) * det for x, y in zip(m[i], m[j])],
+        )
+    return m
+
+
+def test_complete_unimodular_matches_the_row_step_oracle():
+    rng = random.Random(32)
+    count = 0
+    while count < 10000:
+        v = [rng.randint(-30, 30) for _ in range(rng.randint(1, 6))]
+        if gcd(*v) != 1:
+            continue
+        assert complete_unimodular(v) == unimodular_by_row_steps(v), v
+        count += 1
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_column_reduce_is_an_echelon_form_by_a_unimodular_transform():
+    rng = random.Random(5)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        h, u, w, rank = column_reduce(a)
+        assert mat_mul(a, u) == h
+        # W is the transposed inverse of U
+        assert mat_mul([list(c) for c in zip(*w)], u) == [
+            [int(i == j) for j in range(cols)] for i in range(cols)
+        ]
+        assert all(row[k] == 0 for row in h for k in range(rank, cols))
+        # each pivot is positive and sits below the one before it
+        pivots = [next(i for i, row in enumerate(h) if row[k]) for k in range(rank)]
+        assert pivots == sorted(set(pivots))
+        assert all(h[i][k] > 0 for k, i in enumerate(pivots))

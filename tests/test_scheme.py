@@ -467,20 +467,20 @@ def test_star_preimage_inverts_the_star_map():
 
 
 def test_star_preimage_decides_injectivity_once(monkeypatch):
-    # injectivity depends on the scheme alone: a fresh scheme row-reduces the
-    # star system's kernel once, however many preimages it is asked for
+    # injectivity depends on the scheme alone: a fresh scheme column-reduces
+    # the star system once for its kernel, however many preimages it is asked for
     scheme = CutProjectScheme(
         1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
     )
     calls = 0
-    kernel = ratmath.kernel
+    column_reduce = ratmath.column_reduce
 
     def counted(a):
         nonlocal calls
         calls += 1
-        return kernel(a)
+        return column_reduce(a)
 
-    monkeypatch.setattr(ratmath, "kernel", counted)
+    monkeypatch.setattr(ratmath, "column_reduce", counted)
     for n in itertools.product(range(-3, 4), repeat=2):
         assert scheme.star_preimage(scheme.star(n)) == n
     assert calls == 1

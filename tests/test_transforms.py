@@ -12,7 +12,7 @@ from cutproject.internal_space import (
     TorusFactor,
     TwistedExtensionFactor,
 )
-from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, Scalar
+from cutproject.scalars import GOLDEN, GOLDEN_CONJ, SQRT5, Scalar, parse_scalar
 from cutproject.scheme import Box, CutProjectScheme, SchemeError
 from cutproject import transforms
 from cutproject.transforms import (
@@ -141,13 +141,82 @@ def test_lift_window_examples():
 
 def test_theorem_structural_checks():
     scheme = fibonacci_scheme()
-    rng = random.Random(42)
     for a in ((Scalar.sqrt(2),), (GOLDEN / 3,)):
         ext = translate_cps(scheme, a, 10 ** 6)
-        check = check_lattice_restriction(scheme, ext.scheme, rng, combinations=60)
+        check = check_lattice_restriction(scheme, ext.scheme)
         assert check.passed, check.detail
         # (a, b) pairs into the extended lattice
         assert ext.scheme.lattice_coords_of(a, ext.b) is not None
+
+
+@pytest.mark.parametrize("a", ["sqrt(2)", "golden/3", "golden/5", "1/7"])
+def test_lattice_restriction_holds_for_translation_extensions(a):
+    scheme = fibonacci_scheme()
+    ext = translate_cps(scheme, (parse_scalar(a),), 10 ** 6)
+    assert check_lattice_restriction(scheme, ext.scheme) == transforms.CertCheck(
+        "lattice-restriction", True, {"method": "exact-kernel"}
+    )
+
+
+def halved_base():
+    """The Fibonacci lattice with (1/2, 1/2) in place of the generator (1, 1)."""
+    half = Scalar(Fraction(1, 2))
+    return CutProjectScheme(
+        1, LINE, [((half,), LINE.point((half,))), ((GOLDEN,), LINE.point((GOLDEN_CONJ,)))]
+    )
+
+
+def sampled_lattice_restriction(scheme, scheme2, rng, combinations=100, bound=50):
+    """The lattice restriction checked on the generators and on random
+    combinations with |n_i| <= bound, both ways."""
+    combos = [tuple(int(j == i) for j in range(scheme.rank)) for i in range(scheme.rank)]
+    combos += [tuple(rng.randint(-bound, bound) for _ in range(scheme.rank))
+               for _ in range(combinations)]
+    for n in combos:
+        g, h = scheme.point_of(n)
+        if scheme2.lattice_coords_of(g, embed_internal(scheme2.space, h)) is None:
+            return False
+    for _ in range(combinations):
+        g2, h2 = scheme2.point_of(tuple(rng.randint(-bound, bound) for _ in range(scheme2.rank)))
+        stripped = strip_embedded(scheme2.space, scheme.space, h2)
+        if stripped is not None and scheme.lattice_coords_of(g2, stripped) is None:
+            return False
+    return True
+
+
+def test_lattice_restriction_fails_an_extension_of_a_finer_lattice():
+    # R x Z with generators (1/2, (1/2, 0)), (golden, (conj, 0)), (sqrt 2, (0, 1))
+    # holds the old lattice, but also (1/2, (1/2, 0)) on the embedded copy
+    scheme = fibonacci_scheme()
+    space2 = InternalSpace([RealFactor(1), IntegerRankFactor(1)])
+    halved = CutProjectScheme(1, space2, [
+        ((Scalar(Fraction(1, 2)),), space2.point((Fraction(1, 2),), (0,))),
+        ((GOLDEN,), space2.point((GOLDEN_CONJ,), (0,))),
+        ((Scalar.sqrt(2),), space2.point((0,), (1,))),
+    ])
+    assert halved == translate_cps(halved_base(), (Scalar.sqrt(2),), 10 ** 6).scheme
+    check = check_lattice_restriction(scheme, halved)
+    assert check == transforms.CertCheck(
+        "lattice-restriction", False, {"direction": "new-into-old", "n": [1, 0, 0]}
+    )
+    # the sampler reaches the embedded copy too rarely to see it at seed 0
+    assert sampled_lattice_restriction(scheme, halved, random.Random(0))
+    # the twisted case: a residue-0 point of the golden/3 extension of the
+    # finer lattice is again (1/2, 1/2)
+    twisted = translate_cps(halved_base(), (GOLDEN / 3,), 100).scheme
+    check = check_lattice_restriction(scheme, twisted)
+    assert not check.passed and check.detail["direction"] == "new-into-old"
+
+
+def test_lattice_restriction_fails_when_the_old_lattice_is_missing():
+    # the extensions of the Fibonacci lattice do not hold the finer one
+    finer = halved_base()
+    for a in (Scalar.sqrt(2), GOLDEN / 3):
+        ext = translate_cps(fibonacci_scheme(), (a,), 10 ** 6)
+        check = check_lattice_restriction(finer, ext.scheme)
+        assert check == transforms.CertCheck(
+            "lattice-restriction", False, {"direction": "old-into-new", "n": [1, 0]}
+        )
 
 
 def test_window_flags_preserved_under_lift():
