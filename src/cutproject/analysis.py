@@ -97,14 +97,18 @@ def annihilator_projection(scheme: CutProjectScheme, count: int) -> list[tuple[S
     Solves the defining integrality conditions exactly by inverting the
     transposed coordinate matrix; finite cyclic factors contribute one
     fractional shift generator each.  Only the base factor family (real,
-    integer, finite cyclic) is supported.  A coordinate matrix with no
-    exact inverse, such as one with an entry 1 + pi, is a ``SchemeError``.
+    integer, finite cyclic) is supported; any other factor, and a
+    coordinate matrix with no exact inverse, such as one with an entry
+    1 + pi, is a ``SchemeError``.
     """
-    shifts = [
-        target
-        for idx, f in enumerate(scheme.space.factors)
-        for target in f.annihilator_shifts([h.coords[idx] for _, h in scheme.generators])
-    ]
+    try:
+        shifts = [
+            target
+            for idx, f in enumerate(scheme.space.factors)
+            for target in f.annihilator_shifts([h.coords[idx] for _, h in scheme.generators])
+        ]
+    except ValueError as exc:  # a factor outside the base family
+        raise SchemeError(str(exc)) from exc
     size = scheme.lift_size
     transpose = [[scheme.matrix[j][i] for j in range(size)] for i in range(size)]
     units = [[Scalar(1 if i == k else 0) for i in range(size)] for k in range(size)]
@@ -157,14 +161,18 @@ def character_average(points, chi: CharacterRd, volume) -> complex:
     return complex(re, im) / volume
 
 
-def fourier_bohr(scheme: CutProjectScheme, window: Window, chi, n: int) -> complex:
-    """Averaged character sum over the projection set along A_n."""
-    if not isinstance(chi, CharacterRd):
-        chi = CharacterRd(tuple(float(c) for c in chi))
-    if len(chi.chi) != scheme.d:
-        raise ValueError(f"character has {len(chi.chi)} components, direct space {scheme.d}")
+def fourier_bohr(scheme: CutProjectScheme, window: Window, chis, n: int) -> tuple[float, list[complex]]:
+    """The density of the projection set on A_n, and its averaged character
+    sum for each character in ``chis`` (``CharacterRd``s or coefficient
+    tuples).  One patch and one ``float_points`` view serve them all."""
+    chis = [c if isinstance(c, CharacterRd) else CharacterRd(tuple(map(float, c))) for c in chis]
+    for chi in chis:
+        if len(chi.chi) != scheme.d:
+            raise ValueError(f"character has {len(chi.chi)} components, direct space {scheme.d}")
     patch = scheme.project_points(Box.symmetric(n, scheme.d), window)
-    return character_average(patch.float_points(), chi, (2 * n) ** scheme.d)
+    points = patch.float_points()
+    volume = (2 * n) ** scheme.d
+    return len(patch) / volume, [character_average(points, chi, volume) for chi in chis]
 
 
 @dataclass

@@ -313,6 +313,8 @@ def cmd_verify(args) -> int:
     suite = args.suite
     report: dict
     passed: bool
+    if args.format == "csv" and suite != "density":
+        raise InputError(f"--format csv is for the density suite only, not {suite}")
     if suite == "density":
         scheme = load_scheme(args.scheme)
         window = load_window(args.window, scheme)
@@ -342,20 +344,12 @@ def cmd_verify(args) -> int:
             _require_finite(chi, "--chi")
             if _phase_overflows(chi, args.n):
                 raise InputError(f"--chi {','.join(map(str, chi))} overflows a phase on A_{args.n}")
-        # one patch and one float view of it serve the density and every character
-        patch = scheme.project_points(Box.symmetric(args.n, scheme.d), window)
-        points = patch.float_points()
-        volume = (2 * args.n) ** scheme.d
-        density = len(patch) / volume
-        values = {}
-        passed = True
-        for chi in chis:
-            a = analysis.character_average(points, analysis.CharacterRd(chi), volume)
-            values[",".join(map(str, chi))] = [a.real, a.imag]
-            if all(c == 0 for c in chi):
-                passed = passed and abs(a - density) < 1e-12
-            else:
-                passed = passed and abs(a) < tol
+        density, coefficients = analysis.fourier_bohr(scheme, window, chis, args.n)
+        passed = all(
+            abs(a - density) < 1e-12 if all(c == 0 for c in chi) else abs(a) < tol
+            for chi, a in zip(chis, coefficients)
+        )
+        values = {",".join(map(str, chi)): [a.real, a.imag] for chi, a in zip(chis, coefficients)}
         report = {
             "suite": suite,
             "n": args.n,

@@ -131,6 +131,7 @@ class AlmostModelSetWitness:
                     f"rule admits a point outside the upper window at {n}"
                 )
             self.admitted.append((n, h, n in in_lower))
+        self._admitted_coords = frozenset(n for n, _, _ in self.admitted)
 
     def certified_box(self) -> Box:
         """The largest symmetric box whose enumeration through the upper
@@ -151,7 +152,7 @@ class AlmostModelSetWitness:
                 raise OutOfCertifiedRangeError(
                     f"box reaches lattice coordinates {n} beyond the truncation"
                 )
-            if self.rule(n):
+            if n in self._admitted_coords:
                 points.append(p)
                 coords.append(n)
         # a filter of a projected patch keeps its order
@@ -303,11 +304,15 @@ def limit_patch_check(
 def window_difference_points(lower: Window, upper: Window) -> list[HPoint]:
     """The difference set upper-closure minus lower, required to be finite.
 
-    Its points are among the corner points of the two windows."""
+    Its points are among the corner points of the two windows; windows
+    over a factor kind without corner points are a ``SchemeError``."""
     upper_cl = upper.closure()
     if not (upper_cl.measure() - lower.measure()).is_zero():
         raise ValueError("difference of the windows is not a finite point set")
-    candidates = set(upper_cl.corner_points()) | set(lower.corner_points())
+    try:
+        candidates = set(upper_cl.corner_points()) | set(lower.corner_points())
+    except ValueError as exc:
+        raise SchemeError(str(exc)) from exc
     out = []
     for p in candidates:
         if upper_cl.contains(p) and not lower.contains(p):

@@ -3,9 +3,9 @@
 ``det`` expands cofactors, so it needs only ring operations: it also serves
 entries that ``Scalar`` cannot divide by, such as values with pi.  The
 enumeration encloses every inverse entry as a cofactor over the determinant,
-both from ``det``.  Exact Gauss-Jordan elimination (``solve_exact``) is used
-where the entries are algebraic (division is available); it takes several
-right-hand sides per elimination.
+both from ``det``.  ``solve_exact`` reduces a square system with invertible
+pivots (algebraic or float entries) through ``ratmath.rref``, the one
+Gauss-Jordan elimination, with several right-hand sides per elimination.
 
 A system with exact entries and rational unknowns is decided by expanding it
 into one rational equation per monomial (the order-basis form of Cohen 1993,
@@ -39,28 +39,19 @@ def det(mat: list[list[Scalar]]) -> Scalar:
     return total
 
 
-def solve_exact(
-    mat: list[list[Scalar]], rhs: list[list[Scalar]]
-) -> list[list[Scalar]]:
+def solve_exact(mat: list[list[Scalar]], rhs: list[list[Scalar]]) -> list[list[Scalar]]:
     """Solve a nonsingular square system for each right-hand side in ``rhs``.
 
-    One Gauss-Jordan elimination carries every right-hand side along as an
-    extra column, so each solution equals that of a single-column call.
+    ``ratmath.rref`` carries every right-hand side along as an extra column,
+    so each solution equals that of a single-column call.  A pivot with no
+    exact inverse raises ``ExactnessError``; a singular matrix otherwise
+    raises ``ZeroDivisionError``.
     """
     n = len(mat)
-    a = [row[:] + [b[i] for b in rhs] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [[a[i][n + k] for i in range(n)] for k in range(len(rhs))]
+    red, pivots = ratmath.rref([row + [b[i] for b in rhs] for i, row in enumerate(mat)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [[red[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
 def rational_system(rows, rhs=()) -> tuple[list[list[Fraction]], list[list[Fraction]]]:

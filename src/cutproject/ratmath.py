@@ -1,11 +1,12 @@
 """Rational linear algebra and integer lattice helpers.
 
-Everything here works over ``fractions.Fraction`` (or plain ints), with no
-floating point involved, so results are exact.  One integer column reduction,
-``column_reduce`` (H = A U with U unimodular), answers every Z-basis
-question: U's columns past the rank span the integer kernel of A, and the
-transposed inverse of U for one primitive row completes that row to a
-unimodular matrix.
+``rref`` is the one Gauss-Jordan elimination of the package: it reduces
+int, ``Fraction`` and ``Scalar`` rows alike, exactly on exact entries (a
+float ``Scalar`` row reduces in floats); the rest works over Fractions or
+ints, exactly.  One integer column reduction, ``column_reduce`` (H = A U
+with U unimodular), answers every Z-basis question: U's columns past the
+rank span the integer kernel of A, and the transposed inverse of U for one
+primitive row completes that row to a unimodular matrix.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from fractions import Fraction
 from math import gcd
 
 
-def rref(
-    rows: list[list[Fraction]], ncols: int | None = None
-) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: list[list], ncols: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
     Pivots are sought in the first ``ncols`` columns (all by default); the
-    columns after them are carried along.
+    columns after them are carried along.  Entries are ints, Fractions or
+    ``Scalar``s; a pivot, an entry ``!= 0``, is inverted as ``Fraction(1) / pivot``.
     """
-    rows = [list(map(Fraction, r)) for r in rows]
+    rows = [list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0]) if ncols is None else ncols

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 from . import linalg, ratmath
 from .analysis import annihilator_projection, verify_equality
@@ -584,13 +585,12 @@ def certified_box(scheme: CutProjectScheme, window: Window, truncation: int) -> 
 
     if not fits(1):
         raise SchemeError("truncation too small to certify any box")
-    lo, hi = 1, 1
+    hi = 1
     while fits(hi * 2):
         hi *= 2
         if hi > 10 ** 9:
             break
-    lo = hi if fits(hi) else hi // 2
-    hi = hi * 2
+    lo, hi = hi, hi * 2  # fits(lo) holds: the loop doubled hi only when it fit
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if fits(mid):
@@ -608,32 +608,30 @@ def reverify_certificate(
     """Re-run the recorded checks of a translation/extension certificate.
 
     Checks it cannot re-run (older ``star-injective-exhaustive`` entries and
-    the augmentation checks) are copied as recorded.
+    the augmentation checks) are copied as recorded.  Every check's inputs
+    are read before any check is re-run; one that cannot be read is a
+    ``SchemeError``.
     """
-    out = []
-    for check in cert.checks:
-        if check.name == "patch-translation":
-            box = Box.from_obj(check.detail["box"])
-            window = window_from_obj(scheme.space, check.detail["window"])
-            a = tuple(Scalar.from_obj(v) for v in cert.data["a"])
-            ok = _translation_patch_check(
-                scheme, scheme2, a, window, box, check.detail.get("n", 1)
-            )
-            out.append(CertCheck(check.name, ok, check.detail))
-        elif check.name == "patch-full-torus":
-            box = Box.from_obj(check.detail["box"])
-            window = window_from_obj(scheme.space, check.detail["window"])
-            ok = _full_torus_patch_check(scheme, scheme2, window, box)
-            out.append(CertCheck(check.name, ok, check.detail))
-        elif check.name == "star-injective":
-            kernel = scheme2.star_kernel_witness()
-            out.append(CertCheck(check.name, kernel is None, {"method": "exact-kernel"}))
-        elif check.name == "pair-in-lattice":
-            a = tuple(Scalar.from_obj(v) for v in cert.data["a"])
-            b = HPoint.from_obj(scheme2.space, cert.data["b"])
-            out.append(
-                CertCheck(check.name, scheme2.lattice_coords_of(a, b) is not None, check.detail)
-            )
-        else:
-            out.append(check)
-    return out
+    try:
+        reruns = [_rerun(check, cert.data, scheme, scheme2) for check in cert.checks]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemeError(f"malformed certificate: {exc!r}") from exc
+    return [rerun() for rerun in reruns]
+
+
+def _rerun(check: CertCheck, data: dict, scheme: CutProjectScheme, scheme2: CutProjectScheme):
+    """A function re-running ``check``, its inputs read now."""
+    name, detail = check.name, check.detail
+    if name == "star-injective":
+        return lambda: CertCheck(name, scheme2.star_kernel_witness() is None, {"method": "exact-kernel"})
+    if name == "pair-in-lattice":
+        a = tuple(Scalar.from_obj(v) for v in data["a"])
+        b = HPoint.from_obj(scheme2.space, data["b"])
+        return lambda: CertCheck(name, scheme2.lattice_coords_of(a, b) is not None, detail)
+    if name not in ("patch-translation", "patch-full-torus"):
+        return lambda: check
+    box, window = Box.from_obj(detail["box"]), window_from_obj(scheme.space, detail["window"])
+    if name == "patch-full-torus":
+        return lambda: CertCheck(name, _full_torus_patch_check(scheme, scheme2, window, box), detail)
+    a, n = tuple(Scalar.from_obj(v) for v in data["a"]), index(detail.get("n", 1))
+    return lambda: CertCheck(name, _translation_patch_check(scheme, scheme2, a, window, box, n), detail)

@@ -152,9 +152,9 @@ def test_character_average_is_the_fourier_bohr_sum():
     for p in patch.points:
         total += chi.value(p).conjugate()
     assert character_average(patch.points, chi, 160) == total / 160
-    assert fourier_bohr(scheme, w, (0.5,), 80) == total / 160
+    assert fourier_bohr(scheme, w, [(0.5,)], 80) == (len(patch) / 160, [total / 160])
     with pytest.raises(ValueError, match="components"):
-        fourier_bohr(scheme, w, (0.5, 7.0), 80)
+        fourier_bohr(scheme, w, [(0.5,), (0.5, 7.0)], 80)
 
 
 def reference_character_average(points, chi, volume):
@@ -215,8 +215,9 @@ def test_fourier_bohr_trivial_character_is_density():
     scheme = fibonacci_scheme()
     w = fibonacci_window()
     n = 150
-    a0 = fourier_bohr(scheme, w, (0.0,), n)
+    density, (a0,) = fourier_bohr(scheme, w, [(0.0,)], n)
     patch = scheme.project_points(Box.symmetric(n), w)
+    assert density == len(patch) / (2 * n)
     assert a0 == pytest.approx(len(patch) / (2 * n))
     assert a0.imag == 0
 
@@ -225,9 +226,8 @@ def test_fourier_bohr_periodic_comb():
     trivial = InternalSpace([])
     comb = CutProjectScheme(1, trivial, [((Scalar(1),), trivial.zero())])
     w = ProductWindow(trivial, ())
-    a1 = fourier_bohr(comb, w, (1.0,), 400)
+    _, (a1, a_half) = fourier_bohr(comb, w, [(1.0,), (0.5,)], 400)
     assert abs(a1 - 1.0) < 2e-3  # resonance at the lattice frequency
-    a_half = fourier_bohr(comb, w, (0.5,), 400)
     assert abs(a_half) < 2e-3
 
 
@@ -235,8 +235,8 @@ def test_fourier_bohr_small_at_generic_frequencies():
     scheme = fibonacci_scheme()
     w = fibonacci_window()
     c = float(Scalar.root(2, 3))
-    for k in (1, 2):
-        a = fourier_bohr(scheme, w, (k / c,), 300)
+    _, coefficients = fourier_bohr(scheme, w, [(k / c,) for k in (1, 2)], 300)
+    for a in coefficients:
         assert abs(a) < 0.06
 
 

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import cli, scalars, transforms
+from cutproject import analysis, cli, scalars, transforms
 from cutproject.cli import main
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_substitution, fibonacci_window
 from cutproject.hull import AlmostModelSetWitness, GammaRule
 from cutproject.scalars import GOLDEN, Scalar
-from cutproject.scheme import Box, CutProjectScheme
+from cutproject.scheme import Box, CutProjectScheme, SchemeError
 from cutproject.substitution import fixed_point_patch
 from cutproject.windows import UnionWindow, interval_window
 from test_scheme import golden_square_scheme
@@ -883,15 +883,22 @@ def test_verify_fb_trivial_character(tmp_path):
 
 
 def test_verify_density_and_fb_enumerate_once(tmp_path, monkeypatch):
+    # the fb suite reports analysis.fourier_bohr's density and coefficients,
+    # from one enumeration for all three characters
     fibonacci_window()  # derived once per process, by enumerations of its own
-    boxes = []
-    original = CutProjectScheme.project_points
+    boxes, fb_calls = [], []
+    original, fourier_bohr = CutProjectScheme.project_points, analysis.fourier_bohr
 
     def counted(self, box, window, **kw):
         boxes.append(box)
         return original(self, box, window, **kw)
 
+    def spied(*args):
+        fb_calls.append((args, fourier_bohr(*args)))
+        return fb_calls[-1][1]
+
     monkeypatch.setattr(CutProjectScheme, "project_points", counted)
+    monkeypatch.setattr(analysis, "fourier_bohr", spied)
     fib = ["verify", "--scheme", "builtin:fibonacci", "--window", "builtin:fibonacci"]
     out = tmp_path / "density.json"
     assert run(fib + ["--suite", "density", "--n-list", "400,100,200,100", "--out", str(out)]) == 0
@@ -901,7 +908,13 @@ def test_verify_density_and_fb_enumerate_once(tmp_path, monkeypatch):
     out = tmp_path / "fb.json"
     assert run(fib + ["--suite", "fb", "--n", "500", "--chi", "0;0.5;1.3", "--out", str(out)]) == 0
     assert boxes == [Box.symmetric(500)]
-    assert sorted(json.loads(read(out))["coefficients"]) == ["0.0", "0.5", "1.3"]
+    ((args, (density, coefficients)),) = fb_calls
+    assert args[2:] == ([(0.0,), (0.5,), (1.3,)], 500)
+    report = json.loads(read(out))
+    assert report["density"] == density
+    assert report["coefficients"] == {
+        key: [a.real, a.imag] for key, a in zip(("0.0", "0.5", "1.3"), coefficients)
+    }
 
 
 def test_verify_fb_character_arity_is_an_input_error(tmp_path, capsys):
@@ -1182,3 +1195,116 @@ def test_file_scheme_is_shared_by_content(tmp_path, capsys):
     assert cli._scheme_of.cache_info().currsize <= maxsize
     path.write_text(json.dumps(fib))
     assert cli.load_scheme(str(path)) is not first
+
+
+def unsupported_factor_inputs(tmp_path):
+    """The root(2,3) torus extension and the golden/3 twisted translation of
+    Fibonacci, each with a witness of the Fibonacci window and its interior
+    lifted onto it."""
+    tor, g3 = tmp_path / "tor.json", tmp_path / "g3.json"
+    assert run(["transform", "extend", "--scheme", "builtin:fibonacci", "--c", "root(2,3)",
+                "--out-scheme", str(tor), "--out-cert", str(tmp_path / "tor-cert.json")]) == 0
+    assert run(["transform", "translate", "--scheme", "builtin:fibonacci", "--a", "golden/3",
+                "--bound", "100", "--out-scheme", str(g3),
+                "--out-cert", str(tmp_path / "g3-cert.json")]) == 0
+    w = fibonacci_window()
+    lifts = {
+        tor: lambda win, s: transforms.lift_window_torus(win, s.space, len(s.space.factors) - 1),
+        g3: lambda win, s: transforms.lift_window(win, 1, s),
+    }
+    witnesses = {}
+    for path, lift in lifts.items():
+        scheme = cli.load_scheme(str(path))
+        upper = lift(w, scheme)
+        witness = AlmostModelSetWitness(
+            scheme, lift(w.interior(), scheme), upper, GammaRule(upper.closure()), 10
+        )
+        witnesses[path] = tmp_path / f"{path.stem}-witness.json"
+        witnesses[path].write_text(json.dumps(witness.to_obj(), sort_keys=True))
+    return tor, g3, witnesses
+
+
+def test_unsupported_factor_kinds_are_input_errors(tmp_path, capsys):
+    # the dual lattice is built for the base factor family, and difference
+    # points for real and discrete factors: a torus or a twisted factor is
+    # refused as input (exit 2), not reported as a bug (exit 70)
+    tor, g3, witnesses = unsupported_factor_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    cases = [
+        (["transform", "extend", "--scheme", str(tor), "--out-scheme", str(out),
+          "--out-cert", str(out)], "needs the base factor family"),
+        (["transform", "extend", "--scheme", str(g3), "--c", "root(2,3)", "--out-scheme", str(out),
+          "--out-cert", str(out)], "needs the base factor family"),
+    ] + [
+        (["verify", "--suite", "hull", "--scheme", str(path), "--witness", str(witnesses[path]),
+          "--box=-3:3", "--targets", "1", "--truncation", "20", "--out", str(out)],
+         "difference points support real and discrete factors only")
+        for path in (tor, g3)
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+CERT_EDITS = {
+    "no translation vector": lambda cert: cert["data"].pop("a"),
+    "unknown window kind": lambda cert: cert["checks"][1]["detail"].update(window={"kind": "bogus"}),
+    "no box": lambda cert: cert["checks"][1]["detail"].pop("box"),
+    "b without coordinates": lambda cert: cert["data"].update(b={"coords": []}),
+    "a multiple that is no integer": lambda cert: cert["checks"][1]["detail"].update(n="x"),
+}
+
+
+@pytest.mark.parametrize("edit", CERT_EDITS)
+def test_theorem_suite_refuses_a_malformed_certificate(tmp_path, capsys, edit):
+    # every check's inputs are read before any check is re-run, so a
+    # certificate that cannot be read is an input error and writes no report
+    scheme_file, cert_file, report = tmp_path / "s2.json", tmp_path / "c.json", tmp_path / "r.json"
+    assert run(["transform", "translate", "--scheme", "builtin:fibonacci", "--a", "sqrt(2)",
+                "--window", "builtin:fibonacci", "--box=-10:10",
+                "--out-scheme", str(scheme_file), "--out-cert", str(cert_file)]) == 0
+    cert = json.loads(read(cert_file))
+    assert [c["name"] for c in cert["checks"]] == ["pair-in-lattice", "patch-translation"]
+    CERT_EDITS[edit](cert)
+    cert_file.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["verify", "--suite", "theorem", "--scheme", "builtin:fibonacci",
+                "--scheme2", str(scheme_file), "--cert", str(cert_file), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: malformed certificate")
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+def test_theorem_suite_reads_every_check_before_running_one(tmp_path, monkeypatch):
+    # a malformed second check stops the run before the first is re-run
+    scheme_file, cert_file = tmp_path / "s2.json", tmp_path / "c.json"
+    assert run(["transform", "translate", "--scheme", "builtin:fibonacci", "--a", "sqrt(2)",
+                "--window", "builtin:fibonacci", "--box=-10:10",
+                "--out-scheme", str(scheme_file), "--out-cert", str(cert_file)]) == 0
+    cert = json.loads(read(cert_file))
+    CERT_EDITS["no box"](cert)
+    ext = CutProjectScheme.from_obj(json.loads(read(scheme_file)))
+    calls = []
+    monkeypatch.setattr(CutProjectScheme, "lattice_coords_of", lambda *a: calls.append(a))
+    with pytest.raises(SchemeError, match="malformed certificate"):
+        transforms.reverify_certificate(
+            transforms.TransformCertificate.from_obj(cert), fibonacci_scheme(), ext
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize("suite", ["fb", "equidist", "hull", "repetitivity", "theorem"])
+def test_csv_format_belongs_to_the_density_suite(tmp_path, capsys, suite):
+    # every other suite writes a JSON report only: --format csv is refused
+    # before any input is read, and no file is written
+    out = tmp_path / "out.csv"
+    code = run(["verify", "--suite", suite, "--scheme", "builtin:fibonacci",
+                "--window", "builtin:fibonacci", "--format", "csv", "--out", str(out)])
+    assert code == 2
+    assert "--format csv is for the density suite only" in capsys.readouterr().err
+    assert not out.exists()

@@ -18,7 +18,7 @@ from cutproject.hull import (
 )
 from cutproject.internal_space import InternalSpace, RealFactor
 from cutproject.scalars import GOLDEN, Scalar
-from cutproject.scheme import Box, Patch
+from cutproject.scheme import Box, CutProjectScheme, Patch, SchemeError
 from cutproject.windows import interval_window
 
 LINE = InternalSpace([RealFactor(1)])
@@ -122,7 +122,9 @@ def assert_matches_reference(scheme, lower, upper, rule, truncation):
     return got[0]
 
 
-def test_witness_matches_reference_walk_fibonacci():
+def fibonacci_rule_cases():
+    """(rule, lower, upper, truncation) on Fibonacci: two fixed rules and 24
+    seeded ones on translated windows."""
     scheme, lower, upper = units()
     cases = [
         (GammaRule(lower, remove=[(0, 0)]), lower, upper, 10),
@@ -141,7 +143,15 @@ def test_witness_matches_reference_walk_fibonacci():
         add = [pick() for _ in range(rng.randint(0, 2))] + rng.sample(inside, 2)
         remove = [pick() for _ in range(rng.randint(0, 2))]
         cases.append((GammaRule(window, add=add, remove=remove), lo, up, truncation))
-    kinds = {assert_matches_reference(scheme, lo, up, rule, tr) for rule, lo, up, tr in cases}
+    return cases
+
+
+def test_witness_matches_reference_walk_fibonacci():
+    scheme = fibonacci_scheme()
+    kinds = {
+        assert_matches_reference(scheme, lo, up, rule, tr)
+        for rule, lo, up, tr in fibonacci_rule_cases()
+    }
     assert kinds == {"admitted", "error"}
 
 
@@ -419,3 +429,129 @@ def test_generic_shift_builds_each_candidate_when_tried(monkeypatch):
     fractions = [Fraction(replay.randint(1, 60), replay.randint(1, 60)) for _ in range(11)]
     first = Scalar(1) / Scalar.const("pi")
     assert [t.coords[0][0] for t in tried[5:]] == [first * q for q in fractions]
+
+
+def extension_rule_cases():
+    """(scheme, rule, lower, upper) on the sqrt(2) and golden/3 translation
+    extensions, the lifts k = -1, 0, 1 of the Fibonacci windows."""
+    _, lower, upper = units()
+    for a, bound in (((Scalar.sqrt(2),), 10 ** 6), ((GOLDEN / 3,), 100)):
+        scheme2 = transforms.translate_cps(fibonacci_scheme(), a, bound).scheme
+        for k in (-1, 0, 1):
+            lo = transforms.lift_window(lower, k, scheme2)
+            up = transforms.lift_window(upper.closure(), k, scheme2)
+            yield scheme2, GammaRule(lo), lo, up
+            yield scheme2, GammaRule(up, remove=[(9,) * scheme2.rank]), lo, up
+
+
+def built_witnesses():
+    """Every witness of the rule cases above that builds, and the three
+    fixed ones."""
+    cases = [(fibonacci_scheme(), rule, lo, up, tr) for rule, lo, up, tr in fibonacci_rule_cases()]
+    cases += [(s, rule, lo, up, tr) for s, rule, lo, up in extension_rule_cases() for tr in (4, 12)]
+    for scheme, rule, lo, up, tr in cases:
+        try:
+            yield AlmostModelSetWitness(scheme, lo, up, rule, tr)
+        except transforms.WitnessInclusionError:
+            continue
+    yield from (witness_full(), witness_lower(), witness_mixed())
+
+
+def rule_filtered_patch(witness, box):
+    """The points and coordinates ``gamma_patch`` keeps, by the rule itself."""
+    candidates = witness.scheme.project_points(box, witness.upper.closure())
+    kept = []
+    for p, n in zip(candidates.points, candidates.coords):
+        if any(abs(x) > witness.truncation for x in n):
+            return "out of range"
+        if witness.rule(n):
+            kept.append((p, n))
+    return kept
+
+
+def test_gamma_patch_equals_the_rule_filtered_patch():
+    # gamma_patch keeps the candidates the witness admitted at construction,
+    # without asking the rule again; they are the ones the rule selects, and
+    # a box past the cube is refused
+    built = refused = 0
+    asked = []
+    for witness in built_witnesses():
+        rule = witness.rule
+        for radius in (2, 5, 9, 40):
+            box = Box.symmetric(radius, witness.scheme.d)
+            want = rule_filtered_patch(witness, box)
+            witness.rule = asked.append
+            try:
+                patch = witness.gamma_patch(box)
+            except hull.OutOfCertifiedRangeError:
+                assert want == "out of range"
+                refused += 1
+                continue
+            finally:
+                witness.rule = rule
+            assert list(zip(patch.points, patch.coords)) == want
+            built += 1
+    assert asked == []
+    assert built > 50 and refused > 20
+
+
+def doubling_certified_box(scheme, window, truncation):
+    """``transforms.certified_box`` as it tested the last doubled radius
+    once more after its doubling loop."""
+    pieces = window.enum_pieces()
+    if not pieces:
+        return Box.symmetric(truncation, scheme.d)
+
+    def fits(radius):
+        for rows, _ in pieces:
+            rhs = scheme._piece_rhs(Box.symmetric(radius, scheme.d), rows)
+            for lo, hi in scheme._candidate_ranges(rhs):
+                if lo < -truncation or hi > truncation:
+                    return False
+        return True
+
+    if not fits(1):
+        raise SchemeError("truncation too small to certify any box")
+    lo, hi = 1, 1
+    while fits(hi * 2):
+        hi *= 2
+        if hi > 10 ** 9:
+            break
+    lo = hi if fits(hi) else hi // 2
+    hi = hi * 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return Box.symmetric(lo, scheme.d)
+
+
+def test_certified_box_tests_each_radius_once(monkeypatch):
+    # the box of every witness here, of the CLI tests' (truncation 25) and of
+    # the benchmark's (25 and 40) is the doubling search's, with one test of
+    # the last doubled radius fewer: one _piece_rhs call per window piece
+    calls = []
+    piece_rhs = CutProjectScheme._piece_rhs
+    monkeypatch.setattr(
+        CutProjectScheme, "_piece_rhs", lambda self, *a: calls.append(a) or piece_rhs(self, *a)
+    )
+    scheme, _, upper = units()
+    cases = [(w.scheme, w.upper.closure(), w.truncation) for w in built_witnesses()]
+    cases += [(scheme, upper.closure(), t) for t in (25, 40)]
+    boxes = set()
+    for case in cases:
+        calls.clear()
+        try:
+            want = doubling_certified_box(*case)
+        except SchemeError:
+            with pytest.raises(SchemeError, match="truncation too small"):
+                transforms.certified_box(*case)
+            continue
+        doubling = len(calls)
+        calls.clear()
+        assert transforms.certified_box(*case) == want
+        assert doubling - len(calls) == len(case[1].enum_pieces())
+        boxes.add(want)
+    assert len(boxes) > 5

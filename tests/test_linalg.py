@@ -2,12 +2,15 @@
 
 A call with many right-hand sides must give, for each, exactly the solution
 of a call with that right-hand side alone, and the callers that need a whole
-solution set make one elimination for it.  The enumeration's inverse
-enclosure must hold the exact inverse of every kind of matrix.
+solution set make one elimination for it.  ``solve_exact`` reduces through
+``ratmath.rref`` and must give the bits of the elimination loop it replaced.
+The enumeration's inverse enclosure must hold the exact inverse of every
+kind of matrix.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +19,7 @@ from test_scheme import float_scheme, golden_square_scheme
 
 from cutproject import analysis, cli, linalg, ratmath
 from cutproject.fibonacci import fibonacci_scheme
-from cutproject.scalars import GOLDEN, Scalar, parse_scalar
+from cutproject.scalars import GOLDEN, ExactnessError, Scalar, parse_scalar
 from cutproject.scheme import CutProjectScheme, _inverse_rows
 from cutproject.transforms import extend_injective, translate_cps
 
@@ -62,6 +65,92 @@ def test_solve_exact_many_right_hand_sides(name):
     assert [[v.to_obj() for v in sol] for sol in together] == [
         [v.to_obj() for v in sol] for sol in alone
     ]
+
+
+def loop_solve_exact(mat, rhs):
+    """The Gauss-Jordan loop of ``solve_exact`` before it reduced through
+    ``ratmath.rref``: the oracle of its bits and its exceptions."""
+    n = len(mat)
+    a = [row[:] + [b[i] for b in rhs] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col].inverse()
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and not a[r][col].is_zero():
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [[a[i][n + k] for i in range(n)] for k in range(len(rhs))]
+
+
+PI = Scalar.const("pi")
+ALGEBRAIC = (Scalar(1), GOLDEN, Scalar.sqrt(2))
+
+
+def random_entry(rng, kind):
+    """An entry of a random system: a float, a sum of up to two algebraic
+    numbers, or (kind "pi") of up to two numbers one of which may be pi."""
+    if rng.random() < 0.3:
+        return Scalar(0.0) if kind == "float" else Scalar(0)
+    if kind == "float":
+        return Scalar(rng.choice((rng.uniform(-5, 5), float(rng.randint(-3, 3)))))
+    atoms = ALGEBRAIC + (PI,) if kind == "pi" else ALGEBRAIC
+    terms = (a * rng.randint(-3, 3) for a in rng.sample(atoms, rng.randint(1, 2)))
+    return sum(terms, Scalar(0)) / rng.randint(1, 4)
+
+
+def outcome(solve, mat, rhs):
+    """The exception class ``solve`` raises, or its solutions as exact reprs
+    and float bits."""
+    try:
+        sols = solve(mat, rhs)
+    except (ZeroDivisionError, ExactnessError) as exc:
+        return type(exc)
+    return [[repr(v) if v.is_exact else v.to_float().hex() for v in sol] for sol in sols]
+
+
+def test_solve_exact_matches_the_loop_it_replaced():
+    # 1 to 4 unknowns, 1 to 3 right-hand sides; a quarter of the matrices
+    # repeat a multiple of a row, and zero entries make more of them singular
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(3000):
+        n, kind = rng.randint(1, 4), rng.choice(("exact", "float", "pi"))
+        mat = [[random_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            mat[-1] = [x * 2 for x in mat[0]]
+        rhs = [[random_entry(rng, kind) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        want, got = outcome(loop_solve_exact, mat, rhs), outcome(linalg.solve_exact, mat, rhs)
+        if (want, got) == (ZeroDivisionError, ExactnessError):
+            # the loop stopped at the first column without a pivot; rref
+            # runs on and meets a pivot with pi that it cannot invert
+            assert kind == "pi" and linalg.det(mat).is_zero()
+            seen["singular, then no exact inverse"] += 1
+            continue
+        assert got == want, (mat, rhs)
+        seen[kind, want if isinstance(want, type) else "solved"] += 1
+    for case in [("exact", "solved"), ("float", "solved"), ("pi", "solved"),
+                 ("exact", ZeroDivisionError), ("float", ZeroDivisionError),
+                 ("pi", ZeroDivisionError), ("pi", ExactnessError)]:
+        assert seen[case] >= 100, (case, seen)
+
+
+def test_solve_exact_refusals():
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        linalg.solve_exact([[Scalar(1), GOLDEN], [Scalar(2), GOLDEN * 2]], [[Scalar(1), Scalar(0)]])
+    with pytest.raises(ExactnessError):
+        linalg.solve_exact([[1 + PI, Scalar(0)], [Scalar(0), Scalar(1)]], [[Scalar(1), Scalar(0)]])
+
+
+def test_rref_keeps_int_rows_exact():
+    red, pivots = ratmath.rref([[2, 4, 6], [1, 3, 5], [1, 1, 1]])
+    assert pivots == [0, 1]
+    assert red == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+    assert all(type(v) in (int, Fraction) for row in red for v in row)
+    assert all(type(v) is Fraction for row in red[:2] for v in row)
 
 
 def counting(monkeypatch, name):
