@@ -304,11 +304,12 @@ def limit_patch_check(
 def window_difference_points(lower: Window, upper: Window) -> list[HPoint]:
     """The difference set upper-closure minus lower, required to be finite.
 
-    Its points are among the corner points of the two windows; windows
-    over a factor kind without corner points are a ``SchemeError``."""
+    Its points are among the corner points of the two windows.  Windows
+    whose measures differ, or over a factor kind without corner points, are
+    a ``SchemeError``."""
     upper_cl = upper.closure()
     if not (upper_cl.measure() - lower.measure()).is_zero():
-        raise ValueError("difference of the windows is not a finite point set")
+        raise SchemeError("difference of the windows is not a finite point set")
     try:
         candidates = set(upper_cl.corner_points()) | set(lower.corner_points())
     except ValueError as exc:

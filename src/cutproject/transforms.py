@@ -7,7 +7,10 @@ torus extension that makes the star map injective, and the window
 augmentation turning an almost-model-set membership rule into a window.
 
 Each returns a certificate listing the checks performed, the boxes they ran
-on, and heuristic bounds where a complete decision is impossible.
+on, and heuristic bounds where a complete decision is impossible.  Every
+check that can be re-run has one definition in the table ``_CHECKS``: the
+transform records the check's inputs and takes its verdict from the table,
+and ``reverify_certificate`` decides it again through the same entry.
 """
 
 from __future__ import annotations
@@ -71,14 +74,6 @@ class CertCheck:
     @classmethod
     def from_obj(cls, obj):
         return cls(obj["name"], obj["passed"], obj.get("detail", {}))
-
-
-# the checks a certificate may record: the six the transforms write, and
-# the exhaustive injectivity check that older certificates hold
-_CHECK_NAMES = frozenset({
-    "pair-in-lattice", "patch-translation", "star-injective", "patch-full-torus",
-    "membership-patch", "interior-closure-chain", "star-injective-exhaustive",
-})
 
 
 @dataclass
@@ -198,45 +193,17 @@ def translate_cps(
             "b": b.to_obj(),
         },
     )
-    cert.checks.append(
-        CertCheck(
-            "pair-in-lattice",
-            scheme2.lattice_coords_of(a, b) is not None,
-            {"note": "the translation vector pairs with b inside the new lattice"},
-        )
-    )
+    note = {"note": "the translation vector pairs with b inside the new lattice"}
+    cert.checks.append(_decide("pair-in-lattice", cert.data, note, scheme, scheme2))
     if window is not None:
         if box is None:
             box = Box.symmetric(DEFAULT_CHECK_RADIUS, scheme.d)
-        ok = _translation_patch_check(scheme, scheme2, a, window, box, 1)
-        cert.checks.append(
-            CertCheck(
-                "patch-translation",
-                ok,
-                {"n": 1, "box": box.to_obj(), "window": window.to_obj()},
-            )
-        )
+        detail = {"n": 1, "box": box.to_obj(), "window": window.to_obj()}
+        cert.checks.append(_decide("patch-translation", cert.data, detail, scheme, scheme2))
     result = TranslationExtension(scheme2, b, m, cert)
     if not cert.passed:
         raise CertificationError("translation certificate failed", cert)
     return result
-
-
-def _translation_patch_check(scheme, scheme2, a, window, box, n: int) -> bool:
-    shift = tuple(v * n for v in a)
-    back = tuple(-v for v in shift)
-    lhs = scheme.project_points(box.translate(back), window).translate(shift)
-    rhs = scheme2.project_points(box, lift_window(window, n, scheme2))
-    ok, _ = verify_equality(lhs, rhs)
-    return ok
-
-
-def _full_torus_patch_check(scheme, scheme2, window, box) -> bool:
-    lifted = lift_window_torus(window, scheme2.space, len(scheme2.space.factors) - 1)
-    lhs = scheme.project_points(box, window)
-    rhs = scheme2.project_points(box, lifted)
-    ok, _ = verify_equality(lhs, rhs)
-    return ok
 
 
 def _extension_twist(space2: InternalSpace, space: InternalSpace):
@@ -311,16 +278,8 @@ def strip_embedded(space2: InternalSpace, space: InternalSpace, h2: HPoint):
 # Generic diagonal lattices and the injective-star torus extension
 
 
-NAMED_CONSTANTS = (
-    ("root(2,3)", lambda: Scalar.root(2, 3)),
-    ("root(3,3)", lambda: Scalar.root(3, 3)),
-    ("root(5,3)", lambda: Scalar.root(5, 3)),
-    ("root(2,5)", lambda: Scalar.root(2, 5)),
-    ("root(7,3)", lambda: Scalar.root(7, 3)),
-    ("root(3,5)", lambda: Scalar.root(3, 5)),
-    ("root(11,3)", lambda: Scalar.root(11, 3)),
-    ("root(6,5)", lambda: Scalar.root(6, 5)),
-)
+# (radicand, root index) of each constant, tried in order
+NAMED_CONSTANTS = ((2, 3), (3, 3), (5, 3), (2, 5), (7, 3), (3, 5), (11, 3), (6, 5))
 
 
 def _span_values(points) -> list[Scalar]:
@@ -365,16 +324,16 @@ def choose_generic_lattice(
 ):
     """Pick a diagonal lattice whose entries avoid the rational span of the data.
 
-    Tries each of ``NAMED_CONSTANTS`` once, in order.  Returns (diagonal
-    entries, certificate); raises CertificationError when the constants run
-    out first.
+    Tries the root of each of ``NAMED_CONSTANTS`` once, in order, built when
+    it is tried.  Returns (diagonal entries, certificate); raises
+    CertificationError when the constants run out first.
     """
     chosen: list[Scalar] = []
     last_cert = None
-    for _name, make in NAMED_CONSTANTS:
+    for radicand, k in NAMED_CONSTANTS:
         if len(chosen) == d:
             break
-        c = make()
+        c = Scalar.root(radicand, k)
         cert = certify_generic_diagonal(points, chosen + [c], relation_bound)
         if cert.passed:
             chosen.append(c)
@@ -445,19 +404,14 @@ def extend_injective(
             "injectivity_bound": injectivity_bound,
         },
     )
-    cert.checks.append(CertCheck("star-injective", True, {"method": "exact-kernel"}))
+    cert.checks.append(_decide("star-injective", cert.data, {"method": "exact-kernel"}, scheme, scheme2))
     if window is not None:
         if box is None:
             box = Box.symmetric(DEFAULT_CHECK_RADIUS, scheme.d)
-        ok = _full_torus_patch_check(scheme, scheme2, window, box)
-        cert.checks.append(
-            CertCheck(
-                "patch-full-torus",
-                ok,
-                {"box": box.to_obj(), "window": window.to_obj()},
-            )
-        )
-        if not ok:
+        detail = {"box": box.to_obj(), "window": window.to_obj()}
+        check = _decide("patch-full-torus", cert.data, detail, scheme, scheme2)
+        cert.checks.append(check)
+        if not check.passed:
             raise CertificationError("full-torus patch check failed", cert)
     return InjectiveExtension(scheme2, cert)
 
@@ -600,6 +554,65 @@ def certified_box(scheme: CutProjectScheme, window: Window, truncation: int) -> 
     return Box.symmetric(lo, scheme.d)
 
 
+# ---------------------------------------------------------------------------
+# Certificate checks
+
+
+def _box_window(detail: dict, scheme: CutProjectScheme):
+    return Box.from_obj(detail["box"]), window_from_obj(scheme.space, detail["window"])
+
+
+def _pair_in_lattice(data, detail, scheme, scheme2):
+    a, b = tuple(map(Scalar.from_obj, data["a"])), HPoint.from_obj(scheme2.space, data["b"])
+    return lambda: scheme2.lattice_coords_of(a, b) is not None
+
+
+def _star_injective(data, detail, scheme, scheme2):
+    return lambda: scheme2.star_kernel_witness() is None
+
+
+def _patch_translation(data, detail, scheme, scheme2):
+    (box, window), a = _box_window(detail, scheme), tuple(map(Scalar.from_obj, data["a"]))
+    n = index(detail.get("n", 1))
+
+    def decide():
+        shift = tuple(v * n for v in a)
+        lhs = scheme.project_points(box.translate(tuple(-v for v in shift)), window).translate(shift)
+        return verify_equality(lhs, scheme2.project_points(box, lift_window(window, n, scheme2)))[0]
+
+    return decide
+
+
+def _patch_full_torus(data, detail, scheme, scheme2):
+    box, window = _box_window(detail, scheme)
+
+    def decide():
+        lifted = lift_window_torus(window, scheme2.space, len(scheme2.space.factors) - 1)
+        return verify_equality(scheme.project_points(box, window), scheme2.project_points(box, lifted))[0]
+
+    return decide
+
+
+# each check that can be re-run, by name: a function reading the check's inputs
+# from the certificate's data and the check's detail (KeyError, TypeError or
+# ValueError on a malformed field) and returning its decision, made when called
+_CHECKS = {
+    "pair-in-lattice": _pair_in_lattice,
+    "star-injective": _star_injective,
+    "patch-translation": _patch_translation,
+    "patch-full-torus": _patch_full_torus,
+}
+# the checks only copied as recorded: the augmentation's two, and the
+# exhaustive injectivity check that older certificates hold
+_RECORDED_ONLY = frozenset({"membership-patch", "interior-closure-chain", "star-injective-exhaustive"})
+_CHECK_NAMES = frozenset(_CHECKS) | _RECORDED_ONLY
+
+
+def _decide(name: str, data: dict, detail: dict, scheme, scheme2) -> CertCheck:
+    """The check ``name`` on ``data`` and ``detail``, decided by its table entry."""
+    return CertCheck(name, _CHECKS[name](data, detail, scheme, scheme2)(), detail)
+
+
 def reverify_certificate(
     cert: TransformCertificate,
     scheme: CutProjectScheme,
@@ -607,31 +620,14 @@ def reverify_certificate(
 ) -> list[CertCheck]:
     """Re-run the recorded checks of a translation/extension certificate.
 
-    Checks it cannot re-run (older ``star-injective-exhaustive`` entries and
-    the augmentation checks) are copied as recorded.  Every check's inputs
-    are read before any check is re-run; one that cannot be read is a
-    ``SchemeError``.
+    Each check in ``_CHECKS`` is decided again by its table entry; the
+    checks of ``_RECORDED_ONLY`` are copied as recorded.  Every check's
+    inputs are read before any check is re-run; one that cannot be read,
+    or a check of neither set, is a ``SchemeError``.
     """
     try:
-        reruns = [_rerun(check, cert.data, scheme, scheme2) for check in cert.checks]
+        reruns = [None if c.name in _RECORDED_ONLY else _CHECKS[c.name](cert.data, c.detail, scheme, scheme2)
+                  for c in cert.checks]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemeError(f"malformed certificate: {exc!r}") from exc
-    return [rerun() for rerun in reruns]
-
-
-def _rerun(check: CertCheck, data: dict, scheme: CutProjectScheme, scheme2: CutProjectScheme):
-    """A function re-running ``check``, its inputs read now."""
-    name, detail = check.name, check.detail
-    if name == "star-injective":
-        return lambda: CertCheck(name, scheme2.star_kernel_witness() is None, {"method": "exact-kernel"})
-    if name == "pair-in-lattice":
-        a = tuple(Scalar.from_obj(v) for v in data["a"])
-        b = HPoint.from_obj(scheme2.space, data["b"])
-        return lambda: CertCheck(name, scheme2.lattice_coords_of(a, b) is not None, detail)
-    if name not in ("patch-translation", "patch-full-torus"):
-        return lambda: check
-    box, window = Box.from_obj(detail["box"]), window_from_obj(scheme.space, detail["window"])
-    if name == "patch-full-torus":
-        return lambda: CertCheck(name, _full_torus_patch_check(scheme, scheme2, window, box), detail)
-    a, n = tuple(Scalar.from_obj(v) for v in data["a"]), index(detail.get("n", 1))
-    return lambda: CertCheck(name, _translation_patch_check(scheme, scheme2, a, window, box, n), detail)
+    return [c if run is None else CertCheck(c.name, run(), c.detail) for c, run in zip(cert.checks, reruns)]

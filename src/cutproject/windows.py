@@ -194,8 +194,8 @@ class IntervalSet:
 
 
 def _normalize_pieces(pieces) -> tuple[Interval, ...]:
-    items = [p for p in pieces if isinstance(p, Interval)]
-    if any(not isinstance(p, Interval) for p in pieces):
+    items = list(pieces)
+    if any(not isinstance(p, Interval) for p in items):
         raise TypeError("IntervalSet expects Interval pieces")
     items.sort(key=lambda p: (p.lo, not p.lo_closed))
     out: list[Interval] = []

@@ -772,6 +772,24 @@ def test_verify_hull_box_beyond_the_truncation(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_hull_windows_differing_by_more_than_a_finite_set(tmp_path, capsys):
+    # the lower window (-1/2, golden - 1) leaves out an interval of the
+    # built-in upper window: no generic shift exists, and that is bad input
+    scheme, upper = fibonacci_scheme(), fibonacci_window()
+    lower = interval_window(scheme.space, Fraction(-1, 2), GOLDEN - 1, False, False)
+    witness = AlmostModelSetWitness(scheme, lower, upper, GammaRule(upper.closure()), 25)
+    wfile, out = tmp_path / "w.json", tmp_path / "hull.json"
+    wfile.write_text(json.dumps(witness.to_obj()))
+    capsys.readouterr()
+    code = run(["verify", "--suite", "hull", "--scheme", "builtin:fibonacci", "--witness", str(wfile),
+                "--box=-3:3", "--targets", "1", "--truncation", "20", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "not a finite point set" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_window_in_another_space(tmp_path, capsys):
     # the built-in window lies in the Fibonacci scheme's internal space, not
     # in that of its sqrt(2) translation

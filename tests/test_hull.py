@@ -193,6 +193,13 @@ def test_window_difference_points():
         window_difference_points(interval_window(LINE, 0, Fraction(1, 2)), upper)
 
 
+def test_generic_shift_refuses_windows_differing_by_more_than_a_finite_set():
+    scheme, _, upper = units()
+    lower = interval_window(LINE, Fraction(-1, 2), GOLDEN - 1, False, False)
+    with pytest.raises(SchemeError, match="not a finite point set"):
+        generic_shift(scheme, lower, upper, truncation=20)
+
+
 def test_almost_to_model_three_witnesses():
     scheme, lower, upper = units()
     box = Box.symmetric(50)

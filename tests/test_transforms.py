@@ -514,12 +514,13 @@ def test_full_torus_patch_check_fails_on_another_base():
     # doubled: every patch point moves, so the comparison must fail
     scheme, w = fibonacci_scheme(), fib_window()
     ext = extend_injective(scheme, (Scalar.root(2, 3),), window=w)
-    box = Box.symmetric(20)
-    assert transforms._full_torus_patch_check(scheme, ext.scheme, w, box)
+    check = transforms._CHECKS["patch-full-torus"]
+    detail = {"box": Box.symmetric(20).to_obj(), "window": w.to_obj()}
+    assert check({}, detail, scheme, ext.scheme)()
     doubled = CutProjectScheme(
         1, scheme.space, [(tuple(2 * v for v in g), h) for g, h in scheme.generators]
     )
-    assert not transforms._full_torus_patch_check(doubled, ext.scheme, w, box)
+    assert not check({}, detail, doubled, ext.scheme)()
 
 
 def test_almost_to_model_fails_a_tampered_witness():
@@ -586,3 +587,71 @@ def test_lift_augmented_window():
     torus = extend_injective(scheme, (Scalar.root(2, 3),), injectivity_bound=25)
     with pytest.raises(TypeError):
         lift_window_torus(aug, torus.scheme.space, 1)
+
+
+@pytest.fixture(scope="module")
+def theorem_certificates():
+    """(base, extension, certificate) by label, for every certificate kind
+    the theorem suite reads, and an extension certificate that also holds a
+    hand-made legacy ``star-injective-exhaustive`` entry."""
+    scheme, w = fibonacci_scheme(), fib_window()
+    sqrt2 = translate_cps(scheme, (Scalar.sqrt(2),), 10 ** 6, window=w)
+    third = translate_cps(scheme, (GOLDEN / 3,), 100, window=w)
+    torus = extend_injective(scheme, (Scalar.root(2, 3),), window=w)
+    rule = GammaRule(w.interior(), add=[(0, -1)])
+    augment = transforms.almost_to_model(AlmostModelSetWitness(scheme, w.interior(), w, rule, 25))
+    legacy = TransformCertificate.from_obj(torus.certificate.to_obj())
+    legacy.checks.append(transforms.CertCheck("star-injective-exhaustive", True, {"bound": 20}))
+    return {
+        "translate sqrt(2)": (scheme, sqrt2.scheme, sqrt2.certificate),
+        "translate golden/3": (scheme, third.scheme, third.certificate),
+        "extend root(2,3)": (scheme, torus.scheme, torus.certificate),
+        "augment add-hi": (scheme, scheme, augment.certificate),
+        "legacy extend root(2,3)": (scheme, torus.scheme, legacy),
+    }
+
+
+# the certificates holding each check; a check the table gains needs a case
+CHECK_CASES = {
+    "pair-in-lattice": ("translate sqrt(2)", "translate golden/3"),
+    "patch-translation": ("translate sqrt(2)", "translate golden/3"),
+    "star-injective": ("extend root(2,3)",),
+    "patch-full-torus": ("extend root(2,3)",),
+    "membership-patch": ("augment add-hi",),
+    "interior-closure-chain": ("augment add-hi",),
+    "star-injective-exhaustive": ("legacy extend root(2,3)",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(transforms._CHECK_NAMES))
+def test_reverification_never_trusts_a_verdict_it_can_rerun(tmp_path, theorem_certificates, name):
+    # a check of the table is decided again, so its recorded verdict does
+    # not reach the report; a recorded-only check is its recorded verdict
+    from cutproject import cli
+
+    assert name in CHECK_CASES, f"check {name!r} has no re-verification case"
+    for label in CHECK_CASES[name]:
+        base, ext, cert = theorem_certificates[label]
+        assert cert.passed and name in [c.name for c in cert.checks]
+        reports = []
+        for flip in (False, True):
+            obj = cert.to_obj()
+            for check in obj["checks"]:
+                if flip and check["name"] == name:
+                    check["passed"] = False
+            files = {}
+            for key, value in (("base", base.to_obj()), ("ext", ext.to_obj()), ("cert", obj)):
+                files[key] = tmp_path / f"{key}.json"
+                files[key].write_text(json.dumps(value))
+            out = tmp_path / "report.json"
+            code = cli.main(["verify", "--suite", "theorem", "--scheme", str(files["base"]),
+                             "--scheme2", str(files["ext"]), "--cert", str(files["cert"]),
+                             "--out", str(out)])
+            reports.append((code, out.read_text()))
+        assert reports[0][0] == 0, label
+        if name in transforms._CHECKS:
+            assert reports[1] == reports[0], label
+        else:
+            assert reports[1][0] == 1, label
+            checks = {c["name"]: c["passed"] for c in json.loads(reports[1][1])["checks"]}
+            assert checks[name] is False, label

@@ -55,6 +55,13 @@ def test_interval_set_normalization():
     assert t.fills_gap(Scalar(1))
 
 
+@pytest.mark.parametrize("form", [list, lambda pieces: (p for p in pieces)])
+def test_interval_set_refuses_a_piece_that_is_no_interval(form):
+    # a generator is read once, so its pieces are checked as a list's are
+    with pytest.raises(TypeError, match="Interval pieces"):
+        IntervalSet(form([Interval(0, 1), 3]))
+
+
 def test_fibonacci_interval_window_ops():
     w = interval_window(LINE, -1, GOLDEN - 1)  # [-1, golden-1)
     assert w.measure() == GOLDEN
