@@ -18,6 +18,7 @@ from functools import cache, lru_cache
 
 from . import analysis, hull, transforms
 from .fibonacci import fibonacci_scheme, fibonacci_window
+from .internal_space import InternalSpace
 from .scalars import Scalar, parse_scalar
 from .scheme import (
     DEFAULT_MAX_CANDIDATES,
@@ -126,7 +127,10 @@ def load_window(source: str | None, scheme: CutProjectScheme) -> Window:
     return window
 
 
-def _read_window(source: str | None, scheme: CutProjectScheme) -> Window:
+def _read_window(source: str | None, scheme: CutProjectScheme, space=None) -> Window:
+    """The window ``source`` names: a built-in one, or an interval or a
+    window file read in ``space``, the scheme's internal space by default."""
+    space = scheme.space if space is None else space
     if source is None:
         raise InputError("--window is required")
     if source == "builtin:fibonacci":
@@ -145,14 +149,12 @@ def _read_window(source: str | None, scheme: CutProjectScheme) -> Window:
         if ends not in ("cc", "co", "oc", "oo"):
             raise InputError("interval ends must be one of cc, co, oc, oo")
         try:
-            return interval_window(
-                scheme.space, lo, hi, ends[0] == "c", ends[1] == "c"
-            )
+            return interval_window(space, lo, hi, ends[0] == "c", ends[1] == "c")
         except Exception as exc:
             raise InputError(f"cannot build interval window: {exc}") from exc
     obj = _load_json(source)
     try:
-        return window_from_obj(scheme.space, obj)
+        return window_from_obj(space, obj)
     except Exception as exc:
         raise InputError(f"invalid window file {source}: {exc}") from exc
 
@@ -224,6 +226,15 @@ def _require_finite(values, option: str):
     for v in values:
         if not math.isfinite(v):
             raise InputError(f"{option} must be finite, got {v}")
+
+
+def _chi_entry(text: str) -> float:
+    """A ``--chi`` entry: a decimal as ``float`` reads it, else the float of
+    its scalar expression (``1/sqrt(5)``)."""
+    try:
+        return float(text)
+    except ValueError:
+        return parse_scalar(text).to_float()
 
 
 def _phase_overflows(chi, n: int) -> bool:
@@ -334,7 +345,7 @@ def cmd_verify(args) -> int:
         tol = args.tol if args.tol is not None else 0.05
         chis = _parsed(
             "--chi",
-            lambda: [tuple(float(x) for x in chunk.split(",")) for chunk in args.chi.split(";")],
+            lambda: [tuple(map(_chi_entry, chunk.split(","))) for chunk in args.chi.split(";")],
         )
         for chi in chis:
             if len(chi) != scheme.d:
@@ -359,8 +370,13 @@ def cmd_verify(args) -> int:
         }
     elif suite == "equidist":
         scheme = load_scheme(args.scheme)
-        # the suite crosses a window over the torus-free part with the torus
-        window = _read_window(args.window, scheme)
+        # the suite crosses a window over the torus-free part, every factor
+        # but the last, with the torus; a window file or interval not in the
+        # scheme's space is read there
+        try:
+            window = _read_window(args.window, scheme)
+        except InputError:
+            window = _read_window(args.window, scheme, InternalSpace(scheme.space.factors[:-1]))
         tol = args.tol if args.tol is not None else 0.05
         _require_positive([args.n], "--n")
         _require_finite([args.chi_bound], "--chi-bound")

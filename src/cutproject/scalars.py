@@ -956,12 +956,37 @@ class LinearForm:
                 num[i] = c
         return _reduced(num, self.den, _symbol(num) if self.has_constant else None)
 
-    def floats(self, vectors) -> list[float]:
-        """``[self(n).to_float() for n in vectors]`` without building a value:
-        one ``_midpoints`` pass, each monomial's enclosure fetched once."""
+    def floats(self, vectors, enclosures=None, digits: int = 18) -> list[float]:
+        """``[self(n).to_float() for n in vectors]`` without building a value.
+
+        ``to_float`` rounds the midpoint of an 18-digit enclosure ``[L, H]``,
+        and ``H - L <= w``, the sum over monomials of ``(cbar * (mhi - mlo) +
+        den) // den + 2``, ``cbar`` the reach of the monomial's coefficient
+        over ``vectors``.  Given ``enclosures``, one integer ``(lo, hi)`` per
+        vector with ``lo <= 10**digits * self(n) <= hi`` (``digits >= 18``),
+        a value whose ends, widened by ``w * 10**(digits - 18)``, divide to
+        one float takes that float: integer true division is correctly
+        rounded, so monotone, and the midpoint lies between the widened
+        ends.  Every other value takes one ``_midpoints`` pass, each
+        monomial's 18-digit enclosure fetched once, as ``to_float`` takes it.
+        """
         rows = [(coeffs, *(_MONO_INT.get((i, 18)) or _mono_int_bounds(i, 18)))
                 for i, coeffs in self.rows]
-        return _midpoints(vectors, rows, self.den)
+        if enclosures is None:
+            return _midpoints(vectors, rows, self.den)
+        den = self.den
+        reach = [max(max(col), -min(col)) for col in zip(*vectors)]
+        pad = 10 ** (digits - 18) * sum(
+            (sum(map(operator.mul, map(abs, coeffs), reach)) * (mhi - mlo) + den) // den + 2
+            for coeffs, mlo, mhi in rows
+        )
+        scale = 10 ** digits
+        out = [(lo - pad) / scale for lo, _ in enclosures]
+        highs = [(hi + pad) / scale for _, hi in enclosures]
+        misses = [k for k, (f, g) in enumerate(zip(out, highs)) if f != g]
+        for k, f in zip(misses, _midpoints([vectors[k] for k in misses], rows, den)):
+            out[k] = f
+        return out
 
 
 class FloatForm:

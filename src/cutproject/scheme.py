@@ -142,9 +142,12 @@ class Patch:
     them so for data from outside; a patch derived inside the library keeps
     its parent's order (``_kept``).  An ordered patch of ``_of_leaves``
     builds its points from ``coords`` by its scheme's direct map on first
-    access; its CSV floats come from ``coords``."""
+    access; until then its float view comes from ``coords``, and on an
+    exact scheme it also holds the walk's enclosures of the first
+    coordinate (``_enclosures``), which round that column where they decide
+    it.  The enclosures are dropped once the points are built."""
 
-    __slots__ = ("_points", "box", "scheme_id", "coords", "_scheme")
+    __slots__ = ("_points", "box", "scheme_id", "coords", "_scheme", "_enclosures")
 
     def __init__(self, points, box: Box, scheme_id: str = "", coords=None):
         pairs = list(zip(points, coords)) if coords is not None else [(p, None) for p in points]
@@ -157,6 +160,7 @@ class Patch:
         pts, crd = _sorted_distinct(checked)
         self._points, self.box, self.scheme_id, self._scheme = pts, box, scheme_id, None
         self.coords = crd if coords is not None else None
+        self._enclosures = None
 
     @classmethod
     def _kept(cls, points, box: Box, scheme_id: str, coords, scheme=None) -> "Patch":
@@ -167,19 +171,24 @@ class Patch:
         """
         patch = cls.__new__(cls)
         patch._points, patch.box, patch.scheme_id = points, box, scheme_id
-        patch.coords, patch._scheme = coords, scheme
+        patch.coords, patch._scheme, patch._enclosures = coords, scheme, None
         return patch
 
     @classmethod
-    def _of_leaves(cls, coords, box: Box, scheme, ordered: bool) -> "Patch":
+    def _of_leaves(cls, coords, box: Box, scheme, ordered: bool, enclosures=None) -> "Patch":
         """Patch of ``scheme``'s lattice points ``coords``, known to lie in ``box``.
 
         With ``ordered``, ``coords`` come in the order of their distinct direct
         images (``_separated``), and the points are built on first access;
-        else they are built, sorted and deduplicated as in ``__init__``.
+        ``enclosures``, if given, are the walk's scaled enclosures of their
+        first coordinates, kept for the float view until the points are
+        built.  Else the points are built, sorted and deduplicated as in
+        ``__init__``.
         """
         if ordered:
-            return cls._kept(None, box, scheme.scheme_id, tuple(coords), scheme)
+            patch = cls._kept(None, box, scheme.scheme_id, tuple(coords), scheme)
+            patch._enclosures = enclosures
+            return patch
         pts, crd = _sorted_distinct(list(zip(_form_points(scheme._direct_rows, coords), coords)))
         return cls._kept(pts, box, scheme.scheme_id, crd)
 
@@ -187,6 +196,7 @@ class Patch:
     def points(self) -> tuple:
         if self._points is None:
             self._points = _form_points(self._scheme._direct_rows, self.coords)
+            self._enclosures = None
         return self._points
 
     def __len__(self):
@@ -278,30 +288,34 @@ class Patch:
     def float_points(self) -> list[tuple[float, ...]]:
         """Each point's ``tuple(x.to_float() for x in p)``, in patch order.
 
-        One float pass over the values in row order: a lazy patch reads them
-        from its coordinates by the ``floats`` of its scheme's direct rows,
-        without keeping a point; any other patch takes ``scalars.floats`` of
-        its points.  Nothing is cached, so each call reads the patch as it is.
+        The floats are read one coordinate at a time (``_float_columns``): a
+        lazy patch reads them from its coordinates by the ``floats`` of its
+        scheme's direct rows, without keeping a point.  Its first
+        coordinate's float comes from the walk's enclosure of it when that
+        enclosure decides it, and from the 18-digit midpoint otherwise
+        (``LinearForm.floats``), with the same bits.  Any other patch takes
+        ``scalars.floats`` of its points.  Nothing is cached, so each call
+        reads the patch as it is.
         """
-        dim = self.box.dim
-        if self._points is None:
-            flat = iter(_form_floats(self._scheme._direct_rows, self.coords))
-        else:
-            flat = iter(floats([v for p in self.points for v in p]))
         # a d = 0 patch still has one (empty) tuple per point
-        return list(zip(*[flat] * dim)) if dim else [()] * len(self)
+        return list(zip(*self._float_columns())) if self.box.dim else [()] * len(self)
+
+    def _float_columns(self) -> list[list[float]]:
+        """The float view of ``float_points``, one list per coordinate."""
+        if self._points is None:
+            return _form_floats(self._scheme._direct_rows, self.coords, self._enclosures)
+        return [floats([p[k] for p in self._points]) for k in range(self.box.dim)]
 
     def to_csv_text(self) -> str:
         dim = self.box.dim
         rank = len(self.coords[0]) if self.coords else 0
         header = [f"x{i + 1}" for i in range(dim)] + [f"n{j + 1}" for j in range(rank)]
-        # one template per row, over the patch's one float view
-        values = self.float_points()
-        coords = self.coords if self.coords is not None else [()] * len(values)
-        row = ",".join(["{!r}"] * dim + ["{}"] * rank).format
-        lines = [",".join(header)]
-        lines += [row(*x, *c) for x, c in zip(values, coords)]
-        return "\n".join(lines) + "\n"
+        # one column at a time, over the patch's one float view: each
+        # float's repr, each lattice coordinate's str
+        columns = [map(repr, col) for col in self._float_columns()]
+        columns += [map(str, col) for col in zip(*self.coords)] if rank else []
+        rows = map(",".join, zip(*columns)) if columns else [""] * len(self)
+        return "\n".join([",".join(header), *rows]) + "\n"
 
 
 @dataclass
@@ -441,11 +455,12 @@ class CutProjectScheme:
         order, so the result is deterministic: the first piece's leaves are
         taken as they are, and a later piece adds only leaves not found
         before.  The points are put in order
-        by the lower ends of their first coordinates' enclosures; when every
-        neighbouring pair is separated (``_separated``), that is the patch's
-        order, and the patch keeps the coordinates and builds its points on
-        first access.  Otherwise the points are built and sorted and
-        deduplicated by ``Scalar`` comparison.  A ``max_candidates`` below 1
+        by their first coordinates' enclosures; when every neighbouring pair
+        is separated (``_separated``), that is the patch's order, and the
+        patch keeps the coordinates, and an exact scheme's enclosures for its
+        float view, and builds its points on first access.  Otherwise the
+        points are built and sorted and deduplicated by ``Scalar``
+        comparison.  A ``max_candidates`` below 1
         is refused with ``ValueError``.
         """
         if max_candidates < 1:
@@ -466,9 +481,11 @@ class CutProjectScheme:
             found = {}
         forms, names, sizes = self._leaf_data
         if self.d and len(names) <= 1 and (forms is not None or sizes is not None):
-            order = sorted(found, key=lambda n: found[n][0])
-            if _separated([found[n] for n in order]):
-                return Patch._of_leaves(order, box, self, True)
+            # the whole enclosure as key: a tie of lower ends is not separated
+            order = sorted(found, key=found.__getitem__)
+            leaves = [found[n] for n in order]
+            if _separated(leaves):
+                return Patch._of_leaves(order, box, self, True, leaves if forms is not None else None)
         return Patch._of_leaves(found, box, self, False)
 
     def _enumerate_piece(self, box, window, rows, decides, max_candidates):
@@ -938,9 +955,16 @@ def _form_points(forms, coords) -> tuple:
     return tuple(zip(*columns)) if columns else ((),) * len(coords)
 
 
-def _form_floats(forms, coords) -> list[float]:
-    columns = [form.floats(coords) for form in forms]
-    return columns[0] if len(columns) == 1 else [x for row in zip(*columns) for x in row]
+def _form_floats(forms, coords, enclosures=None) -> list[list[float]]:
+    """Each form's floats over ``coords``, one list per form.  With
+    ``enclosures``, the walk's enclosures of the first form's values at
+    scale 10**_PLAN_DIGITS, that column is rounded from them where they
+    decide it (``LinearForm.floats``); the other columns take the forms'
+    ``floats`` alone."""
+    if enclosures is None:
+        return [form.floats(coords) for form in forms]
+    first = forms[0].floats(coords, enclosures, _PLAN_DIGITS)
+    return [first] + [form.floats(coords) for form in forms[1:]]
 
 
 def _inverse_rows(matrix, rows) -> list[list[tuple[int, int]]]:

@@ -10,7 +10,7 @@ from cutproject import analysis, cli, scalars, transforms
 from cutproject.cli import main
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_substitution, fibonacci_window
 from cutproject.hull import AlmostModelSetWitness, GammaRule
-from cutproject.scalars import GOLDEN, Scalar
+from cutproject.scalars import GOLDEN, Scalar, parse_scalar
 from cutproject.scheme import Box, CutProjectScheme, SchemeError
 from cutproject.substitution import fixed_point_patch
 from cutproject.windows import UnionWindow, interval_window
@@ -592,6 +592,44 @@ def test_equidist_window_outside_the_torus_free_part_is_an_input_error(tmp_path,
     assert code == 2
     err = capsys.readouterr().err
     assert "input error" in err and "torus-free part" in err
+
+
+def test_equidist_reads_a_window_file_over_the_torus_free_part(tmp_path):
+    # the built-in open window written to a file is read over the torus-free
+    # part of the root(2,3) extension, as the built-in is, and crossed with
+    # the torus: both spellings give one report
+    scheme_file = tmp_path / "torus.json"
+    scheme_file.write_text(json.dumps(
+        transforms.extend_injective(
+            fibonacci_scheme(), (Scalar.root(2, 3),), injectivity_bound=20
+        ).scheme.to_obj()
+    ))
+    window_file = tmp_path / "fib-open.json"
+    window_file.write_text(json.dumps(fibonacci_window().interior().to_obj()))
+    reports = []
+    for window in ("builtin:fibonacci-open", str(window_file)):
+        out = tmp_path / "eq.json"
+        assert run(["verify", "--suite", "equidist", "--scheme", str(scheme_file),
+                    "--window", window, "--n", "200", "--chi-bound", "3", "--out", str(out)]) == 0
+        reports.append(read(out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["report"]["status"] == "pass"
+
+
+def test_fb_chi_takes_scalar_expressions(tmp_path):
+    # an entry float() refuses is read as a scalar expression; its float is
+    # the decimal's, so the report and the exit code are one (exit 1: the
+    # coefficient at 1/sqrt(5) is not small on A_500)
+    assert parse_scalar("1/sqrt(5)").to_float() == 0.4472135954999579
+    outcomes = []
+    for chi in ("1/sqrt(5)", "0.4472135954999579"):
+        out = tmp_path / "fb.json"
+        code = run(["verify", "--suite", "fb", "--scheme", "builtin:fibonacci", "--window",
+                    "builtin:fibonacci", "--n", "500", "--chi", chi, "--out", str(out)])
+        outcomes.append((code, read(out)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 1
+    assert list(json.loads(outcomes[0][1])["coefficients"]) == ["0.4472135954999579"]
 
 
 def test_transform_extend_rejects_unknown_strategy(tmp_path, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import cli, ratmath
+from cutproject import cli, ratmath, scalars
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import (
     FiniteCyclicFactor,
@@ -641,6 +641,84 @@ def test_csv_matches_per_point_floats(case):
     # and a second pass reads it back
     assert all(v._float is not None for p in patch.points for v in p)
     assert patch.to_csv_text() == expected
+
+
+def _enclosure_cases():
+    """name -> (make, kept): ``make()`` a fresh patch, ``kept`` whether it
+    holds the walk's first-coordinate enclosures for its float view."""
+    fib, w = fibonacci_scheme(), fibonacci_window()
+    sqrt2 = translate_cps(fib, (Scalar.sqrt(2),), 10 ** 6).scheme
+    twisted = translate_cps(fib, (GOLDEN / 3,), 100).scheme
+    torus = extend_injective(fib, (Scalar.root(2, 3),), injectivity_bound=25).scheme
+    assert twisted.lift_size > twisted.rank  # a carry column beyond the rank
+
+    def built():
+        patch = fib.project_points(Box.symmetric(300), w)
+        patch.points
+        return patch
+
+    return {
+        "fibonacci-5": (lambda: fib.project_points(Box.symmetric(5), w), True),
+        "fibonacci-800": (lambda: fib.project_points(Box.symmetric(800), w), True),
+        "far": (lambda: fib.project_points(Box.interval(10 ** 5 - 400, 10 ** 5 + 400), w), True),
+        # holds (5036, 8149), whose first coordinate is so near a float
+        # rounding boundary that its 25-digit enclosure, unwidened, would
+        # round to the other side of it than to_float's 18-digit midpoint
+        "near-boundary": (lambda: fib.project_points(Box.interval(18211, 18231), w), True),
+        "sqrt2-lift": (lambda: sqrt2.project_points(Box.symmetric(120), lift_window(w, 2, sqrt2)),
+                       True),
+        "twisted-lift": (
+            lambda: twisted.project_points(Box.symmetric(60), lift_window(w, -1, twisted)), True
+        ),
+        "torus": (lambda: torus.project_points(
+            Box.symmetric(200), lift_window_torus(w.interior(), torus.space, 1)), True),
+        "restrict": (lambda: fib.project_points(Box.symmetric(300), w).restrict(
+            Box.interval(-100, 37)), False),
+        "translate": (lambda: fib.project_points(Box.symmetric(300), w).translate((GOLDEN,)),
+                      False),
+        "points-first": (built, False),
+    }
+
+
+ENCLOSURE_CASES = ["fibonacci-5", "fibonacci-800", "far", "near-boundary", "sqrt2-lift",
+                   "twisted-lift", "torus", "restrict", "translate", "points-first"]
+
+
+@pytest.mark.parametrize("case", ENCLOSURE_CASES)
+def test_float_view_rounds_from_the_walk_enclosures(case, monkeypatch):
+    # a fresh lazy patch rounds its first coordinate from the walk's
+    # enclosures where they decide the float, and sends the rest to
+    # _midpoints; either way each point's to_float bits come out
+    make, kept = _enclosure_cases()[case]
+    rounded = []  # the lattice coordinates _midpoints rounds
+    midpoints = scalars._midpoints
+
+    def spied(vectors, rows, den):
+        rounded.extend(vectors)
+        return midpoints(vectors, rows, den)
+
+    monkeypatch.setattr(scalars, "_midpoints", spied)
+    fresh = make()
+    assert (fresh._enclosures is not None) == kept
+    view, text = fresh.float_points(), fresh.to_csv_text()
+    other = make()
+    want = [tuple(map(float.hex, (x.to_float() for x in p))) for p in other.points]
+    assert len(want) > 5
+    assert [tuple(map(float.hex, p)) for p in view] == want
+    assert text == per_point_csv(other)
+    if kept:
+        # two passes (float_points, then the CSV) each round a few points
+        assert len(rounded) < 2 * len(fresh) // 5 + 2
+    if case.startswith("fibonacci"):
+        origin = fresh.coords.index((0, 0))
+        assert view[origin] == (0.0,) and (0, 0) in rounded
+    if case == "near-boundary":
+        assert (5036, 8149) in rounded
+    if case == "fibonacci-800":
+        assert len(rounded) < 2 * len(fresh) // 20
+    fresh.points
+    assert fresh._enclosures is None
+    assert fresh.float_points() == view
 
 
 def test_scheme_serialization_roundtrip():
@@ -1357,7 +1435,8 @@ def test_direct_map_matches_scalar_loop(case):
     assert scheme.direct((0,) * scheme.rank) == (Scalar(0),) * scheme.d
     assert all(v.is_exact for v in scheme.direct((0,) * scheme.rank))
     want = [v.to_float() for n in vectors for v in scalar_loop_direct(scheme, n)]
-    got = scheme_module._form_floats(forms, vectors)
+    # _form_floats gives one column per form; read it back in row order
+    got = [x for row in zip(*scheme_module._form_floats(forms, vectors)) for x in row]
     assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
