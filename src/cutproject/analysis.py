@@ -19,7 +19,8 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import mul
+from functools import reduce
+from operator import add, mul, sub
 
 from . import linalg
 from .internal_space import SpaceMismatchError
@@ -148,23 +149,33 @@ def character_average(points, chi: CharacterRd, volume) -> complex:
 
     ``points`` are ``Scalar`` points or, cheaper, a patch's ``float_points``;
     each phase is ``CharacterRd.value``'s argument over the same floats, so
-    either gives the same bits.  The real and imaginary parts are summed as
-    two floats, ``cos`` and ``-sin`` of each phase, which on CPython gives the
-    bits of summing ``cmath.exp(2j * pi * phase).conjugate()``.
+    either gives the same bits.  One list holds the character's phases, and
+    the cosines and the sines of that list are reduced left to right from
+    ``0.0`` (``re + cos``, ``im - sin``), which gives the bits of summing
+    ``cmath.exp(2j * pi * phase).conjugate()`` in complex arithmetic.  The
+    reductions are not ``sum()``: CPython 3.12+ compensates a float sum,
+    which would change those bits.
     """
-    re = im = 0.0
-    coeffs, tau, cos, sin = chi.chi, 2 * math.pi, math.cos, math.sin
-    for p in points:
-        t = tau * sum(map(mul, coeffs, map(float, p)))
-        re += cos(t)
-        im -= sin(t)
+    tau = 2 * math.pi
+    if len(chi.chi) == 1:
+        (c,) = chi.chi  # 0 + is sum()'s start: a phase -0.0 becomes 0.0
+        phases = [tau * (0 + c * float(x)) for (x,) in points]
+    else:
+        coeffs = chi.chi
+        phases = [tau * sum(map(mul, coeffs, map(float, p))) for p in points]
+    re = reduce(add, map(math.cos, phases), 0.0)
+    im = reduce(sub, map(math.sin, phases), 0.0)
     return complex(re, im) / volume
 
 
 def fourier_bohr(scheme: CutProjectScheme, window: Window, chis, n: int) -> tuple[float, list[complex]]:
     """The density of the projection set on A_n, and its averaged character
     sum for each character in ``chis`` (``CharacterRd``s or coefficient
-    tuples).  One patch and one ``float_points`` view serve them all."""
+    tuples).  One patch and one ``float_points`` view serve them all; each
+    character is ``character_average`` over that view: one list of phases,
+    its cosines and sines reduced left to right from ``0.0``, the bits of
+    the complex sum of conjugates (not ``sum()``, which CPython 3.12+
+    compensates)."""
     chis = [c if isinstance(c, CharacterRd) else CharacterRd(tuple(map(float, c))) for c in chis]
     for chi in chis:
         if len(chi.chi) != scheme.d:
@@ -267,7 +278,10 @@ def equidistribution_check(
     coverage; a run that leaves a cell empty reads every point.  The
     characters are ``torus_characters``, which raises ``ValueError`` for a
     scheme or bound without any; their sums share one ``float_points`` view
-    of every point.
+    of every point, and each is ``character_average`` over it: one list of
+    phases, its cosines and sines reduced left to right from ``0.0``, the
+    bits of the complex sum of conjugates (not ``sum()``, which CPython
+    3.12+ compensates).
     """
     torus_idx, chars = torus_characters(scheme, chi_bound)
     factor = scheme.space.factors[torus_idx]
@@ -299,15 +313,6 @@ def equidistribution_check(
     return EquidistributionReport(
         status, len(hit), cells_total, len(patch), max_fb, fb_values
     )
-
-
-def verify_inclusion(a: Patch, b: Patch) -> bool:
-    """Exact subset test for patches over the same box (tolerant in float mode)."""
-    if a.box != b.box:
-        raise ValueError("patch boxes differ")
-    if _all_exact(a) and _all_exact(b):
-        return a.point_set() <= b.point_set()
-    return _match_float(a.points, b.points, require_all_b=False)
 
 
 def verify_equality(a: Patch, b: Patch):

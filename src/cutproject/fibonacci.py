@@ -44,18 +44,13 @@ def fibonacci_substitution() -> SubstitutionSystem:
     )
 
 
-def ring_coordinates(x: Scalar) -> tuple[int, int]:
-    """Integer (p, q) with x = p + q*golden, for x in the golden ring."""
-    (pq,) = ring_coordinates_of([x])
-    return pq
-
-
 def ring_coordinates_of(values) -> list[tuple[int, int]]:
-    """``ring_coordinates`` of each of ``values``, from one row reduction.
+    """The integers (p, q) with x = p + q*golden of each x of ``values``, in
+    the golden ring, from one row reduction.
 
     1 and golden are rationally independent, so each (p, q) is unique.
-    Raises ``ring_coordinates``' ``ValueError`` for a float value, or else
-    for the first value outside the golden ring.
+    Raises ``ValueError`` for a float value, or else for the first value
+    outside the golden ring.
     """
     if not all(x.is_exact for x in values):
         raise ValueError("ring coordinates need an exact value")

@@ -177,14 +177,6 @@ class AlmostModelSetWitness:
         )
 
 
-def shifted_projection(scheme: CutProjectScheme, window: Window, x: ShiftParameter, box: Box) -> Patch:
-    """Projection set of the shifted lattice: s plus the -t-translated window."""
-    neg_s = tuple(-v for v in x.s)
-    neg_t = scheme.space.negate(x.t)
-    inner = scheme.project_points(box.translate(neg_s), window.translate(neg_t))
-    return inner.translate(x.s)
-
-
 @dataclass
 class LimitPatchReport:
     stabilized: bool
@@ -238,9 +230,13 @@ def limit_patch_check(
     certified = witness.certified_box()
     s_lo = [k - c for k, c in zip(K.hi, certified.hi)]
     s_hi = [k - c for k, c in zip(K.lo, certified.lo)]
-    if any(a > b for a, b in zip(s_lo, s_hi)):
-        raise SchemeError("witness truncation too small for the requested box")
     budget = min(float(b) for b in s_hi)
+    # shift caps and neighborhood radii refine together so each rung
+    # enumerates a handful of candidates; a rung's radius is
+    # 400 / int(cap * 100), so a budget under 1/100 leaves no rung
+    cap = min(30.0, budget)
+    if any(a > b for a, b in zip(s_lo, s_hi)) or int(cap * 100) <= 0:
+        raise SchemeError("witness truncation too small for the requested box")
     lower_w = witness.lower.translate(t_target)
     upper_w = witness.upper.closure().translate(t_target)
     lower_set = scheme.project_points(K, lower_w).point_set()
@@ -249,9 +245,6 @@ def limit_patch_check(
     sequence = []
     patches = []
     lower_ok = upper_ok = False
-    # shift caps and neighborhood radii refine together so each rung
-    # enumerates a handful of candidates
-    cap = min(30.0, budget)
     for _ in range(rungs):
         delta = Fraction(4 * 100, int(cap * 100))
         cap_box = Box(

@@ -47,7 +47,6 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Union
 
 from .ratmath import factorize, iroot, solve
 
@@ -257,9 +256,6 @@ def _mono_int_bounds(i: int, digits: int) -> tuple[int, int]:
         )
         _MONO_INT[key] = out
     return out
-
-
-Number = Union[int, Fraction, "Scalar"]
 
 
 def _symbol(num: dict[int, int]) -> str | None:

@@ -16,7 +16,6 @@ from cutproject.analysis import (
     fourier_bohr,
     repetitivity_check,
     verify_equality,
-    verify_inclusion,
 )
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import FiniteCyclicFactor, InternalSpace, RealFactor, TorusFactor
@@ -38,9 +37,9 @@ def test_annihilator_fibonacci_exact():
     # both expected values lie in (1/sqrt5) * (Z + Z*golden)
     for (chi,) in gens:
         scaled = chi * SQRT5  # now in Z + Z*golden
-        from cutproject.fibonacci import ring_coordinates
+        from cutproject.fibonacci import ring_coordinates_of
 
-        p, q = ring_coordinates(scaled)
+        ((p, q),) = ring_coordinates_of([scaled])
         assert isinstance(p, int) and isinstance(q, int)
     # golden/sqrt5 is an integer combination of the two generators
     combo = gens[0][0] + gens[1][0]
@@ -211,6 +210,21 @@ def test_character_average_matches_complex_arithmetic_bit_for_bit():
     assert checked == 4 * (11 + 22)
 
 
+def test_character_sums_run_left_to_right():
+    # on a long column a compensated sum (math.fsum, and sum() of floats on
+    # CPython 3.12+) already moves the last bits of the cosines' sum; the
+    # average must keep the left-to-right bits of the complex sum
+    scheme = fibonacci_scheme()
+    points = scheme.project_points(Box.symmetric(2000), fibonacci_window()).float_points()
+    assert len(points) == 2895
+    chi = CharacterRd((1.3,))
+    got = character_average(points, chi, 4000)
+    want = reference_character_average(points, chi, 4000)
+    assert complex_bits(got) == complex_bits(want)
+    cosines = [math.cos(2 * math.pi * (1.3 * x)) for (x,) in points]
+    assert math.fsum(cosines) / 4000 != got.real
+
+
 def test_fourier_bohr_trivial_character_is_density():
     scheme = fibonacci_scheme()
     w = fibonacci_window()
@@ -327,7 +341,7 @@ def test_verify_inclusion_and_equality_exact():
     box = Box.interval(0, 50)
     inner = scheme.project_points(box, w.interior())
     outer = scheme.project_points(box, w.closure())
-    assert verify_inclusion(inner, outer)
+    assert inner.point_set() <= outer.point_set()
     ok, witness = verify_equality(outer, outer)
     assert ok and witness is None
     perturbed = Patch(
@@ -360,9 +374,9 @@ def test_verify_relations_properties():
     q = scheme.project_points(box, w.interior())
     r = scheme.project_points(box, interval_window(LINE, 0, Fraction(1, 4)))
     # partial order: reflexive, antisymmetric on these, transitive
-    assert verify_inclusion(p, p)
-    assert verify_inclusion(r, q) and verify_inclusion(q, p)
-    assert verify_inclusion(r, p)
+    assert p.point_set() <= p.point_set()
+    assert r.point_set() <= q.point_set() <= p.point_set()
+    assert r.point_set() <= p.point_set()
 
 
 def test_repetitivity_periodic():

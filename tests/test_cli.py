@@ -810,6 +810,21 @@ def test_verify_hull_box_beyond_the_truncation(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", ["--box=-90:0", "--box=-90:90", "--box=-90+1/1000:0"])
+def test_verify_hull_box_at_the_edge_of_the_certified_range(tmp_path, capsys, box):
+    # the witness certifies [-90, 90]; a box reaching its lower end leaves a
+    # shift budget under 1/100, so not one rung of shifts can be walked
+    out = tmp_path / "hull.json"
+    code = run(["verify", "--suite", "hull", "--scheme", "builtin:fibonacci",
+                "--witness", str(witness_file(tmp_path, truncation=40)),
+                box, "--targets", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "truncation too small" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_hull_windows_differing_by_more_than_a_finite_set(tmp_path, capsys):
     # the lower window (-1/2, golden - 1) leaves out an interval of the
     # built-in upper window: no generic shift exists, and that is bad input

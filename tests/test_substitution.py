@@ -6,7 +6,6 @@ from cutproject.fibonacci import (
     fibonacci_scheme,
     fibonacci_substitution,
     fibonacci_window,
-    ring_coordinates,
     ring_coordinates_of,
 )
 from cutproject.scalars import GOLDEN, Scalar
@@ -67,6 +66,11 @@ def test_seed_validation():
         SubstitutionSystem({"a": "aa", "b": "bb"}, {"a": 1, "b": 1}, ("a", "a"))
     with pytest.raises(ValueError):
         SubstitutionSystem({"a": "ab", "b": "a"}, {"a": 0, "b": 1}, ("a", "a"))
+
+
+def ring_coordinates(x):
+    (pq,) = ring_coordinates_of([x])
+    return pq
 
 
 def test_ring_coordinates():
