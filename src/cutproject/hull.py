@@ -198,7 +198,10 @@ class LimitPatchReport:
             "stalled": self.stalled,
             "lower_ok": self.lower_ok,
             "upper_ok": self.upper_ok,
-            "points": [[float(x) for x in p] for p in self.patch.points] if self.patch else None,
+            "points": (
+                [[float(x) for x in p] for p in self.patch.points]
+                if self.patch is not None else None
+            ),
             "sequence": [
                 {"n": list(n), "distance": d} for n, d in self.sequence
             ],
@@ -246,14 +249,15 @@ def limit_patch_check(
     patches = []
     lower_ok = upper_ok = False
     for _ in range(rungs):
-        delta = Fraction(4 * 100, int(cap * 100))
-        cap_box = Box(
-            [max(v, Scalar.from_float(-cap)) for v in s_lo],
-            [min(v, Scalar.from_float(cap)) for v in s_hi],
-        )
-        nbhd = point_window(scheme.space, t_target, Scalar.of(delta))
+        cap_lo = [max(v, Scalar.from_float(-cap)) for v in s_lo]
+        cap_hi = [min(v, Scalar.from_float(cap)) for v in s_hi]
+        candidates = ()  # a rung whose cap misses the shifts has none
+        if not any(a > b for a, b in zip(cap_lo, cap_hi)):
+            delta = Fraction(4 * 100, int(cap * 100))
+            nbhd = point_window(scheme.space, t_target, Scalar.of(delta))
+            candidates = scheme.project_points(Box(cap_lo, cap_hi), nbhd).coords
         improved = False
-        for n in scheme.project_points(cap_box, nbhd).coords:
+        for n in candidates:
             dist = _star_distance(scheme.star(n), t_target)
             if best is None or dist < best[1] - 1e-15:
                 best = (n, dist)

@@ -538,13 +538,21 @@ class CutProjectScheme:
     def _walk_kernel(self, bounded: bool):
         """The compiled walk of this scheme's plan shape, deciding leaves on
         enclosures when ``bounded``, and the plan's flat integers
-        (``walk.walk_kernel``, ``walk.plan_arguments``)."""
-        levels, flat = self._walk_arguments
-        return walk.walk_kernel(levels, self.lift_size, self.rank, bounded, _SQUARE), flat
+        (``walk.walk_kernel``, ``walk.plan_arguments``).  Each pair is kept
+        on the scheme after its first call, so a later call hashes no plan
+        shape; ``walk.walk_kernel``'s cache still shares one code object
+        among the schemes of a shape."""
+        kernels = self._walk_kernels
+        out = kernels.get(bounded)
+        if out is None:
+            levels, flat = walk.plan_arguments(self._enumeration_plan)
+            kernel = walk.walk_kernel(levels, self.lift_size, self.rank, bounded, _SQUARE)
+            out = kernels[bounded] = kernel, flat
+        return out
 
     @cached_property
-    def _walk_arguments(self):
-        return walk.plan_arguments(self._enumeration_plan)
+    def _walk_kernels(self) -> dict:
+        return {}
 
     def _inner_bounds(self, box, rows, rhs, targets, errors):
         """Scaled inner and outer bounds of every lifted row, or None.
@@ -571,13 +579,21 @@ class CutProjectScheme:
         named constants, whose comparison raises ``ExactnessError``.
         """
         forms, names, _ = self._leaf_data
-        rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
-        ends = [v for lo, hi, _ in rows for v in (lo, hi)]
-        if len(names | {v.constant for v in ends} - {None}) > 1:
-            return None
         if errors is None:
-            if forms is None or not all(v.is_exact for v in ends):
+            if forms is None:
                 return None
+            # the generators involve at most one named constant; a float
+            # endpoint or an endpoint with another constant gives None
+            name = next(iter(names), None)
+            for lo, hi, *_ in (*zip(box.lo, box.hi), *rows):
+                for v in (lo, hi):
+                    if v._num is None:
+                        return None
+                    if v._sym is not None:
+                        if name is None:
+                            name = v._sym
+                        elif v._sym != name:
+                            return None
             # every endpoint is exact, so ``rhs`` is at scale 10**_PLAN_DIGITS
             _, bounds = rhs
             return (
@@ -586,6 +602,10 @@ class CutProjectScheme:
                 [lo for lo, _ in targets],
                 [hi for _, hi in targets],
             )
+        rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
+        ends = [v for lo, hi, _ in rows for v in (lo, hi)]
+        if len(names | {v.constant for v in ends} - {None}) > 1:
+            return None
         if any(integral for _, _, integral in rows):
             return None
         scale = 10 ** _PLAN_DIGITS
@@ -663,12 +683,23 @@ class CutProjectScheme:
         with each term rounded on its own, as ``bounds(_PLAN_DIGITS)``
         encloses it; a float endpoint is its exact dyadic value, and
         ``shift`` is the least that puts every float on the scale (0 when
-        all endpoints are exact).  ``[out_lo, out_hi]`` encloses the row's
+        all endpoints are exact, which one pass over the rows reads without
+        a scan for floats).  ``[out_lo, out_hi]`` encloses the row's
         [lo, hi] and clears it by ``_ROW_MARGIN``, and ``[in_lo, in_hi]``
         lies inside [lo, hi] by the same margin; integral rows, whose
         endpoints are integers, are exact on the scale, with no margin.
         """
         rows = [(lo, hi, False) for lo, hi in zip(box.lo, box.hi)] + rows
+        bounds = []
+        for lo, hi, integral in rows:
+            if lo._num is None or hi._num is None:
+                break
+            lo_lo, lo_hi = lo._bounds_per_term(_PLAN_DIGITS)
+            hi_lo, hi_hi = hi._bounds_per_term(_PLAN_DIGITS)
+            pad = 0 if integral else _ROW_MARGIN
+            bounds.append((lo_lo - pad, lo_hi + pad, hi_lo - pad, hi_hi + pad))
+        else:
+            return 0, bounds
         dyadic = [
             v.to_float().as_integer_ratio()[1].bit_length() - 1 - _PLAN_DIGITS
             for lo, hi, _ in rows
@@ -740,10 +771,13 @@ class CutProjectScheme:
 
         Each range is the least and greatest value of a row of the inverse
         enclosure over the ``[out_lo, out_hi]`` box of ``rhs``
-        (``_piece_rhs``), rounded inwards to integers.  Products and sums
-        are exact integers at the inverse's scale times the rhs scale, and
-        one floor or ceil division per row rounds them, so the ranges are
-        those of the same computation in rationals.
+        (``_piece_rhs``), rounded inwards to integers.  Each term's least
+        and greatest product are picked by the signs of the enclosure ends,
+        two products per term; an entry whose enclosure straddles 0 takes
+        the least and greatest of all four.  Products and sums are exact
+        integers at the inverse's scale times the rhs scale, and one floor
+        or ceil division per row rounds them, so the ranges are those of
+        the same computation in rationals.
         """
         if self.lift_size == 0:
             return []
@@ -753,9 +787,16 @@ class CutProjectScheme:
         for row in self._inverse_enclosure:
             lo = hi = 0
             for (alo, ahi), (ylo, _, _, yhi) in zip(row, bounds):
-                products = (alo * ylo, alo * yhi, ahi * ylo, ahi * yhi)
-                lo += min(products)
-                hi += max(products)
+                if alo >= 0:
+                    lo += (alo if ylo >= 0 else ahi) * ylo
+                    hi += (ahi if yhi >= 0 else alo) * yhi
+                elif ahi <= 0:
+                    lo += (alo if yhi >= 0 else ahi) * yhi
+                    hi += (alo if ylo < 0 else ahi) * ylo
+                else:
+                    products = (alo * ylo, alo * yhi, ahi * ylo, ahi * yhi)
+                    lo += min(products)
+                    hi += max(products)
             out.append((-(-lo // total), hi // total))
         return out
 

@@ -48,6 +48,13 @@ class Interval:
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise ValueError("degenerate interval must be closed; use IntervalSet for empty")
 
+    @classmethod
+    def _kept(cls, lo: Scalar, hi: Scalar, lo_closed: bool, hi_closed: bool) -> "Interval":
+        """The interval of ``Scalar`` endpoints already in order, unchecked."""
+        piece = cls.__new__(cls)
+        piece.lo, piece.hi, piece.lo_closed, piece.hi_closed = lo, hi, lo_closed, hi_closed
+        return piece
+
     def __eq__(self, other):
         return (
             isinstance(other, Interval)
@@ -99,6 +106,13 @@ class IntervalSet:
         self.pieces = _normalize_pieces(pieces)
 
     @classmethod
+    def _kept(cls, pieces: tuple) -> "IntervalSet":
+        """The set of ``pieces`` already in normal form, unchecked."""
+        iset = cls.__new__(cls)
+        iset.pieces = pieces
+        return iset
+
+    @classmethod
     def single(cls, lo, hi, lo_closed=True, hi_closed=False):
         lo, hi = Scalar.of(lo), Scalar.of(hi)
         if lo == hi and not (lo_closed and hi_closed):
@@ -142,7 +156,15 @@ class IntervalSet:
         return total
 
     def translate(self, t) -> "IntervalSet":
+        """The set moved by ``t``.  Adding an exact ``t`` to exact endpoints
+        is an order isomorphism, so it keeps the normal form, and the moved
+        pieces are built unchecked (``_kept``); a float shift or endpoint
+        takes the checked path, since rounding keeps no order."""
         t = Scalar.of(t)
+        if t.is_exact and all(p.lo.is_exact and p.hi.is_exact for p in self.pieces):
+            return IntervalSet._kept(tuple(
+                Interval._kept(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed) for p in self.pieces
+            ))
         return IntervalSet(
             Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed) for p in self.pieces
         )

@@ -825,6 +825,24 @@ def test_verify_hull_box_at_the_edge_of_the_certified_range(tmp_path, capsys, bo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("box", ["--box=94:95", "--box=130:131"])
+def test_verify_hull_box_beyond_the_certified_range_on_the_high_side(tmp_path, capsys, box):
+    # the witness certifies [-90, 90]; the shifts of [130, 131] start at 41,
+    # above the first rung's cap of 30, so that rung has no candidates and
+    # the cap doubles; Fibonacci has no point in either box, and the empty
+    # limit patch is written as an empty list
+    out = tmp_path / "hull.json"
+    code = run(["verify", "--suite", "hull", "--scheme", "builtin:fibonacci",
+                "--witness", str(witness_file(tmp_path, truncation=40)),
+                box, "--targets", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err
+    assert code == 0, err
+    (limit,) = json.loads(out.read_text())["limits"]
+    assert limit["points"] == [] and limit["stabilized"]
+    assert len(limit["sequence"]) >= 2
+
+
 def test_verify_hull_windows_differing_by_more_than_a_finite_set(tmp_path, capsys):
     # the lower window (-1/2, golden - 1) leaves out an interval of the
     # built-in upper window: no generic shift exists, and that is bad input

@@ -8,9 +8,11 @@ number must be the same integer, so the walk, the leaf decisions and the
 budget's trip point do not move.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from test_hull import witness_full, witness_lower, witness_mixed
@@ -41,11 +43,13 @@ def oracle_rhs(box, rows):
     ]
 
 
-def oracle_ranges(scheme, rhs):
+def oracle_ranges(scheme, rhs, inverse=None):
     if scheme.lift_size == 0:
         return []
+    if inverse is None:
+        inverse = _inverse_rows(scheme.matrix, range(scheme.lift_size))
     out = []
-    for row in _inverse_rows(scheme.matrix, range(scheme.lift_size)):
+    for row in inverse:
         lo = hi = Fraction(0)
         for (alo, ahi), (ylo, yhi) in zip(row, rhs):
             alo, ahi = Fraction(alo, SCALE), Fraction(ahi, SCALE)
@@ -185,6 +189,66 @@ def test_interval_inverse_set_up_matches_rationals():
         assert all(check_window(scheme, box, window.translate(LINE.point((t,)))))
     patch = scheme.project_points(Box.interval(-300, 250), window)
     assert patch == fibonacci_scheme().project_points(Box.interval(-300, 250), window)
+
+
+def test_candidate_ranges_match_the_four_product_rule():
+    # the candidate box picks each product by the signs of the enclosure
+    # ends; on inverse entries and rhs ends of every sign, and at a dyadic
+    # rhs scale, the ranges are those of the four products' min and max
+    rng = random.Random(20)
+
+    def enclosure(kind):
+        a, b = rng.randint(1, 10 ** 26), rng.randint(0, 10 ** 26)
+        return {
+            "positive": (a, a + b), "negative": (-a - b, -a), "zero": (0, 0),
+            "zero-lo": (0, a), "zero-hi": (-a, 0), "straddling": (-a, b + 1),
+        }[kind]
+
+    kinds = ["positive", "negative", "zero", "zero-lo", "zero-hi", "straddling"]
+    cases = [([[enclosure(a)]], [enclosure(y)]) for a in kinds for y in kinds]
+    for _ in range(300):
+        size = rng.randint(1, 4)
+        cases.append((
+            [[enclosure(rng.choice(kinds)) for _ in range(size)] for _ in range(size)],
+            [enclosure(rng.choice(kinds)) for _ in range(size)],
+        ))
+    for shift in (0, 3):
+        for inverse, ends in cases:
+            stub = SimpleNamespace(lift_size=len(inverse), _inverse_enclosure=inverse)
+            bounds = [(lo, lo, hi, hi) for lo, hi in ends]
+            want = oracle_ranges(
+                stub, [(Fraction(lo, SCALE << shift), Fraction(hi, SCALE << shift)) for lo, hi in ends],
+                inverse,
+            )
+            assert CutProjectScheme._candidate_ranges(stub, (shift, bounds)) == want
+
+
+def test_straddling_inverse_set_up_matches_rationals():
+    # a star coordinate within 10**-50 of 0 gives an inverse entry whose
+    # enclosure straddles 0, which the candidate box bounds by all four
+    # products; the set-up still matches the rationals, and the walk finds
+    # every point a brute-force filter does
+    tiny = Scalar.sqrt(2) - Fraction(math.isqrt(2 * 10 ** 100), 10 ** 50)
+    scheme = CutProjectScheme(
+        1, LINE, [((Scalar(1),), LINE.point((1,))), ((GOLDEN,), LINE.point((tiny,)))]
+    )
+    (alo, ahi), _ = scheme._inverse_enclosure[0]
+    assert alo < 0 < ahi
+    window = interval_window(LINE, -1, GOLDEN - 1)
+    rng = random.Random(19)
+    for _ in range(20):
+        centre = rng.randint(-5000, 5000)
+        t = Scalar(rng.randint(-20, 20)) / 100
+        box = Box.interval(centre - rng.randint(1, 40), centre + 10)
+        shifted = window.translate(LINE.point((t,)))
+        assert all(check_window(scheme, box, shifted))
+        reach = range(math.floor((box.lo[0] - 3) / GOLDEN), math.ceil((box.hi[0] + 3) / GOLDEN) + 1)
+        want = {
+            scheme.direct(n) for n in itertools.product(range(-3, 4), reach)
+            if box.contains(scheme.direct(n)) and shifted.contains(scheme.star(n))
+        }
+        patch = scheme.project_points(box, shifted)
+        assert len(patch) == len(want) > 0 and set(patch.points) == want
 
 
 def test_certified_box_radius_matches_rationals(monkeypatch):

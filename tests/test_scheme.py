@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutproject import cli, ratmath, scalars
+from cutproject import cli, ratmath, scalars, windows
 from cutproject.fibonacci import fibonacci_scheme, fibonacci_window
 from cutproject.internal_space import (
     FiniteCyclicFactor,
@@ -47,6 +47,7 @@ from cutproject.transforms import (
 )
 from cutproject.windows import (
     AugmentedWindow,
+    Interval,
     IntervalSet,
     OutOfCertifiedRangeError,
     ProductWindow,
@@ -1194,6 +1195,22 @@ def test_project_points_set_up_work_count():
         counts, patch = set_up_counts(lambda: scheme.project_points(probe_box, probe_window))
         assert len(patch) > 0
         assert counts == {}, counts
+    # an exact shift of a one-interval window keeps its normal form, so the
+    # shifted window is built without an order check: no Interval.__init__,
+    # normalization, comparison or enclosure of the moved endpoints
+    watched = {
+        Interval.__init__.__code__: "Interval.__init__",
+        windows._normalize_pieces.__code__: "_normalize_pieces",
+        Scalar._compare.__code__: "_compare",
+        Scalar._enclosure.__code__: "_enclosure",
+        Scalar._bounds_per_term.__code__: "_bounds_per_term",
+    }
+    # the hook sees each of them in the checked construction
+    counts = profile_counts(lambda: IntervalSet((Interval(Scalar(1) / 7, GOLDEN / 7),)), watched)
+    assert counts == {"Interval.__init__": 1, "_normalize_pieces": 1, "_compare": 1,
+                      "_enclosure": 2, "_bounds_per_term": 2}, counts
+    shift = LINE.point((Fraction(-3, 20),))
+    assert profile_counts(lambda: window.translate(shift), watched) == {}
 
 
 def profile_counts(call, watched):

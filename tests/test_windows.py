@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutproject import windows
 from cutproject.internal_space import (
     FiniteCyclicFactor,
     IntegerRankFactor,
@@ -239,6 +240,96 @@ def test_twisted_region_translate():
     assert piece.lo == GOLDEN_CONJ
     assert w.measure() == wt.measure()
     assert w.properties() == wt.properties()
+
+
+def _checked_translate(iset, t):
+    """``IntervalSet.translate`` through the checked constructors."""
+    t = Scalar.of(t)
+    return IntervalSet(Interval(p.lo + t, p.hi + t, p.lo_closed, p.hi_closed) for p in iset.pieces)
+
+
+def _translate_cases():
+    """(window, shifts) of every window kind, each shift exact: rational,
+    quadratic, and the twist of the twisted factor."""
+    c = Scalar.root(2, 3)
+    twist = LINE.point((GOLDEN_CONJ,))
+    tw = TwistedExtensionFactor(LINE, 3, twist)
+    torus = InternalSpace([RealFactor(1), TorusFactor(1, ((c,),))])
+    twisted = InternalSpace([tw])
+    values = [Scalar(Fraction(3, 7)), Scalar.sqrt(2) - 1, GOLDEN_CONJ]
+    gap = IntervalSet([Interval(2, 3, False, False), Interval(3, GOLDEN + 3, False, True)])
+    arcs = IntervalSet([Interval(0, Fraction(3, 10)), Interval(Fraction(7, 10), 1)])
+    lines = [
+        interval_window(LINE, -1, GOLDEN - 1, False, True),
+        UnionWindow(LINE, [interval_window(LINE, 0, 1), ProductWindow(LINE, (RealRegion((gap,)),))]),
+        AugmentedWindow(interval_window(LINE, 0, 1, False, False),
+                        [LINE.point((5,)), LINE.point((GOLDEN,))]),
+    ]
+    cases = [(w, [LINE.point((v,)) for v in values]) for w in lines]
+    cases.append((
+        ProductWindow(torus, (RealRegion((iv(0, GOLDEN),)), TorusRegion(torus.factors[1], (arcs,)))),
+        [torus.point((v,), (v,)) for v in values],
+    ))
+    cases.append((
+        ProductWindow(twisted, (TwistedRegion(tw, {
+            1: interval_window(LINE, 0, 1),
+            2: interval_window(LINE, GOLDEN_CONJ, 1, False, True),
+        }),)),
+        [twisted.point((LINE.point((v,)), r)) for v in values for r in range(3)],
+    ))
+    return cases
+
+
+def test_exact_translate_equals_the_checked_construction(monkeypatch):
+    # an exact shift of exact endpoints keeps the normal form, so the pieces
+    # built unchecked equal those the checked constructors build
+    rng = random.Random(37)
+    for _ in range(200):
+        iset = _random_real_set(rng)
+        t = rng.choice([Scalar(Fraction(rng.randint(-40, 40), 16)), GOLDEN_CONJ * rng.randint(-3, 3)])
+        moved = iset.translate(t)
+        assert moved == _checked_translate(iset, t)
+        assert moved.to_obj() == _checked_translate(iset, t).to_obj()
+    cases = _translate_cases()
+    trusted = [[w.translate(t) for t in shifts] for w, shifts in cases]
+    monkeypatch.setattr(IntervalSet, "translate", _checked_translate)
+    for (w, shifts), moved in zip(cases, trusted):
+        checked = [w.translate(t) for t in shifts]
+        assert moved == checked
+        assert [m.to_obj() for m in moved] == [m.to_obj() for m in checked]
+        assert [window_from_obj(m.space, m.to_obj()) for m in moved] == checked
+
+
+def test_float_translate_takes_the_checked_path(monkeypatch):
+    calls = []
+
+    def counted(pieces):
+        calls.append(1)
+        return normalize(pieces)
+
+    normalize = windows._normalize_pieces
+    monkeypatch.setattr(windows, "_normalize_pieces", counted)
+    apart = IntervalSet([Interval(0, 1), Interval(1 + Fraction(1, 10 ** 12), 2)])
+    calls.clear()
+    assert len(apart.translate(Fraction(1, 2)).pieces) == 2
+    assert calls == []
+    # a float shift rounds the two pieces FLOAT_EPS together, and the
+    # checked path merges them, as it does for float endpoints
+    merged = apart.translate(0.5)
+    assert calls == [1]
+    assert merged == IntervalSet.single(0.5, 2.5)
+    floats = IntervalSet.single(0.25, 0.5)
+    calls.clear()
+    moved = floats.translate(Fraction(1, 3))
+    assert calls == [1]
+    assert moved == _checked_translate(floats, Fraction(1, 3))
+    # an interval narrower than FLOAT_EPS is refused after a float shift
+    narrow = IntervalSet.single(0, Fraction(1, 10 ** 12))
+    assert narrow.translate(Fraction(1, 2)).measure() == Scalar(Fraction(1, 10 ** 12))
+    with pytest.raises(ValueError, match="degenerate interval"):
+        narrow.translate(0.5)
+    with pytest.raises(ValueError, match="degenerate interval"):
+        interval_window(LINE, 0, Fraction(1, 10 ** 12)).translate(LINE.point((Scalar.from_float(0.5),)))
 
 
 def test_check_properties_examples():
